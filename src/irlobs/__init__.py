@@ -36,21 +36,17 @@ from .irl import (
     FeatureBasis,
     IrlHistoryStack,
     WeightVector,
-    controller_rows,
     data_select,
     eval_features,
     ideal_weights,
-    inverse_bellman_row,
     solve_weights,
 )
 from .numerics import (
+    GramStack,
     SampledSignal,
-    condition_number,
-    kron_transpose_apply,
     least_squares,
     rk4_step,
     solve_are,
-    trapezoid,
 )
 from .plant import (
     CostFunction,

@@ -31,3 +31,11 @@ class RankDeficiencyError(IrlobsError):
 
 class ConfigError(IrlobsError):
     """An experiment configuration failed validation."""
+
+
+class ArgumentError(ValueError):
+    """A constructor argument failed validation; ``name`` is the argument."""
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name

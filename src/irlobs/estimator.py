@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError
-from .numerics import trapezoid
+from .errors import ArgumentError, NumericOverflowError
+from .numerics import GramStack
 
 
 @dataclass
@@ -94,7 +94,7 @@ class EstimatorGains:
     def __post_init__(self):
         for name in ("k_theta", "beta1", "alpha", "beta", "k", "t1", "t2"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"gain {name} must be positive")
+                raise ArgumentError(name, f"gain {name} must be positive")
 
 
 def integral_residual(p_log, t, t1, t2):
@@ -133,7 +133,7 @@ def integral_regressor(p_log, u_log, t, t1, t2):
     if t < t1 + t2:
         return np.zeros((n, theta_dim(n, m)))
     f_block = _double_integral(p_log, t, t1, t2)
-    g_block = trapezoid(p_log, t - t2, t) - trapezoid(p_log, t - t1 - t2, t - t1)
+    g_block = p_log.integral(t - t2, t) - p_log.integral(t - t1 - t2, t - t1)
     u_block = _double_integral(u_log, t, t1, t2)
     eye = np.eye(n)
     return np.hstack(
@@ -145,52 +145,32 @@ def integral_regressor(p_log, u_log, t, t1, t2):
     )
 
 
-class ParamHistoryStack:
+class ParamHistoryStack(GramStack):
     """Recorded (residual, regressor) pairs with a rank certificate.
 
-    Keeps the summed regressor Gram matrix and its smallest eigenvalue
-    current; once the stack is full, a new pair is only committed if
-    swapping it for an existing entry raises that eigenvalue by more than
-    its eigvalsh rounding, dim*eps times the largest eigenvalue.
+    Each entry is a (residual, regressor) pair with Gram block
+    regressor' regressor.  The summed right-hand side projection and the
+    smallest Gram eigenvalue are kept current; once the stack is full, a
+    new pair is only committed if swapping it for an existing entry raises
+    that eigenvalue by more than its eigvalsh rounding, dim*eps times the
+    largest eigenvalue.
     """
 
     def __init__(self, capacity, dim, min_eig_threshold):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
+        super().__init__(capacity, dim)
         if min_eig_threshold <= 0.0:
             raise ValueError("min_eig_threshold must be positive")
-        self.capacity = int(capacity)
-        self.dim = int(dim)
         self.min_eig_threshold = float(min_eig_threshold)
-        self.residuals = []
-        self.regressors = []
-        self._blocks = []
-        self._block_array = np.zeros((0, dim, dim))
-        self.gram = np.zeros((dim, dim))
-        self.rhs_projection = np.zeros(dim)
-        self.min_eigenvalue = 0.0
-
-    @property
-    def size(self):
-        return len(self.residuals)
-
-    @property
-    def is_full(self):
-        return self.size >= self.capacity
+        self._changed()
 
     @property
     def is_full_rank(self):
         return self.min_eigenvalue > self.min_eig_threshold
 
-    def _recompute(self):
-        self.gram = np.zeros((self.dim, self.dim))
+    def _changed(self):
         self.rhs_projection = np.zeros(self.dim)
-        for res, reg, block in zip(self.residuals, self.regressors, self._blocks):
-            self.gram += block
-            self.rhs_projection += reg.T @ res
-        self._block_array = (
-            np.stack(self._blocks) if self._blocks else np.zeros((0, self.dim, self.dim))
-        )
+        for residual, regressor in self.entries:
+            self.rhs_projection += regressor.T @ residual
         self.min_eigenvalue = (
             float(np.linalg.eigvalsh(self.gram)[0]) if self.size else 0.0
         )
@@ -204,25 +184,17 @@ class ParamHistoryStack:
         if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(regressor))):
             raise NumericOverflowError("non-finite history stack candidate")
         block = regressor.T @ regressor
-        if not self.is_full:
-            self.residuals.append(residual)
-            self.regressors.append(regressor)
-            self._blocks.append(block)
-            self._recompute()
-            return True
-        swapped = (self.gram + block)[None, :, :] - self._block_array
-        lam = np.linalg.eigvalsh(swapped)
-        best_i = int(np.argmax(lam[:, 0]))
-        # eigvalsh leaves an absolute error of about dim*eps*lam_max on
-        # lam_min; an absolute margin also holds on a rank-deficient stack,
-        # where lam_min is rounding noise around zero and may be negative
-        rounding = self.dim * np.finfo(float).eps * lam[best_i, -1]
-        if lam[best_i, 0] <= self.min_eigenvalue + rounding:
-            return False
-        self.residuals[best_i] = residual
-        self.regressors[best_i] = regressor
-        self._blocks[best_i] = block
-        self._recompute()
+        slot = self.size
+        if self.is_full:
+            lam = self.swap_spectra(block)
+            slot = int(np.argmax(lam[:, 0]))
+            # eigvalsh leaves an absolute error of about dim*eps*lam_max on
+            # lam_min; an absolute margin also holds on a rank-deficient stack,
+            # where lam_min is rounding noise around zero and may be negative
+            rounding = self.dim * np.finfo(float).eps * lam[slot, -1]
+            if lam[slot, 0] <= self.min_eigenvalue + rounding:
+                return False
+        self.put(slot, block, (residual, regressor))
         return True
 
 

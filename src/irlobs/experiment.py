@@ -11,13 +11,14 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericOverflowError
+from .errors import ArgumentError, ConfigError, NumericOverflowError
 from .estimator import (
     AdaptiveObserver,
     EstimatorGains,
@@ -119,185 +120,165 @@ def _merge(base, override, path=""):
     for key, val in override.items():
         if key not in base:
             raise ConfigError(f"unknown config field '{path}{key}'")
-        if isinstance(base[key], dict) and isinstance(val, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"config section '{path}{key}' must be an object")
             _merge(base[key], val, path=f"{path}{key}.")
         else:
             base[key] = val
     return base
 
 
-def _require_positive(section, name, value):
-    if not isinstance(value, (int, float)) or value <= 0:
-        raise ConfigError(f"field '{section}.{name}' must be positive, got {value!r}")
-    return float(value)
+def _number(path, value, low=None, *, inclusive=False, integer=False):
+    """value as a finite float (an int when integer) above low, or at least
+    low when inclusive; raises ConfigError naming the field otherwise."""
+    try:
+        ok = (
+            not isinstance(value, bool)
+            and math.isfinite(value)
+            and (not integer or value == int(value))
+            and (low is None or value > low or (inclusive and value == low))
+        )
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        bound = "" if low is None else f" {'>=' if inclusive else '>'} {low:g}"
+        raise ConfigError(f"field '{path}' must be {kind}{bound}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _count(path, value, low=1):
+    return _number(path, value, low, inclusive=True, integer=True)
+
+
+def _array(path, value, shape=None):
+    """value as a finite float array of the given shape; raises ConfigError
+    naming the field otherwise."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"field '{path}' is not a numeric array: {exc}")
+    if shape is not None and arr.shape != shape:
+        raise ConfigError(f"field '{path}' must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"field '{path}' must be finite")
+    return arr
+
+
+def _build(section, make, fields=None):
+    """Construct a section object; its ValueError or TypeError becomes a
+    ConfigError naming the failing field (the section when unknown)."""
+    try:
+        return make()
+    except (ValueError, TypeError) as exc:
+        path = section
+        if isinstance(exc, ArgumentError):
+            path = (fields or {}).get(exc.name, f"{section}.{exc.name}")
+        raise ConfigError(f"field '{path}': {exc}") from exc
 
 
 class ExperimentConfig:
     """Validated experiment configuration; see default_config_dict for the
-    schema and the shipped defaults."""
+    schema and the shipped defaults.
+
+    The plant, cost, gains, feature basis and quality sections are built
+    once here and check their own entries; any invalid or non-finite entry
+    raises ConfigError naming the field.
+    """
 
     def __init__(self, raw):
         self.raw = copy.deepcopy(raw)
-        self._validate()
-
-    def to_dict(self):
-        return copy.deepcopy(self.raw)
-
-    def _validate(self):
-        d = self.raw
-        try:
-            a = np.asarray(d["plant"]["a"], dtype=float)
-            b = np.asarray(d["plant"]["b"], dtype=float)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"field 'plant.a'/'plant.b' malformed: {exc}")
-        if a.ndim != 2 or a.shape[1] != 2 * a.shape[0]:
-            raise ConfigError(f"field 'plant.a' must be n x 2n, got {a.shape}")
-        n = a.shape[0]
-        if b.ndim != 2 or b.shape[0] != n:
-            raise ConfigError(f"field 'plant.b' must be {n} x m, got {b.shape}")
-        m = b.shape[1]
+        pl, c, g, irl, p, r = (
+            self.raw[k] for k in ("plant", "cost", "gains", "irl", "purge", "run")
+        )
+        self._plant = _build("plant", lambda: LinearPlant(
+            a=_array("plant.a", pl["a"]), b=_array("plant.b", pl["b"]),
+        ))
+        n, m = self._plant.n, self._plant.m
         self.n, self.m = n, m
+        self._cost = _build("cost", lambda: CostFunction(
+            dim=2 * n, w_q=_array("cost.w_q", c["w_q"]),
+            r_diag=_array("cost.r_diag", c["r_diag"], (m,)),
+            q_monomials=c["q_monomials"],
+        ))
+        capacity = _count("gains.capacity", g["capacity"])
+        self._gains = _build("gains", lambda: EstimatorGains(
+            k_theta=(
+                0.3 / capacity if g["k_theta"] is None
+                else _number("gains.k_theta", g["k_theta"])
+            ),
+            **{k: _number(f"gains.{k}", g[k]) for k in ("beta1", "alpha", "beta", "k", "t1", "t2")},
+        ))
+        self._basis = _build("irl", lambda: (
+            FeatureBasis.quadratic(2 * n, self._cost.q_monomials) if irl["v_monomials"] is None
+            else FeatureBasis(2 * n, irl["v_monomials"], self._cost.q_monomials)
+        ), fields={"q_monomials": "cost.q_monomials"})
+        self._quality = _build("purge", lambda: QualityConfig(
+            horizon=_number("purge.horizon", p["horizon"]),
+            s1=np.eye(2 * n) if p["s1"] is None else _array("purge.s1", p["s1"], (2 * n, 2 * n)),
+            s2=np.eye(n) if p["s2"] is None else _array("purge.s2", p["s2"], (n, n)),
+            half_width=_number("purge.half_width", p["half_width"], integer=True),
+            rollout_stride=_number("purge.rollout_stride", p["rollout_stride"], integer=True),
+        ))
 
-        cost = d["cost"]
-        w_q = np.asarray(cost["w_q"], dtype=float)
-        r_diag = np.asarray(cost["r_diag"], dtype=float)
-        if r_diag.ndim != 1 or r_diag.size != m:
-            raise ConfigError(f"field 'cost.r_diag' must have length {m}")
-        if np.any(r_diag <= 0):
-            raise ConfigError("field 'cost.r_diag' entries must be positive")
-        monos = cost.get("q_monomials")
-        if monos is not None:
-            if len(monos) != w_q.size:
-                raise ConfigError("field 'cost.q_monomials' length must match 'cost.w_q'")
-            for pair in monos:
-                i, j = int(pair[0]), int(pair[1])
-                if not (0 <= i <= j < 2 * n):
-                    raise ConfigError(f"field 'cost.q_monomials' pair ({i}, {j}) out of range")
-        elif w_q.size != 2 * n:
-            raise ConfigError(
-                f"field 'cost.w_q' must have length {2 * n} for the default square basis"
-            )
-
-        g = d["gains"]
-        for name in ("k", "alpha", "beta", "beta1", "t1", "t2", "gamma0",
-                     "min_eig_threshold", "excitation_duration", "excitation_dt",
+        for name in ("gamma0", "min_eig_threshold", "excitation_duration", "excitation_dt",
                      "excitation_amplitude"):
-            _require_positive("gains", name, g[name])
-        for name in ("capacity", "record_stride", "excitation_stride"):
-            if int(g[name]) < 1:
-                raise ConfigError(f"field 'gains.{name}' must be a positive integer")
-        if g["k_theta"] is not None:
-            _require_positive("gains", "k_theta", g["k_theta"])
+            _number(f"gains.{name}", g[name], 0.0)
+        for name in ("record_stride", "excitation_stride"):
+            _count(f"gains.{name}", g[name])
         if g["stack_source"] not in STACK_SOURCES:
             raise ConfigError(f"field 'gains.stack_source' must be one of {STACK_SOURCES}")
+        _count("irl.capacity", irl["capacity"])
+        _number("irl.xi1", irl["xi1"], 0.0, inclusive=True)
+        _number("irl.xi2", irl["xi2"], 0.0)
+        for name in ("kappa1_bar", "kappa2_bar"):
+            _number(f"purge.{name}", p[name], 0.0)
 
-        irl = d["irl"]
-        if int(irl["capacity"]) < 1:
-            raise ConfigError("field 'irl.capacity' must be a positive integer")
-        if irl["xi1"] < 0:
-            raise ConfigError("field 'irl.xi1' must be nonnegative")
-        _require_positive("irl", "xi2", irl["xi2"])
-        if irl.get("v_monomials") is not None:
-            for pair in irl["v_monomials"]:
-                i, j = int(pair[0]), int(pair[1])
-                if not (0 <= i <= j < 2 * n):
-                    raise ConfigError(f"field 'irl.v_monomials' pair ({i}, {j}) out of range")
-
-        p = d["purge"]
-        _require_positive("purge", "horizon", p["horizon"])
-        if int(p["half_width"]) < 1:
-            raise ConfigError("field 'purge.half_width' must be a positive integer")
-        if int(p["rollout_stride"]) < 1:
-            raise ConfigError("field 'purge.rollout_stride' must be a positive integer")
-        _require_positive("purge", "kappa1_bar", p["kappa1_bar"])
-        _require_positive("purge", "kappa2_bar", p["kappa2_bar"])
-        for name, dim in (("s1", 2 * n), ("s2", n)):
-            if p[name] is not None:
-                s = np.asarray(p[name], dtype=float)
-                if s.shape != (dim, dim):
-                    raise ConfigError(f"field 'purge.{name}' must be {dim} x {dim}")
-
-        r = d["run"]
-        x0 = np.asarray(r["x0"], dtype=float)
-        if x0.shape != (2 * n,):
-            raise ConfigError(f"field 'run.x0' must have length {2 * n}")
-        if r["duration"] < 0:
-            raise ConfigError("field 'run.duration' must be nonnegative")
-        _require_positive("run", "dt", r["dt"])
-        if 0 < r["duration"] <= g["t1"] + g["t2"]:
+        _array("run.x0", r["x0"], (2 * n,))
+        duration = _number("run.duration", r["duration"], 0.0, inclusive=True)
+        dt = _number("run.dt", r["dt"], 0.0)
+        windows = self._gains.t1 + self._gains.t2
+        if 0 < duration <= windows:
             raise ConfigError("field 'run.duration' must exceed gains.t1 + gains.t2")
+        if g["excitation_duration"] <= windows:
+            raise ConfigError("field 'gains.excitation_duration' must exceed t1 + t2")
         if r["mode"] not in MODES:
             raise ConfigError(f"field 'run.mode' must be one of {MODES}")
-        for name in ("query_low", "query_high"):
-            box = np.asarray(r[name], dtype=float)
-            if box.shape != (2 * n,):
-                raise ConfigError(f"field 'run.{name}' must have length {2 * n}")
-        if np.any(np.asarray(r["query_low"], float) > np.asarray(r["query_high"], float)):
+        low = _array("run.query_low", r["query_low"], (2 * n,))
+        if np.any(low > _array("run.query_high", r["query_high"], (2 * n,))):
             raise ConfigError("field 'run.query_low' must not exceed 'run.query_high'")
-        if int(r["report_stride"]) < 1:
-            raise ConfigError("field 'run.report_stride' must be a positive integer")
-        if int(r["seed"]) < 0:
-            raise ConfigError("field 'run.seed' must be a nonnegative integer")
+        _count("run.report_stride", r["report_stride"])
+        _count("run.seed", r["seed"], low=0)
         if r["w0"] is not None:
-            v_count = len(irl["v_monomials"]) if irl.get("v_monomials") is not None else n * (2 * n + 1)
-            q_count = len(monos) if monos is not None else 2 * n
-            width = v_count + q_count + m - 1
-            if np.asarray(r["w0"], dtype=float).shape != (width,):
-                raise ConfigError(f"field 'run.w0' must have length {width}")
-        horizon = p["horizon"]
-        if horizon < (2 * int(p["half_width"]) + 1) * r["dt"]:
+            _array("run.w0", r["w0"], (self._basis.width(m),))
+        q = self._quality
+        if q.horizon < (2 * q.half_width + 1) * dt:
             raise ConfigError("field 'purge.horizon' is shorter than the smoothing window")
-        steps = int(round(horizon / (int(p["rollout_stride"]) * r["dt"])))
-        if steps < 1 or abs(steps * int(p["rollout_stride"]) * r["dt"] - horizon) > 1e-9:
+        h = q.rollout_stride * dt
+        steps = round(q.horizon / h) if math.isfinite(q.horizon / h) else 0
+        if steps < 1 or abs(steps * h - q.horizon) > 1e-9:
             raise ConfigError(
                 "field 'purge.horizon' must be a multiple of rollout_stride * run.dt"
             )
 
-    # -- section accessors (numpy views over the validated raw dict) -----
+    def to_dict(self):
+        return copy.deepcopy(self.raw)
 
     def plant(self):
-        return LinearPlant(a=np.asarray(self.raw["plant"]["a"], float),
-                           b=np.asarray(self.raw["plant"]["b"], float))
+        return self._plant
 
     def cost(self):
-        c = self.raw["cost"]
-        return CostFunction(
-            dim=2 * self.n,
-            w_q=np.asarray(c["w_q"], float),
-            r_diag=np.asarray(c["r_diag"], float),
-            q_monomials=c["q_monomials"],
-        )
+        return self._cost
 
     def gains(self):
-        g = self.raw["gains"]
-        k_theta = g["k_theta"]
-        if k_theta is None:
-            k_theta = 0.3 / int(g["capacity"])
-        return EstimatorGains(
-            k_theta=float(k_theta), beta1=float(g["beta1"]), alpha=float(g["alpha"]),
-            beta=float(g["beta"]), k=float(g["k"]), t1=float(g["t1"]), t2=float(g["t2"]),
-        )
+        return self._gains
 
     def basis(self):
-        from .irl import quadratic_monomials
-
-        irl = self.raw["irl"]
-        v_monos = irl["v_monomials"]
-        if v_monos is None:
-            v_monos = quadratic_monomials(2 * self.n)
-        q_monos = self.raw["cost"]["q_monomials"]
-        if q_monos is None:
-            q_monos = [(i, i) for i in range(2 * self.n)]
-        return FeatureBasis(dim=2 * self.n, v_monomials=v_monos, q_monomials=q_monos)
+        return self._basis
 
     def quality(self):
-        p = self.raw["purge"]
-        s1 = p["s1"] if p["s1"] is not None else np.eye(2 * self.n)
-        s2 = p["s2"] if p["s2"] is not None else np.eye(self.n)
-        return QualityConfig(
-            horizon=float(p["horizon"]), s1=np.asarray(s1, float), s2=np.asarray(s2, float),
-            half_width=int(p["half_width"]), rollout_stride=int(p["rollout_stride"]),
-        )
+        return self._quality
 
 
 def default_config():
@@ -388,8 +369,6 @@ def prerecord_param_stack(demo, cfg, stack):
     dt = float(g["excitation_dt"])
     duration = float(g["excitation_duration"])
     t1, t2 = float(g["t1"]), float(g["t2"])
-    if duration <= t1 + t2:
-        raise ConfigError("field 'gains.excitation_duration' must exceed t1 + t2")
     amp = float(g["excitation_amplitude"])
     stride = int(g["excitation_stride"])
     steps = int(round(duration / dt))
@@ -465,16 +444,8 @@ def run_experiment(cfg, mode=None, seed=None):
 
     theta_true = plant.theta
     w_true = ideal_weights(basis, demo.riccati_p, cost.w_q, cost.r_diag)
-    w0 = run["w0"]
-    if w0 is None:
-        w_init = WeightVector(
-            w_v=np.zeros(basis.num_v), w_q=np.zeros(basis.num_q),
-            w_r_minus=np.zeros(m - 1), r1=cost.r1,
-        )
-    else:
-        w_init = WeightVector.from_stacked(
-            np.asarray(w0, dtype=float), basis.num_v, basis.num_q, cost.r1
-        )
+    w0 = np.zeros(basis.width(m)) if run["w0"] is None else np.asarray(run["w0"], dtype=float)
+    w_init = WeightVector.from_stacked(w0, basis.num_v, basis.num_q, cost.r1)
 
     param_stack = ParamHistoryStack(
         capacity=int(g["capacity"]), dim=theta_dim(n, m),

@@ -9,11 +9,12 @@ solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
-from .errors import RankDeficiencyError
-from .numerics import least_squares
+from .errors import ArgumentError, RankDeficiencyError
+from .numerics import GramStack, least_squares
 
 
 def quadratic_monomials(dim):
@@ -34,15 +35,15 @@ class FeatureBasis:
     q_monomials: list
 
     def __post_init__(self):
-        self.v_monomials = [(int(i), int(j)) for i, j in self.v_monomials]
-        self.q_monomials = [(int(i), int(j)) for i, j in self.q_monomials]
-        for name, monos in (("value", self.v_monomials), ("cost", self.q_monomials)):
+        self.v_monomials = [(index(i), index(j)) for i, j in self.v_monomials]
+        self.q_monomials = [(index(i), index(j)) for i, j in self.q_monomials]
+        for name, monos in (("v_monomials", self.v_monomials), ("q_monomials", self.q_monomials)):
             seen = set()
             for i, j in monos:
                 if not (0 <= i <= j < self.dim):
-                    raise ValueError(f"{name} monomial ({i}, {j}) out of range")
+                    raise ArgumentError(name, f"monomial ({i}, {j}) out of range")
                 if (i, j) in seen:
-                    raise ValueError(f"duplicate {name} monomial ({i}, {j})")
+                    raise ArgumentError(name, f"duplicate monomial ({i}, {j})")
                 seen.add((i, j))
 
     @classmethod
@@ -144,41 +145,6 @@ def ideal_weights(basis, riccati_p, w_q_star, r_diag):
     )
 
 
-def inverse_bellman_row(basis, x_hat, u, theta_hat, r1):
-    """One inverse-Bellman regression row and its right-hand side.
-
-    The row multiplies the stacked weights; at true data the residual
-    row.W - rhs vanishes because the optimal pair satisfies the HJB
-    equation, with rhs = -r1 u1^2 carrying the known-scale normalization.
-    """
-    u = np.asarray(u, dtype=float)
-    _, grad, sigma_q, sigma_u = eval_features(basis, x_hat, u)
-    xdot = theta_hat.a_prime @ np.asarray(x_hat, dtype=float) + theta_hat.b_prime @ u
-    row = np.concatenate([grad @ xdot, sigma_q, sigma_u[1:]])
-    rhs = -r1 * sigma_u[0]
-    return row, rhs
-
-
-def controller_rows(basis, x_hat, u, theta_hat, r1):
-    """Stationarity rows of the optimal controller, one per input channel.
-
-    Row i carries (B-hat)' grad sigma_V over the value weights; the first
-    channel moves the known -2 r1 u1 to the right-hand side while channels
-    2..m keep 2 u_i against their unknown R weight.
-    """
-    u = np.asarray(u, dtype=float)
-    m = u.size
-    _, grad, _, _ = eval_features(basis, x_hat, u)
-    sigma_b = theta_hat.b_prime.T @ grad.T  # m x num_v
-    rows = np.zeros((m, basis.width(m)))
-    rows[:, : basis.num_v] = sigma_b
-    rhs = np.zeros(m)
-    rhs[0] = -2.0 * r1 * u[0]
-    for i in range(1, m):
-        rows[i, basis.num_v + basis.num_q + i - 1] = 2.0 * u[i]
-    return rows, rhs
-
-
 def entry_rows(basis, x_hat, u, theta_hat, r1):
     """Full (1+m)-row block of one data point: the inverse-Bellman row
     stacked over the controller rows, sharing one feature evaluation."""
@@ -225,105 +191,62 @@ class _Entry:
         self.rhs_sq = float(rhs @ rhs)
 
 
-def _gram_stats(gram):
-    """(condition number of the stacked matrix, its Gram condition number)."""
-    lam = np.linalg.eigvalsh(gram)
-    lo, hi = float(lam[0]), float(lam[-1])
-    if hi <= 0.0:
-        return float("inf"), float("inf")
-    cutoff = hi * gram.shape[0] * np.finfo(float).eps
-    if lo <= cutoff:
-        return float("inf"), float("inf")
-    return float(np.sqrt(hi / lo)), float(hi / lo)
+def _gram_kappas(lam):
+    """Gram condition numbers from ascending spectra (one per row); +inf
+    where the Gram is numerically singular."""
+    lo, hi = lam[..., 0], lam[..., -1]
+    cutoff = hi * lam.shape[-1] * np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((hi > 0.0) & (lo > cutoff), hi / lo, np.inf)
 
 
-class IrlHistoryStack:
+class IrlHistoryStack(GramStack):
     """Recorded feature-row blocks forming the weight regression.
 
     Each entry contributes one inverse-Bellman row plus one controller row
-    per input channel.  The stacked-matrix condition number and the norm of
-    the known right-hand side are kept current after every mutation.
+    per input channel.  The stacked-matrix condition number and the squared
+    norm of the known right-hand side are kept current after every change.
     """
 
     def __init__(self, capacity, basis, r1, m, xi2=1e-3):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = int(capacity)
+        super().__init__(capacity, basis.width(m))
         self.basis = basis
         self.r1 = float(r1)
-        self.m = int(m)
         self.xi2 = float(xi2)
-        self.width = basis.width(m)
-        self._entries = []
-        self.gram = np.zeros((self.width, self.width))
-        self._gram_blocks = np.zeros((0, self.width, self.width))
-        self.kappa = float("inf")
-        self.gram_kappa = float("inf")
-        self._rhs_sq = 0.0
+        self._changed()
 
-    @property
-    def size(self):
-        return len(self._entries)
-
-    @property
-    def is_full(self):
-        return self.size >= self.capacity
+    def _changed(self):
+        self.rhs_sq = float(sum(e.rhs_sq for e in self.entries))
+        self.gram_kappa = float(_gram_kappas(np.linalg.eigvalsh(self.gram)))
+        self.kappa = float(np.sqrt(self.gram_kappa))
 
     @property
     def sigma_u1_norm(self):
         """Norm of the stacked known right-hand side."""
-        return float(np.sqrt(self._rhs_sq))
+        return float(np.sqrt(self.rhs_sq))
 
     @property
     def eta_min(self):
         """Best (smallest) stored quality score; +inf when empty."""
-        if not self._entries:
+        if not self.entries:
             return float("inf")
-        return min(e.eta for e in self._entries)
+        return min(e.eta for e in self.entries)
 
     @property
     def sigma_matrix(self):
-        if not self._entries:
-            return np.zeros((0, self.width))
-        return np.vstack([e.rows for e in self._entries])
+        if not self.entries:
+            return np.zeros((0, self.dim))
+        return np.vstack([e.rows for e in self.entries])
 
     @property
     def rhs_vector(self):
-        if not self._entries:
+        if not self.entries:
             return np.zeros(0)
-        return np.concatenate([e.rhs for e in self._entries])
-
-    @property
-    def timestamps(self):
-        return [e.t for e in self._entries]
+        return np.concatenate([e.rhs for e in self.entries])
 
     def build_entry(self, cand):
         rows, rhs = entry_rows(self.basis, cand.x, cand.u, cand.theta, self.r1)
         return _Entry(rows, rhs, cand.eta, cand.t)
-
-    def _refresh(self):
-        if self._entries:
-            self._gram_blocks = np.stack([e.gram for e in self._entries])
-            self.gram = self._gram_blocks.sum(axis=0)
-            self._rhs_sq = float(sum(e.rhs_sq for e in self._entries))
-            self.kappa, self.gram_kappa = _gram_stats(self.gram)
-        else:
-            self._gram_blocks = np.zeros((0, self.width, self.width))
-            self.gram = np.zeros((self.width, self.width))
-            self._rhs_sq = 0.0
-            self.kappa = self.gram_kappa = float("inf")
-
-    def clear(self):
-        self._entries = []
-        self._refresh()
-
-    def _append(self, entry):
-        self._entries.append(entry)
-        self._refresh()
-
-    def _replace(self, i, entry):
-        self._entries[i] = entry
-        self._refresh()
 
 
 def data_select(stack, candidate, xi1, xi2):
@@ -340,27 +263,22 @@ def data_select(stack, candidate, xi1, xi2):
     if not np.all(np.isfinite(entry.rows)) or not np.all(np.isfinite(entry.rhs)):
         raise ValueError("candidate produced non-finite regression rows")
     if not stack.is_full:
-        stack._append(entry)
+        stack.put(stack.size, entry.gram, entry)
         return 1
-    swapped = (stack.gram + entry.gram)[None, :, :] - stack._gram_blocks
-    lam = np.linalg.eigvalsh(swapped)
-    lo, hi = lam[:, 0], lam[:, -1]
-    cutoff = hi * stack.width * np.finfo(float).eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gram_kappas = np.where((hi > 0.0) & (lo > cutoff), hi / lo, np.inf)
+    gram_kappas = _gram_kappas(stack.swap_spectra(entry.gram))
     best_i = int(np.argmin(gram_kappas))
     best_gram_kappa = float(gram_kappas[best_i])
-    rhs_sq_new = stack._rhs_sq - stack._entries[best_i].rhs_sq + entry.rhs_sq
+    rhs_sq_new = stack.rhs_sq - stack.entries[best_i].rhs_sq + entry.rhs_sq
     # eigvalsh leaves an absolute error of about width*eps*lam_max on lam_min,
     # so kappa is only known to a relative width*eps*kappa.  The margin rides
     # on the candidate's kappa so a stack at kappa = inf can still take a
     # swap that makes it finite.
-    rounding = 1.0 + stack.width * np.finfo(float).eps * best_gram_kappa
+    rounding = 1.0 + stack.dim * np.finfo(float).eps * best_gram_kappa
     if (
         best_gram_kappa * rounding < xi1 * stack.gram_kappa
         and np.sqrt(max(rhs_sq_new, 0.0)) >= xi2
     ):
-        stack._replace(best_i, entry)
+        stack.put(best_i, entry.gram, entry)
         return 1
     return 0
 

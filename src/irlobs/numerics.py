@@ -1,9 +1,9 @@
 """Shared numerical kernels.
 
 Fixed-step integration, quadrature over uniformly sampled signals, a
-continuous-time algebraic Riccati solver, least squares and condition
-numbers.  Nothing in this module knows about plants, observers or costs;
-everything operates on plain numpy arrays.
+continuous-time algebraic Riccati solver, least squares and the Gram-block
+history stack.  Nothing in this module knows about plants, observers or
+costs; everything operates on plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -301,16 +301,6 @@ def linear_rk4_matrices(a, b, h):
     return phi, w0, wh, w1
 
 
-def trapezoid(signal, a, b):
-    """Composite-trapezoid integral of a SampledSignal over [a, b].
-
-    Endpoints off the sample grid are interpolated linearly; requesting a
-    time outside the retained window raises WindowUnderflowError rather
-    than extrapolating.
-    """
-    return signal.integral(a, b)
-
-
 def _is_hurwitz(a):
     return bool(np.all(np.linalg.eigvals(a).real < 0.0))
 
@@ -406,30 +396,52 @@ def least_squares(a, b):
     return sol
 
 
-def condition_number(a):
-    """Ratio of the largest to smallest singular value.
+class GramStack:
+    """Fixed-capacity stack of entries, each carrying a symmetric Gram block.
 
-    Returns +inf when the matrix is numerically rank deficient; a zero
-    matrix raises ValueError.
+    ``gram`` is the sum of the stored blocks, re-summed in slot order after
+    every change, and ``swap_spectra`` scores every single-entry swap with
+    one batched ``eigvalsh``.  Subclasses own the selection criterion and
+    refresh what they derive from the stack in ``_changed``.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("condition_number expects a matrix")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        raise ValueError("condition number of the zero matrix is undefined")
-    cutoff = s[0] * max(a.shape) * np.finfo(float).eps
-    if s[-1] <= cutoff:
-        return float("inf")
-    return float(s[0] / s[-1])
 
+    def __init__(self, capacity, dim):
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
+        self.capacity = int(capacity)
+        self.dim = int(dim)
+        self.blocks = np.zeros((self.capacity, self.dim, self.dim))
+        self.entries = []
+        self.gram = np.zeros((self.dim, self.dim))
 
-def kron_transpose_apply(v, mvec):
-    """Return (v kron I_n)' mvec, i.e. M v where mvec is the column-stacked M."""
-    v = np.asarray(v, dtype=float).ravel()
-    mvec = np.asarray(mvec, dtype=float).ravel()
-    a = v.size
-    if a == 0 or mvec.size % a != 0:
-        raise ValueError(f"vector of length {mvec.size} is not a stacked (n x {a}) matrix")
-    n = mvec.size // a
-    return mvec.reshape((n, a), order="F") @ v
+    @property
+    def size(self):
+        return len(self.entries)
+
+    @property
+    def is_full(self):
+        return self.size >= self.capacity
+
+    def swap_spectra(self, block):
+        """Ascending eigenvalues of gram + block - blocks[i], one row per stored slot i."""
+        return np.linalg.eigvalsh((self.gram + block)[None, :, :] - self.blocks[: self.size])
+
+    def put(self, i, block, entry):
+        """Store an entry and its Gram block in slot i; i == size appends."""
+        if not 0 <= i <= self.size or i >= self.capacity:
+            raise IndexError(f"slot {i} is outside the stack (size {self.size})")
+        self.blocks[i] = block
+        if i == self.size:
+            self.entries.append(entry)
+        else:
+            self.entries[i] = entry
+        self.gram = self.blocks[: self.size].sum(axis=0)
+        self._changed()
+
+    def clear(self):
+        self.entries = []
+        self.gram = np.zeros((self.dim, self.dim))
+        self._changed()
+
+    def _changed(self):
+        """Hook run after every put and clear."""

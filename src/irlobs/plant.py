@@ -8,16 +8,13 @@ answering "what would you do at state x*?".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
-from .errors import SolverFailureError
+from .errors import ArgumentError, SolverFailureError
+from .estimator import ThetaVector
 from .numerics import SampledSignal, rk4_step, solve_are
-
-
-def squares_monomials(dim):
-    """Index pairs for the pure-square monomials x_i^2."""
-    return [(i, i) for i in range(dim)]
 
 
 def monomial_matrix(dim, weights, monomials):
@@ -48,10 +45,10 @@ class LinearPlant:
         self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         if self.a.ndim != 2 or self.a.shape[1] != 2 * self.a.shape[0]:
-            raise ValueError(f"A must be n x 2n, got {self.a.shape}")
+            raise ArgumentError("a", f"A must be n x 2n, got {self.a.shape}")
         n = self.a.shape[0]
         if self.b.ndim != 2 or self.b.shape[0] != n:
-            raise ValueError(f"B must be {n} x m, got {self.b.shape}")
+            raise ArgumentError("b", f"B must be {n} x m, got {self.b.shape}")
         self.n = n
         self.m = self.b.shape[1]
         self.a1 = self.a[:, :n].copy()
@@ -73,13 +70,7 @@ class LinearPlant:
     @property
     def theta(self):
         """Stacked true parameters [vec(A1); vec(A2); vec(B)]."""
-        return np.concatenate(
-            [
-                self.a1.reshape(-1, order="F"),
-                self.a2.reshape(-1, order="F"),
-                self.b.reshape(-1, order="F"),
-            ]
-        )
+        return ThetaVector.from_matrices(self.a1, self.a2, self.b).theta
 
 
 @dataclass
@@ -100,33 +91,26 @@ class CostFunction:
         self.w_q = np.asarray(self.w_q, dtype=float)
         self.r_diag = np.asarray(self.r_diag, dtype=float)
         if self.q_monomials is None:
-            self.q_monomials = squares_monomials(self.dim)
-        self.q_monomials = [(int(i), int(j)) for i, j in self.q_monomials]
+            self.q_monomials = [(i, i) for i in range(self.dim)]
+        self.q_monomials = [(index(i), index(j)) for i, j in self.q_monomials]
         if len(self.q_monomials) != self.w_q.size:
-            raise ValueError("w_q length must match the number of Q monomials")
+            raise ArgumentError("w_q", "w_q length must match the number of Q monomials")
         for i, j in self.q_monomials:
             if not (0 <= i <= j < self.dim):
-                raise ValueError(f"monomial index pair ({i}, {j}) out of range")
+                raise ArgumentError("q_monomials", f"monomial index pair ({i}, {j}) out of range")
         if np.any(self.r_diag <= 0.0):
-            raise ValueError("all R diagonal entries must be positive")
+            raise ArgumentError("r_diag", "all R diagonal entries must be positive")
         self.q_matrix = monomial_matrix(self.dim, self.w_q, self.q_monomials)
         if np.min(np.linalg.eigvalsh(self.q_matrix)) < -1e-10:
-            raise ValueError("Q(x) is not positive semidefinite")
+            raise ArgumentError("w_q", "Q(x) is not positive semidefinite")
 
     @property
     def r1(self):
         """The known first control weight (scale anchor)."""
         return float(self.r_diag[0])
 
-    @property
-    def r_matrix(self):
-        return np.diag(self.r_diag)
-
     def q_value(self, x):
         return float(x @ self.q_matrix @ x)
-
-    def running_cost(self, x, u):
-        return self.q_value(x) + float(u @ (self.r_diag * u))
 
 
 @dataclass

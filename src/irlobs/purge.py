@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficiencyError
+from .errors import ArgumentError, RankDeficiencyError
 from .irl import WeightVector, solve_weights
 from .numerics import linear_rk4_matrices
 
@@ -39,18 +39,18 @@ class QualityConfig:
         self.s1 = np.asarray(self.s1, dtype=float)
         self.s2 = np.asarray(self.s2, dtype=float)
         if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+            raise ArgumentError("horizon", "horizon must be positive")
         if self.half_width < 1:
-            raise ValueError("half_width must be at least 1")
+            raise ArgumentError("half_width", "half_width must be at least 1")
         if self.rollout_stride < 1:
-            raise ValueError("rollout_stride must be at least 1")
+            raise ArgumentError("rollout_stride", "rollout_stride must be at least 1")
         for name, s in (("s1", self.s1), ("s2", self.s2)):
             if s.ndim != 2 or s.shape[0] != s.shape[1]:
-                raise ValueError(f"{name} must be square")
+                raise ArgumentError(name, f"{name} must be square")
             if np.linalg.norm(s - s.T) > 1e-12 * max(1.0, np.linalg.norm(s)):
-                raise ValueError(f"{name} must be symmetric")
+                raise ArgumentError(name, f"{name} must be symmetric")
             if np.min(np.linalg.eigvalsh(s)) < -1e-10:
-                raise ValueError(f"{name} must be positive semidefinite")
+                raise ArgumentError(name, f"{name} must be positive semidefinite")
 
 
 def smooth_velocity(p_log, t_center, half_width):

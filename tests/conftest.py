@@ -13,6 +13,7 @@ from irlobs.estimator import (
     theta_dim,
 )
 from irlobs.experiment import default_config, prerecord_param_stack
+from irlobs.irl import eval_features
 from irlobs.numerics import SampledSignal, rk4_step
 from irlobs.plant import (
     CostFunction,
@@ -52,6 +53,32 @@ def cumulative_trapezoid(y, dt):
     out = np.zeros_like(np.asarray(y, dtype=float))
     out[1:] = np.cumsum(0.5 * dt * (y[:-1] + y[1:]), axis=0)
     return out
+
+
+def inverse_bellman_row(basis, x_hat, u, theta_hat, r1):
+    """Independent reference for row 0 of irl.entry_rows: the
+    inverse-Bellman row and its right-hand side -r1 u1^2."""
+    u = np.asarray(u, dtype=float)
+    _, grad, sigma_q, sigma_u = eval_features(basis, x_hat, u)
+    xdot = theta_hat.a_prime @ np.asarray(x_hat, dtype=float) + theta_hat.b_prime @ u
+    row = np.concatenate([grad @ xdot, sigma_q, sigma_u[1:]])
+    return row, -r1 * sigma_u[0]
+
+
+def controller_rows(basis, x_hat, u, theta_hat, r1):
+    """Independent reference for rows 1: of irl.entry_rows: one stationarity
+    row per input channel; the first moves the known -2 r1 u1 to the
+    right-hand side, channels 2..m keep 2 u_i against their R weight."""
+    u = np.asarray(u, dtype=float)
+    m = u.size
+    _, grad, _, _ = eval_features(basis, x_hat, u)
+    rows = np.zeros((m, basis.width(m)))
+    rows[:, : basis.num_v] = theta_hat.b_prime.T @ grad.T
+    rhs = np.zeros(m)
+    rhs[0] = -2.0 * r1 * u[0]
+    for i in range(1, m):
+        rows[i, basis.num_v + basis.num_q + i - 1] = 2.0 * u[i]
+    return rows, rhs
 
 
 @pytest.fixture(scope="session")

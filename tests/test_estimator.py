@@ -141,7 +141,7 @@ class TestParamHistoryStack:
     def test_prerecorded_pairs_satisfy_error_system(self, default_system, prerecorded_stack):
         plant, _, _ = default_system
         theta = plant.theta
-        for resid, reg in zip(prerecorded_stack.residuals, prerecorded_stack.regressors):
+        for resid, reg in prerecorded_stack.entries:
             assert np.linalg.norm(resid - reg @ theta) < 1e-6
 
     def test_pure_feedback_data_cannot_reach_full_rank(self, default_system):

@@ -1,6 +1,10 @@
 """Configuration, runner and reporting tests."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,21 @@ from irlobs.experiment import (
 )
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "irlobs"
+
+NAN = float("nan")
+NON_SYMMETRIC = [[1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+# (section, field, invalid value, the field the ConfigError must name)
+INVALID_ENTRIES = [
+    ("cost", "w_q", [-1.0, 2.0, 3.0, 6.0], "cost.w_q"),
+    ("plant", "b", [[0.0, 0.0], [0.0, 0.0]], "plant"),
+    ("purge", "s1", NON_SYMMETRIC, "purge.s1"),
+    ("irl", "v_monomials", [[0, 0], [0, 0]], "irl.v_monomials"),
+    ("irl", "capacity", "a", "irl.capacity"),
+    ("gains", "alpha", NAN, "gains.alpha"),
+    ("irl", "xi1", NAN, "irl.xi1"),
+    ("purge", "kappa1_bar", NAN, "purge.kappa1_bar"),
+    ("run", "duration", NAN, "run.duration"),
+]
 
 
 def short_config(duration=4.0, mode="query", seed=0, **run_overrides):
@@ -101,6 +120,13 @@ class TestLoadConfig:
         raw["run"]["w0"] = [0.0] * 7
         with pytest.raises(ConfigError, match="run.w0"):
             ExperimentConfig(raw)
+
+    @pytest.mark.parametrize("section, name, value, path", INVALID_ENTRIES)
+    def test_invalid_entry_raises_config_error(self, tmp_path, section, name, value, path):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({section: {name: value}}))
+        with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
+            load_config(cfg_path)
 
     def test_custom_w0_round_trips(self):
         raw = default_config_dict()
@@ -253,6 +279,22 @@ class TestCli:
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_invalid_configs_exit_1_without_traceback(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC_DIR.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        ))
+        for i, (section, name, value, path) in enumerate(INVALID_ENTRIES[:5]):
+            cfg_path = tmp_path / f"bad{i}.json"
+            cfg_path.write_text(json.dumps({section: {name: value}, "run": {"duration": 0}}))
+            done = subprocess.run(
+                [sys.executable, "-m", "irlobs.cli", "run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 1, done.stderr
+            assert done.stderr.startswith("error: ") and f"'{path}'" in done.stderr
+            assert "Traceback" not in done.stderr
 
     def test_mode_and_seed_overrides(self, tmp_path):
         from irlobs.cli import main

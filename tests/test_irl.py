@@ -10,18 +10,16 @@ from irlobs.irl import (
     FeatureBasis,
     IrlHistoryStack,
     WeightVector,
-    controller_rows,
     data_select,
     entry_rows,
     eval_features,
     ideal_weights,
-    inverse_bellman_row,
     quadratic_monomials,
     solve_weights,
 )
 from irlobs.plant import optimal_action
 
-from conftest import DEFAULT_RDIAG, DEFAULT_WQ
+from conftest import DEFAULT_RDIAG, DEFAULT_WQ, controller_rows, inverse_bellman_row
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +106,8 @@ class TestEvalFeatures:
 
 class TestRegressionRows:
     def test_zero_point_gives_zero_row(self, basis, theta_true):
-        row, rhs = inverse_bellman_row(basis, np.zeros(4), np.zeros(2), theta_true, 20.0)
-        assert not row.any() and rhs == 0.0
+        rows, rhs = entry_rows(basis, np.zeros(4), np.zeros(2), theta_true, 20.0)
+        assert not rows[0].any() and rhs[0] == 0.0
 
     def test_bellman_identity_on_true_data(self, default_system, basis, theta_true, w_true):
         _, cost, demo = default_system
@@ -117,21 +115,21 @@ class TestRegressionRows:
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0, size=4)
             u = optimal_action(demo, x)
-            row, rhs = inverse_bellman_row(basis, x, u, theta_true, cost.r1)
-            assert abs(row @ w_true.stacked - rhs) < 1e-8
+            rows, rhs = entry_rows(basis, x, u, theta_true, cost.r1)
+            assert abs(rows[0] @ w_true.stacked - rhs[0]) < 1e-8
 
     def test_perturbed_weight_residual_is_linear(self, default_system, basis, theta_true, w_true):
         _, cost, demo = default_system
         x = np.array([1.0, -0.5, 0.3, 0.8])
         u = optimal_action(demo, x)
-        row, rhs = inverse_bellman_row(basis, x, u, theta_true, cost.r1)
+        rows, rhs = entry_rows(basis, x, u, theta_true, cost.r1)
         perturbed = w_true.stacked.copy()
         perturbed[0] += 1.0
-        assert abs((row @ perturbed - rhs) - row[0]) < 1e-10
+        assert abs((rows[0] @ perturbed - rhs[0]) - rows[0, 0]) < 1e-10
 
     def test_controller_rows_zero_point(self, basis, theta_true):
-        rows, rhs = controller_rows(basis, np.zeros(4), np.zeros(2), theta_true, 20.0)
-        assert not rows.any() and not rhs.any()
+        rows, rhs = entry_rows(basis, np.zeros(4), np.zeros(2), theta_true, 20.0)
+        assert not rows[1:].any() and not rhs[1:].any()
 
     def test_controller_identity_on_true_data(self, default_system, basis, theta_true, w_true):
         _, cost, demo = default_system
@@ -139,14 +137,15 @@ class TestRegressionRows:
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0, size=4)
             u = optimal_action(demo, x)
-            rows, rhs = controller_rows(basis, x, u, theta_true, cost.r1)
-            assert np.max(np.abs(rows @ w_true.stacked - rhs)) < 1e-8
+            rows, rhs = entry_rows(basis, x, u, theta_true, cost.r1)
+            assert np.max(np.abs(rows[1:] @ w_true.stacked - rhs[1:])) < 1e-8
 
     def test_controller_rows_single_input(self, double_integrator):
         plant, cost, demo = double_integrator
         di_basis = FeatureBasis.quadratic(2)
         tv = ThetaVector.from_matrices(plant.a1, plant.a2, plant.b)
-        rows, rhs = controller_rows(di_basis, np.array([1.0, 0.5]), np.array([-1.5]), tv, 1.0)
+        rows, rhs = entry_rows(di_basis, np.array([1.0, 0.5]), np.array([-1.5]), tv, 1.0)
+        rows, rhs = rows[1:], rhs[1:]
         assert rows.shape == (1, di_basis.width(1))
         assert rhs.shape == (1,)
         assert rows.shape[1] == di_basis.num_v + di_basis.num_q  # no W_R-minus columns
@@ -262,15 +261,14 @@ class TestDataSelect:
         assert abs(stack.sigma_u1_norm - np.linalg.norm(stack.rhs_vector)) < 1e-12
 
     def test_kappa_cache_matches_condition_number(self, default_system, basis, theta_true):
-        from irlobs.numerics import condition_number
-
         _, _, demo = default_system
         stack = filled_ideal_stack(demo, theta_true, basis, count=20, capacity=20)
         rng = np.random.default_rng(35)
         for i in range(15):
             x = rng.uniform(-2.0, 2.0, size=4)
             data_select(stack, ideal_candidate(demo, theta_true, x, t=50.0 + i), 1.0, 1e-3)
-            oracle = condition_number(stack.sigma_matrix)
+            s = np.linalg.svd(stack.sigma_matrix, compute_uv=False)
+            oracle = s[0] / s[-1]
             assert abs(stack.kappa - oracle) < 1e-6 * oracle
             assert abs(stack.gram_kappa - oracle**2) < 1e-6 * oracle**2
 

@@ -9,16 +9,15 @@ from irlobs.errors import (
     SolverFailureError,
     WindowUnderflowError,
 )
+from irlobs.irl import _gram_kappas
 from irlobs.numerics import (
+    GramStack,
     SampledSignal,
     are_residual,
-    condition_number,
-    kron_transpose_apply,
     least_squares,
     linear_rk4_matrices,
     rk4_step,
     solve_are,
-    trapezoid,
 )
 
 from conftest import hamiltonian_are
@@ -67,34 +66,34 @@ class TestSampledSignalAndTrapezoid:
     def test_constant_integral(self):
         c = np.array([2.0, -3.0])
         sig = make_signal(lambda t: c, 2, 0.01, 2.0)
-        np.testing.assert_allclose(trapezoid(sig, 0.0, 2.0), 2.0 * c, atol=1e-12)
+        np.testing.assert_allclose(sig.integral(0.0, 2.0), 2.0 * c, atol=1e-12)
 
     def test_empty_interval_is_zero(self):
         sig = make_signal(lambda t: np.array([t]), 1, 0.01, 1.0)
-        np.testing.assert_array_equal(trapezoid(sig, 0.5, 0.5), np.zeros(1))
+        np.testing.assert_array_equal(sig.integral(0.5, 0.5), np.zeros(1))
 
     def test_linear_ramp(self):
         sig = make_signal(lambda t: np.array([t]), 1, 1e-3, 1.0)
-        assert abs(trapezoid(sig, 0.0, 1.0)[0] - 0.5) < 1e-6
+        assert abs(sig.integral(0.0, 1.0)[0] - 0.5) < 1e-6
 
     def test_additivity(self):
         rng = np.random.default_rng(0)
         sig = make_signal(lambda t: np.array([np.sin(3 * t), np.cos(2 * t)]), 2, 1e-2, 3.0)
         for _ in range(50):
             a, b, c = np.sort(rng.uniform(0.0, 3.0, size=3))
-            lhs = trapezoid(sig, a, b) + trapezoid(sig, b, c)
-            rhs = trapezoid(sig, a, c)
+            lhs = sig.integral(a, b) + sig.integral(b, c)
+            rhs = sig.integral(a, c)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_off_grid_endpoints_exact_on_ramp(self):
         sig = make_signal(lambda t: np.array([t]), 1, 0.1, 2.0)
         a, b = 0.137, 1.493
-        assert abs(trapezoid(sig, a, b)[0] - 0.5 * (b * b - a * a)) < 1e-12
+        assert abs(sig.integral(a, b)[0] - 0.5 * (b * b - a * a)) < 1e-12
 
     def test_window_underflow_raises(self):
         sig = make_signal(lambda t: np.array([t]), 1, 0.01, 3.0, window=1.0)
         with pytest.raises(WindowUnderflowError):
-            trapezoid(sig, 0.0, 0.5)
+            sig.integral(0.0, 0.5)
 
     def test_retention_window(self):
         sig = make_signal(lambda t: np.array([t]), 1, 0.01, 5.0, window=2.0)
@@ -115,7 +114,7 @@ class TestSampledSignalAndTrapezoid:
     def test_reversed_bounds_rejected(self):
         sig = make_signal(lambda t: np.array([t]), 1, 0.01, 1.0)
         with pytest.raises(ValueError):
-            trapezoid(sig, 0.8, 0.2)
+            sig.integral(0.8, 0.2)
 
     def test_values_at_interpolates(self):
         sig = make_signal(lambda t: np.array([2 * t]), 1, 0.1, 1.0)
@@ -125,7 +124,7 @@ class TestSampledSignalAndTrapezoid:
     def test_sub_cell_interval_integral(self):
         sig = make_signal(lambda t: np.array([t]), 1, 0.1, 2.0)
         a, b = 0.52, 0.58  # both inside one cell
-        assert abs(trapezoid(sig, a, b)[0] - 0.5 * (b * b - a * a)) < 1e-12
+        assert abs(sig.integral(a, b)[0] - 0.5 * (b * b - a * a)) < 1e-12
         times, vals = sig.cumulative_samples(a, b)
         assert times[0] == a and times[-1] == b
 
@@ -223,66 +222,28 @@ class TestLeastSquares:
 
 
 class TestConditionNumber:
+    """The stacked-matrix condition number the IRL stack scores, read from
+    the Gram spectrum: kappa(A) = sqrt(kappa(A'A))."""
+
+    @staticmethod
+    def condition_number(a):
+        return float(np.sqrt(_gram_kappas(np.linalg.eigvalsh(a.T @ a))))
+
     def test_identity(self):
-        assert condition_number(np.eye(4)) == 1.0
+        assert self.condition_number(np.eye(4)) == 1.0
 
     def test_diagonal(self):
-        assert abs(condition_number(np.diag([10.0, 1.0])) - 10.0) < 1e-12
+        assert abs(self.condition_number(np.diag([10.0, 1.0])) - 10.0) < 1e-12
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(5, 3))
         s = np.linalg.svd(a, compute_uv=False)
-        assert abs(condition_number(a) - s[0] / s[-1]) < 1e-10
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            condition_number(np.zeros((3, 3)))
+        assert abs(self.condition_number(a) - s[0] / s[-1]) < 1e-10
 
     def test_rank_deficient_is_inf(self):
         a = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
-        assert condition_number(a) == float("inf")
-
-
-class TestKronTransposeApply:
-    def test_basis_vector_selects_column(self):
-        rng = np.random.default_rng(5)
-        mat = rng.normal(size=(3, 4))
-        mvec = mat.reshape(-1, order="F")
-        e1 = np.zeros(4)
-        e1[0] = 1.0
-        np.testing.assert_allclose(kron_transpose_apply(e1, mvec), mat[:, 0], atol=1e-14)
-
-    def test_zero_vector(self):
-        np.testing.assert_array_equal(
-            kron_transpose_apply(np.zeros(3), np.arange(6.0)), np.zeros(2)
-        )
-
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(6)
-        mat = rng.normal(size=(2, 3))
-        v = rng.normal(size=3)
-        np.testing.assert_allclose(
-            kron_transpose_apply(v, mat.reshape(-1, order="F")), mat @ v, atol=1e-14
-        )
-
-    def test_kron_identity_property(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = rng.integers(1, 5)
-            a = rng.integers(1, 5)
-            mat = rng.normal(size=(n, a))
-            v = rng.normal(size=a)
-            kron = np.kron(v.reshape(-1, 1), np.eye(n))
-            np.testing.assert_allclose(
-                kron_transpose_apply(v, mat.reshape(-1, order="F")),
-                kron.T @ mat.reshape(-1, order="F"),
-                atol=1e-12,
-            )
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            kron_transpose_apply(np.ones(3), np.ones(7))
+        assert self.condition_number(a) == float("inf")
 
 
 class TestLinearRk4Matrices:
@@ -300,3 +261,47 @@ class TestLinearRk4Matrices:
         fast = phi @ x0 + w0 @ u_of(0.0) + wh @ u_of(h / 2) + w1 @ u_of(h)
         ref = rk4_step(lambda t, x: a @ x + b @ u_of(t), 0.0, x0, h)
         np.testing.assert_allclose(fast, ref, atol=1e-12)
+
+
+class TestGramStack:
+    @staticmethod
+    def blocks(count, dim, seed):
+        rows = np.random.default_rng(seed).normal(size=(count, 2, dim))
+        return [r.T @ r for r in rows]
+
+    def test_put_appends_then_replaces(self):
+        stack = GramStack(capacity=3, dim=2)
+        b = self.blocks(4, 2, 9)
+        for i in range(3):
+            stack.put(i, b[i], f"entry{i}")
+        assert stack.is_full and stack.entries == ["entry0", "entry1", "entry2"]
+        stack.put(1, b[3], "entry3")
+        assert stack.entries == ["entry0", "entry3", "entry2"]
+        np.testing.assert_array_equal(stack.gram, b[0] + b[3] + b[2])
+
+    def test_slots_past_the_end_rejected(self):
+        stack = GramStack(capacity=2, dim=2)
+        b = self.blocks(3, 2, 10)
+        with pytest.raises(IndexError):
+            stack.put(1, b[0], "gap")
+        stack.put(0, b[0], "a")
+        stack.put(1, b[1], "b")
+        with pytest.raises(IndexError):
+            stack.put(2, b[2], "over capacity")
+        assert stack.entries == ["a", "b"]
+
+    def test_swap_spectra_match_explicit_swaps(self):
+        stack = GramStack(capacity=5, dim=3)
+        b = self.blocks(6, 3, 11)
+        for i in range(5):
+            stack.put(i, b[i], i)
+        lam = stack.swap_spectra(b[5])
+        for i in range(5):
+            swapped = sum(b[j] for j in range(5) if j != i) + b[5]
+            np.testing.assert_allclose(lam[i], np.linalg.eigvalsh(swapped), atol=1e-12)
+
+    def test_clear_empties_the_stack(self):
+        stack = GramStack(capacity=2, dim=2)
+        stack.put(0, self.blocks(1, 2, 12)[0], "a")
+        stack.clear()
+        assert stack.size == 0 and not stack.gram.any()

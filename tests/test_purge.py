@@ -254,7 +254,7 @@ class TestPurgePolicy:
                 pass
             purge_policy(ps, stack, eta_now=eta)
             # oracle: exhaustive recomputation over the stored entries
-            stored = [e.eta for e in stack._entries]
+            stored = [e.eta for e in stack.entries]
             expected = min(stored) if stored else float("inf")
             assert ps.eta_bar == expected
             etas.append(eta)

@@ -50,14 +50,14 @@ def test_param_stack_commits_only_strict_gains(capacity, pairs):
     stack = ParamHistoryStack(capacity=capacity, dim=4, min_eig_threshold=1e-6)
     for residual, regressor in pairs:
         was_full, before = stack.is_full, stack.min_eigenvalue
-        old_ids, old_gram = [id(r) for r in stack.regressors], stack.gram.copy()
+        old_ids, old_gram = [id(e) for e in stack.entries], stack.gram.copy()
         committed = stack.record(residual, regressor)
-        assert_gram_is_block_sum(stack.gram, stack._blocks)
+        assert_gram_is_block_sum(stack.gram, [reg.T @ reg for _, reg in stack.entries])
         if committed:
             if was_full:
                 assert np.linalg.eigvalsh(stack.gram)[0] > before
         else:
-            assert [id(r) for r in stack.regressors] == old_ids
+            assert [id(e) for e in stack.entries] == old_ids
             assert np.array_equal(stack.gram, old_gram)
             assert stack.min_eigenvalue == before
 
@@ -73,14 +73,14 @@ def test_irl_stack_commits_only_strict_gains(capacity, points):
     stack = IrlHistoryStack(capacity=capacity, basis=BASIS, r1=20.0, m=2)
     for t, (x, u) in enumerate(points):
         was_full, before = stack.is_full, stack.gram_kappa
-        old_ids, old_gram = [id(e) for e in stack._entries], stack.gram.copy()
+        old_ids, old_gram = [id(e) for e in stack.entries], stack.gram.copy()
         cand = Candidate(x=x, u=u, theta=THETA, eta=0.0, t=float(t))
         stored = data_select(stack, cand, 1.0, 1e-3)
-        assert_gram_is_block_sum(stack.gram, [e.gram for e in stack._entries])
+        assert_gram_is_block_sum(stack.gram, [e.gram for e in stack.entries])
         if stored:
             if was_full:
                 assert stack.gram_kappa < before
         else:
-            assert [id(e) for e in stack._entries] == old_ids
+            assert [id(e) for e in stack.entries] == old_ids
             assert np.array_equal(stack.gram, old_gram)
             assert stack.gram_kappa == before
