@@ -32,8 +32,7 @@ def _cmd_run(args):
 def _cmd_are(args):
     cfg = load_config(args.config)
     demo = make_demonstrator(cfg.plant(), cfg.cost())
-    closed = cfg.plant().a_prime - cfg.plant().b_prime @ demo.k_fb
-    eigs = np.linalg.eigvals(closed)
+    eigs = np.linalg.eigvals(demo.a_cl)
     np.set_printoptions(precision=8, suppress=True)
     print("Riccati solution P:")
     print(demo.riccati_p)

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ArgumentError, NumericOverflowError
 from .numerics import GramStack
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass
 class ThetaVector:
@@ -117,7 +119,10 @@ def integral_residual(p_log, t, t1, t2):
 def _double_integral(log, t, t1, t2):
     """Integral over [t - t2, t] of the sliding window integral of width t1."""
     times, cum = log.cumulative_samples(t - t2, t)
-    inner = cum - log.cumulative_at(times - t1)
+    lagged = log.grid_rows(times[0] - t1, times[-1] - t1, times.size, cumulative=True)
+    if lagged is None:
+        lagged = log.cumulative_at(times - t1)
+    inner = cum - lagged
     return np.trapezoid(inner, x=times, axis=0)
 
 
@@ -161,6 +166,7 @@ class ParamHistoryStack(GramStack):
         if min_eig_threshold <= 0.0:
             raise ValueError("min_eig_threshold must be positive")
         self.min_eig_threshold = float(min_eig_threshold)
+        self._projections = np.zeros((self.capacity, self.dim))
         self._changed()
 
     @property
@@ -168,9 +174,9 @@ class ParamHistoryStack(GramStack):
         return self.min_eigenvalue > self.min_eig_threshold
 
     def _changed(self):
-        self.rhs_projection = np.zeros(self.dim)
-        for residual, regressor in self.entries:
-            self.rhs_projection += regressor.T @ residual
+        # the slot-order sum adds the rows one after another from zero,
+        # bitwise the running sum over the entries
+        self.rhs_projection = self._projections[: self.size].sum(axis=0, initial=0.0)
         self.min_eigenvalue = (
             float(np.linalg.eigvalsh(self.gram)[0]) if self.size else 0.0
         )
@@ -186,16 +192,34 @@ class ParamHistoryStack(GramStack):
         block = regressor.T @ regressor
         slot = self.size
         if self.is_full:
-            lam = self.swap_spectra(block)
-            slot = int(np.argmax(lam[:, 0]))
+            # a commit needs lam_min > lam_cur + dim*eps*lam_max, and
+            # lam_max >= lam_min, so even a swap with lam_max < 0 needs
+            # lam_min above about lam_cur - dim*eps*|lam_cur|; the factor 4
+            # covers the rounding of that sum, and a slot whose lam_min
+            # bound is at most this floor cannot commit
+            lam_cur = self.min_eigenvalue
+            floor = lam_cur - 4 * self.dim * _EPS * abs(lam_cur)
+            found = self.best_swap(block, _neg_lam_min, _neg_lam_min_floor, -floor)
+            if found is None:
+                return False
+            slot, lam = found
             # eigvalsh leaves an absolute error of about dim*eps*lam_max on
             # lam_min; an absolute margin also holds on a rank-deficient stack,
             # where lam_min is rounding noise around zero and may be negative
-            rounding = self.dim * np.finfo(float).eps * lam[slot, -1]
-            if lam[slot, 0] <= self.min_eigenvalue + rounding:
+            rounding = self.dim * _EPS * lam[-1]
+            if lam[0] <= lam_cur + rounding:
                 return False
+        self._projections[slot] = regressor.T @ residual
         self.put(slot, block, (residual, regressor))
         return True
+
+
+def _neg_lam_min(lam):
+    return -lam[:, 0]
+
+
+def _neg_lam_min_floor(lam_min_bound, lam_max_bound):
+    return -lam_min_bound
 
 
 class AdaptiveObserver:

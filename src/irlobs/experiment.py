@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import json
 import math
 import time
@@ -34,6 +35,7 @@ from .irl import (
     WeightVector,
     data_select,
     ideal_weights,
+    read_eta,
 )
 from .numerics import SampledSignal, linear_rk4_matrices, rk4_step
 from .plant import (
@@ -375,8 +377,7 @@ def prerecord_param_stack(demo, cfg, stack):
 
     # closed loop driven by the dither is linear time-invariant, so one set
     # of RK4 step matrices advances the whole calibration trajectory
-    a_cl = plant.a_prime - plant.b_prime @ demo.k_fb
-    phi, w0, wh, w1 = linear_rk4_matrices(a_cl, plant.b_prime, dt)
+    phi, w0, wh, w1 = linear_rk4_matrices(demo.a_cl, plant.b_prime, dt)
     dither_half = _excitation((0.5 * dt) * np.arange(2 * steps + 1), m, amp)
     drive = dither_half[0:-1:2] @ w0.T + dither_half[1::2] @ wh.T + dither_half[2::2] @ w1.T
     states = np.empty((steps + 1, 2 * n))
@@ -473,7 +474,6 @@ def run_experiment(cfg, mode=None, seed=None):
         xi2=float(irl_cfg["xi2"]),
     )
     xi1 = float(irl_cfg["xi1"])
-    xi2 = float(irl_cfg["xi2"])
     ps = PurgeState(
         kappa1_bar=float(cfg.raw["purge"]["kappa1_bar"]),
         kappa2_bar=float(cfg.raw["purge"]["kappa2_bar"]),
@@ -491,7 +491,7 @@ def run_experiment(cfg, mode=None, seed=None):
     def offer(cand):
         kappa_before = irl_stack.gram_kappa
         size_before = irl_stack.size
-        varpi = data_select(irl_stack, cand, xi1, xi2)
+        varpi = data_select(irl_stack, cand, xi1, irl_stack.xi2)
         if varpi:
             branch = "append" if irl_stack.size > size_before else "swap"
             trace.stores.append(
@@ -507,8 +507,16 @@ def run_experiment(cfg, mode=None, seed=None):
         if w_now is not w_before:
             trace.weight_updates.append((cand.t, varpi, kappa_gate, u1_gate))
         if ps.purge_count > purge_count_before:
-            trace.purges.append((cand.t, kappa_gate, cand.eta, eta_bar_before))
+            trace.purges.append((cand.t, kappa_gate, read_eta(cand.eta), eta_bar_before))
         return w_now
+
+    def step_eta(t, theta_v):
+        v_smooth = smooth_velocity(p_log, t - horizon, quality.half_width)
+        eta1 = quality_eta1(
+            observer.p_tilde, qhat_log.value_at(t - horizon), v_smooth, quality.s1
+        )
+        eta2 = quality_eta2(p_log, u_log, theta_v, t, quality)
+        return eta1 + eta2
 
     def log_row(t, x_state):
         rows_t.append(t)
@@ -538,17 +546,14 @@ def run_experiment(cfg, mode=None, seed=None):
         gamma_lo = min(gamma_lo, float(lam[0]))
         gamma_hi = max(gamma_hi, float(lam[-1]))
 
+        theta_v = observer.theta_vector
         if k + 1 >= eta_floor_step:
-            v_smooth = smooth_velocity(p_log, t - horizon, quality.half_width)
-            eta1 = quality_eta1(
-                observer.p_tilde, qhat_log.value_at(t - horizon), v_smooth, quality.s1
-            )
-            eta2 = quality_eta2(p_log, u_log, observer.theta_vector, t, quality)
-            eta_now = eta1 + eta2
+            # only a stored offer and a passed purge kappa test read eta, so
+            # it is scored on the first read, at most once per step
+            eta_now = functools.cache(functools.partial(step_eta, t, theta_v))
         else:
             eta_now = float("inf")
 
-        theta_v = observer.theta_vector
         offer(Candidate(x=observer.x_hat, u=u, theta=theta_v, eta=eta_now, t=t))
         if mode == "query":
             x_star = rng.uniform(q_low, q_high)

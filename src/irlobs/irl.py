@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ArgumentError, RankDeficiencyError
 from .numerics import GramStack, least_squares
 
+_EPS = np.finfo(float).eps
+
 
 def quadratic_monomials(dim):
     """All index pairs (i, j) with i <= j: the full quadratic basis."""
@@ -170,13 +172,23 @@ def entry_rows(basis, x_hat, u, theta_hat, r1):
 @dataclass
 class Candidate:
     """A state-action pair offered to the history stack, with the parameter
-    estimate in force and the estimator-quality score at recording time."""
+    estimate in force and the estimator-quality score at recording time.
+
+    eta is a number, or a zero-argument callable returning it that is only
+    called when the score is read: when the candidate is stored, or by the
+    purge gate (see read_eta).
+    """
 
     x: np.ndarray
     u: np.ndarray
     theta: object  # ThetaVector
-    eta: float
+    eta: object  # float, or a callable returning it
     t: float
+
+
+def read_eta(eta):
+    """A quality score given as a number or as a callable returning it."""
+    return eta() if callable(eta) else eta
 
 
 class _Entry:
@@ -195,9 +207,8 @@ def _gram_kappas(lam):
     """Gram condition numbers from ascending spectra (one per row); +inf
     where the Gram is numerically singular."""
     lo, hi = lam[..., 0], lam[..., -1]
-    cutoff = hi * lam.shape[-1] * np.finfo(float).eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((hi > 0.0) & (lo > cutoff), hi / lo, np.inf)
+    cutoff = hi * lam.shape[-1] * _EPS
+    return np.divide(hi, lo, out=np.full(np.shape(hi), np.inf), where=(hi > 0.0) & (lo > cutoff))
 
 
 class IrlHistoryStack(GramStack):
@@ -249,6 +260,15 @@ class IrlHistoryStack(GramStack):
         return _Entry(rows, rhs, cand.eta, cand.t)
 
 
+def _kappa_floor(lam_min_bound, lam_max_bound):
+    """Lower bounds on _gram_kappas from bounds on each spectrum's ends:
+    inf where lam_min cannot be positive, lam_max / lam_min otherwise."""
+    return np.divide(
+        np.maximum(lam_max_bound, 0.0), lam_min_bound,
+        out=np.full(lam_min_bound.shape, np.inf), where=lam_min_bound > 0.0,
+    )
+
+
 def data_select(stack, candidate, xi1, xi2):
     """Offer a candidate to the stack per the condition-number selection rule.
 
@@ -256,31 +276,44 @@ def data_select(stack, candidate, xi1, xi2):
     the swap that best conditions the stacked matrix and commits it only if
     the Gram condition number improves by the factor xi1, by more than the
     relative eigvalsh rounding width*eps*kappa of the swapped condition
-    number, while the known right-hand side keeps norm at least xi2.
-    Returns 1 if stored, else 0.
+    number, while the known right-hand side keeps norm at least the stack's
+    floor xi2, which the weight solve checks too; a different xi2 raises
+    ValueError.  Returns 1 if stored, else 0.
     """
+    if xi2 != stack.xi2:
+        raise ValueError(f"xi2 = {xi2} differs from the stack's floor {stack.xi2}")
     entry = stack.build_entry(candidate)
     if not np.all(np.isfinite(entry.rows)) or not np.all(np.isfinite(entry.rhs)):
         raise ValueError("candidate produced non-finite regression rows")
     if not stack.is_full:
-        stack.put(stack.size, entry.gram, entry)
+        _store(stack, stack.size, entry)
         return 1
-    gram_kappas = _gram_kappas(stack.swap_spectra(entry.gram))
-    best_i = int(np.argmin(gram_kappas))
-    best_gram_kappa = float(gram_kappas[best_i])
+    # a swap can pass the gate only with kappa below xi1*kappa_cur, since
+    # the rounding factor is at least 1; a kappa_cur of inf scores every swap
+    found = stack.best_swap(entry.gram, _gram_kappas, _kappa_floor, xi1 * stack.gram_kappa)
+    if found is None:
+        return 0
+    best_i, lam = found
+    best_gram_kappa = float(_gram_kappas(lam))
     rhs_sq_new = stack.rhs_sq - stack.entries[best_i].rhs_sq + entry.rhs_sq
     # eigvalsh leaves an absolute error of about width*eps*lam_max on lam_min,
     # so kappa is only known to a relative width*eps*kappa.  The margin rides
     # on the candidate's kappa so a stack at kappa = inf can still take a
     # swap that makes it finite.
-    rounding = 1.0 + stack.dim * np.finfo(float).eps * best_gram_kappa
+    rounding = 1.0 + stack.dim * _EPS * best_gram_kappa
     if (
         best_gram_kappa * rounding < xi1 * stack.gram_kappa
-        and np.sqrt(max(rhs_sq_new, 0.0)) >= xi2
+        and np.sqrt(max(rhs_sq_new, 0.0)) >= stack.xi2
     ):
-        stack.put(best_i, entry.gram, entry)
+        _store(stack, best_i, entry)
         return 1
     return 0
+
+
+def _store(stack, slot, entry):
+    """Put the entry in the slot, reading its quality score now."""
+    entry.eta = read_eta(entry.eta)
+    stack.put(slot, entry.gram, entry)
 
 
 def solve_weights(stack):

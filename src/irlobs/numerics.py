@@ -20,6 +20,11 @@ from .errors import (
 )
 
 _GRID_TOL = 1e-6  # fraction of dt tolerated when matching sample times
+# grid_rows trusts times within this many cells of zero: their rounding, a
+# few eps*|t|/dt cells (4 eps 1e8 < 1e-7), then stays below the _GRID_TOL / 2
+# it leaves between a snapped and an unsnapped time
+_GRID_EXACT_CELLS = 1e8
+_EPS = np.finfo(float).eps
 
 
 def rk4_step(f, t, x, dt):
@@ -245,6 +250,38 @@ class SampledSignal:
             out[off] = self._cum[rows[off]] + (0.5 * self.dt) * f * (v0 + vt)
         return out
 
+    def grid_rows(self, a, b, count, cumulative=False):
+        """Stored samples (cumulative integrals when cumulative) at count
+        evenly spaced grid times from a to b, or None unless a and b lie
+        within half the grid tolerance of samples whose distance splits
+        into count - 1 equal whole strides.
+
+        For times a + j*(b - a)/(count - 1), however the caller rounds them,
+        this is bitwise what values_at/cumulative_at return: both snap each
+        time to its sample, since the times' rounding (a few eps*|t|/dt
+        cells, bounded through _GRID_EXACT_CELLS) stays below the other half
+        of the tolerance.  Raises WindowUnderflowError as those do when a
+        time leaves the retained window.
+        """
+        lo, hi = self.earliest_time, self.latest_time
+        if count < 2 or max(abs(a), abs(b), abs(lo)) > _GRID_EXACT_CELLS * self.dt:
+            return None
+        rel_a = (a - self._t_first) / self.dt
+        rel_b = (b - self._t_first) / self.dt
+        k_a, k_b = round(rel_a), round(rel_b)
+        stride, rem = divmod(k_b - k_a, count - 1)
+        if (
+            abs(rel_a - k_a) > 0.5 * _GRID_TOL
+            or abs(rel_b - k_b) > 0.5 * _GRID_TOL
+            or stride < 1
+            or rem
+        ):
+            return None
+        if k_a < 0 or k_b >= self._count:
+            raise WindowUnderflowError(f"times outside retained window [{lo}, {hi}]")
+        rows = self._cum if cumulative else self._values
+        return rows[self._head + k_a : self._head + k_b + 1 : stride].copy()
+
     def _grid_range(self, a, b):
         lo = int(np.ceil((a - self._t_first) / self.dt - _GRID_TOL))
         hi = int(np.floor((b - self._t_first) / self.dt + _GRID_TOL))
@@ -400,9 +437,10 @@ class GramStack:
     """Fixed-capacity stack of entries, each carrying a symmetric Gram block.
 
     ``gram`` is the sum of the stored blocks, re-summed in slot order after
-    every change, and ``swap_spectra`` scores every single-entry swap with
-    one batched ``eigvalsh``.  Subclasses own the selection criterion and
-    refresh what they derive from the stack in ``_changed``.
+    every change.  ``swap_spectra`` scores every single-entry swap with one
+    batched ``eigvalsh``; ``best_swap`` finds the best swap with as few of
+    those eigen-solves as Ritz bounds allow.  Subclasses own the selection
+    criterion and refresh what they derive from the stack in ``_changed``.
     """
 
     def __init__(self, capacity, dim):
@@ -411,8 +449,10 @@ class GramStack:
         self.capacity = int(capacity)
         self.dim = int(dim)
         self.blocks = np.zeros((self.capacity, self.dim, self.dim))
+        self._traces = np.zeros(self.capacity)
         self.entries = []
         self.gram = np.zeros((self.dim, self.dim))
+        self._ritz = None
 
     @property
     def size(self):
@@ -426,21 +466,95 @@ class GramStack:
         """Ascending eigenvalues of gram + block - blocks[i], one row per stored slot i."""
         return np.linalg.eigvalsh((self.gram + block)[None, :, :] - self.blocks[: self.size])
 
+    def best_swap(self, block, score, score_floor, cut):
+        """The swap of block into the stack with the lowest score.
+
+        score maps rows of ascending spectra to one score each;
+        score_floor maps the per-slot bounds (an upper bound on lam_min, a
+        lower bound on lam_max) of ``swap_spectra`` to lower bounds on the
+        score.  Returns (slot, spectrum), the spectrum bitwise the row of
+        ``swap_spectra``.  If some slot scores below cut, slot is the lowest
+        scoring one, ties going to the lowest slot as with argmin;
+        otherwise the result is None or a slot scoring at least cut.
+
+        Exact eigen-solves run on at most two batches: the 4 slots with the
+        lowest floors, then every other slot whose floor is below cut and
+        at most the best score found.  A non-finite cut scores every slot
+        in one batch.
+        """
+        if not np.isfinite(cut):
+            lam = self.swap_spectra(block)
+            slot = int(np.argmin(score(lam)))
+            return slot, lam[slot]
+        grown = self.gram + block
+        m = grown[None, :, :] - self.blocks[: self.size]
+        floor = score_floor(*self._ritz_bounds(m, np.trace(grown)))
+        order = np.argsort(floor, kind="stable")
+        ranked = floor[order]
+        live = int(np.searchsorted(ranked, cut, side="left"))
+        if live == 0:
+            return None
+        slots = order[: min(4, live)]
+        lam = np.linalg.eigvalsh(m[slots])
+        scores = score(lam)
+        rest = order[slots.size : min(live, np.searchsorted(ranked, scores.min(), side="right"))]
+        if rest.size:
+            slots = np.concatenate((slots, rest))
+            lam = np.concatenate((lam, np.linalg.eigvalsh(m[rest])))
+            scores = score(lam)
+        ties = np.flatnonzero(scores == scores.min())
+        j = ties[np.argmin(slots[ties])]
+        return int(slots[j]), lam[j]
+
+    def _ritz_bounds(self, m, grown_trace):
+        """Per slot i, an upper bound on eigvalsh(m[i])[0] and a lower bound
+        on eigvalsh(m[i])[-1], from the eigenvectors of gram.
+
+        With U the eigenvectors of gram's 3 smallest eigenvalues and v that
+        of its largest, Rayleigh-Ritz (Cauchy interlacing) gives
+        lam_min(M) <= lam_min(U'MU) and lam_max(M) >= v'Mv for orthonormal
+        U, v.  The computed values differ from these by at most
+        tau_i = (64 d^2 eps + 3 delta) s_i, where s_i = trace(gram + block)
+        + trace(blocks[i]) bounds ||m[i]||_2 for PSD blocks, also when
+        swapping out a dominant entry cancels most of the trace, and delta
+        is the measured loss of orthonormality ||Q'Q - I||_F + d eps of
+        gram's eigenvector matrix Q.  Budget, in units of eps ||M||:
+          - eigvalsh backward error, on m[i] and on the 3x3 U'MU:
+            at most d^2 each (LAPACK's modest p(d));
+          - rounding of U'(MU) and (Mv).v: at most 2d * 3 * sqrt(d)
+            <= 6 d^2 (elementwise gamma_2d times || |U| ||^2 || |M| ||);
+          - the Rayleigh quotient's norm ||Qy||^2 in [1 - delta, 1 + delta]
+            moves it by at most 2 delta (1 + delta) ||M|| <= 3 delta ||M||.
+        The first two sum to 8 d^2, a factor 8 below the 64 d^2 used.
+        """
+        d = self.dim
+        if self._ritz is None:
+            _, q = np.linalg.eigh(self.gram)
+            delta = np.linalg.norm(q.T @ q - np.eye(d)) + d * _EPS
+            self._ritz = (q[:, :3], q[:, -1], 64 * d * d * _EPS + 3 * delta)
+        u, v, scale = self._ritz
+        tau = scale * (grown_trace + self._traces[: self.size])
+        ritz = u.T @ (m.reshape(-1, d) @ u).reshape(m.shape[0], d, u.shape[1])
+        return np.linalg.eigvalsh(ritz)[:, 0] + tau, (m @ v) @ v - tau
+
     def put(self, i, block, entry):
         """Store an entry and its Gram block in slot i; i == size appends."""
         if not 0 <= i <= self.size or i >= self.capacity:
             raise IndexError(f"slot {i} is outside the stack (size {self.size})")
         self.blocks[i] = block
+        self._traces[i] = np.trace(block)
         if i == self.size:
             self.entries.append(entry)
         else:
             self.entries[i] = entry
         self.gram = self.blocks[: self.size].sum(axis=0)
+        self._ritz = None
         self._changed()
 
     def clear(self):
         self.entries = []
         self.gram = np.zeros((self.dim, self.dim))
+        self._ritz = None
         self._changed()
 
     def _changed(self):

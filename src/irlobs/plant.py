@@ -115,12 +115,14 @@ class CostFunction:
 
 @dataclass
 class Demonstrator:
-    """Plant + cost + the LQR-optimal policy u = -R^-1 B' P x."""
+    """Plant + cost + the LQR-optimal policy u = -R^-1 B' P x, and the
+    closed-loop matrix a_cl = a_prime - b_prime k_fb."""
 
     plant: LinearPlant
     cost: CostFunction
     riccati_p: np.ndarray
     k_fb: np.ndarray
+    a_cl: np.ndarray
 
     def value(self, x):
         """Optimal value x'Px."""
@@ -143,10 +145,10 @@ def make_demonstrator(plant, cost):
     r_norm = np.diag(cost.r_diag / r1)
     p_norm = solve_are(plant.a_prime, plant.b_prime, q_norm, r_norm)
     k_fb = (plant.b_prime.T @ p_norm) / (cost.r_diag / r1)[:, None]
-    acl = plant.a_prime - plant.b_prime @ k_fb
-    if not np.all(np.linalg.eigvals(acl).real < 0.0):
+    a_cl = plant.a_prime - plant.b_prime @ k_fb
+    if not np.all(np.linalg.eigvals(a_cl).real < 0.0):
         raise SolverFailureError("closed loop is not Hurwitz")
-    return Demonstrator(plant=plant, cost=cost, riccati_p=r1 * p_norm, k_fb=k_fb)
+    return Demonstrator(plant=plant, cost=cost, riccati_p=r1 * p_norm, k_fb=k_fb, a_cl=a_cl)
 
 
 def optimal_action(demo, x):
@@ -165,7 +167,7 @@ def query(demo, x_star):
 
 def closed_loop_field(demo):
     """Vector field of the plant under the optimal policy."""
-    a_cl = demo.plant.a_prime - demo.plant.b_prime @ demo.k_fb
+    a_cl = demo.a_cl
 
     def field(_t, x):
         return a_cl @ x

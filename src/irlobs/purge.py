@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, RankDeficiencyError
-from .irl import WeightVector, solve_weights
+from .irl import WeightVector, read_eta, solve_weights
 from .numerics import linear_rk4_matrices
 
 _ROLLOUT_NORM_CAP = 1e12
@@ -64,7 +64,9 @@ def smooth_velocity(p_log, t_center, half_width):
     w = int(half_width)
     dt = p_log.dt
     offsets = np.arange(-w, w + 1)
-    vals = p_log.values_at(t_center + dt * offsets)
+    vals = p_log.grid_rows(t_center + dt * -w, t_center + dt * w, 2 * w + 1)
+    if vals is None:
+        vals = p_log.values_at(t_center + dt * offsets)
     # symmetric stencil: the quadratic term drops out of the slope
     return (offsets @ vals) / (dt * float(offsets @ offsets))
 
@@ -101,8 +103,13 @@ def quality_eta2(p_log, u_log, theta_hat, t, quality):
     n = p_log.dim
     x = np.concatenate([p_log.value_at(t0), v0])
     phi, w0, wh, w1 = linear_rk4_matrices(theta_hat.a_prime, theta_hat.b_prime, h)
-    u_half = u_log.values_at(t0 + (0.5 * h) * np.arange(2 * steps + 1))
-    p_meas = p_log.values_at(t0 + h * np.arange(steps + 1))
+    # on an even rollout_stride the half steps are samples too
+    u_half = u_log.grid_rows(t0, t0 + (0.5 * h) * (2 * steps), 2 * steps + 1)
+    if u_half is None:
+        u_half = u_log.values_at(t0 + (0.5 * h) * np.arange(2 * steps + 1))
+    p_meas = p_log.grid_rows(t0, t0 + h * steps, steps + 1)
+    if p_meas is None:
+        p_meas = p_log.values_at(t0 + h * np.arange(steps + 1))
     drive = u_half[0:-1:2] @ w0.T + u_half[1::2] @ wh.T + u_half[2::2] @ w1.T
     states = np.empty((steps + 1, 2 * n))
     states[0] = x
@@ -135,7 +142,9 @@ def purge_policy(ps, stack, eta_now):
     The weights are re-solved only when the last candidate was stored and
     the stack is well conditioned (otherwise held); the stack is emptied,
     weights surviving, when it is well conditioned and the current quality
-    beats every stored score.
+    beats every stored score.  eta_now may be a callable (see
+    irl.read_eta); it is called only once the purge gate's kappa test
+    passes.
     """
     gram_kappa = stack.gram_kappa
     if gram_kappa < ps.kappa1_bar and ps.varpi == 1 and stack.sigma_u1_norm >= stack.xi2:
@@ -143,7 +152,7 @@ def purge_policy(ps, stack, eta_now):
             ps.w_current = solve_weights(stack)
         except RankDeficiencyError:
             pass  # hold at the previous value
-    if gram_kappa < ps.kappa2_bar and eta_now < stack.eta_min:
+    if gram_kappa < ps.kappa2_bar and read_eta(eta_now) < stack.eta_min:
         stack.clear()
         ps.purge_count += 1
     ps.eta_bar = stack.eta_min

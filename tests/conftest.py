@@ -81,6 +81,40 @@ def controller_rows(basis, x_hat, u, theta_hat, r1):
     return rows, rhs
 
 
+def exhaustive_param_slot(stack, regressor):
+    """Reference for ParamHistoryStack.record on a full stack: score every
+    swap with one batched eigvalsh, take the first argmax of lambda_min and
+    apply the commit rule.  Returns the slot it commits to, or None."""
+    block = regressor.T @ regressor
+    lam = np.linalg.eigvalsh((stack.gram + block)[None, :, :] - stack.blocks[: stack.size])
+    slot = int(np.argmax(lam[:, 0]))
+    rounding = stack.dim * np.finfo(float).eps * lam[slot, -1]
+    return None if lam[slot, 0] <= stack.min_eigenvalue + rounding else slot
+
+
+def gram_kappas(lam):
+    """Reference Gram condition numbers of ascending spectra (rows): inf
+    unless lambda_min exceeds width*eps*lambda_max > 0."""
+    lo, hi = lam[..., 0], lam[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((hi > 0.0) & (lo > hi * lam.shape[-1] * np.finfo(float).eps), hi / lo, np.inf)
+
+
+def exhaustive_irl_slot(stack, entry, xi1):
+    """Reference for data_select on a full stack: score every swap's Gram
+    condition number with one batched eigvalsh, take the first argmin and
+    apply the commit and right-hand-side rules.  Returns the slot it commits
+    to, or None."""
+    lam = np.linalg.eigvalsh((stack.gram + entry.gram)[None, :, :] - stack.blocks[: stack.size])
+    kappas = gram_kappas(lam)
+    slot = int(np.argmin(kappas))
+    rounding = 1.0 + stack.dim * np.finfo(float).eps * kappas[slot]
+    rhs_sq = stack.rhs_sq - stack.entries[slot].rhs_sq + entry.rhs_sq
+    if kappas[slot] * rounding < xi1 * stack.gram_kappa and np.sqrt(max(rhs_sq, 0.0)) >= stack.xi2:
+        return slot
+    return None
+
+
 @pytest.fixture(scope="session")
 def default_system():
     plant = LinearPlant(a=DEFAULT_A.copy(), b=DEFAULT_B.copy())

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from irlobs import experiment
 from irlobs.errors import ConfigError
 from irlobs.experiment import (
     ExperimentConfig,
@@ -183,6 +184,28 @@ class TestRunExperiment:
     def test_gamma_bounds_positive(self, short_report):
         assert short_report.gamma_eig_min > 0.0
         assert np.isfinite(short_report.gamma_eig_max)
+
+    @pytest.mark.parametrize("mode", ["observed", "query"])
+    def test_quality_score_computed_once_per_step_that_reads_it(self, monkeypatch, mode):
+        # with kappa2_bar tiny the purge gate never compares eta, so only a
+        # store after the smoothing floor reads it, at most once per step
+        times = []
+        original = experiment.quality_eta2
+
+        def counting(p_log, u_log, theta_hat, t, quality):
+            times.append(t)
+            return original(p_log, u_log, theta_hat, t, quality)
+
+        monkeypatch.setattr(experiment, "quality_eta2", counting)
+        raw = default_config_dict()
+        raw["run"].update(duration=2.0, mode=mode)
+        raw["purge"]["kappa2_bar"] = 1e-300
+        report = run_experiment(ExperimentConfig(raw))
+        floor = raw["purge"]["horizon"] + raw["purge"]["half_width"] * raw["run"]["dt"]
+        stored = sorted({t for t, *_ in report.trace.stores if t > floor - 1e-9})
+        assert times == stored
+        steps_after_floor = round((2.0 - floor) / raw["run"]["dt"]) + 1
+        assert 0 < len(times) < steps_after_floor
 
     def test_online_stack_source_leaves_parameters_frozen(self):
         # purely on-policy window integrals can never certify full rank, so

@@ -240,6 +240,16 @@ class TestDataSelect:
         assert varpi == 0
         assert stack.sigma_u1_norm == u1_before
 
+    def test_rhs_floor_must_match_the_stack(self, default_system, basis, theta_true):
+        # stores and weight solves gate on one right-hand-side floor
+        _, _, demo = default_system
+        stack = IrlHistoryStack(capacity=3, basis=basis, r1=20.0, m=2, xi2=1e-3)
+        cand = ideal_candidate(demo, theta_true, np.ones(4))
+        with pytest.raises(ValueError, match="xi2"):
+            data_select(stack, cand, 1.0, 1e-2)
+        assert stack.size == 0
+        assert data_select(stack, cand, 1.0, 1e-3) == 1
+
     def test_replacement_never_worsens_conditioning(self, default_system, basis, theta_true):
         _, _, demo = default_system
         stack = filled_ideal_stack(demo, theta_true, basis, count=20, capacity=20)

@@ -2,9 +2,11 @@
 
 After every offer the stored Gram equals the sum of its blocks to rounding;
 an offer to a full stack either commits a swap that strictly improves the
-recomputed criterion, or leaves the stack exactly as it was.  Offers are
+recomputed criterion, or leaves the stack exactly as it was.  The bounded
+swap search makes every decision the exhaustive search does.  Offers are
 drawn with repeats from a small pool, since re-offered and rank-deficient
-data are where a swap's predicted gain is pure rounding.
+data are where a swap's predicted gain is pure rounding, and scaled copies
+make ties and near-ties.
 """
 
 import numpy as np
@@ -15,7 +17,13 @@ from hypothesis.extra.numpy import arrays
 from irlobs.estimator import ParamHistoryStack, ThetaVector
 from irlobs.irl import Candidate, FeatureBasis, IrlHistoryStack, data_select
 
-from conftest import DEFAULT_A, DEFAULT_B
+from conftest import (
+    DEFAULT_A,
+    DEFAULT_B,
+    exhaustive_irl_slot,
+    exhaustive_param_slot,
+    gram_kappas,
+)
 
 EPS = np.finfo(float).eps
 COORD = st.floats(-2.0, 2.0, allow_subnormal=False)
@@ -23,6 +31,9 @@ PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 THETA = ThetaVector.from_matrices(DEFAULT_A[:, :2], DEFAULT_A[:, 2:], DEFAULT_B)
 BASIS = FeatureBasis.quadratic(4)
+# exact copies (ties), doubled and tiny copies, and a copy one rounding
+# step off (near-ties)
+SCALES = (1.0, 1.0, 2.0, 1e-3, 1.0 + 2.0**-40)
 
 
 def offers(element, pool_size):
@@ -31,6 +42,15 @@ def offers(element, pool_size):
     return pool.flatmap(
         lambda items: st.lists(st.sampled_from(items), min_size=1, max_size=20)
     )
+
+
+@st.composite
+def scaled_offers(draw, element, pool_sizes, counts):
+    """Offers, each a pool item drawn with repeats times a scale."""
+    pool = draw(st.lists(element, min_size=pool_sizes[0], max_size=pool_sizes[1]))
+    picks = st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(SCALES))
+    picked = draw(st.lists(picks, min_size=counts[0], max_size=counts[1]))
+    return [(pool[i], scale) for i, scale in picked]
 
 
 def assert_gram_is_block_sum(gram, blocks):
@@ -53,6 +73,10 @@ def test_param_stack_commits_only_strict_gains(capacity, pairs):
         old_ids, old_gram = [id(e) for e in stack.entries], stack.gram.copy()
         committed = stack.record(residual, regressor)
         assert_gram_is_block_sum(stack.gram, [reg.T @ reg for _, reg in stack.entries])
+        running = np.zeros(4)
+        for res, reg in stack.entries:
+            running += reg.T @ res
+        assert np.array_equal(stack.rhs_projection, running)
         if committed:
             if was_full:
                 assert np.linalg.eigvalsh(stack.gram)[0] > before
@@ -84,3 +108,59 @@ def test_irl_stack_commits_only_strict_gains(capacity, points):
             assert [id(e) for e in stack.entries] == old_ids
             assert np.array_equal(stack.gram, old_gram)
             assert stack.gram_kappa == before
+
+
+@PROPERTY
+@given(
+    capacity=st.integers(4, 16),
+    deficient=st.booleans(),
+    picks=scaled_offers(arrays(float, (2, 4), elements=COORD), (2, 8), (10, 40)),
+)
+def test_param_stack_bounded_search_matches_exhaustive(capacity, deficient, picks):
+    stack = ParamHistoryStack(capacity=capacity, dim=4, min_eig_threshold=1e-6)
+    for base, scale in picks:
+        regressor = scale * base
+        if deficient:  # every Gram misses the last direction
+            regressor[:, -1] = 0.0
+        expected = list(stack.entries)
+        slot = exhaustive_param_slot(stack, regressor) if stack.is_full else stack.size
+        committed = stack.record(regressor[:, 0], regressor)
+        assert committed == (slot is not None)
+        if committed:
+            assert stack.entries[slot][1] is regressor
+            expected[slot:slot + 1] = [stack.entries[slot]]
+        assert [id(e) for e in stack.entries] == [id(e) for e in expected]
+        gram = np.sum([reg.T @ reg for _, reg in expected], axis=0)
+        assert np.array_equal(stack.gram, gram)
+        assert stack.min_eigenvalue == float(np.linalg.eigvalsh(gram)[0])
+
+
+@PROPERTY
+@given(
+    capacity=st.integers(5, 12),
+    xi1=st.sampled_from([1.0, 1.0, 0.5, 3.0]),
+    picks=scaled_offers(
+        st.tuples(arrays(float, 4, elements=COORD), arrays(float, 2, elements=COORD)),
+        (1, 14),
+        (12, 40),
+    ),
+)
+def test_irl_stack_bounded_search_matches_exhaustive(capacity, xi1, picks):
+    # a scaled copy adds no rank, so small pools leave the stack at kappa = inf
+    stack = IrlHistoryStack(capacity=capacity, basis=BASIS, r1=20.0, m=2)
+    for t, ((x, u), scale) in enumerate(picks):
+        cand = Candidate(x=scale * x, u=scale * u, theta=THETA, eta=0.0, t=float(t))
+        expected = list(stack.entries)
+        if stack.is_full:
+            slot = exhaustive_irl_slot(stack, stack.build_entry(cand), xi1)
+        else:
+            slot = stack.size
+        stored = data_select(stack, cand, xi1, stack.xi2)
+        assert stored == (slot is not None)
+        if stored:
+            assert stack.entries[slot].t == float(t)
+            expected[slot:slot + 1] = [stack.entries[slot]]
+        assert [id(e) for e in stack.entries] == [id(e) for e in expected]
+        gram = np.sum([e.gram for e in expected], axis=0)
+        assert np.array_equal(stack.gram, gram)
+        assert stack.gram_kappa == float(gram_kappas(np.linalg.eigvalsh(gram)))
