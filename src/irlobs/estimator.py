@@ -9,6 +9,7 @@ state through integral forms that never touch the unmeasured velocity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,20 +61,25 @@ class ThetaVector:
         n, m = self.n, self.m
         return self.theta[2 * n * n :].reshape((n, m), order="F")
 
-    @property
+    @functools.cached_property
     def a_prime(self):
+        """[[0, I], [A1, A2]], built once per instance (read-only; theta
+        must not change after construction)."""
         n = self.n
         ap = np.zeros((2 * n, 2 * n))
         ap[:n, n:] = np.eye(n)
-        ap[n:, :n] = self.a1
-        ap[n:, n:] = self.a2
+        # [A1, A2] column-major is vec(A1) followed by vec(A2)
+        ap[n:] = self.theta[: 2 * n * n].reshape((n, 2 * n), order="F")
+        ap.flags.writeable = False
         return ap
 
-    @property
+    @functools.cached_property
     def b_prime(self):
+        """[[0], [B]], built once per instance (read-only)."""
         n, m = self.n, self.m
         bp = np.zeros((2 * n, m))
-        bp[n:, :] = self.b
+        bp[n:] = self.b
+        bp.flags.writeable = False
         return bp
 
 
@@ -187,7 +193,7 @@ class ParamHistoryStack(GramStack):
         regressor = np.asarray(regressor, dtype=float)
         if regressor.shape[1] != self.dim or residual.shape != (regressor.shape[0],):
             raise ValueError("residual/regressor dimensions are inconsistent")
-        if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(regressor))):
+        if not (np.isfinite(residual).all() and np.isfinite(regressor).all()):
             raise NumericOverflowError("non-finite history stack candidate")
         block = regressor.T @ regressor
         slot = self.size
@@ -305,7 +311,7 @@ class AdaptiveObserver:
         self.theta = th + (dt / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
         gamma = ga + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
         gamma = 0.5 * (gamma + gamma.T)
-        if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(self.theta))):
+        if not (np.isfinite(gamma).all() and np.isfinite(self.theta).all()):
             raise NumericOverflowError("adaptation state became non-finite (dt too large)")
         try:
             np.linalg.cholesky(gamma)
@@ -314,7 +320,8 @@ class AdaptiveObserver:
                 "least-squares gain lost positive definiteness (dt too large)"
             )
         self.gamma = gamma
-        self.theta_rate, _ = self._adaptation_rates(self.theta, self.gamma, gram, proj)
+        # the rate alone: the gain's rate at the new state is not needed
+        self.theta_rate = self.gains.k_theta * (gamma @ (proj - gram @ self.theta))
 
     def step(self, p_meas, u, dt):
         """Advance the observer one grid step given the new measurements.
@@ -362,8 +369,8 @@ class AdaptiveObserver:
         self.nu = nu
         self.p_hat = p_meas - p_tilde
         if not (
-            np.all(np.isfinite(self.p_hat))
-            and np.all(np.isfinite(self.q_hat))
-            and np.all(np.isfinite(self.eta))
+            np.isfinite(self.p_hat).all()
+            and np.isfinite(self.q_hat).all()
+            and np.isfinite(self.eta).all()
         ):
             raise NumericOverflowError("observer state became non-finite")

@@ -37,7 +37,7 @@ from .irl import (
     ideal_weights,
     read_eta,
 )
-from .numerics import SampledSignal, linear_rk4_matrices, rk4_step
+from .numerics import SampledSignal, linear_rk4_matrices, linear_rollout, rk4_step
 from .plant import (
     CostFunction,
     LinearPlant,
@@ -380,13 +380,8 @@ def prerecord_param_stack(demo, cfg, stack):
     phi, w0, wh, w1 = linear_rk4_matrices(demo.a_cl, plant.b_prime, dt)
     dither_half = _excitation((0.5 * dt) * np.arange(2 * steps + 1), m, amp)
     drive = dither_half[0:-1:2] @ w0.T + dither_half[1::2] @ wh.T + dither_half[2::2] @ w1.T
-    states = np.empty((steps + 1, 2 * n))
-    states[0] = np.asarray(cfg.raw["run"]["x0"], dtype=float)
-    x = states[0]
-    for k in range(steps):
-        x = phi @ x + drive[k]
-        states[k + 1] = x
-    if not np.all(np.isfinite(states)):
+    states = linear_rollout(phi, drive, np.asarray(cfg.raw["run"]["x0"], dtype=float))
+    if not np.isfinite(states).all():
         raise NumericOverflowError("calibration run diverged")
     inputs = states @ (-demo.k_fb.T) + dither_half[0::2]
 
@@ -484,6 +479,9 @@ def run_experiment(cfg, mode=None, seed=None):
 
     rows_t, rows_p, rows_q, rows_th, rows_w = [], [], [], [], []
     gamma_lo, gamma_hi = np.inf, 0.0
+    # the gain's spectrum is a report diagnostic: the gains of report_stride
+    # steps are solved in one batch, per matrix bitwise the single solves
+    gammas = np.empty((report_stride,) + observer.gamma.shape)
     queries = 0
     # first step with both the full horizon and the smoothing window available
     eta_floor_step = int(round(horizon / dt)) + quality.half_width
@@ -542,9 +540,11 @@ def run_experiment(cfg, mode=None, seed=None):
         observer.update_parameters(param_stack, dt)
         observer.step(p, u, dt)
         qhat_log.append(t, observer.q_hat)
-        lam = np.linalg.eigvalsh(observer.gamma)
-        gamma_lo = min(gamma_lo, float(lam[0]))
-        gamma_hi = max(gamma_hi, float(lam[-1]))
+        gammas[k % report_stride] = observer.gamma
+        if (k + 1) % report_stride == 0 or k + 1 == steps:
+            lam = np.linalg.eigvalsh(gammas[: k % report_stride + 1])
+            gamma_lo = min(gamma_lo, float(lam[:, 0].min()))
+            gamma_hi = max(gamma_hi, float(lam[:, -1].max()))
 
         theta_v = observer.theta_vector
         if k + 1 >= eta_floor_step:

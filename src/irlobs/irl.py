@@ -8,6 +8,7 @@ solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import index
 
@@ -17,6 +18,11 @@ from .errors import ArgumentError, RankDeficiencyError
 from .numerics import GramStack, least_squares
 
 _EPS = np.finfo(float).eps
+
+
+def _index_arrays(monomials):
+    pairs = np.array(monomials, dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0].copy(), pairs[:, 1].copy()
 
 
 def quadratic_monomials(dim):
@@ -47,6 +53,17 @@ class FeatureBasis:
                 if (i, j) in seen:
                     raise ArgumentError(name, f"duplicate monomial ({i}, {j})")
                 seen.add((i, j))
+        self._v_i, self._v_j = _index_arrays(self.v_monomials)
+        self._q_i, self._q_j = _index_arrays(self.q_monomials)
+        # gradient entries as (flat position, source coordinate, factor):
+        # x_j at (k, i) and x_i at (k, j), or 2 x_i at (k, i) when i == j
+        k = np.arange(self.num_v)
+        cross = self._v_i != self._v_j
+        self._grad_at = np.concatenate(
+            (k * self.dim + self._v_i, (k * self.dim + self._v_j)[cross])
+        )
+        self._grad_src = np.concatenate((np.where(cross, self._v_j, self._v_i), self._v_i[cross]))
+        self._grad_factor = np.concatenate((np.where(cross, 1.0, 2.0), np.ones(cross.sum())))
 
     @classmethod
     def quadratic(cls, dim, q_monomials=None):
@@ -78,16 +95,10 @@ def eval_features(basis, x, u):
     u = np.asarray(u, dtype=float)
     if x.shape != (basis.dim,):
         raise ValueError(f"x must be a {basis.dim}-vector")
-    sigma_v = np.empty(basis.num_v)
+    sigma_v = x[basis._v_i] * x[basis._v_j]
     grad = np.zeros((basis.num_v, basis.dim))
-    for k, (i, j) in enumerate(basis.v_monomials):
-        sigma_v[k] = x[i] * x[j]
-        if i == j:
-            grad[k, i] = 2.0 * x[i]
-        else:
-            grad[k, i] = x[j]
-            grad[k, j] = x[i]
-    sigma_q = np.array([x[i] * x[j] for i, j in basis.q_monomials])
+    grad.flat[basis._grad_at] = x[basis._grad_src] * basis._grad_factor
+    sigma_q = x[basis._q_i] * x[basis._q_j]
     sigma_u = u * u
     return sigma_v, grad, sigma_q, sigma_u
 
@@ -109,9 +120,9 @@ class WeightVector:
         if self.r1 <= 0.0:
             raise ValueError("r1 must be positive")
         if not (
-            np.all(np.isfinite(self.w_v))
-            and np.all(np.isfinite(self.w_q))
-            and np.all(np.isfinite(self.w_r_minus))
+            np.isfinite(self.w_v).all()
+            and np.isfinite(self.w_q).all()
+            and np.isfinite(self.w_r_minus).all()
         ):
             raise ValueError("weight entries must be finite")
 
@@ -211,12 +222,55 @@ def _gram_kappas(lam):
     return np.divide(hi, lo, out=np.full(np.shape(hi), np.inf), where=(hi > 0.0) & (lo > cutoff))
 
 
+def _gram_kappa(lam):
+    """_gram_kappas of one ascending spectrum, in plain float arithmetic
+    (the same operations in the same order)."""
+    lo, hi = float(lam[0]), float(lam[-1])
+    if hi > 0.0 and lo > hi * len(lam) * _EPS:
+        return hi / lo
+    return float("inf")
+
+
+def full_rank_kappa(rows, width, depth):
+    """Gram condition number below which least_squares keeps full rank.
+
+    For a stacked matrix A of at most ``rows`` rows and ``width`` columns
+    whose Gram G = A'A is summed from products over at most ``depth``
+    terms per entry, a computed kappa^ = lam^max / lam^min of eigvalsh(G^)
+    below the returned bound certifies that lstsq's cutoff
+    eps max(M, N) sigma^_1 keeps all N computed singular values of A.
+
+    Let N = width, s = sigma_1(A)^2 = lam_max(G), and u = eps.
+      - Gram rounding: |G^ - G| <= gamma_depth |A|'|A| entrywise, and
+        || |A|'|A| ||_2 <= ||A||_F^2 <= N s, so ||G^ - G||_2 <= 1.01 depth N u s.
+      - eigvalsh is backward stable: lam^ are exact eigenvalues of G^ + F
+        with ||F||_2 <= N^2 u ||G^||_2 (LAPACK's modest p(N), as in
+        GramStack._ritz_bounds).
+      - Weyl: |lam^_j - lam_j(G)| <= delta s with delta = 8 (depth N + N^2) u,
+        a factor 8 above the 1.01 (depth N + N^2) u the two terms need.
+    Then s <= lam^max / (1 - delta) and lam_min(G) >= lam^min - delta s, so
+    sigma_N^2 / sigma_1^2 >= (1 - delta) / kappa^ - delta.
+      - lstsq's SVD is backward stable: sigma^_i = sigma_i(A + H) with
+        ||H||_2 <= q u sigma_1, taking q = 8 M N for LAPACK's modest
+        p(M, N).  So rank is full when sigma_N / sigma_1 > c with
+        c = (max(M, N) + 2q) u, which covers the cutoff and both errors.
+    Both hold when (1 - delta) / kappa^ - delta > c^2, that is when kappa^
+    is below (1 - delta) / (delta + c^2): about 7.8e11 at M = 90, N = 15
+    and depth 33, where c^2 (about 2e-23) is negligible next to delta.
+    """
+    delta = 8 * (depth * width + width * width) * _EPS
+    c = (max(rows, width) + 16 * rows * width) * _EPS
+    return float((1.0 - delta) / (delta + c * c))
+
+
 class IrlHistoryStack(GramStack):
     """Recorded feature-row blocks forming the weight regression.
 
     Each entry contributes one inverse-Bellman row plus one controller row
-    per input channel.  The stacked-matrix condition number and the squared
-    norm of the known right-hand side are kept current after every change.
+    per input channel, held in slot order in a preallocated row array so
+    the stacked matrix and right-hand side are slices of it.  The Gram
+    condition number, the squared norm of the known right-hand side and
+    the smallest stored quality score are refreshed after every change.
     """
 
     def __init__(self, capacity, basis, r1, m, xi2=1e-3):
@@ -224,40 +278,63 @@ class IrlHistoryStack(GramStack):
         self.basis = basis
         self.r1 = float(r1)
         self.xi2 = float(xi2)
+        self._rows = np.zeros((self.capacity, 1 + m, self.dim))
+        self._rhs = np.zeros((self.capacity, 1 + m))
+        # entries are inner products over 1 + m rows, summed over the slots
+        self.full_rank_kappa = full_rank_kappa(
+            self.capacity * (1 + m), self.dim, self.capacity + 1 + m
+        )
         self._changed()
 
     def _changed(self):
         self.rhs_sq = float(sum(e.rhs_sq for e in self.entries))
-        self.gram_kappa = float(_gram_kappas(np.linalg.eigvalsh(self.gram)))
-        self.kappa = float(np.sqrt(self.gram_kappa))
+        self.sigma_u1_norm = math.sqrt(self.rhs_sq)  # norm of the stacked known right-hand side
+        self.eta_min = min((e.eta for e in self.entries), default=float("inf"))
+        self.gram_kappa = _gram_kappa(np.linalg.eigvalsh(self.gram))
+        self.kappa = math.sqrt(self.gram_kappa)
 
-    @property
-    def sigma_u1_norm(self):
-        """Norm of the stacked known right-hand side."""
-        return float(np.sqrt(self.rhs_sq))
-
-    @property
-    def eta_min(self):
-        """Best (smallest) stored quality score; +inf when empty."""
-        if not self.entries:
-            return float("inf")
-        return min(e.eta for e in self.entries)
+    def put(self, i, block, entry):
+        super().put(i, block, entry)
+        self._rows[i] = entry.rows
+        self._rhs[i] = entry.rhs
 
     @property
     def sigma_matrix(self):
-        if not self.entries:
-            return np.zeros((0, self.dim))
-        return np.vstack([e.rows for e in self.entries])
+        """The stacked rows in slot order (a read-only view)."""
+        view = self._rows[: self.size].reshape(-1, self.dim)
+        view.flags.writeable = False
+        return view
 
     @property
     def rhs_vector(self):
-        if not self.entries:
-            return np.zeros(0)
-        return np.concatenate([e.rhs for e in self.entries])
+        """The stacked right-hand side in slot order (a read-only view)."""
+        view = self._rhs[: self.size].reshape(-1)
+        view.flags.writeable = False
+        return view
+
+    def snapshot(self):
+        """A copy of the stacked regression that later changes leave alone."""
+        return StackSnapshot(
+            self._rows[: self.size].reshape(-1, self.dim).copy(),
+            self._rhs[: self.size].reshape(-1).copy(),
+            self.basis, self.r1, self.size,
+        )
 
     def build_entry(self, cand):
         rows, rhs = entry_rows(self.basis, cand.x, cand.u, cand.theta, self.r1)
         return _Entry(rows, rhs, cand.eta, cand.t)
+
+
+@dataclass(frozen=True)
+class StackSnapshot:
+    """The stacked regression of an IrlHistoryStack at one moment; solve_weights
+    reads it as it reads the stack."""
+
+    sigma_matrix: np.ndarray
+    rhs_vector: np.ndarray
+    basis: FeatureBasis
+    r1: float
+    size: int
 
 
 def _kappa_floor(lam_min_bound, lam_max_bound):
@@ -283,7 +360,7 @@ def data_select(stack, candidate, xi1, xi2):
     if xi2 != stack.xi2:
         raise ValueError(f"xi2 = {xi2} differs from the stack's floor {stack.xi2}")
     entry = stack.build_entry(candidate)
-    if not np.all(np.isfinite(entry.rows)) or not np.all(np.isfinite(entry.rhs)):
+    if not (np.isfinite(entry.rows).all() and np.isfinite(entry.rhs).all()):
         raise ValueError("candidate produced non-finite regression rows")
     if not stack.is_full:
         _store(stack, stack.size, entry)
@@ -294,7 +371,7 @@ def data_select(stack, candidate, xi1, xi2):
     if found is None:
         return 0
     best_i, lam = found
-    best_gram_kappa = float(_gram_kappas(lam))
+    best_gram_kappa = _gram_kappa(lam)
     rhs_sq_new = stack.rhs_sq - stack.entries[best_i].rhs_sq + entry.rhs_sq
     # eigvalsh leaves an absolute error of about width*eps*lam_max on lam_min,
     # so kappa is only known to a relative width*eps*kappa.  The margin rides

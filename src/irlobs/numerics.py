@@ -40,7 +40,7 @@ def rk4_step(f, t, x, dt):
     k3 = f(t + 0.5 * dt, x + (0.5 * dt) * k2)
     k4 = f(t + dt, x + dt * k3)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericOverflowError(f"RK4 step at t={t} produced a non-finite state")
     return out
 
@@ -113,7 +113,7 @@ class SampledSignal:
         v = np.asarray(value, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"expected a {self.dim}-vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NumericOverflowError(f"non-finite sample at t={t}")
         expected = self._t_first + self._count * self.dt
         if self._count > 0 and abs(t - expected) > _GRID_TOL * self.dt:
@@ -336,6 +336,20 @@ def linear_rk4_matrices(a, b, h):
     wh = (h / 6.0) * (4.0 * eye + 2.0 * h * a + (h**2 / 2) * a2) @ b
     w1 = (h / 6.0) * b
     return phi, w0, wh, w1
+
+
+def linear_rollout(phi, drive, x0):
+    """States x_0 = x0, x_{j+1} = phi x_j + drive[j] for every row of drive.
+
+    The rows are written in place, one matrix-vector product and one add
+    per step, bitwise the same as x = phi @ x + drive[j].
+    """
+    states = np.empty((drive.shape[0] + 1, np.size(x0)))
+    states[0] = x0
+    for prev, row, step in zip(states, states[1:], drive):
+        np.matmul(phi, prev, out=row)
+        row += step
+    return states
 
 
 def _is_hurwitz(a):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, RankDeficiencyError
-from .irl import WeightVector, read_eta, solve_weights
-from .numerics import linear_rk4_matrices
+from .irl import read_eta, solve_weights
+from .numerics import linear_rk4_matrices, linear_rollout
 
 _ROLLOUT_NORM_CAP = 1e12
 
@@ -111,17 +111,55 @@ def quality_eta2(p_log, u_log, theta_hat, t, quality):
     if p_meas is None:
         p_meas = p_log.values_at(t0 + h * np.arange(steps + 1))
     drive = u_half[0:-1:2] @ w0.T + u_half[1::2] @ wh.T + u_half[2::2] @ w1.T
-    states = np.empty((steps + 1, 2 * n))
-    states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(steps):
-            x = phi @ x + drive[j]
-            states[j + 1] = x
-        if not np.all(np.isfinite(states)) or np.max(np.abs(states)) > _ROLLOUT_NORM_CAP:
+        states = linear_rollout(phi, drive, x)
+        if not np.isfinite(states).all() or np.max(np.abs(states)) > _ROLLOUT_NORM_CAP:
             return float("inf")
         err = states[:, :n] - p_meas
         integrand = np.einsum("ij,jk,ik->i", err, quality.s2, err)
     return float(np.trapezoid(integrand, dx=h))
+
+
+class DeferredWeights:
+    """A weight estimate solved from a stack snapshot on its first read.
+
+    Reads like a WeightVector (w_v, w_q, w_r_minus, r1, stacked); the
+    first read runs solve_weights on the snapshot and keeps the result, so
+    the values are those an immediate solve would have given.
+    """
+
+    __slots__ = ("_snapshot", "_weights")
+
+    def __init__(self, snapshot):
+        self._snapshot = snapshot
+        self._weights = None
+
+    def solved(self):
+        """The WeightVector of the snapshot, solved on the first call."""
+        if self._weights is None:
+            self._weights = solve_weights(self._snapshot)
+            self._snapshot = None
+        return self._weights
+
+    @property
+    def w_v(self):
+        return self.solved().w_v
+
+    @property
+    def w_q(self):
+        return self.solved().w_q
+
+    @property
+    def w_r_minus(self):
+        return self.solved().w_r_minus
+
+    @property
+    def r1(self):
+        return self.solved().r1
+
+    @property
+    def stacked(self):
+        return self.solved().stacked
 
 
 @dataclass
@@ -130,7 +168,7 @@ class PurgeState:
 
     kappa1_bar: float
     kappa2_bar: float
-    w_current: WeightVector
+    w_current: object  # WeightVector or DeferredWeights
     varpi: int = 0
     purge_count: int = 0
     eta_bar: float = float("inf")
@@ -145,13 +183,22 @@ def purge_policy(ps, stack, eta_now):
     beats every stored score.  eta_now may be a callable (see
     irl.read_eta); it is called only once the purge gate's kappa test
     passes.
+
+    When the Gram condition number certifies full column rank
+    (stack.full_rank_kappa), the solve cannot fail, so it is deferred:
+    the new estimate is a DeferredWeights over a snapshot of the stack,
+    solved when first read.  Otherwise it is solved now, and a rank
+    deficient system holds the previous estimate.
     """
     gram_kappa = stack.gram_kappa
     if gram_kappa < ps.kappa1_bar and ps.varpi == 1 and stack.sigma_u1_norm >= stack.xi2:
-        try:
-            ps.w_current = solve_weights(stack)
-        except RankDeficiencyError:
-            pass  # hold at the previous value
+        if gram_kappa < stack.full_rank_kappa:
+            ps.w_current = DeferredWeights(stack.snapshot())
+        else:
+            try:
+                ps.w_current = solve_weights(stack)
+            except RankDeficiencyError:
+                pass  # hold at the previous value
     if gram_kappa < ps.kappa2_bar and read_eta(eta_now) < stack.eta_min:
         stack.clear()
         ps.purge_count += 1

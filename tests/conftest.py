@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from irlobs.errors import RankDeficiencyError
 from irlobs.estimator import (
     AdaptiveObserver,
     EstimatorGains,
@@ -13,7 +14,7 @@ from irlobs.estimator import (
     theta_dim,
 )
 from irlobs.experiment import default_config, prerecord_param_stack
-from irlobs.irl import eval_features
+from irlobs.irl import eval_features, read_eta, solve_weights
 from irlobs.numerics import SampledSignal, rk4_step
 from irlobs.plant import (
     CostFunction,
@@ -53,6 +54,23 @@ def cumulative_trapezoid(y, dt):
     out = np.zeros_like(np.asarray(y, dtype=float))
     out[1:] = np.cumsum(0.5 * dt * (y[:-1] + y[1:]), axis=0)
     return out
+
+
+def eval_features_loop(basis, x, u):
+    """Reference for irl.eval_features: one monomial at a time."""
+    x = np.asarray(x, dtype=float)
+    sigma_v = np.empty(basis.num_v)
+    grad = np.zeros((basis.num_v, basis.dim))
+    for k, (i, j) in enumerate(basis.v_monomials):
+        sigma_v[k] = x[i] * x[j]
+        if i == j:
+            grad[k, i] = 2.0 * x[i]
+        else:
+            grad[k, i] = x[j]
+            grad[k, j] = x[i]
+    sigma_q = np.array([x[i] * x[j] for i, j in basis.q_monomials])
+    u = np.asarray(u, dtype=float)
+    return sigma_v, grad, sigma_q, u * u
 
 
 def inverse_bellman_row(basis, x_hat, u, theta_hat, r1):
@@ -113,6 +131,22 @@ def exhaustive_irl_slot(stack, entry, xi1):
     if kappas[slot] * rounding < xi1 * stack.gram_kappa and np.sqrt(max(rhs_sq, 0.0)) >= stack.xi2:
         return slot
     return None
+
+
+def eager_purge_policy(ps, stack, eta_now):
+    """Reference for purge.purge_policy that solves the weights at the gate
+    itself, holding the previous estimate on a rank-deficient solve."""
+    gram_kappa = stack.gram_kappa
+    if gram_kappa < ps.kappa1_bar and ps.varpi == 1 and stack.sigma_u1_norm >= stack.xi2:
+        try:
+            ps.w_current = solve_weights(stack)
+        except RankDeficiencyError:
+            pass
+    if gram_kappa < ps.kappa2_bar and read_eta(eta_now) < stack.eta_min:
+        stack.clear()
+        ps.purge_count += 1
+    ps.eta_bar = stack.eta_min
+    return ps.w_current
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irlobs import experiment
+from irlobs import experiment, purge
 from irlobs.errors import ConfigError
 from irlobs.experiment import (
     ExperimentConfig,
@@ -20,6 +20,8 @@ from irlobs.experiment import (
     run_experiment,
     write_report,
 )
+
+from conftest import eager_purge_policy
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "irlobs"
 
@@ -185,6 +187,15 @@ class TestRunExperiment:
         assert short_report.gamma_eig_min > 0.0
         assert np.isfinite(short_report.gamma_eig_max)
 
+    def test_gamma_bounds_do_not_depend_on_the_report_stride(self):
+        # the gain spectra are solved in report-sized batches; 1,900 steps
+        # leave a partial last batch at stride 7
+        bounds = []
+        for stride in (1, 7):
+            report = run_experiment(short_config(1.9, mode="observed", report_stride=stride))
+            bounds.append((report.gamma_eig_min, report.gamma_eig_max))
+        assert bounds[0] == bounds[1]
+
     @pytest.mark.parametrize("mode", ["observed", "query"])
     def test_quality_score_computed_once_per_step_that_reads_it(self, monkeypatch, mode):
         # with kappa2_bar tiny the purge gate never compares eta, so only a
@@ -206,6 +217,31 @@ class TestRunExperiment:
         assert times == stored
         steps_after_floor = round((2.0 - floor) / raw["run"]["dt"]) + 1
         assert 0 < len(times) < steps_after_floor
+
+    def test_deferred_weight_solve_matches_eager_reference(self, monkeypatch):
+        # the estimate is solved when read, yet every weight update, store,
+        # purge and report value is that of solving at the gate
+        solves = []
+        original = purge.solve_weights
+
+        def counting(stack):
+            solves.append(stack)
+            return original(stack)
+
+        monkeypatch.setattr(purge, "solve_weights", counting)
+        cfg = short_config(duration=2.0)
+        deferred = run_experiment(cfg)
+        monkeypatch.setattr(experiment, "purge_policy", eager_purge_policy)
+        eager = run_experiment(cfg)
+        assert len(eager.trace.weight_updates) > 100
+        assert deferred.trace.weight_updates == eager.trace.weight_updates
+        assert deferred.trace.stores == eager.trace.stores
+        assert deferred.trace.purges == eager.trace.purges
+        for name in ("w_tilde", "w_final", "theta_tilde", "p_tilde", "q_tilde"):
+            np.testing.assert_array_equal(getattr(deferred, name), getattr(eager, name))
+        assert deferred.final_residual == eager.final_residual
+        # one solve per report row at most, far fewer than the updates
+        assert 0 < len(solves) <= deferred.t.size
 
     def test_online_stack_source_leaves_parameters_frozen(self):
         # purely on-policy window integrals can never certify full rank, so

@@ -19,7 +19,13 @@ from irlobs.irl import (
 )
 from irlobs.plant import optimal_action
 
-from conftest import DEFAULT_RDIAG, DEFAULT_WQ, controller_rows, inverse_bellman_row
+from conftest import (
+    DEFAULT_RDIAG,
+    DEFAULT_WQ,
+    controller_rows,
+    eval_features_loop,
+    inverse_bellman_row,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +104,20 @@ class TestEvalFeatures:
                 svm, _, _, _ = eval_features(basis, xm, np.zeros(2))
                 fd[:, d] = (svp - svm) / (2.0 * h)
             assert np.max(np.abs(grad - fd)) < 1e-6
+
+    def test_matches_the_monomial_loop_bitwise(self):
+        rng = np.random.default_rng(31)
+        bases = [
+            FeatureBasis.quadratic(4),
+            FeatureBasis.quadratic(6, [(0, 1), (2, 2), (3, 5)]),
+            FeatureBasis(dim=3, v_monomials=[(2, 2), (0, 2), (1, 1)], q_monomials=[]),
+        ]
+        for b in bases:
+            for _ in range(50):
+                x = rng.normal(size=b.dim) * rng.choice([1e-3, 1.0, 1e3])
+                u = rng.normal(size=2)
+                for got, want in zip(eval_features(b, x, u), eval_features_loop(b, x, u)):
+                    np.testing.assert_array_equal(got, want, strict=True)
 
     def test_sigma_u_squares(self, basis):
         _, _, _, su = eval_features(basis, np.zeros(4), np.array([2.0, -3.0]))

@@ -9,13 +9,14 @@ from irlobs.errors import (
     SolverFailureError,
     WindowUnderflowError,
 )
-from irlobs.irl import _gram_kappas
+from irlobs.irl import _gram_kappa, _gram_kappas
 from irlobs.numerics import (
     GramStack,
     SampledSignal,
     are_residual,
     least_squares,
     linear_rk4_matrices,
+    linear_rollout,
     rk4_step,
     solve_are,
 )
@@ -245,6 +246,16 @@ class TestConditionNumber:
         a = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
         assert self.condition_number(a) == float("inf")
 
+    def test_single_spectrum_matches_the_batched_rule(self):
+        rng = np.random.default_rng(5)
+        eps = np.finfo(float).eps
+        spectra = [np.sort(rng.normal(size=15)) for _ in range(100)]
+        spectra += [np.sort(rng.uniform(0.0, 1.0, size=15) ** p) for p in (1, 10, 40)]
+        spectra += [np.zeros(15), -np.ones(15), np.array([2 * eps, 1.0]),
+                    np.array([3 * eps, 1.0]), np.array([np.nan, 1.0])]
+        for lam in spectra:
+            assert _gram_kappa(lam) == float(_gram_kappas(lam))
+
 
 class TestLinearRk4Matrices:
     def test_matches_rk4_step_on_forced_system(self):
@@ -261,6 +272,21 @@ class TestLinearRk4Matrices:
         fast = phi @ x0 + w0 @ u_of(0.0) + wh @ u_of(h / 2) + w1 @ u_of(h)
         ref = rk4_step(lambda t, x: a @ x + b @ u_of(t), 0.0, x0, h)
         np.testing.assert_allclose(fast, ref, atol=1e-12)
+
+
+class TestLinearRollout:
+    def test_matches_the_step_loop_bitwise(self):
+        rng = np.random.default_rng(9)
+        for d in (2, 4, 6, 12):
+            for _ in range(20):
+                phi = rng.normal(size=(d, d)) * rng.uniform(0.1, 2.0)
+                drive = rng.normal(size=(30, d))
+                x = x0 = rng.normal(size=d)
+                want = [x0]
+                for step in drive:
+                    x = phi @ x + step
+                    want.append(x)
+                np.testing.assert_array_equal(linear_rollout(phi, drive, x0), np.array(want))
 
 
 class TestGramStack:

@@ -1,14 +1,25 @@
 """Quality-indicator and purge-policy tests."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from irlobs import purge
 from irlobs.errors import WindowUnderflowError
 from irlobs.estimator import ThetaVector
-from irlobs.irl import Candidate, FeatureBasis, IrlHistoryStack, WeightVector, data_select
+from irlobs.irl import (
+    Candidate,
+    FeatureBasis,
+    IrlHistoryStack,
+    WeightVector,
+    data_select,
+    solve_weights,
+)
 from irlobs.numerics import SampledSignal
 from irlobs.plant import optimal_action
 from irlobs.purge import (
+    DeferredWeights,
     PurgeState,
     QualityConfig,
     purge_policy,
@@ -258,3 +269,81 @@ class TestPurgePolicy:
             expected = min(stored) if stored else float("inf")
             assert ps.eta_bar == expected
             etas.append(eta)
+
+
+def counting_solves(monkeypatch):
+    """Count the calls of purge.solve_weights; returns the list of stacks."""
+    calls = []
+    original = purge.solve_weights
+
+    def counting(stack):
+        calls.append(stack)
+        return original(stack)
+
+    monkeypatch.setattr(purge, "solve_weights", counting)
+    return calls
+
+
+def assert_same_weights(w, reference):
+    for name in ("w_v", "w_q", "w_r_minus", "stacked"):
+        np.testing.assert_array_equal(getattr(w, name), getattr(reference, name), strict=True)
+    assert w.r1 == reference.r1
+
+
+class TestDeferredSolve:
+    def test_deferred_weights_equal_a_solve_at_the_gate(self, default_system, basis, monkeypatch):
+        # each gate pass defers its solve; read after later stores changed
+        # the stack, it still gives the solve of the stack at the gate
+        _, _, demo = default_system
+        plant = demo.plant
+        tv = ThetaVector.from_matrices(plant.a1, plant.a2, plant.b)
+        stack = IrlHistoryStack(capacity=30, basis=basis, r1=demo.cost.r1, m=2)
+        ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e-300, w_current=zero_weights(basis))
+        solves = counting_solves(monkeypatch)
+        rng = np.random.default_rng(52)
+        updates = []
+        for i in range(80):
+            x = rng.uniform(-2.0, 2.0, size=4)
+            cand = Candidate(x=x, u=optimal_action(demo, x), theta=tv, eta=1.0, t=float(i))
+            ps.varpi = data_select(stack, cand, 1.0, 1e-3)
+            w_before = ps.w_current
+            if purge_policy(ps, stack, eta_now=1.0) is not w_before:
+                updates.append((ps.w_current, copy.deepcopy(stack), i))
+        assert not solves
+        assert len(updates) > 10 and updates[0][2] < 60  # later offers store swaps
+        assert stack.size == 30 and stack.gram_kappa < stack.full_rank_kappa
+        for w, stack_then, _ in updates:
+            assert isinstance(w, DeferredWeights)
+            assert_same_weights(w, solve_weights(stack_then))
+        assert len(solves) == len(updates)
+        for w, _, _ in updates:  # the solve is kept
+            w.stacked
+        assert len(solves) == len(updates)
+
+    def test_kappa_above_the_certificate_solves_at_once(self, default_system, basis, monkeypatch):
+        stack = filled_stack(default_system, basis)
+        stack.full_rank_kappa = stack.gram_kappa
+        solves = counting_solves(monkeypatch)
+        ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e6, w_current=zero_weights(basis), varpi=1)
+        w = purge_policy(ps, stack, eta_now=10.0)
+        assert len(solves) == 1 and isinstance(w, WeightVector)
+        assert_same_weights(w, solve_weights(stack))
+
+    def test_kappa_above_the_certificate_holds_on_rank_deficiency(
+        self, default_system, basis, monkeypatch
+    ):
+        # a Gram kappa that rounding made finite, above the certificate, on
+        # 6 rows of 15 columns: the solve runs at once and fails
+        stack = filled_stack(default_system, basis, count=2)
+        stack.gram_kappa = 2.0 * stack.full_rank_kappa
+        solves = counting_solves(monkeypatch)
+        w0 = zero_weights(basis)
+        ps = PurgeState(kappa1_bar=float("inf"), kappa2_bar=1e6, w_current=w0, varpi=1)
+        assert purge_policy(ps, stack, eta_now=10.0) is w0
+        assert len(solves) == 1
+
+    def test_certificate_is_far_above_the_default_gate(self, basis):
+        stack = IrlHistoryStack(capacity=30, basis=basis, r1=20.0, m=2)
+        assert 1e11 < stack.full_rank_kappa < 1e13
+        wider = IrlHistoryStack(capacity=60, basis=basis, r1=20.0, m=2)
+        assert wider.full_rank_kappa < stack.full_rank_kappa
