@@ -25,6 +25,7 @@ from .estimator import (
 )
 from .experiment import (
     ExperimentConfig,
+    OnlineIrl,
     RunReport,
     default_config,
     load_config,

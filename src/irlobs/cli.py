@@ -52,7 +52,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment and write CSV/JSON reports")
-    p_run.add_argument("--config", required=True, help="JSON config file")
+    p_run.add_argument("--config", help="JSON config file (default: the shipped defaults)")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--mode", choices=["observed", "query"], default=None,
                        help="override the configured mode")
@@ -62,7 +62,7 @@ def main(argv=None):
     p_run.set_defaults(func=_cmd_run)
 
     p_are = sub.add_parser("are", help="print the Riccati solution and closed-loop eigenvalues")
-    p_are.add_argument("--config", required=True, help="JSON config file")
+    p_are.add_argument("--config", help="JSON config file (default: the shipped defaults)")
     p_are.set_defaults(func=_cmd_are)
 
     args = parser.parse_args(argv)

@@ -1,9 +1,10 @@
-"""Experiment configuration, the end-to-end runner and report writing.
+"""Experiment configuration, the online estimator, the runner and reports.
 
-Wires demonstrator -> estimator -> cost recovery -> purge policy on a
-common measurement clock, in observed or query mode, and emits CSV/JSON
-reports.  The estimator and recovery path see only the measured position
-and input; ground truth is touched exclusively for report columns.
+OnlineIrl steps estimator -> cost recovery -> purge policy once per
+measurement; run_experiment drives it from a simulated demonstrator on a
+common clock, in observed or query mode, and write_report emits CSV/JSON
+reports.  OnlineIrl sees only the measured position and input (and the
+oracle's answers); ground truth is touched exclusively for report columns.
 """
 
 from __future__ import annotations
@@ -56,66 +57,13 @@ from .purge import (
 )
 
 MODES = ("observed", "query")
-STACK_SOURCES = ("prerecorded", "online")
+DEFAULTS_PATH = Path(__file__).with_name("default_config.json")
 
 
 def default_config_dict():
-    """The shipped default experiment as a plain dictionary."""
-    return {
-        "plant": {
-            "a": [[1.0, 1.0, -1.0, 1.0], [5.0, 1.0, 1.0, 1.0]],
-            "b": [[1.0, 3.0], [0.0, 1.0]],
-        },
-        "cost": {
-            "w_q": [1.0, 2.0, 3.0, 6.0],
-            "r_diag": [20.0, 10.0],
-            "q_monomials": None,
-        },
-        "gains": {
-            "k": 100.0,
-            "alpha": 20.0,
-            "beta": 10.0,
-            "beta1": 5.0,
-            "k_theta": None,
-            "capacity": 150,
-            "t1": 1.0,
-            "t2": 0.8,
-            "gamma0": 0.1,
-            "min_eig_threshold": 1e-3,
-            "record_stride": 10,
-            "stack_source": "prerecorded",
-            "excitation_duration": 6.0,
-            "excitation_dt": 2e-4,
-            "excitation_stride": 50,
-            "excitation_amplitude": 1.0,
-        },
-        "irl": {
-            "capacity": 30,
-            "xi1": 1.0,
-            "xi2": 1e-3,
-            "v_monomials": None,
-        },
-        "purge": {
-            "horizon": 1.0,
-            "half_width": 5,
-            "s1": None,
-            "s2": None,
-            "kappa1_bar": 1e6,
-            "kappa2_bar": 1e6,
-            "rollout_stride": 20,
-        },
-        "run": {
-            "x0": [2.0, -2.0, 1.0, -1.0],
-            "duration": 30.0,
-            "dt": 1e-3,
-            "seed": 0,
-            "mode": "query",
-            "query_low": [-2.0, -2.0, -2.0, -2.0],
-            "query_high": [2.0, 2.0, 2.0, 2.0],
-            "report_stride": 10,
-            "w0": None,
-        },
-    }
+    """The shipped default experiment (default_config.json), freshly parsed."""
+    with open(DEFAULTS_PATH) as fh:
+        return json.load(fh)
 
 
 def _merge(base, override, path=""):
@@ -229,8 +177,6 @@ class ExperimentConfig:
             _number(f"gains.{name}", g[name], 0.0)
         for name in ("record_stride", "excitation_stride"):
             _count(f"gains.{name}", g[name])
-        if g["stack_source"] not in STACK_SOURCES:
-            raise ConfigError(f"field 'gains.stack_source' must be one of {STACK_SOURCES}")
         _count("irl.capacity", irl["capacity"])
         _number("irl.xi1", irl["xi1"], 0.0, inclusive=True)
         _number("irl.xi2", irl["xi2"], 0.0)
@@ -287,8 +233,11 @@ def default_config():
     return ExperimentConfig(default_config_dict())
 
 
-def load_config(path):
-    """Load a JSON config file; unspecified fields take the shipped defaults."""
+def load_config(path=None):
+    """Load a JSON config file; unspecified fields take the shipped defaults
+    (all of them without a path)."""
+    if path is None:
+        return default_config()
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -399,14 +348,135 @@ def prerecord_param_stack(demo, cfg, stack):
     return stack
 
 
-def run_experiment(cfg, mode=None, seed=None):
-    """Run the full pipeline on a common clock and return the report.
+def _check_rk4_step(a_cl, h, path):
+    """Raise ConfigError naming path unless an RK4 step of h is stable on
+    the closed loop: |R(lambda*h)| <= 1 for every eigenvalue lambda of a_cl,
+    with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    z = np.linalg.eigvals(a_cl) * h
+    growth = float(np.max(np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)))
+    if growth > 1.0:
+        raise ConfigError(f"field '{path}': dt too large, the closed loop's RK4 step "
+                          f"grows by |R(lambda*dt)| = {growth:.4g} > 1")
 
-    Per grid step: advance the demonstrator, feed (p, u) to the estimator,
-    score the estimate quality, offer the estimated pair (plus one oracle
-    query per step in query mode) to the history stack, and apply the
-    weight-update/purge policy after each offer.  Deterministic for a
-    fixed config and seed.
+
+class OnlineIrl:
+    """The online estimator, stepped once per measurement.
+
+    step(t, p, u, queries) takes the position and input measured one grid
+    step after the last, plus any oracle pairs (x*, u*) to offer.  It
+    records the parameter stack, advances the observer, and offers the
+    estimated pair and each query, with the estimate-quality score, to the
+    IRL stack under the weight-update/purge policy.  It sees nothing else:
+    param_stack comes filled by a calibration maneuver (see
+    prerecord_param_stack), and w0 is the stacked initial weight guess.
+    """
+
+    def __init__(self, cfg, param_stack, p0, u0, w0):
+        n, m = cfg.n, cfg.m
+        self.gains = gains = cfg.gains()
+        self.quality = quality = cfg.quality()
+        basis, r1 = cfg.basis(), cfg.cost().r1
+        g, irl_cfg, purge_cfg = (cfg.raw[k] for k in ("gains", "irl", "purge"))
+        self.dt = dt = float(cfg.raw["run"]["dt"])
+        self.record_stride = int(g["record_stride"])
+        self.param_stack = param_stack
+        self.steps = 0
+        # first step with both the full horizon and the smoothing window available
+        self.eta_floor_step = int(round(quality.horizon / dt)) + quality.half_width
+
+        window = max(gains.t1 + gains.t2, quality.horizon + (quality.half_width + 2) * dt)
+        self.p_log = SampledSignal(n, dt, window + 4 * dt)
+        self.u_log = SampledSignal(m, dt, window + 4 * dt)
+        self.qhat_log = SampledSignal(n, dt, quality.horizon + 4 * dt)
+        self.p_log.append(0.0, p0)
+        self.u_log.append(0.0, u0)
+        self.observer = AdaptiveObserver(n, m, p0=p0, u0=u0, gains=gains,
+                                         gamma_scale=float(g["gamma0"]))
+        self.qhat_log.append(0.0, self.observer.q_hat)
+        self.irl_stack = IrlHistoryStack(
+            capacity=int(irl_cfg["capacity"]), basis=basis, r1=r1, m=m,
+            xi2=float(irl_cfg["xi2"]),
+        )
+        self.xi1 = float(irl_cfg["xi1"])
+        self.purge_state = PurgeState(
+            kappa1_bar=float(purge_cfg["kappa1_bar"]),
+            kappa2_bar=float(purge_cfg["kappa2_bar"]),
+            w_current=WeightVector.from_stacked(w0, basis.num_v, basis.num_q, r1),
+        )
+        self.trace = RunTrace()
+
+    @property
+    def x_hat(self):
+        return self.observer.x_hat
+
+    @property
+    def theta(self):
+        return self.observer.theta
+
+    @property
+    def weights(self):
+        """The weight estimate in force, solved here if its solve was deferred."""
+        return self.purge_state.w_current.solved()
+
+    def step(self, t, p, u, queries=()):
+        """Take the measurement (p, u) at time t and offer the data."""
+        gains, observer = self.gains, self.observer
+        self.steps += 1
+        self.p_log.append(t, p)
+        self.u_log.append(t, u)
+        if t >= gains.t1 + gains.t2 and self.steps % self.record_stride == 0:
+            self.param_stack.record(
+                integral_residual(self.p_log, t, gains.t1, gains.t2),
+                integral_regressor(self.p_log, self.u_log, t, gains.t1, gains.t2),
+            )
+        observer.update_parameters(self.param_stack, self.dt)
+        observer.step(p, u, self.dt)
+        self.qhat_log.append(t, observer.q_hat)
+
+        theta_v = observer.theta_vector
+        eta = float("inf")
+        if self.steps >= self.eta_floor_step:
+            # only a stored offer and a passed purge kappa test read eta, so
+            # it is scored on the first read, at most once per step
+            eta = functools.cache(functools.partial(self._eta, t, theta_v))
+        self._offer(Candidate(x=observer.x_hat, u=u, theta=theta_v, eta=eta, t=t))
+        for x_star, u_star in queries:
+            self._offer(Candidate(x=x_star, u=u_star, theta=theta_v, eta=eta, t=t))
+
+    def _eta(self, t, theta_v):
+        quality = self.quality
+        t0 = t - quality.horizon
+        v_smooth = smooth_velocity(self.p_log, t0, quality.half_width)
+        eta1 = quality_eta1(
+            self.observer.p_tilde, self.qhat_log.value_at(t0), v_smooth, quality.s1
+        )
+        return eta1 + quality_eta2(self.p_log, self.u_log, theta_v, t, quality, v_smooth)
+
+    def _offer(self, cand):
+        stack, ps, trace = self.irl_stack, self.purge_state, self.trace
+        kappa_before, size_before = stack.gram_kappa, stack.size
+        varpi = data_select(stack, cand, self.xi1, stack.xi2)
+        if varpi:
+            branch = "append" if stack.size > size_before else "swap"
+            trace.stores.append(
+                (cand.t, branch, kappa_before, stack.gram_kappa, stack.sigma_u1_norm)
+            )
+        ps.varpi = varpi
+        w_before, purges_before = ps.w_current, ps.purge_count
+        eta_bar_before, kappa_gate, u1_gate = stack.eta_min, stack.gram_kappa, stack.sigma_u1_norm
+        if purge_policy(ps, stack, cand.eta) is not w_before:
+            trace.weight_updates.append((cand.t, varpi, kappa_gate, u1_gate))
+        if ps.purge_count > purges_before:
+            trace.purges.append((cand.t, kappa_gate, read_eta(cand.eta), eta_bar_before))
+
+
+def run_experiment(cfg, mode=None, seed=None):
+    """Simulate the demonstrator and run OnlineIrl on its measurements.
+
+    Records the calibration stack, then per grid step advances the
+    demonstrator, draws one oracle query in query mode, steps the
+    estimator, and every report_stride steps logs the estimation errors
+    against ground truth.  Deterministic for a fixed config and seed.
     """
     t_start = time.perf_counter()
     raw = cfg.to_dict()
@@ -417,111 +487,43 @@ def run_experiment(cfg, mode=None, seed=None):
     cfg = ExperimentConfig(raw)
 
     n, m = cfg.n, cfg.m
-    plant = cfg.plant()
-    cost = cfg.cost()
+    plant, cost, basis = cfg.plant(), cfg.cost(), cfg.basis()
     demo = make_demonstrator(plant, cost)
-    gains = cfg.gains()
-    basis = cfg.basis()
-    quality = cfg.quality()
-    run = cfg.raw["run"]
-    g = cfg.raw["gains"]
-    irl_cfg = cfg.raw["irl"]
-
+    run, g = cfg.raw["run"], cfg.raw["gains"]
     dt = float(run["dt"])
-    duration = float(run["duration"])
-    steps = int(round(duration / dt))
-    x0 = np.asarray(run["x0"], dtype=float)
-    mode = run["mode"]
+    _check_rk4_step(demo.a_cl, dt, "run.dt")
+    _check_rk4_step(demo.a_cl, float(g["excitation_dt"]), "gains.excitation_dt")
+
+    steps = int(round(float(run["duration"]) / dt))
     rng = np.random.default_rng(int(run["seed"]))
     q_low = np.asarray(run["query_low"], dtype=float)
     q_high = np.asarray(run["query_high"], dtype=float)
     report_stride = int(run["report_stride"])
-    record_stride = int(g["record_stride"])
-
     theta_true = plant.theta
-    w_true = ideal_weights(basis, demo.riccati_p, cost.w_q, cost.r_diag)
+    w_true = ideal_weights(basis, demo.riccati_p, cost.w_q, cost.r_diag).stacked
     w0 = np.zeros(basis.width(m)) if run["w0"] is None else np.asarray(run["w0"], dtype=float)
-    w_init = WeightVector.from_stacked(w0, basis.num_v, basis.num_q, cost.r1)
 
     param_stack = ParamHistoryStack(
         capacity=int(g["capacity"]), dim=theta_dim(n, m),
         min_eig_threshold=float(g["min_eig_threshold"]),
     )
-    if g["stack_source"] == "prerecorded":
-        prerecord_param_stack(demo, cfg, param_stack)
+    prerecord_param_stack(demo, cfg, param_stack)
 
-    horizon = quality.horizon
-    window = max(gains.t1 + gains.t2, horizon + (quality.half_width + 2) * dt) + 4 * dt
-    p_log = SampledSignal(n, dt, window)
-    u_log = SampledSignal(m, dt, window)
-    qhat_log = SampledSignal(n, dt, horizon + 4 * dt)
-
-    x = x0.copy()
-    u = optimal_action(demo, x)
-    p_log.append(0.0, x[:n])
-    u_log.append(0.0, u)
-    observer = AdaptiveObserver(
-        n, m, p0=x[:n], u0=u, gains=gains, gamma_scale=float(g["gamma0"])
-    )
-    qhat_log.append(0.0, observer.q_hat)
-    irl_stack = IrlHistoryStack(
-        capacity=int(irl_cfg["capacity"]), basis=basis, r1=cost.r1, m=m,
-        xi2=float(irl_cfg["xi2"]),
-    )
-    xi1 = float(irl_cfg["xi1"])
-    ps = PurgeState(
-        kappa1_bar=float(cfg.raw["purge"]["kappa1_bar"]),
-        kappa2_bar=float(cfg.raw["purge"]["kappa2_bar"]),
-        w_current=w_init,
-    )
-    trace = RunTrace()
+    x = np.asarray(run["x0"], dtype=float)
+    online = OnlineIrl(cfg, param_stack, x[:n], optimal_action(demo, x), w0)
     field_fn = closed_loop_field(demo)
 
-    rows_t, rows_p, rows_q, rows_th, rows_w = [], [], [], [], []
+    rows = []  # (t, p - p_hat, q - q_hat, theta - theta_hat, W_hat - W)
     gamma_lo, gamma_hi = np.inf, 0.0
     # the gain's spectrum is a report diagnostic: the gains of report_stride
     # steps are solved in one batch, per matrix bitwise the single solves
-    gammas = np.empty((report_stride,) + observer.gamma.shape)
+    gammas = np.empty((report_stride,) + online.observer.gamma.shape)
     queries = 0
-    # first step with both the full horizon and the smoothing window available
-    eta_floor_step = int(round(horizon / dt)) + quality.half_width
 
-    def offer(cand):
-        kappa_before = irl_stack.gram_kappa
-        size_before = irl_stack.size
-        varpi = data_select(irl_stack, cand, xi1, irl_stack.xi2)
-        if varpi:
-            branch = "append" if irl_stack.size > size_before else "swap"
-            trace.stores.append(
-                (cand.t, branch, kappa_before, irl_stack.gram_kappa, irl_stack.sigma_u1_norm)
-            )
-        ps.varpi = varpi
-        w_before = ps.w_current
-        eta_bar_before = irl_stack.eta_min
-        kappa_gate = irl_stack.gram_kappa
-        u1_gate = irl_stack.sigma_u1_norm
-        purge_count_before = ps.purge_count
-        w_now = purge_policy(ps, irl_stack, cand.eta)
-        if w_now is not w_before:
-            trace.weight_updates.append((cand.t, varpi, kappa_gate, u1_gate))
-        if ps.purge_count > purge_count_before:
-            trace.purges.append((cand.t, kappa_gate, read_eta(cand.eta), eta_bar_before))
-        return w_now
-
-    def step_eta(t, theta_v):
-        v_smooth = smooth_velocity(p_log, t - horizon, quality.half_width)
-        eta1 = quality_eta1(
-            observer.p_tilde, qhat_log.value_at(t - horizon), v_smooth, quality.s1
-        )
-        eta2 = quality_eta2(p_log, u_log, theta_v, t, quality)
-        return eta1 + eta2
-
-    def log_row(t, x_state):
-        rows_t.append(t)
-        rows_p.append(x_state[:n] - observer.p_hat)
-        rows_q.append(x_state[n:] - observer.q_hat)
-        rows_th.append(theta_true - observer.theta)
-        rows_w.append(ps.w_current.stacked - w_true.stacked)
+    def log_row(t, x):
+        x_tilde = x - online.x_hat
+        rows.append((t, x_tilde[:n], x_tilde[n:], theta_true - online.theta,
+                     online.weights.stacked - w_true))
 
     if steps > 0:
         log_row(0.0, x)
@@ -529,72 +531,50 @@ def run_experiment(cfg, mode=None, seed=None):
         x = rk4_step(field_fn, k * dt, x, dt)
         t = (k + 1) * dt
         u = optimal_action(demo, x)
-        p = x[:n]
-        p_log.append(t, p)
-        u_log.append(t, u)
-        if t >= gains.t1 + gains.t2 and (k + 1) % record_stride == 0:
-            param_stack.record(
-                integral_residual(p_log, t, gains.t1, gains.t2),
-                integral_regressor(p_log, u_log, t, gains.t1, gains.t2),
-            )
-        observer.update_parameters(param_stack, dt)
-        observer.step(p, u, dt)
-        qhat_log.append(t, observer.q_hat)
-        gammas[k % report_stride] = observer.gamma
+        oracle = ()
+        if run["mode"] == "query":
+            x_star = rng.uniform(q_low, q_high)
+            oracle = ((x_star, query(demo, x_star)),)
+            queries += 1
+        online.step(t, x[:n], u, oracle)
+
+        gammas[k % report_stride] = online.observer.gamma
         if (k + 1) % report_stride == 0 or k + 1 == steps:
             lam = np.linalg.eigvalsh(gammas[: k % report_stride + 1])
             gamma_lo = min(gamma_lo, float(lam[:, 0].min()))
             gamma_hi = max(gamma_hi, float(lam[:, -1].max()))
-
-        theta_v = observer.theta_vector
-        if k + 1 >= eta_floor_step:
-            # only a stored offer and a passed purge kappa test read eta, so
-            # it is scored on the first read, at most once per step
-            eta_now = functools.cache(functools.partial(step_eta, t, theta_v))
-        else:
-            eta_now = float("inf")
-
-        offer(Candidate(x=observer.x_hat, u=u, theta=theta_v, eta=eta_now, t=t))
-        if mode == "query":
-            x_star = rng.uniform(q_low, q_high)
-            u_star = query(demo, x_star)
-            queries += 1
-            offer(Candidate(x=x_star, u=u_star, theta=theta_v, eta=eta_now, t=t))
-
         if (k + 1) % report_stride == 0:
             log_row(t, x)
 
+    irl_stack, w_final = online.irl_stack, online.weights.stacked
+    final_residual = float("nan")
     if irl_stack.size > 0:
         final_residual = float(
-            np.linalg.norm(
-                irl_stack.sigma_matrix @ ps.w_current.stacked - irl_stack.rhs_vector
-            )
+            np.linalg.norm(irl_stack.sigma_matrix @ w_final - irl_stack.rhs_vector)
         )
-    else:
-        final_residual = float("nan")
 
-    def stackrows(rows, width):
+    def series(column, width):
         if rows:
-            return np.asarray(rows)
+            return np.asarray([row[column] for row in rows])
         return np.zeros((0, width))
 
     return RunReport(
-        t=np.asarray(rows_t),
-        p_tilde=stackrows(rows_p, n),
-        q_tilde=stackrows(rows_q, n),
-        theta_tilde=stackrows(rows_th, theta_dim(n, m)),
-        w_tilde=stackrows(rows_w, basis.width(m)),
-        purge_count=ps.purge_count,
+        t=np.asarray([row[0] for row in rows]),
+        p_tilde=series(1, n),
+        q_tilde=series(2, n),
+        theta_tilde=series(3, theta_dim(n, m)),
+        w_tilde=series(4, basis.width(m)),
+        purge_count=online.purge_state.purge_count,
         queries=queries,
         final_kappa=irl_stack.kappa,
         final_gram_kappa=irl_stack.gram_kappa,
         final_residual=final_residual,
         gamma_eig_min=float(gamma_lo) if steps > 0 else float("nan"),
         gamma_eig_max=float(gamma_hi) if steps > 0 else float("nan"),
-        w_true=w_true.stacked,
-        w_final=ps.w_current.stacked,
+        w_true=w_true,
+        w_final=w_final,
         wall_clock_seconds=time.perf_counter() - t_start,
-        trace=trace,
+        trace=online.trace,
         config=cfg.to_dict(),
     )
 

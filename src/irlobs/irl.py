@@ -130,6 +130,10 @@ class WeightVector:
     def stacked(self):
         return np.concatenate([self.w_v, self.w_q, self.w_r_minus])
 
+    def solved(self):
+        """This estimate; a DeferredWeights answers with its solve."""
+        return self
+
     @classmethod
     def from_stacked(cls, vec, num_v, num_q, r1):
         vec = np.asarray(vec, dtype=float)

@@ -82,13 +82,14 @@ def quality_eta1(p_tilde, q_hat_lagged, v_smooth, s1):
     return float(xbar @ s1 @ xbar)
 
 
-def quality_eta2(p_log, u_log, theta_hat, t, quality):
+def quality_eta2(p_log, u_log, theta_hat, t, quality, v0):
     """Parameter-estimate quality score.
 
     Rolls the estimated model out over [t - horizon, t] from the measured
-    position and smoothed velocity, replaying the logged input, and
-    integrates the squared position prediction error under s2.  Returns
-    +inf (worst quality) if the rollout diverges.
+    position and the smoothed velocity v0 at t - horizon (smooth_velocity
+    with quality.half_width, as quality_eta1 reads it), replaying the
+    logged input, and integrates the squared position prediction error
+    under s2.  Returns +inf (worst quality) if the rollout diverges.
     """
     horizon = quality.horizon
     if t < horizon:
@@ -99,7 +100,6 @@ def quality_eta2(p_log, u_log, theta_hat, t, quality):
     if steps < 1 or abs(steps * h - horizon) > 1e-9 * horizon:
         raise ValueError("horizon must be a multiple of the rollout step")
     t0 = t - horizon
-    v0 = smooth_velocity(p_log, t0, quality.half_width)
     n = p_log.dim
     x = np.concatenate([p_log.value_at(t0), v0])
     phi, w0, wh, w1 = linear_rk4_matrices(theta_hat.a_prime, theta_hat.b_prime, h)
@@ -123,8 +123,7 @@ def quality_eta2(p_log, u_log, theta_hat, t, quality):
 class DeferredWeights:
     """A weight estimate solved from a stack snapshot on its first read.
 
-    Reads like a WeightVector (w_v, w_q, w_r_minus, r1, stacked); the
-    first read runs solve_weights on the snapshot and keeps the result, so
+    solved() runs solve_weights on the snapshot and keeps the result, so
     the values are those an immediate solve would have given.
     """
 
@@ -141,26 +140,6 @@ class DeferredWeights:
             self._snapshot = None
         return self._weights
 
-    @property
-    def w_v(self):
-        return self.solved().w_v
-
-    @property
-    def w_q(self):
-        return self.solved().w_q
-
-    @property
-    def w_r_minus(self):
-        return self.solved().w_r_minus
-
-    @property
-    def r1(self):
-        return self.solved().r1
-
-    @property
-    def stacked(self):
-        return self.solved().stacked
-
 
 @dataclass
 class PurgeState:
@@ -168,10 +147,9 @@ class PurgeState:
 
     kappa1_bar: float
     kappa2_bar: float
-    w_current: object  # WeightVector or DeferredWeights
+    w_current: object  # WeightVector or DeferredWeights; read it through solved()
     varpi: int = 0
     purge_count: int = 0
-    eta_bar: float = float("inf")
 
 
 def purge_policy(ps, stack, eta_now):
@@ -202,5 +180,4 @@ def purge_policy(ps, stack, eta_now):
     if gram_kappa < ps.kappa2_bar and read_eta(eta_now) < stack.eta_min:
         stack.clear()
         ps.purge_count += 1
-    ps.eta_bar = stack.eta_min
     return ps.w_current

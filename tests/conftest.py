@@ -145,7 +145,6 @@ def eager_purge_policy(ps, stack, eta_now):
     if gram_kappa < ps.kappa2_bar and read_eta(eta_now) < stack.eta_min:
         stack.clear()
         ps.purge_count += 1
-    ps.eta_bar = stack.eta_min
     return ps.w_current
 
 

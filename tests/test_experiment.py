@@ -1,5 +1,6 @@
 """Configuration, runner and reporting tests."""
 
+import copy
 import json
 import os
 import re
@@ -199,15 +200,27 @@ class TestRunExperiment:
     @pytest.mark.parametrize("mode", ["observed", "query"])
     def test_quality_score_computed_once_per_step_that_reads_it(self, monkeypatch, mode):
         # with kappa2_bar tiny the purge gate never compares eta, so only a
-        # store after the smoothing floor reads it, at most once per step
-        times = []
+        # store after the smoothing floor reads it, at most once per step;
+        # eta1 and eta2 share one smoothed velocity
+        times, smoothings = [], []
         original = experiment.quality_eta2
 
-        def counting(p_log, u_log, theta_hat, t, quality):
+        def counting(p_log, u_log, theta_hat, t, quality, v0):
             times.append(t)
-            return original(p_log, u_log, theta_hat, t, quality)
+            return original(p_log, u_log, theta_hat, t, quality, v0)
+
+        def counting_smoothing(module):
+            smooth = module.smooth_velocity
+
+            def wrapped(p_log, t_center, half_width):
+                smoothings.append(t_center)
+                return smooth(p_log, t_center, half_width)
+
+            monkeypatch.setattr(module, "smooth_velocity", wrapped)
 
         monkeypatch.setattr(experiment, "quality_eta2", counting)
+        counting_smoothing(experiment)
+        counting_smoothing(purge)
         raw = default_config_dict()
         raw["run"].update(duration=2.0, mode=mode)
         raw["purge"]["kappa2_bar"] = 1e-300
@@ -215,6 +228,7 @@ class TestRunExperiment:
         floor = raw["purge"]["horizon"] + raw["purge"]["half_width"] * raw["run"]["dt"]
         stored = sorted({t for t, *_ in report.trace.stores if t > floor - 1e-9})
         assert times == stored
+        assert len(smoothings) == len(times)
         steps_after_floor = round((2.0 - floor) / raw["run"]["dt"]) + 1
         assert 0 < len(times) < steps_after_floor
 
@@ -243,17 +257,46 @@ class TestRunExperiment:
         # one solve per report row at most, far fewer than the updates
         assert 0 < len(solves) <= deferred.t.size
 
-    def test_online_stack_source_leaves_parameters_frozen(self):
-        # purely on-policy window integrals can never certify full rank, so
-        # with no prerecorded stack the parameter estimate stays at its
-        # initial value; the mode exists for runs that bring their own
-        # excitation
-        raw = default_config_dict()
-        raw["run"]["duration"] = 3.0
-        raw["gains"]["stack_source"] = "online"
-        report = run_experiment(ExperimentConfig(raw))
-        theta_norm = report.norms("theta_tilde")
-        np.testing.assert_allclose(theta_norm, theta_norm[0], rtol=1e-12)
+    @pytest.mark.parametrize("mode", ["observed", "query"])
+    def test_online_irl_replays_the_run_bit_for_bit(self, monkeypatch, mode):
+        # a fresh OnlineIrl fed the measurements and queries of a run, with a
+        # copy of its calibration stack, makes the same estimates and decisions
+        inputs, steps = [], []
+        fresh = experiment.OnlineIrl
+
+        class Recording(fresh):
+            def __init__(self, cfg, param_stack, p0, u0, w0):
+                inputs.extend([cfg, copy.deepcopy(param_stack), p0.copy(), u0.copy(), w0])
+                super().__init__(cfg, param_stack, p0, u0, w0)
+
+            def step(self, t, p, u, queries=()):
+                steps.append((t, p.copy(), u.copy(), copy.deepcopy(queries)))
+                super().step(t, p, u, queries)
+
+        monkeypatch.setattr(experiment, "OnlineIrl", Recording)
+        report = run_experiment(short_config(duration=2.0, mode=mode))
+        cfg = inputs[0]
+        online = fresh(*inputs)
+        stride = cfg.raw["run"]["report_stride"]
+        theta_true = cfg.plant().theta
+        rows_theta = [theta_true - online.theta]
+        rows_w = [online.weights.stacked - report.w_true]
+        for k, (t, p, u, queries) in enumerate(steps, 1):
+            online.step(t, p, u, queries)
+            if k % stride == 0:
+                rows_theta.append(theta_true - online.theta)
+                rows_w.append(online.weights.stacked - report.w_true)
+        assert len(steps) == 2000 and sum(len(q) for _, _, _, q in steps) == report.queries
+        assert np.asarray(rows_theta).tobytes() == report.theta_tilde.tobytes()
+        assert np.asarray(rows_w).tobytes() == report.w_tilde.tobytes()
+        assert online.trace == report.trace
+        assert len(report.trace.stores) > 0
+
+    def test_stack_source_is_no_longer_a_config_field(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"gains": {"stack_source": "prerecorded"}}))
+        with pytest.raises(ConfigError, match="gains.stack_source"):
+            load_config(path)
 
 
 class TestWriteReport:
@@ -307,9 +350,30 @@ class TestWriteReport:
 
 
 class TestCli:
-    def test_shipped_config_matches_defaults(self):
-        shipped = Path(__file__).resolve().parent.parent / "configs" / "default.json"
-        assert json.loads(shipped.read_text()) == default_config_dict()
+    def test_default_config_dict_is_fresh_on_every_call(self):
+        first = default_config_dict()
+        first["run"]["x0"][0] = 99.0
+        first["gains"]["k"] = -1.0
+        del first["irl"]
+        second = default_config_dict()
+        assert second["run"]["x0"][0] == 2.0 and second["gains"]["k"] == 100.0
+        assert "irl" in second and second == default_config_dict()
+
+    def test_run_and_are_without_a_config(self, tmp_path, capsys, monkeypatch):
+        from irlobs.cli import main
+
+        # the shipped defaults, shortened to a 2 s run
+        raw = default_config_dict()
+        raw["run"]["duration"] = 2.0
+        shortened = tmp_path / "defaults.json"
+        shortened.write_text(json.dumps(raw))
+        monkeypatch.setattr(experiment, "DEFAULTS_PATH", shortened)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["config"] == raw and summary["queries"] == 2000
+        assert main(["are"]) == 0
+        assert "closed-loop eigenvalues" in capsys.readouterr().out
 
     def test_run_and_are_commands(self, tmp_path, capsys):
         from irlobs.cli import main

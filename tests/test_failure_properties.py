@@ -1,8 +1,9 @@
 """Property tests of the run's failure paths.
 
-A non-finite value in a measurement, or a grid step too large for the
-adaptation law, must end the run with NumericOverflowError, and the CLI
-must turn that into exit code 1 and one ``error:`` line, never a
+A non-finite value in a measurement must end the run with
+NumericOverflowError, and a grid step on which RK4 is unstable for the
+closed loop must be rejected with ConfigError before any step runs.  The
+CLI must turn either into exit code 1 and one ``error:`` line, never a
 traceback or a report of NaNs.
 """
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from irlobs import experiment
 from irlobs.cli import main
-from irlobs.errors import NumericOverflowError
+from irlobs.errors import ConfigError, NumericOverflowError
 from irlobs.experiment import ExperimentConfig, default_config_dict, run_experiment
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -38,14 +39,23 @@ def short_raw(**run):
     return raw
 
 
-def large_step_raw(dt):
+def large_step_raw(dt, excitation_duration=6.0):
     """A run on grid step dt, the quality windows scaled to fit it.  The
     default calibration maneuver certifies full rank, so the adaptation
-    law runs from the first step."""
+    law would run from the first step; a 2 s one does not."""
     raw = default_config_dict()
+    raw["gains"]["excitation_duration"] = excitation_duration
     raw["run"].update(dt=dt, duration=40.0 * dt)
     raw["purge"].update(horizon=4.0 * dt, half_width=1, rollout_stride=1)
     return raw
+
+
+def refusing(name):
+    """A stand-in for the runner function name that fails the test if called."""
+    def called(*args):
+        raise AssertionError(f"{name} ran on a rejected config")
+
+    return called
 
 
 def corrupting(fn, call, index, value):
@@ -86,11 +96,31 @@ def test_non_finite_measurement_raises_numeric_overflow(corruption):
 
 
 @PROPERTY
-@given(dt=st.floats(1.0, 100.0), mode=st.sampled_from(["query", "observed"]))
-def test_too_large_grid_step_raises_numeric_overflow(dt, mode):
-    raw = large_step_raw(dt)
+@given(dt=st.floats(1.0, 100.0), mode=st.sampled_from(["query", "observed"]),
+       excitation_duration=st.sampled_from([2.0, 6.0]))
+def test_too_large_grid_step_raises_config_error(dt, mode, excitation_duration):
+    raw = large_step_raw(dt, excitation_duration)
     raw["run"]["mode"] = mode
-    with pytest.raises(NumericOverflowError):
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("prerecord_param_stack", "rk4_step"):
+            mp.setattr(experiment, name, refusing(name))
+        with pytest.raises(ConfigError, match=r"'run\.dt': dt too large"):
+            run_experiment(ExperimentConfig(raw))
+
+
+def test_unstable_rk4_step_is_rejected_before_a_diverged_report():
+    # the calibration is too short to certify full rank, so the adaptation
+    # law never runs; this run used to exit 0 with |p~| of about 1.6e12
+    raw = large_step_raw(1.0, excitation_duration=2.0)
+    raw["run"]["duration"] = 40.0
+    with pytest.raises(ConfigError, match=r"'run\.dt'.*2\.469"):
+        run_experiment(ExperimentConfig(raw))
+
+
+def test_unstable_calibration_step_is_rejected():
+    raw = default_config_dict()
+    raw["gains"]["excitation_dt"] = 1.0
+    with pytest.raises(ConfigError, match=r"'gains\.excitation_dt': dt too large"):
         run_experiment(ExperimentConfig(raw))
 
 

@@ -44,6 +44,12 @@ def default_quality(n=2, horizon=1.0, half_width=5, rollout_stride=20):
     )
 
 
+def eta2(run, theta_hat, t, quality):
+    """quality_eta2 given the smoothed velocity at t - horizon, as the runner does."""
+    v0 = smooth_velocity(run.p_log, t - quality.horizon, quality.half_width)
+    return quality_eta2(run.p_log, run.u_log, theta_hat, t, quality, v0)
+
+
 @pytest.fixture(scope="module")
 def basis():
     return FeatureBasis.quadratic(4)
@@ -112,7 +118,7 @@ class TestQualityEta2:
     def test_true_model_near_zero(self, default_run):
         run = default_run
         tv = ThetaVector(theta=run.theta_true.copy(), n=2, m=2)
-        val = quality_eta2(run.p_log, run.u_log, tv, 8.0, default_quality())
+        val = eta2(run, tv, 8.0, default_quality())
         assert 0.0 <= val < 1e-8
 
     def test_wrong_model_strictly_positive(self, default_run):
@@ -121,8 +127,8 @@ class TestQualityEta2:
         doubled = run.theta_true.copy()
         doubled[:8] *= 2.0  # scale both dynamics blocks
         tv_bad = ThetaVector(theta=doubled, n=2, m=2)
-        good = quality_eta2(run.p_log, run.u_log, tv_true, 8.0, default_quality())
-        bad = quality_eta2(run.p_log, run.u_log, tv_bad, 8.0, default_quality())
+        good = eta2(run, tv_true, 8.0, default_quality())
+        bad = eta2(run, tv_bad, 8.0, default_quality())
         assert bad > 1e3 * max(good, 1e-30)
         assert bad > 0.0
 
@@ -130,7 +136,7 @@ class TestQualityEta2:
         run = default_run
         qc = QualityConfig(horizon=1.0, s1=np.eye(4), s2=np.zeros((2, 2)), half_width=5)
         tv = ThetaVector(theta=np.zeros(12), n=2, m=2)
-        assert quality_eta2(run.p_log, run.u_log, tv, 8.0, qc) == 0.0
+        assert eta2(run, tv, 8.0, qc) == 0.0
 
     def test_divergent_rollout_returns_inf(self, default_run):
         run = default_run
@@ -139,14 +145,14 @@ class TestQualityEta2:
         tv = ThetaVector(theta=unstable, n=2, m=2)
         qc = QualityConfig(horizon=1.0, s1=np.eye(4), s2=np.eye(2), half_width=5,
                            rollout_stride=20)
-        val = quality_eta2(run.p_log, run.u_log, tv, 8.0, qc)
+        val = eta2(run, tv, 8.0, qc)
         assert val == float("inf")
 
     def test_before_first_horizon_rejected(self, default_run):
         run = default_run
         tv = ThetaVector(theta=np.zeros(12), n=2, m=2)
         with pytest.raises(ValueError):
-            quality_eta2(run.p_log, run.u_log, tv, 0.5, default_quality())
+            quality_eta2(run.p_log, run.u_log, tv, 0.5, default_quality(), np.zeros(2))
 
 
 class TestCompositeQuality:
@@ -162,7 +168,7 @@ class TestCompositeQuality:
             v = smooth_velocity(run.p_log, t - qc.horizon, qc.half_width)
             e1 = quality_eta1(run.p_tilde[k], run.q_hat[k_lag], v, qc.s1)
             tv = ThetaVector(theta=run.theta[k].copy(), n=2, m=2)
-            e2 = quality_eta2(run.p_log, run.u_log, tv, t, qc)
+            e2 = quality_eta2(run.p_log, run.u_log, tv, t, qc, v)
             return e1 + e2
 
         early, late = eta_at(2.0), eta_at(11.0)
@@ -214,7 +220,7 @@ class TestPurgePolicy:
         stack = filled_stack(default_system, basis)
         ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e6, w_current=zero_weights(basis), varpi=1)
         w = purge_policy(ps, stack, eta_now=10.0)
-        assert np.linalg.norm(w.stacked) > 0.0
+        assert np.linalg.norm(w.solved().stacked) > 0.0
 
     def test_no_purge_when_quality_not_better(self, default_system, basis):
         stack = filled_stack(default_system, basis, eta=1.0)
@@ -233,7 +239,7 @@ class TestPurgePolicy:
         assert stack.size == 0
         # the weights survive the purge
         assert w_after is ps.w_current
-        np.testing.assert_array_equal(w_after.stacked, ps.w_current.stacked)
+        np.testing.assert_array_equal(w_after.solved().stacked, w_before.solved().stacked)
 
     def test_purge_blocked_by_conditioning(self, default_system, basis):
         stack = filled_stack(default_system, basis, count=2, eta=1.0)  # rank deficient
@@ -267,7 +273,7 @@ class TestPurgePolicy:
             # oracle: exhaustive recomputation over the stored entries
             stored = [e.eta for e in stack.entries]
             expected = min(stored) if stored else float("inf")
-            assert ps.eta_bar == expected
+            assert stack.eta_min == expected
             etas.append(eta)
 
 
@@ -314,10 +320,10 @@ class TestDeferredSolve:
         assert stack.size == 30 and stack.gram_kappa < stack.full_rank_kappa
         for w, stack_then, _ in updates:
             assert isinstance(w, DeferredWeights)
-            assert_same_weights(w, solve_weights(stack_then))
+            assert_same_weights(w.solved(), solve_weights(stack_then))
         assert len(solves) == len(updates)
         for w, _, _ in updates:  # the solve is kept
-            w.stacked
+            assert w.solved() is w.solved()
         assert len(solves) == len(updates)
 
     def test_kappa_above_the_certificate_solves_at_once(self, default_system, basis, monkeypatch):
@@ -327,6 +333,7 @@ class TestDeferredSolve:
         ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e6, w_current=zero_weights(basis), varpi=1)
         w = purge_policy(ps, stack, eta_now=10.0)
         assert len(solves) == 1 and isinstance(w, WeightVector)
+        assert w.solved() is w
         assert_same_weights(w, solve_weights(stack))
 
     def test_kappa_above_the_certificate_holds_on_rank_deficiency(
