@@ -12,6 +12,7 @@ from .errors import (
     IrlobsError,
     NumericOverflowError,
     RankDeficiencyError,
+    SampleTimeError,
     SolverFailureError,
     WindowUnderflowError,
 )

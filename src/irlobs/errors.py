@@ -29,6 +29,10 @@ class RankDeficiencyError(IrlobsError):
         self.rank = rank
 
 
+class SampleTimeError(IrlobsError, ValueError):
+    """A sample's time skips or repeats a step of its signal's grid."""
+
+
 class ConfigError(IrlobsError):
     """An experiment configuration failed validation."""
 

@@ -1,20 +1,21 @@
 """Shared numerical kernels.
 
 Fixed-step integration, quadrature over uniformly sampled signals, a
-continuous-time algebraic Riccati solver, least squares and the Gram-block
-history stack.  Nothing in this module knows about plants, observers or
-costs; everything operates on plain numpy arrays.
+continuous-time algebraic Riccati solver with the Tits-Yang pole placement
+that starts it, least squares and the Gram-block history stack.  Nothing in
+this module knows about plants, observers or costs; everything operates on
+plain numpy arrays.  Of scipy only scipy.linalg is imported.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.signal import place_poles
 
 from .errors import (
     NumericOverflowError,
     RankDeficiencyError,
+    SampleTimeError,
     SolverFailureError,
     WindowUnderflowError,
 )
@@ -117,7 +118,7 @@ class SampledSignal:
             raise NumericOverflowError(f"non-finite sample at t={t}")
         expected = self._t_first + self._count * self.dt
         if self._count > 0 and abs(t - expected) > _GRID_TOL * self.dt:
-            raise ValueError(f"sample at t={t} is off-grid (expected {expected})")
+            raise SampleTimeError(f"sample at t={t} is off-grid (expected {expected})")
         if self._count == 0:
             self._t_first = float(t)
         if self._head + self._count >= self._values.shape[0]:
@@ -356,17 +357,77 @@ def _is_hurwitz(a):
     return bool(np.all(np.linalg.eigvals(a).real < 0.0))
 
 
+def _yt_gain(a, b, poles):
+    """Gain K with eig(A - BK) = poles for distinct real poles: bitwise the
+    ``gain_matrix`` of scipy's ``place_poles(a, b, poles)`` (method YT, rtol
+    1e-3, maxiter 30), whose operations it repeats in order (Tits & Yang,
+    IEEE TAC 1996).  Raises SolverFailureError where scipy raises.
+    """
+    n = a.shape[0]
+    poles = np.sort(poles)
+    u, z = sla.qr(b, mode="full")
+    rank = np.linalg.matrix_rank(b)
+    if rank == 0:
+        raise SolverFailureError("could not find a stabilizing gain: B is zero")
+    if rank == n:  # scipy solves A - BK = diag(poles) by least squares
+        return -np.linalg.lstsq(b, np.diag(poles) - a, rcond=-1)[0]
+    u0, u1, z = u[:, :rank], u[:, rank:], z[:rank, :]
+    ker, cols = [], []
+    for p in poles:
+        space = np.dot(u1.T, a - p * np.eye(n)).T
+        ker.append(sla.qr(space, mode="full")[0][:, space.shape[1]:])
+        col = np.sum(ker[-1], axis=1)[:, np.newaxis]
+        cols.append(col / np.linalg.norm(col))
+    x = np.hstack(cols)
+    # YT's update order of column pairs for real poles (steps 1.a-3.a,
+    # 1-based); the single-pole KNV steps need n = 1, a square case
+    h, odd = n // 2, n % 2
+    order = [(n, 1)] + [(2 * r, 2 * r + 1) for r in range(1, h + odd)]
+    order += [(2 * r - 1, 2 * r) for r in range(1, h + 1)]
+    order += [(i, i + j) for j in range(2, h + odd) for i in range(1, h + 1)]
+    order += [(i, (i + j - 1) % n + 1) for j in range(2, h + odd) for i in range(h + 1, n + 1)]
+    order += [(i, i + h) for i in range(1, h + 1)]
+    floor, tries, stop = np.sqrt(np.spacing(1)), 0, rank < 2  # rank 1: nothing to rotate
+    while tries < 30 and not stop:
+        det_before = np.abs(np.linalg.det(x))
+        for i, j in np.array(order) - 1:
+            q = sla.qr(np.delete(x, (i, j), axis=1), mode="full")[0]
+            u, v = q[:, -2, np.newaxis], q[:, -1, np.newaxis]
+            um, sm, vm = np.linalg.svd(
+                np.dot(np.dot(ker[i].T, np.dot(u, v.T) - np.dot(v, u.T)), ker[j])
+            )
+            mu, nu = um.T[:2, :, np.newaxis], vm[:2, :, np.newaxis]
+            if not np.allclose(sm[0], sm[1]):
+                kmn = np.vstack((np.dot(ker[i], mu[0]), np.dot(ker[j], nu[0])))
+            else:
+                zero = np.zeros(ker[i].shape)
+                kmn = np.dot(
+                    np.vstack((np.hstack((ker[i], zero)), np.hstack((zero, ker[j])))),
+                    np.vstack((np.hstack((mu[0], mu[1])), np.hstack((nu[0], nu[1])))),
+                )
+            pair = np.dot(np.dot(kmn, kmn.T), np.vstack((x[:, i, None], x[:, j, None])))
+            if np.allclose(pair, 0):
+                pair = kmn
+            else:
+                pair = np.sqrt(2) * pair / np.linalg.norm(pair)
+            x[:, i], x[:, j] = pair[:n, 0], pair[n:, 0]
+        det = np.max((floor, np.abs(np.linalg.det(x))))
+        stop = np.abs((det - det_before) / det) < 1e-3 and det > floor
+        tries += 1
+    x = x.astype(complex)
+    try:
+        m = np.linalg.solve(x.T, np.dot(np.diag(poles), x.T)).T
+        return -np.real(np.linalg.solve(z, np.dot(u0.T, m - a)))
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailureError(f"could not find a stabilizing gain: {exc}")
+
+
 def _stabilizing_gain(a, b):
     """A gain K with A - BK Hurwitz, found deterministically."""
     n = a.shape[0]
     if _is_hurwitz(a):
         return np.zeros((b.shape[1], n))
-    poles = -1.0 - 0.5 * np.arange(n)
-    try:
-        res = place_poles(a, b, poles)
-    except ValueError as exc:
-        raise SolverFailureError(f"could not find a stabilizing gain: {exc}")
-    k0 = res.gain_matrix
+    k0 = _yt_gain(a, b, -1.0 - 0.5 * np.arange(n))
     if not _is_hurwitz(a - b @ k0):
         raise SolverFailureError("pole placement did not stabilize the pair")
     return k0

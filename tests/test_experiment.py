@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from irlobs import experiment, purge
-from irlobs.errors import ConfigError
+from irlobs.errors import ConfigError, IrlobsError
 from irlobs.experiment import (
     ExperimentConfig,
     default_config,
@@ -291,6 +291,27 @@ class TestRunExperiment:
         assert np.asarray(rows_w).tobytes() == report.w_tilde.tobytes()
         assert online.trace == report.trace
         assert len(report.trace.stores) > 0
+
+    def test_step_off_the_time_grid_is_an_irlobs_error(self, monkeypatch):
+        # a measurement stream that restarts, repeats or skips a grid time
+        # must end in an error the CLI reports, not a traceback
+        inputs = []
+        fresh = experiment.OnlineIrl
+
+        class Recording(fresh):
+            def __init__(self, *args):
+                inputs.extend(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(experiment, "OnlineIrl", Recording)
+        run_experiment(short_config(duration=0.0))
+        online = fresh(*inputs)
+        p, u = inputs[2], inputs[3]
+        online.step(0.001, p, u)
+        for t in (0.001, 0.003, 0.0):
+            with pytest.raises(IrlobsError, match="off-grid"):
+                online.step(t, p, u)
+        online.step(0.002, p, u)
 
     def test_stack_source_is_no_longer_a_config_field(self, tmp_path):
         path = tmp_path / "old.json"

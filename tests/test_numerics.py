@@ -1,11 +1,19 @@
 """Numerical kernel tests against analytic values and independent oracles."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.signal import place_poles
 
 from irlobs.errors import (
     NumericOverflowError,
     RankDeficiencyError,
+    SampleTimeError,
     SolverFailureError,
     WindowUnderflowError,
 )
@@ -13,6 +21,7 @@ from irlobs.irl import _gram_kappa, _gram_kappas
 from irlobs.numerics import (
     GramStack,
     SampledSignal,
+    _yt_gain,
     are_residual,
     least_squares,
     linear_rk4_matrices,
@@ -21,7 +30,13 @@ from irlobs.numerics import (
     solve_are,
 )
 
-from conftest import hamiltonian_are
+from conftest import DEFAULT_A, DEFAULT_B, hamiltonian_are
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+# the 3-position plant of the benchmark's query_n3 workload
+N3_A = [[1.0, 0.5, 0.0, 1.0, 0.0, -0.5], [0.0, 1.0, 1.0, 0.5, -1.0, 0.0],
+        [2.0, 0.0, -1.0, 0.0, 0.5, 1.0]]
+N3_B = [[1.0, 0.0], [0.5, 1.0], [0.0, 2.0]]
 
 
 def make_signal(fn, dim, dt, duration, window=None):
@@ -107,6 +122,14 @@ class TestSampledSignalAndTrapezoid:
         with pytest.raises(ValueError):
             sig.append(0.0137, [1.0])
 
+    @pytest.mark.parametrize("t", [0.0, 0.02, 0.0137])
+    def test_repeated_skipped_or_off_grid_time_is_typed(self, t):
+        sig = SampledSignal(1, 0.01, 1.0)
+        sig.append(0.0, [0.0])
+        with pytest.raises(SampleTimeError, match="off-grid"):
+            sig.append(t, [1.0])
+        assert len(sig) == 1
+
     def test_non_finite_append_rejected(self):
         sig = SampledSignal(1, 0.01, 1.0)
         with pytest.raises(NumericOverflowError):
@@ -174,6 +197,7 @@ class TestSolveAre:
         p_oracle = hamiltonian_are(plant.a_prime, plant.b_prime, q, r)
         np.testing.assert_allclose(p, p_oracle, atol=1e-8)
 
+    @pytest.mark.filterwarnings("error")
     def test_uncontrollable_pair_fails(self):
         a = np.eye(2)
         b = np.zeros((2, 1))
@@ -185,6 +209,87 @@ class TestSolveAre:
         b = np.array([[0.0], [1.0]])
         with pytest.raises(ValueError):
             solve_are(a, b, np.eye(2), np.array([[0.0]]))
+
+
+def lifted(a, b):
+    """The pair ([[0, I], [A]], [[0], [B]]) of an n x 2n A and n x m B."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = a.shape[0]
+    return (np.block([[np.zeros((n, n)), np.eye(n)], [a]]),
+            np.vstack((np.zeros(b.shape), b)))
+
+
+def assert_gain_is_scipys(a, b):
+    poles = -1.0 - 0.5 * np.arange(a.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's YT non-convergence warning
+        expected = place_poles(a, b, poles).gain_matrix
+    np.testing.assert_array_equal(_yt_gain(a, b, poles), expected)
+
+
+class TestPolePlacement:
+    @pytest.mark.parametrize("a, b", [(DEFAULT_A, DEFAULT_B), (N3_A, N3_B)],
+                             ids=["default", "query_n3"])
+    def test_benchmark_plants_match_scipy_bitwise(self, a, b):
+        assert_gain_is_scipys(*lifted(a, b))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_random_lifted_pairs_match_scipy_bitwise(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        for _ in range(8):
+            assert_gain_is_scipys(*lifted(rng.normal(size=(n, 2 * n)), rng.normal(size=(n, m))))
+
+    def test_full_row_rank_input_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(5)
+        assert_gain_is_scipys(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+
+    def test_degenerate_updates_match_scipy_bitwise(self):
+        # an update of this pair projects its column pair to zero
+        a = np.array([[0, -1, -1, -1, -1], [-1, -1, 1, 0, 1], [0, 0, 1, 1, 0],
+                      [0, 0, 1, -1, 1], [1, -1, 0, 1, 0]], dtype=float)
+        b = np.array([[-1, 1, 1], [1, -1, -1], [1, -1, 0], [-1, -1, 0], [0, 0, -1]],
+                     dtype=float)
+        assert_gain_is_scipys(a, b)
+        # with A = BC every pole has the same kernel basis, so every update
+        # meets equal singular values
+        rng = np.random.default_rng(0)
+        b = rng.normal(size=(4, 2))
+        assert_gain_is_scipys(b @ rng.normal(size=(2, 4)), b)
+        # a weakly coupled A keeps |det X| below YT's floor sqrt(eps), so the
+        # iteration runs all 30 sweeps
+        rng = np.random.default_rng(1)
+        b = rng.normal(size=(5, 2))
+        assert_gain_is_scipys(0.01 * rng.normal(size=(5, 5)), b)
+
+    def test_singular_eigenvectors_fail_where_scipy_fails(self):
+        rng = np.random.default_rng(1)
+        b = rng.normal(size=(4, 2))
+        a = b @ rng.normal(size=(2, 4))
+        poles = np.array([-1.0, -1.5, -2.0, -2.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="can't be placed"):
+                place_poles(a, b, poles)
+        with pytest.raises(SolverFailureError, match="Singular"):
+            _yt_gain(a, b, poles)
+
+    def test_import_and_run_leave_scipy_signal_unloaded(self):
+        # every run places the start gain's poles, so a lazy scipy.signal
+        # import would only move its cost from start-up into the run
+        script = (
+            "import sys\n"
+            "import irlobs\n"
+            "from irlobs.experiment import ExperimentConfig, default_config_dict\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            "raw = default_config_dict()\n"
+            "raw['gains']['excitation_duration'] = 2.0\n"
+            "raw['run']['duration'] = 0.0\n"
+            "irlobs.run_experiment(ExperimentConfig(raw))\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestLeastSquares:
