@@ -4,22 +4,30 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .errors import IrlobsError
-from .experiment import ExperimentConfig, load_config, run_experiment, write_report
+from .experiment import ExperimentConfig, load_config, read_config, run_experiment, write_report
 from .plant import make_demonstrator
 
 
 def _cmd_run(args):
-    cfg = load_config(args.config)
-    if args.full_rate:
-        raw = cfg.to_dict()
-        raw["run"]["report_stride"] = 1
-        cfg = ExperimentConfig(raw)
-    report = run_experiment(cfg, mode=args.mode, seed=args.seed)
-    paths = write_report(report, args.out)
+    merged = read_config(args.config)
+    flags = {"mode": args.mode, "seed": args.seed, "report_stride": 1 if args.full_rate else None}
+    merged["run"].update((k, v) for k, v in flags.items() if v is not None)
+    cfg = ExperimentConfig(merged)
+    out = Path(args.out)
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the run
+    try:
+        report = run_experiment(cfg)
+    except IrlobsError:
+        if made:  # a failed run leaves no output directory behind
+            out.rmdir()
+        raise
+    paths = write_report(report, out)
     norms = report.norms("w_tilde")
     w_rel = norms[-1] / max(np.linalg.norm(report.w_true), 1e-300) if norms.size else float("nan")
     print(f"run complete: {report.t.size} report rows, {report.queries} queries, "
@@ -68,7 +76,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IrlobsError as exc:
+    except (IrlobsError, OSError) as exc:  # OSError: creating or writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,6 +53,7 @@ from .purge import (
     purge_policy,
     quality_eta1,
     quality_eta2,
+    rollout_steps,
     smooth_velocity,
 )
 
@@ -117,8 +118,8 @@ def _array(path, value, shape=None):
 
 
 def _build(section, make, fields=None):
-    """Construct a section object; its ValueError or TypeError becomes a
-    ConfigError naming the failing field (the section when unknown)."""
+    """Run make, a section constructor or a check; its ValueError or TypeError
+    becomes a ConfigError naming the failing field (the section when unknown)."""
     try:
         return make()
     except (ValueError, TypeError) as exc:
@@ -133,8 +134,10 @@ class ExperimentConfig:
     schema and the shipped defaults.
 
     The plant, cost, gains, feature basis and quality sections are built
-    once here and check their own entries; any invalid or non-finite entry
-    raises ConfigError naming the field.
+    once here and check their own entries; every other entry is kept as a
+    plain attribute named after its field (gains.capacity and irl.capacity
+    as param_capacity and irl_capacity; a null run.w0 as zeros).  Any
+    invalid or non-finite entry raises ConfigError naming the field.
     """
 
     def __init__(self, raw):
@@ -152,7 +155,7 @@ class ExperimentConfig:
             r_diag=_array("cost.r_diag", c["r_diag"], (m,)),
             q_monomials=c["q_monomials"],
         ))
-        capacity = _count("gains.capacity", g["capacity"])
+        self.param_capacity = capacity = _count("gains.capacity", g["capacity"])
         self._gains = _build("gains", lambda: EstimatorGains(
             k_theta=(
                 0.3 / capacity if g["k_theta"] is None
@@ -174,44 +177,37 @@ class ExperimentConfig:
 
         for name in ("gamma0", "min_eig_threshold", "excitation_duration", "excitation_dt",
                      "excitation_amplitude"):
-            _number(f"gains.{name}", g[name], 0.0)
+            setattr(self, name, _number(f"gains.{name}", g[name], 0.0))
         for name in ("record_stride", "excitation_stride"):
-            _count(f"gains.{name}", g[name])
-        _count("irl.capacity", irl["capacity"])
-        _number("irl.xi1", irl["xi1"], 0.0, inclusive=True)
-        _number("irl.xi2", irl["xi2"], 0.0)
+            setattr(self, name, _count(f"gains.{name}", g[name]))
+        self.irl_capacity = _count("irl.capacity", irl["capacity"])
+        self.xi1 = _number("irl.xi1", irl["xi1"], 0.0, inclusive=True)
+        self.xi2 = _number("irl.xi2", irl["xi2"], 0.0)
         for name in ("kappa1_bar", "kappa2_bar"):
-            _number(f"purge.{name}", p[name], 0.0)
+            setattr(self, name, _number(f"purge.{name}", p[name], 0.0))
 
-        _array("run.x0", r["x0"], (2 * n,))
-        duration = _number("run.duration", r["duration"], 0.0, inclusive=True)
-        dt = _number("run.dt", r["dt"], 0.0)
+        for name in ("x0", "query_low", "query_high"):
+            setattr(self, name, _array(f"run.{name}", r[name], (2 * n,)))
+        self.duration = _number("run.duration", r["duration"], 0.0, inclusive=True)
+        self.dt = dt = _number("run.dt", r["dt"], 0.0)
         windows = self._gains.t1 + self._gains.t2
-        if 0 < duration <= windows:
+        if 0 < self.duration <= windows:
             raise ConfigError("field 'run.duration' must exceed gains.t1 + gains.t2")
-        if g["excitation_duration"] <= windows:
+        if self.excitation_duration <= windows:
             raise ConfigError("field 'gains.excitation_duration' must exceed t1 + t2")
         if r["mode"] not in MODES:
             raise ConfigError(f"field 'run.mode' must be one of {MODES}")
-        low = _array("run.query_low", r["query_low"], (2 * n,))
-        if np.any(low > _array("run.query_high", r["query_high"], (2 * n,))):
+        self.mode = r["mode"]
+        if np.any(self.query_low > self.query_high):
             raise ConfigError("field 'run.query_low' must not exceed 'run.query_high'")
-        _count("run.report_stride", r["report_stride"])
-        _count("run.seed", r["seed"], low=0)
-        if r["w0"] is not None:
-            _array("run.w0", r["w0"], (self._basis.width(m),))
+        self.report_stride = _count("run.report_stride", r["report_stride"])
+        self.seed = _count("run.seed", r["seed"], low=0)
+        width = self._basis.width(m)
+        self.w0 = np.zeros(width) if r["w0"] is None else _array("run.w0", r["w0"], (width,))
         q = self._quality
         if q.horizon < (2 * q.half_width + 1) * dt:
             raise ConfigError("field 'purge.horizon' is shorter than the smoothing window")
-        h = q.rollout_stride * dt
-        steps = round(q.horizon / h) if math.isfinite(q.horizon / h) else 0
-        if steps < 1 or abs(steps * h - q.horizon) > 1e-9:
-            raise ConfigError(
-                "field 'purge.horizon' must be a multiple of rollout_stride * run.dt"
-            )
-
-    def to_dict(self):
-        return copy.deepcopy(self.raw)
+        _build("purge.horizon", lambda: rollout_steps(q.horizon, q.rollout_stride * dt))
 
     def plant(self):
         return self._plant
@@ -233,22 +229,26 @@ def default_config():
     return ExperimentConfig(default_config_dict())
 
 
-def load_config(path=None):
-    """Load a JSON config file; unspecified fields take the shipped defaults
-    (all of them without a path)."""
+def read_config(path=None):
+    """The raw config of a JSON file: the shipped defaults with the file's
+    fields merged over them (just the defaults without a path)."""
     if path is None:
-        return default_config()
+        return default_config_dict()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    merged = _merge(default_config_dict(), data)
-    return ExperimentConfig(merged)
+    return _merge(default_config_dict(), data)
+
+
+def load_config(path=None):
+    """The validated config of read_config(path)."""
+    return ExperimentConfig(read_config(path))
 
 
 @dataclass
@@ -314,22 +314,18 @@ def prerecord_param_stack(demo, cfg, stack):
     run with a deterministic dither on top of the optimal policy, standing
     in for rich data gathered before observation starts.
     """
-    g = cfg.raw["gains"]
     plant = demo.plant
     n, m = plant.n, plant.m
-    dt = float(g["excitation_dt"])
-    duration = float(g["excitation_duration"])
-    t1, t2 = float(g["t1"]), float(g["t2"])
-    amp = float(g["excitation_amplitude"])
-    stride = int(g["excitation_stride"])
+    dt, duration = cfg.excitation_dt, cfg.excitation_duration
+    t1, t2 = cfg.gains().t1, cfg.gains().t2
     steps = int(round(duration / dt))
 
     # closed loop driven by the dither is linear time-invariant, so one set
     # of RK4 step matrices advances the whole calibration trajectory
     phi, w0, wh, w1 = linear_rk4_matrices(demo.a_cl, plant.b_prime, dt)
-    dither_half = _excitation((0.5 * dt) * np.arange(2 * steps + 1), m, amp)
+    dither_half = _excitation((0.5 * dt) * np.arange(2 * steps + 1), m, cfg.excitation_amplitude)
     drive = dither_half[0:-1:2] @ w0.T + dither_half[1::2] @ wh.T + dither_half[2::2] @ w1.T
-    states = linear_rollout(phi, drive, np.asarray(cfg.raw["run"]["x0"], dtype=float))
+    states = linear_rollout(phi, drive, cfg.x0)
     if not np.isfinite(states).all():
         raise NumericOverflowError("calibration run diverged")
     inputs = states @ (-demo.k_fb.T) + dither_half[0::2]
@@ -339,7 +335,7 @@ def prerecord_param_stack(demo, cfg, stack):
     u_log = SampledSignal.from_samples(dt, window, 0.0, inputs)
     first = int(np.ceil((t1 + t2) / dt - 1e-9))
     for k in range(first, steps + 1):
-        if k % stride == 0:
+        if k % cfg.excitation_stride == 0:
             t = k * dt
             stack.record(
                 integral_residual(p_log, t, t1, t2),
@@ -376,9 +372,8 @@ class OnlineIrl:
         self.gains = gains = cfg.gains()
         self.quality = quality = cfg.quality()
         basis, r1 = cfg.basis(), cfg.cost().r1
-        g, irl_cfg, purge_cfg = (cfg.raw[k] for k in ("gains", "irl", "purge"))
-        self.dt = dt = float(cfg.raw["run"]["dt"])
-        self.record_stride = int(g["record_stride"])
+        self.dt = dt = cfg.dt
+        self.record_stride = cfg.record_stride
         self.param_stack = param_stack
         self.steps = 0
         # first step with both the full horizon and the smoothing window available
@@ -391,18 +386,12 @@ class OnlineIrl:
         self.p_log.append(0.0, p0)
         self.u_log.append(0.0, u0)
         self.observer = AdaptiveObserver(n, m, p0=p0, u0=u0, gains=gains,
-                                         gamma_scale=float(g["gamma0"]))
+                                         gamma_scale=cfg.gamma0)
         self.qhat_log.append(0.0, self.observer.q_hat)
-        self.irl_stack = IrlHistoryStack(
-            capacity=int(irl_cfg["capacity"]), basis=basis, r1=r1, m=m,
-            xi2=float(irl_cfg["xi2"]),
-        )
-        self.xi1 = float(irl_cfg["xi1"])
-        self.purge_state = PurgeState(
-            kappa1_bar=float(purge_cfg["kappa1_bar"]),
-            kappa2_bar=float(purge_cfg["kappa2_bar"]),
-            w_current=WeightVector.from_stacked(w0, basis.num_v, basis.num_q, r1),
-        )
+        self.irl_stack = IrlHistoryStack(cfg.irl_capacity, basis, r1, m, xi2=cfg.xi2)
+        self.xi1 = cfg.xi1
+        w_start = WeightVector.from_stacked(w0, basis.num_v, basis.num_q, r1)
+        self.purge_state = PurgeState(cfg.kappa1_bar, cfg.kappa2_bar, w_current=w_start)
         self.trace = RunTrace()
 
     @property
@@ -421,6 +410,9 @@ class OnlineIrl:
     def step(self, t, p, u, queries=()):
         """Take the measurement (p, u) at time t and offer the data."""
         gains, observer = self.gains, self.observer
+        # a rejected measurement leaves every log and counter as it was
+        self.p_log.check(t, p)
+        self.u_log.check(t, u)
         self.steps += 1
         self.p_log.append(t, p)
         self.u_log.append(t, u)
@@ -470,7 +462,7 @@ class OnlineIrl:
             trace.purges.append((cand.t, kappa_gate, read_eta(cand.eta), eta_bar_before))
 
 
-def run_experiment(cfg, mode=None, seed=None):
+def run_experiment(cfg):
     """Simulate the demonstrator and run OnlineIrl on its measurements.
 
     Records the calibration stack, then per grid step advances the
@@ -479,38 +471,24 @@ def run_experiment(cfg, mode=None, seed=None):
     against ground truth.  Deterministic for a fixed config and seed.
     """
     t_start = time.perf_counter()
-    raw = cfg.to_dict()
-    if mode is not None:
-        raw["run"]["mode"] = mode
-    if seed is not None:
-        raw["run"]["seed"] = int(seed)
-    cfg = ExperimentConfig(raw)
-
     n, m = cfg.n, cfg.m
     plant, cost, basis = cfg.plant(), cfg.cost(), cfg.basis()
     demo = make_demonstrator(plant, cost)
-    run, g = cfg.raw["run"], cfg.raw["gains"]
-    dt = float(run["dt"])
+    dt = cfg.dt
     _check_rk4_step(demo.a_cl, dt, "run.dt")
-    _check_rk4_step(demo.a_cl, float(g["excitation_dt"]), "gains.excitation_dt")
+    _check_rk4_step(demo.a_cl, cfg.excitation_dt, "gains.excitation_dt")
 
-    steps = int(round(float(run["duration"]) / dt))
-    rng = np.random.default_rng(int(run["seed"]))
-    q_low = np.asarray(run["query_low"], dtype=float)
-    q_high = np.asarray(run["query_high"], dtype=float)
-    report_stride = int(run["report_stride"])
+    steps = int(round(cfg.duration / dt))
+    rng = np.random.default_rng(cfg.seed)
+    report_stride = cfg.report_stride
     theta_true = plant.theta
     w_true = ideal_weights(basis, demo.riccati_p, cost.w_q, cost.r_diag).stacked
-    w0 = np.zeros(basis.width(m)) if run["w0"] is None else np.asarray(run["w0"], dtype=float)
 
-    param_stack = ParamHistoryStack(
-        capacity=int(g["capacity"]), dim=theta_dim(n, m),
-        min_eig_threshold=float(g["min_eig_threshold"]),
-    )
+    param_stack = ParamHistoryStack(cfg.param_capacity, theta_dim(n, m), cfg.min_eig_threshold)
     prerecord_param_stack(demo, cfg, param_stack)
 
-    x = np.asarray(run["x0"], dtype=float)
-    online = OnlineIrl(cfg, param_stack, x[:n], optimal_action(demo, x), w0)
+    x = cfg.x0
+    online = OnlineIrl(cfg, param_stack, x[:n], optimal_action(demo, x), cfg.w0)
     field_fn = closed_loop_field(demo)
 
     rows = []  # (t, p - p_hat, q - q_hat, theta - theta_hat, W_hat - W)
@@ -532,8 +510,8 @@ def run_experiment(cfg, mode=None, seed=None):
         t = (k + 1) * dt
         u = optimal_action(demo, x)
         oracle = ()
-        if run["mode"] == "query":
-            x_star = rng.uniform(q_low, q_high)
+        if cfg.mode == "query":
+            x_star = rng.uniform(cfg.query_low, cfg.query_high)
             oracle = ((x_star, query(demo, x_star)),)
             queries += 1
         online.step(t, x[:n], u, oracle)
@@ -575,7 +553,7 @@ def run_experiment(cfg, mode=None, seed=None):
         w_final=w_final,
         wall_clock_seconds=time.perf_counter() - t_start,
         trace=online.trace,
-        config=cfg.to_dict(),
+        config=copy.deepcopy(cfg.raw),
     )
 
 

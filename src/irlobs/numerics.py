@@ -109,8 +109,9 @@ class SampledSignal:
             raise WindowUnderflowError("signal has no samples")
         return self._t_first + (self._count - 1) * self.dt
 
-    def append(self, t, value):
-        """Append the sample for the next grid time."""
+    def check(self, t, value):
+        """value as a float vector if it may be appended at time t; raises,
+        changing nothing, unless it is a finite dim-vector at the next grid time."""
         v = np.asarray(value, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"expected a {self.dim}-vector, got shape {v.shape}")
@@ -119,6 +120,11 @@ class SampledSignal:
         expected = self._t_first + self._count * self.dt
         if self._count > 0 and abs(t - expected) > _GRID_TOL * self.dt:
             raise SampleTimeError(f"sample at t={t} is off-grid (expected {expected})")
+        return v
+
+    def append(self, t, value):
+        """Append the sample for the next grid time (see check)."""
+        v = self.check(t, value)
         if self._count == 0:
             self._t_first = float(t)
         if self._head + self._count >= self._values.shape[0]:

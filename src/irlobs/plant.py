@@ -33,9 +33,9 @@ def monomial_matrix(dim, weights, monomials):
 class LinearPlant:
     """True dynamics pdot = q, qdot = A x + B u with A = [A1, A2].
 
-    Derived lifted matrices: a_prime = [[0, I], [A1, A2]] and
-    b_prime = [0; B].  Construction fails if (a_prime, b_prime) is not
-    controllable.
+    Derived: the read-only lifted matrices a_prime = [[0, I], [A1, A2]] and
+    b_prime = [0; B], and theta = [vec(A1); vec(A2); vec(B)].  Construction
+    fails if (a_prime, b_prime) is not controllable.
     """
 
     a: np.ndarray  # n x 2n
@@ -51,13 +51,9 @@ class LinearPlant:
             raise ArgumentError("b", f"B must be {n} x m, got {self.b.shape}")
         self.n = n
         self.m = self.b.shape[1]
-        self.a1 = self.a[:, :n].copy()
-        self.a2 = self.a[:, n:].copy()
-        self.a_prime = np.zeros((2 * n, 2 * n))
-        self.a_prime[:n, n:] = np.eye(n)
-        self.a_prime[n:, :] = self.a
-        self.b_prime = np.zeros((2 * n, self.m))
-        self.b_prime[n:, :] = self.b
+        lifted = ThetaVector.from_matrices(self.a[:, :n], self.a[:, n:], self.b)
+        self.a1, self.a2, self.theta = lifted.a1, lifted.a2, lifted.theta
+        self.a_prime, self.b_prime = lifted.a_prime, lifted.b_prime
         if self._controllability_rank() < 2 * n:
             raise ValueError("(a_prime, b_prime) is not controllable")
 
@@ -66,11 +62,6 @@ class LinearPlant:
         for _ in range(2 * self.n - 1):
             blocks.append(self.a_prime @ blocks[-1])
         return np.linalg.matrix_rank(np.hstack(blocks))
-
-    @property
-    def theta(self):
-        """Stacked true parameters [vec(A1); vec(A2); vec(B)]."""
-        return ThetaVector.from_matrices(self.a1, self.a2, self.b).theta
 
 
 @dataclass

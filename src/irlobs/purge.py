@@ -53,6 +53,15 @@ class QualityConfig:
                 raise ArgumentError(name, f"{name} must be positive semidefinite")
 
 
+def rollout_steps(horizon, h):
+    """The number of rollout steps of length h in horizon; raises ValueError
+    unless that is a whole number, at least one, to within 1e-9 * min(1, horizon)."""
+    steps = round(horizon / h) if np.isfinite(horizon / h) else 0
+    if steps < 1 or abs(steps * h - horizon) > 1e-9 * min(1.0, horizon):
+        raise ValueError("horizon must be a whole number of rollout_stride * run.dt steps")
+    return steps
+
+
 def smooth_velocity(p_log, t_center, half_width):
     """Velocity estimate from a local quadratic fit around t_center.
 
@@ -96,9 +105,7 @@ def quality_eta2(p_log, u_log, theta_hat, t, quality, v0):
         raise ValueError(f"t={t} is before the first full horizon {horizon}")
     dt = p_log.dt
     h = quality.rollout_stride * dt
-    steps = int(round(horizon / h))
-    if steps < 1 or abs(steps * h - horizon) > 1e-9 * horizon:
-        raise ValueError("horizon must be a multiple of the rollout step")
+    steps = rollout_steps(horizon, h)
     t0 = t - horizon
     n = p_log.dim
     x = np.concatenate([p_log.value_at(t0), v0])

@@ -1,5 +1,7 @@
-"""Property test: a config with one mutated field either raises ConfigError
+"""Property tests: a config with one mutated field either raises ConfigError
 or builds every section from finite numbers; it never raises anything else.
+And a quality horizon the config accepts also passes quality_eta2's check
+that it is a whole number of rollout steps.
 
 Each example takes one field of the default config and gives it a wrong
 type, a wrong shape, or a negative, zero, NaN or infinite entry.  Fields
@@ -14,8 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irlobs.errors import ConfigError
+from irlobs.estimator import ThetaVector, theta_dim
 from irlobs.experiment import ExperimentConfig, default_config_dict
 from irlobs.irl import quadratic_monomials
+from irlobs.numerics import SampledSignal
+from irlobs.purge import quality_eta2
 
 DEFAULTS = default_config_dict()
 FILLED = {
@@ -90,3 +95,36 @@ def test_one_mutated_field_gives_config_error_or_finite_sections(mutation):
     assert cfg.basis().width(cfg.m) >= 1
     for numbers in section_numbers(cfg):
         assert np.all(np.isfinite(numbers)), (section, name, value)
+
+
+@st.composite
+def rollout_grids(draw):
+    """(run.dt, purge.rollout_stride, purge.horizon) with the horizon a whole
+    number of rollout steps, or off one by up to twice 1e-9 * horizon or
+    twice 1e-9 s; the second covers (1e-9 * horizon, 1e-9] for horizons
+    under 1 s."""
+    dt = draw(st.sampled_from([1e-4, 5e-4, 1e-3, 2e-3]))
+    stride = draw(st.integers(1, 40))
+    whole = draw(st.integers(1, 50)) * stride * dt
+    scale = draw(st.sampled_from([1e-9 * whole, 1e-9]))
+    return dt, stride, whole + scale * draw(st.floats(-2.0, 2.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(grid=rollout_grids())
+def test_accepted_horizon_passes_the_rollout_step_check(grid):
+    dt, stride, horizon = grid
+    raw = default_config_dict()
+    raw["run"]["dt"] = dt
+    raw["purge"].update(horizon=horizon, rollout_stride=stride)
+    try:
+        cfg = ExperimentConfig(raw)
+    except ConfigError as exc:
+        assert "'purge.horizon'" in str(exc)
+        return
+    n, m = cfg.n, cfg.m
+    count = int(np.ceil(horizon / dt)) + 2
+    p_log = SampledSignal.from_samples(dt, count * dt, 0.0, np.zeros((count, n)))
+    u_log = SampledSignal.from_samples(dt, count * dt, 0.0, np.zeros((count, m)))
+    theta = ThetaVector(np.zeros(theta_dim(n, m)), n, m)
+    assert quality_eta2(p_log, u_log, theta, horizon, cfg.quality(), np.zeros(n)) == 0.0

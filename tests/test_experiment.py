@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from irlobs import experiment, purge
-from irlobs.errors import ConfigError, IrlobsError
+from irlobs.errors import ConfigError, IrlobsError, NumericOverflowError
 from irlobs.experiment import (
     ExperimentConfig,
     default_config,
@@ -39,6 +40,8 @@ INVALID_ENTRIES = [
     ("irl", "xi1", NAN, "irl.xi1"),
     ("purge", "kappa1_bar", NAN, "purge.kappa1_bar"),
     ("run", "duration", NAN, "run.duration"),
+    # 5e-10 s off two rollout steps: within 1e-9 s, but not within 1e-9 * horizon
+    ("purge", "horizon", 0.0400000005, "purge.horizon"),
 ]
 
 
@@ -260,7 +263,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("mode", ["observed", "query"])
     def test_online_irl_replays_the_run_bit_for_bit(self, monkeypatch, mode):
         # a fresh OnlineIrl fed the measurements and queries of a run, with a
-        # copy of its calibration stack, makes the same estimates and decisions
+        # copy of its calibration stack, makes the same estimates and
+        # decisions, also after it rejected a non-finite input at t = 0.002
         inputs, steps = [], []
         fresh = experiment.OnlineIrl
 
@@ -277,11 +281,20 @@ class TestRunExperiment:
         report = run_experiment(short_config(duration=2.0, mode=mode))
         cfg = inputs[0]
         online = fresh(*inputs)
-        stride = cfg.raw["run"]["report_stride"]
+        stride = cfg.report_stride
         theta_true = cfg.plant().theta
         rows_theta = [theta_true - online.theta]
         rows_w = [online.weights.stacked - report.w_true]
+
+        def measured_state():
+            return pickle.dumps((online.steps, online.p_log, online.u_log))
+
         for k, (t, p, u, queries) in enumerate(steps, 1):
+            if k == 2:
+                before = measured_state()
+                with pytest.raises(NumericOverflowError, match="non-finite"):
+                    online.step(t, p, np.full_like(u, np.nan), queries)
+                assert measured_state() == before
             online.step(t, p, u, queries)
             if k % stride == 0:
                 rows_theta.append(theta_true - online.theta)
@@ -354,7 +367,7 @@ class TestWriteReport:
         echo_path = tmp_path / "echo.json"
         echo_path.write_text(json.dumps(summary["config"]))
         cfg = load_config(echo_path)
-        assert cfg.to_dict() == short_report.config
+        assert cfg.raw == short_report.config
 
     def test_error_norms_decay_from_peak(self, tmp_path, short_report):
         # coarse-block envelope: transient wiggle inside a block is fine,
@@ -428,34 +441,71 @@ class TestCli:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC_DIR.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
         ))
+        out = tmp_path / "out"
+        cases = []  # (config file, --out, text the error line must contain)
         for i, (section, name, value, path) in enumerate(INVALID_ENTRIES[:5]):
             cfg_path = tmp_path / f"bad{i}.json"
             cfg_path.write_text(json.dumps({section: {name: value}, "run": {"duration": 0}}))
+            cases.append((cfg_path, out, f"'{path}'"))
+        horizon, latin1, empty = (tmp_path / f"{k}.json" for k in ("horizon", "latin1", "empty"))
+        horizon.write_text(
+            json.dumps({"purge": {"horizon": 0.0400000005}, "run": {"duration": 2.0}})
+        )
+        latin1.write_bytes('{"run": {"mode": "obs\xe9rved"}}'.encode("latin-1"))
+        empty.write_text(json.dumps({"run": {"duration": 0}}))
+        cases += [
+            (horizon, out, "'purge.horizon'"),
+            (latin1, out, "codec can't decode"),
+            (empty, latin1, "File exists"),  # --out names an existing file
+        ]
+        for cfg_path, out_dir, needle in cases:
             done = subprocess.run(
                 [sys.executable, "-m", "irlobs.cli", "run", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "out")],
+                 "--out", str(out_dir)],
                 capture_output=True, text=True, env=env, timeout=120,
             )
             assert done.returncode == 1, done.stderr
-            assert done.stderr.startswith("error: ") and f"'{path}'" in done.stderr
+            assert done.stderr.startswith("error: ") and needle in done.stderr, done.stderr
+            assert len(done.stderr.splitlines()) == 1, done.stderr
             assert "Traceback" not in done.stderr
 
-    def test_mode_and_seed_overrides(self, tmp_path):
+    def test_mode_and_seed_overrides(self, tmp_path, monkeypatch):
+        # the three flags write the same files as a config file that sets
+        # run.mode, run.seed and run.report_stride = 1, and each command
+        # validates its config once
         from irlobs.cli import main
 
-        cfg_path = tmp_path / "cfg.json"
+        built = []
+        init = ExperimentConfig.__init__
+
+        def counting(self, raw):
+            built.append(raw)
+            init(self, raw)
+
+        monkeypatch.setattr(ExperimentConfig, "__init__", counting)
+        cfg_path, set_path = tmp_path / "cfg.json", tmp_path / "set.json"
         raw = default_config_dict()
         raw["run"]["duration"] = 2.0
         cfg_path.write_text(json.dumps(raw))
-        out_dir = tmp_path / "out"
+        raw["run"].update(mode="observed", seed=7, report_stride=1)
+        set_path.write_text(json.dumps(raw))
+        flags_dir, file_dir = tmp_path / "flags", tmp_path / "file"
         assert main([
-            "run", "--config", str(cfg_path), "--out", str(out_dir),
-            "--mode", "observed", "--seed", "9",
+            "run", "--config", str(cfg_path), "--out", str(flags_dir),
+            "--mode", "observed", "--seed", "7", "--full-rate",
         ]) == 0
-        summary = json.loads((out_dir / "summary.json").read_text())
+        assert len(built) == 1
+        assert main(["run", "--config", str(set_path), "--out", str(file_dir)]) == 0
+        assert main(["are", "--config", str(set_path)]) == 0
+        assert len(built) == 3
+        summary = json.loads((flags_dir / "summary.json").read_text())
         assert summary["mode"] == "observed"
-        assert summary["seed"] == 9
+        assert summary["seed"] == 7
         assert summary["queries"] == 0
+        for name in ("ptilde.csv", "qtilde.csv", "thetatilde.csv", "wtilde.csv",
+                     "summary.json"):
+            assert (flags_dir / name).read_bytes() == (file_dir / name).read_bytes(), name
+        assert len((flags_dir / "wtilde.csv").read_text().splitlines()) == 2002
 
 
 class TestOutputFeedbackDiscipline:

@@ -35,6 +35,7 @@ class TestLinearPlant:
         np.testing.assert_array_equal(plant.a_prime[n:, :], plant.a)
         np.testing.assert_array_equal(plant.b_prime[:n, :], np.zeros((n, plant.m)))
         np.testing.assert_array_equal(plant.b_prime[n:, :], plant.b)
+        assert not plant.a_prime.flags.writeable and not plant.b_prime.flags.writeable
 
     def test_theta_round_trip(self, default_system):
         plant, _, _ = default_system
