@@ -36,7 +36,7 @@ from .irl import (
     WeightVector,
     data_select,
     ideal_weights,
-    read_eta,
+    read_lazy,
 )
 from .numerics import SampledSignal, linear_rk4_matrices, linear_rollout, rk4_step
 from .plant import (
@@ -58,6 +58,7 @@ from .purge import (
 )
 
 MODES = ("observed", "query")
+_GAMMA_BATCH = 256  # gain matrices per batched eigvalsh in run_experiment
 DEFAULTS_PATH = Path(__file__).with_name("default_config.json")
 
 
@@ -404,8 +405,8 @@ class OnlineIrl:
 
     @property
     def weights(self):
-        """The weight estimate in force, solved here if its solve was deferred."""
-        return self.purge_state.w_current.solved()
+        """The weight estimate in force; read_lazy runs its solve if that was deferred."""
+        return read_lazy(self.purge_state.w_current)
 
     def step(self, t, p, u, queries=()):
         """Take the measurement (p, u) at time t and offer the data."""
@@ -459,7 +460,7 @@ class OnlineIrl:
         if purge_policy(ps, stack, cand.eta) is not w_before:
             trace.weight_updates.append((cand.t, varpi, kappa_gate, u1_gate))
         if ps.purge_count > purges_before:
-            trace.purges.append((cand.t, kappa_gate, read_eta(cand.eta), eta_bar_before))
+            trace.purges.append((cand.t, kappa_gate, read_lazy(cand.eta), eta_bar_before))
 
 
 def run_experiment(cfg):
@@ -467,8 +468,9 @@ def run_experiment(cfg):
 
     Records the calibration stack, then per grid step advances the
     demonstrator, draws one oracle query in query mode, steps the
-    estimator, and every report_stride steps logs the estimation errors
-    against ground truth.  Deterministic for a fixed config and seed.
+    estimator, and every report_stride steps and at the last step logs
+    the estimation errors against ground truth.  Deterministic for a fixed
+    config and seed.
     """
     t_start = time.perf_counter()
     n, m = cfg.n, cfg.m
@@ -493,9 +495,9 @@ def run_experiment(cfg):
 
     rows = []  # (t, p - p_hat, q - q_hat, theta - theta_hat, W_hat - W)
     gamma_lo, gamma_hi = np.inf, 0.0
-    # the gain's spectrum is a report diagnostic: the gains of report_stride
+    # the gain's spectrum is a report diagnostic: the gains of _GAMMA_BATCH
     # steps are solved in one batch, per matrix bitwise the single solves
-    gammas = np.empty((report_stride,) + online.observer.gamma.shape)
+    gammas = np.empty((_GAMMA_BATCH,) + online.observer.gamma.shape)
     queries = 0
 
     def log_row(t, x):
@@ -516,12 +518,12 @@ def run_experiment(cfg):
             queries += 1
         online.step(t, x[:n], u, oracle)
 
-        gammas[k % report_stride] = online.observer.gamma
-        if (k + 1) % report_stride == 0 or k + 1 == steps:
-            lam = np.linalg.eigvalsh(gammas[: k % report_stride + 1])
+        gammas[k % _GAMMA_BATCH] = online.observer.gamma
+        if (k + 1) % _GAMMA_BATCH == 0 or k + 1 == steps:
+            lam = np.linalg.eigvalsh(gammas[: k % _GAMMA_BATCH + 1])
             gamma_lo = min(gamma_lo, float(lam[:, 0].min()))
             gamma_hi = max(gamma_hi, float(lam[:, -1].max()))
-        if (k + 1) % report_stride == 0:
+        if (k + 1) % report_stride == 0 or k + 1 == steps:
             log_row(t, x)
 
     irl_stack, w_final = online.irl_stack, online.weights.stacked

@@ -130,10 +130,6 @@ class WeightVector:
     def stacked(self):
         return np.concatenate([self.w_v, self.w_q, self.w_r_minus])
 
-    def solved(self):
-        """This estimate; a DeferredWeights answers with its solve."""
-        return self
-
     @classmethod
     def from_stacked(cls, vec, num_v, num_q, r1):
         vec = np.asarray(vec, dtype=float)
@@ -191,7 +187,7 @@ class Candidate:
 
     eta is a number, or a zero-argument callable returning it that is only
     called when the score is read: when the candidate is stored, or by the
-    purge gate (see read_eta).
+    purge gate (see read_lazy).
     """
 
     x: np.ndarray
@@ -201,9 +197,10 @@ class Candidate:
     t: float
 
 
-def read_eta(eta):
-    """A quality score given as a number or as a callable returning it."""
-    return eta() if callable(eta) else eta
+def read_lazy(value):
+    """A value given as itself or as a zero-argument callable returning it:
+    a quality score, or a weight estimate whose solve was deferred."""
+    return value() if callable(value) else value
 
 
 class _Entry:
@@ -393,7 +390,7 @@ def data_select(stack, candidate, xi1, xi2):
 
 def _store(stack, slot, entry):
     """Put the entry in the slot, reading its quality score now."""
-    entry.eta = read_eta(entry.eta)
+    entry.eta = read_lazy(entry.eta)
     stack.put(slot, entry.gram, entry)
 
 

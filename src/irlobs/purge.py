@@ -9,12 +9,13 @@ data beats everything currently stored and purge the stack.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, RankDeficiencyError
-from .irl import read_eta, solve_weights
+from .irl import read_lazy, solve_weights
 from .numerics import linear_rk4_matrices, linear_rollout
 
 _ROLLOUT_NORM_CAP = 1e12
@@ -127,64 +128,43 @@ def quality_eta2(p_log, u_log, theta_hat, t, quality, v0):
     return float(np.trapezoid(integrand, dx=h))
 
 
-class DeferredWeights:
-    """A weight estimate solved from a stack snapshot on its first read.
-
-    solved() runs solve_weights on the snapshot and keeps the result, so
-    the values are those an immediate solve would have given.
-    """
-
-    __slots__ = ("_snapshot", "_weights")
-
-    def __init__(self, snapshot):
-        self._snapshot = snapshot
-        self._weights = None
-
-    def solved(self):
-        """The WeightVector of the snapshot, solved on the first call."""
-        if self._weights is None:
-            self._weights = solve_weights(self._snapshot)
-            self._snapshot = None
-        return self._weights
-
-
 @dataclass
 class PurgeState:
     """Purge counter, gating thresholds and the weight estimate in force."""
 
     kappa1_bar: float
     kappa2_bar: float
-    w_current: object  # WeightVector or DeferredWeights; read it through solved()
+    w_current: object  # WeightVector, or a cached solve returning it; read with irl.read_lazy
     varpi: int = 0
     purge_count: int = 0
 
 
 def purge_policy(ps, stack, eta_now):
-    """Apply the weight-update and purge gates; returns the weights in force.
+    """Apply the weight-update and purge gates; returns ps.w_current.
 
     The weights are re-solved only when the last candidate was stored and
     the stack is well conditioned (otherwise held); the stack is emptied,
     weights surviving, when it is well conditioned and the current quality
     beats every stored score.  eta_now may be a callable (see
-    irl.read_eta); it is called only once the purge gate's kappa test
+    irl.read_lazy); it is called only once the purge gate's kappa test
     passes.
 
     When the Gram condition number certifies full column rank
     (stack.full_rank_kappa), the solve cannot fail, so it is deferred:
-    the new estimate is a DeferredWeights over a snapshot of the stack,
-    solved when first read.  Otherwise it is solved now, and a rank
-    deficient system holds the previous estimate.
+    the new estimate is a cached solve_weights of a snapshot of the
+    stack, run when read_lazy first reads it.  Otherwise it is solved
+    now, and a rank deficient system holds the previous estimate.
     """
     gram_kappa = stack.gram_kappa
     if gram_kappa < ps.kappa1_bar and ps.varpi == 1 and stack.sigma_u1_norm >= stack.xi2:
         if gram_kappa < stack.full_rank_kappa:
-            ps.w_current = DeferredWeights(stack.snapshot())
+            ps.w_current = functools.cache(functools.partial(solve_weights, stack.snapshot()))
         else:
             try:
                 ps.w_current = solve_weights(stack)
             except RankDeficiencyError:
                 pass  # hold at the previous value
-    if gram_kappa < ps.kappa2_bar and read_eta(eta_now) < stack.eta_min:
+    if gram_kappa < ps.kappa2_bar and read_lazy(eta_now) < stack.eta_min:
         stack.clear()
         ps.purge_count += 1
     return ps.w_current

@@ -14,7 +14,7 @@ from irlobs.estimator import (
     theta_dim,
 )
 from irlobs.experiment import default_config, prerecord_param_stack
-from irlobs.irl import eval_features, read_eta, solve_weights
+from irlobs.irl import eval_features, read_lazy, solve_weights
 from irlobs.numerics import SampledSignal, rk4_step
 from irlobs.plant import (
     CostFunction,
@@ -142,7 +142,7 @@ def eager_purge_policy(ps, stack, eta_now):
             ps.w_current = solve_weights(stack)
         except RankDeficiencyError:
             pass
-    if gram_kappa < ps.kappa2_bar and read_eta(eta_now) < stack.eta_min:
+    if gram_kappa < ps.kappa2_bar and read_lazy(eta_now) < stack.eta_min:
         stack.clear()
         ps.purge_count += 1
     return ps.w_current

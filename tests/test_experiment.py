@@ -178,10 +178,9 @@ class TestRunExperiment:
                      "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_different_seed_changes_queries(self):
-        rep1 = run_experiment(short_config(seed=1))
-        rep2 = run_experiment(short_config(seed=2))
-        assert not np.array_equal(rep1.w_tilde[-1], rep2.w_tilde[-1])
+    def test_different_seed_changes_queries(self, short_report):
+        other = run_experiment(short_config(seed=1))
+        assert not np.array_equal(short_report.w_tilde[-1], other.w_tilde[-1])
 
     def test_estimator_converges_in_short_run(self, short_report):
         theta_norm = short_report.norms("theta_tilde")
@@ -192,12 +191,17 @@ class TestRunExperiment:
         assert np.isfinite(short_report.gamma_eig_max)
 
     def test_gamma_bounds_do_not_depend_on_the_report_stride(self):
-        # the gain spectra are solved in report-sized batches; 1,900 steps
-        # leave a partial last batch at stride 7
+        # the gain spectra are solved in fixed-size batches, whatever the
+        # report stride; 1,900 steps leave a partial last batch.  They also
+        # end between two report steps at stride 7, and the last step is
+        # logged too, so the last row is the final estimate
         bounds = []
         for stride in (1, 7):
             report = run_experiment(short_config(1.9, mode="observed", report_stride=stride))
             bounds.append((report.gamma_eig_min, report.gamma_eig_max))
+            assert report.t.size == -(-1900 // stride) + 1
+            assert report.t[-1] == 1900 * 1e-3
+            assert report.w_tilde[-1].tobytes() == (report.w_final - report.w_true).tobytes()
         assert bounds[0] == bounds[1]
 
     @pytest.mark.parametrize("mode", ["observed", "query"])
@@ -429,6 +433,18 @@ class TestCli:
         assert full_rows > 9 * downsampled_rows
         assert main(["are", "--config", str(cfg_path)]) == 0
         assert "closed-loop eigenvalues" in capsys.readouterr().out
+
+    def test_huge_report_stride_reports_the_first_and_last_step(self, tmp_path):
+        # the gain spectra batch does not grow with the stride, so this
+        # allocates no stride-sized buffer
+        from irlobs.cli import main
+
+        cfg_path = tmp_path / "stride.json"
+        cfg_path.write_text(json.dumps({"run": {"duration": 2.0, "report_stride": 10**12}}))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        rows = (out_dir / "thetatilde.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.000000", "2.000000"]
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         from irlobs.cli import main

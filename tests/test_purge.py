@@ -14,12 +14,12 @@ from irlobs.irl import (
     IrlHistoryStack,
     WeightVector,
     data_select,
+    read_lazy,
     solve_weights,
 )
 from irlobs.numerics import SampledSignal
 from irlobs.plant import optimal_action
 from irlobs.purge import (
-    DeferredWeights,
     PurgeState,
     QualityConfig,
     purge_policy,
@@ -220,7 +220,7 @@ class TestPurgePolicy:
         stack = filled_stack(default_system, basis)
         ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e6, w_current=zero_weights(basis), varpi=1)
         w = purge_policy(ps, stack, eta_now=10.0)
-        assert np.linalg.norm(w.solved().stacked) > 0.0
+        assert np.linalg.norm(read_lazy(w).stacked) > 0.0
 
     def test_no_purge_when_quality_not_better(self, default_system, basis):
         stack = filled_stack(default_system, basis, eta=1.0)
@@ -239,7 +239,7 @@ class TestPurgePolicy:
         assert stack.size == 0
         # the weights survive the purge
         assert w_after is ps.w_current
-        np.testing.assert_array_equal(w_after.solved().stacked, w_before.solved().stacked)
+        np.testing.assert_array_equal(read_lazy(w_after).stacked, read_lazy(w_before).stacked)
 
     def test_purge_blocked_by_conditioning(self, default_system, basis):
         stack = filled_stack(default_system, basis, count=2, eta=1.0)  # rank deficient
@@ -319,12 +319,27 @@ class TestDeferredSolve:
         assert len(updates) > 10 and updates[0][2] < 60  # later offers store swaps
         assert stack.size == 30 and stack.gram_kappa < stack.full_rank_kappa
         for w, stack_then, _ in updates:
-            assert isinstance(w, DeferredWeights)
-            assert_same_weights(w.solved(), solve_weights(stack_then))
+            assert callable(w) and not isinstance(w, WeightVector)
+            assert_same_weights(read_lazy(w), solve_weights(stack_then))
         assert len(solves) == len(updates)
         for w, _, _ in updates:  # the solve is kept
-            assert w.solved() is w.solved()
+            assert read_lazy(w) is read_lazy(w)
         assert len(solves) == len(updates)
+
+    def test_one_reader_for_held_and_deferred_weights(self, default_system, basis, monkeypatch):
+        # read_lazy hands a WeightVector back as it is, and runs a deferred
+        # estimate's solve on its first read only
+        stack = filled_stack(default_system, basis)
+        solves = counting_solves(monkeypatch)
+        w0 = zero_weights(basis)
+        assert read_lazy(w0) is w0
+        ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e6, w_current=w0, varpi=1)
+        w = purge_policy(ps, stack, eta_now=10.0)
+        assert w is ps.w_current and not solves
+        first = read_lazy(w)
+        assert isinstance(first, WeightVector) and read_lazy(w) is first
+        assert len(solves) == 1
+        assert_same_weights(first, solve_weights(stack))
 
     def test_kappa_above_the_certificate_solves_at_once(self, default_system, basis, monkeypatch):
         stack = filled_stack(default_system, basis)
@@ -333,7 +348,7 @@ class TestDeferredSolve:
         ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e6, w_current=zero_weights(basis), varpi=1)
         w = purge_policy(ps, stack, eta_now=10.0)
         assert len(solves) == 1 and isinstance(w, WeightVector)
-        assert w.solved() is w
+        assert read_lazy(w) is w
         assert_same_weights(w, solve_weights(stack))
 
     def test_kappa_above_the_certificate_holds_on_rank_deficiency(
