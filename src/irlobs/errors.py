@@ -43,3 +43,6 @@ class ArgumentError(ValueError):
     def __init__(self, name, message):
         super().__init__(message)
         self.name = name
+
+    def __reduce__(self):  # unpickling calls the class with these arguments
+        return type(self), (self.name, str(self))

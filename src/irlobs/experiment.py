@@ -2,9 +2,10 @@
 
 OnlineIrl steps estimator -> cost recovery -> purge policy once per
 measurement; run_experiment drives it from a simulated demonstrator on a
-common clock, in observed or query mode, and write_report emits CSV/JSON
-reports.  OnlineIrl sees only the measured position and input (and the
-oracle's answers); ground truth is touched exclusively for report columns.
+common clock, in observed or query mode and, where os.fork exists, in two
+processes, and write_report emits CSV/JSON reports.  OnlineIrl sees only
+the measured position and input (and the oracle's answers); ground truth
+is touched exclusively for report columns.
 """
 
 from __future__ import annotations
@@ -12,19 +13,24 @@ from __future__ import annotations
 import copy
 import csv
 import functools
+import itertools
 import json
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, NumericOverflowError
+from .errors import ArgumentError, ConfigError, IrlobsError, NumericOverflowError
 from .estimator import (
     AdaptiveObserver,
     EstimatorGains,
     ParamHistoryStack,
+    ThetaVector,
     integral_regressor,
     integral_residual,
     theta_dim,
@@ -59,6 +65,7 @@ from .purge import (
 
 MODES = ("observed", "query")
 _GAMMA_BATCH = 256  # gain matrices per batched eigvalsh in run_experiment
+_PIPE_BATCH = 32  # measured steps per write to the pipe in _pipelined
 DEFAULTS_PATH = Path(__file__).with_name("default_config.json")
 
 
@@ -366,6 +373,8 @@ class OnlineIrl:
     IRL stack under the weight-update/purge policy.  It sees nothing else:
     param_stack comes filled by a calibration maneuver (see
     prerecord_param_stack), and w0 is the stacked initial weight guess.
+    step is offer(*measure(t, p, u), queries): measure is the estimator,
+    offer the cost recovery, and offer reads nothing that measure writes.
     """
 
     def __init__(self, cfg, param_stack, p0, u0, w0):
@@ -410,6 +419,13 @@ class OnlineIrl:
 
     def step(self, t, p, u, queries=()):
         """Take the measurement (p, u) at time t and offer the data."""
+        self.offer(*self.measure(t, p, u), queries)
+
+    def measure(self, t, p, u):
+        """The estimator half of step: log (p, u) at time t, record the
+        parameter stack, advance the adaptation law and the observer, and
+        score the quality η (inf before eta_floor_step).  Returns the
+        arguments of offer: (t, x_hat, u, theta, eta)."""
         gains, observer = self.gains, self.observer
         # a rejected measurement leaves every log and counter as it was
         self.p_log.check(t, p)
@@ -427,14 +443,17 @@ class OnlineIrl:
         self.qhat_log.append(t, observer.q_hat)
 
         theta_v = observer.theta_vector
-        eta = float("inf")
-        if self.steps >= self.eta_floor_step:
-            # only a stored offer and a passed purge kappa test read eta, so
-            # it is scored on the first read, at most once per step
-            eta = functools.cache(functools.partial(self._eta, t, theta_v))
-        self._offer(Candidate(x=observer.x_hat, u=u, theta=theta_v, eta=eta, t=t))
+        eta = self._eta(t, theta_v) if self.steps >= self.eta_floor_step else float("inf")
+        return t, observer.x_hat, u, theta_v, eta
+
+    def offer(self, t, x_hat, u, theta, eta, queries=()):
+        """The cost-recovery half of step: offer the estimated pair
+        (x_hat, u) and each oracle pair, with theta and eta, to the IRL
+        stack under the weight-update/purge policy.  Reads nothing that
+        measure changes, so it may run in another process."""
+        self._offer(Candidate(x=x_hat, u=u, theta=theta, eta=eta, t=t))
         for x_star, u_star in queries:
-            self._offer(Candidate(x=x_star, u=u_star, theta=theta_v, eta=eta, t=t))
+            self._offer(Candidate(x=x_star, u=u_star, theta=theta, eta=eta, t=t))
 
     def _eta(self, t, theta_v):
         quality = self.quality
@@ -460,7 +479,96 @@ class OnlineIrl:
         if purge_policy(ps, stack, cand.eta) is not w_before:
             trace.weight_updates.append((cand.t, varpi, kappa_gate, u1_gate))
         if ps.purge_count > purges_before:
-            trace.purges.append((cand.t, kappa_gate, read_lazy(cand.eta), eta_bar_before))
+            trace.purges.append((cand.t, kappa_gate, cand.eta, eta_bar_before))
+
+
+def _measure_run(cfg, demo, online, steps, emit):
+    """The measuring half of run_experiment: per grid step k = 1..steps,
+    advance the demonstrator, draw one oracle query in query mode, call
+    online.measure and emit(k, x, measured, queries); returns the bounds
+    of the observer gain's spectrum over the run."""
+    n, dt = cfg.n, cfg.dt
+    field_fn = closed_loop_field(demo)
+    rng = np.random.default_rng(cfg.seed)
+    # the gain's spectrum is a report diagnostic: the gains of _GAMMA_BATCH
+    # steps are solved in one batch, per matrix bitwise the single solves
+    gammas = np.empty((_GAMMA_BATCH,) + online.observer.gamma.shape)
+    gamma_lo, gamma_hi = np.inf, 0.0
+    x = cfg.x0
+    for k in range(steps):
+        x = rk4_step(field_fn, k * dt, x, dt)
+        t = (k + 1) * dt
+        u = optimal_action(demo, x)
+        queries = ()
+        if cfg.mode == "query":
+            x_star = rng.uniform(cfg.query_low, cfg.query_high)
+            queries = ((x_star, query(demo, x_star)),)
+        emit(k + 1, x, online.measure(t, x[:n], u), queries)
+
+        gammas[k % _GAMMA_BATCH] = online.observer.gamma
+        if (k + 1) % _GAMMA_BATCH == 0 or k + 1 == steps:
+            lam = np.linalg.eigvalsh(gammas[: k % _GAMMA_BATCH + 1])
+            gamma_lo = min(gamma_lo, float(lam[:, 0].min()))
+            gamma_hi = max(gamma_hi, float(lam[:, -1].max()))
+    return gamma_lo, gamma_hi
+
+
+def _pipelined(front, take, n, m, mode):
+    """front(emit) in a forked child, and here take(k, x, measured,
+    queries) for each step it emits; returns what front returns.
+
+    The child streams each step as a float64 row (t, eta, x, x_hat, u,
+    theta and, in query mode, x* and u*) over a pipe, _PIPE_BATCH steps
+    per write.  A row of zeros (t = 0 is no measured step) ends the rows,
+    and the pickled result of front, or the exception it raised, follows;
+    that exception is raised here once the steps before it are taken.  An
+    exception here kills the child, and the child is always reaped.
+    """
+    sizes = [2, 2 * n, 2 * n, m, theta_dim(n, m)] + ([2 * n, m] if mode == "query" else [])
+    cuts = np.cumsum([0] + sizes).tolist()
+    size = 8 * cuts[-1]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb", buffering=size * _PIPE_BATCH) as pipe:
+
+                def emit(k, x, measured, queries):
+                    t, x_hat, u, theta, eta = measured
+                    pipe.write(np.concatenate(
+                        [(t, eta), x, x_hat, u, theta.theta, *itertools.chain(*queries)]
+                    ))
+
+                try:
+                    result = front(emit)
+                except BaseException as exc:  # raised again in the parent
+                    result = exc
+                pipe.write(bytes(size))
+                pickle.dump(result, pipe)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            for k in itertools.count(1):
+                data = pipe.read(size)
+                if len(data) < size or data[:8] == bytes(8):
+                    break
+                row = np.frombuffer(data)
+                _, x, x_hat, u, theta, *pair = (row[a:b].copy() for a, b in zip(cuts, cuts[1:]))
+                measured = (float(row[0]), x_hat, u, ThetaVector(theta, n, m), float(row[1]))
+                take(k, x, measured, (tuple(pair),) if pair else ())
+            try:  # after the end row; EOF if the child died before it
+                result = pickle.load(pipe)
+            except Exception as exc:
+                raise IrlobsError("the measuring process ended without a result") from exc
+        if isinstance(result, BaseException):
+            raise result
+        return result
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def run_experiment(cfg):
@@ -469,8 +577,12 @@ def run_experiment(cfg):
     Records the calibration stack, then per grid step advances the
     demonstrator, draws one oracle query in query mode, steps the
     estimator, and every report_stride steps and at the last step logs
-    the estimation errors against ground truth.  Deterministic for a fixed
-    config and seed.
+    the estimation errors against ground truth.  Where os.fork exists,
+    the run is a two-process pipeline: a child runs the demonstrator, the
+    oracle and OnlineIrl.measure, and this process runs OnlineIrl.offer
+    and the report rows on the records it streams (see _pipelined); no
+    output bit depends on which.  Deterministic for a fixed config and
+    seed.
     """
     t_start = time.perf_counter()
     n, m = cfg.n, cfg.m
@@ -481,50 +593,34 @@ def run_experiment(cfg):
     _check_rk4_step(demo.a_cl, cfg.excitation_dt, "gains.excitation_dt")
 
     steps = int(round(cfg.duration / dt))
-    rng = np.random.default_rng(cfg.seed)
     report_stride = cfg.report_stride
     theta_true = plant.theta
     w_true = ideal_weights(basis, demo.riccati_p, cost.w_q, cost.r_diag).stacked
 
     param_stack = ParamHistoryStack(cfg.param_capacity, theta_dim(n, m), cfg.min_eig_threshold)
     prerecord_param_stack(demo, cfg, param_stack)
-
-    x = cfg.x0
-    online = OnlineIrl(cfg, param_stack, x[:n], optimal_action(demo, x), cfg.w0)
-    field_fn = closed_loop_field(demo)
+    online = OnlineIrl(cfg, param_stack, cfg.x0[:n], optimal_action(demo, cfg.x0), cfg.w0)
 
     rows = []  # (t, p - p_hat, q - q_hat, theta - theta_hat, W_hat - W)
-    gamma_lo, gamma_hi = np.inf, 0.0
-    # the gain's spectrum is a report diagnostic: the gains of _GAMMA_BATCH
-    # steps are solved in one batch, per matrix bitwise the single solves
-    gammas = np.empty((_GAMMA_BATCH,) + online.observer.gamma.shape)
-    queries = 0
 
-    def log_row(t, x):
-        x_tilde = x - online.x_hat
-        rows.append((t, x_tilde[:n], x_tilde[n:], theta_true - online.theta,
+    def log_row(t, x, x_hat, theta):
+        x_tilde = x - x_hat
+        rows.append((t, x_tilde[:n], x_tilde[n:], theta_true - theta,
                      online.weights.stacked - w_true))
 
-    if steps > 0:
-        log_row(0.0, x)
-    for k in range(steps):
-        x = rk4_step(field_fn, k * dt, x, dt)
-        t = (k + 1) * dt
-        u = optimal_action(demo, x)
-        oracle = ()
-        if cfg.mode == "query":
-            x_star = rng.uniform(cfg.query_low, cfg.query_high)
-            oracle = ((x_star, query(demo, x_star)),)
-            queries += 1
-        online.step(t, x[:n], u, oracle)
+    def take(k, x, measured, queries):
+        online.offer(*measured, queries)
+        if k % report_stride == 0 or k == steps:
+            t, x_hat, _, theta, _ = measured
+            log_row(t, x, x_hat, theta.theta)
 
-        gammas[k % _GAMMA_BATCH] = online.observer.gamma
-        if (k + 1) % _GAMMA_BATCH == 0 or k + 1 == steps:
-            lam = np.linalg.eigvalsh(gammas[: k % _GAMMA_BATCH + 1])
-            gamma_lo = min(gamma_lo, float(lam[:, 0].min()))
-            gamma_hi = max(gamma_hi, float(lam[:, -1].max()))
-        if (k + 1) % report_stride == 0 or k + 1 == steps:
-            log_row(t, x)
+    if steps > 0:
+        log_row(0.0, cfg.x0, online.x_hat, online.theta)
+    front = functools.partial(_measure_run, cfg, demo, online, steps)
+    if hasattr(os, "fork"):
+        gamma_lo, gamma_hi = _pipelined(front, take, n, m, cfg.mode)
+    else:
+        gamma_lo, gamma_hi = front(take)
 
     irl_stack, w_final = online.irl_stack, online.weights.stacked
     final_residual = float("nan")
@@ -545,7 +641,7 @@ def run_experiment(cfg):
         theta_tilde=series(3, theta_dim(n, m)),
         w_tilde=series(4, basis.width(m)),
         purge_count=online.purge_state.purge_count,
-        queries=queries,
+        queries=steps if cfg.mode == "query" else 0,
         final_kappa=irl_stack.kappa,
         final_gram_kappa=irl_stack.gram_kappa,
         final_residual=final_residual,

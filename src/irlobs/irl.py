@@ -184,22 +184,18 @@ def entry_rows(basis, x_hat, u, theta_hat, r1):
 class Candidate:
     """A state-action pair offered to the history stack, with the parameter
     estimate in force and the estimator-quality score at recording time.
-
-    eta is a number, or a zero-argument callable returning it that is only
-    called when the score is read: when the candidate is stored, or by the
-    purge gate (see read_lazy).
     """
 
     x: np.ndarray
     u: np.ndarray
     theta: object  # ThetaVector
-    eta: object  # float, or a callable returning it
+    eta: float
     t: float
 
 
 def read_lazy(value):
-    """A value given as itself or as a zero-argument callable returning it:
-    a quality score, or a weight estimate whose solve was deferred."""
+    """A weight estimate given as itself, or as a zero-argument callable
+    that runs its deferred solve and returns it."""
     return value() if callable(value) else value
 
 
@@ -364,7 +360,7 @@ def data_select(stack, candidate, xi1, xi2):
     if not (np.isfinite(entry.rows).all() and np.isfinite(entry.rhs).all()):
         raise ValueError("candidate produced non-finite regression rows")
     if not stack.is_full:
-        _store(stack, stack.size, entry)
+        stack.put(stack.size, entry.gram, entry)
         return 1
     # a swap can pass the gate only with kappa below xi1*kappa_cur, since
     # the rounding factor is at least 1; a kappa_cur of inf scores every swap
@@ -383,15 +379,9 @@ def data_select(stack, candidate, xi1, xi2):
         best_gram_kappa * rounding < xi1 * stack.gram_kappa
         and np.sqrt(max(rhs_sq_new, 0.0)) >= stack.xi2
     ):
-        _store(stack, best_i, entry)
+        stack.put(best_i, entry.gram, entry)
         return 1
     return 0
-
-
-def _store(stack, slot, entry):
-    """Put the entry in the slot, reading its quality score now."""
-    entry.eta = read_lazy(entry.eta)
-    stack.put(slot, entry.gram, entry)
 
 
 def solve_weights(stack):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, RankDeficiencyError
-from .irl import read_lazy, solve_weights
+from .irl import solve_weights
 from .numerics import linear_rk4_matrices, linear_rollout
 
 _ROLLOUT_NORM_CAP = 1e12
@@ -145,9 +145,7 @@ def purge_policy(ps, stack, eta_now):
     The weights are re-solved only when the last candidate was stored and
     the stack is well conditioned (otherwise held); the stack is emptied,
     weights surviving, when it is well conditioned and the current quality
-    beats every stored score.  eta_now may be a callable (see
-    irl.read_lazy); it is called only once the purge gate's kappa test
-    passes.
+    beats every stored score.
 
     When the Gram condition number certifies full column rank
     (stack.full_rank_kappa), the solve cannot fail, so it is deferred:
@@ -164,7 +162,7 @@ def purge_policy(ps, stack, eta_now):
                 ps.w_current = solve_weights(stack)
             except RankDeficiencyError:
                 pass  # hold at the previous value
-    if gram_kappa < ps.kappa2_bar and read_lazy(eta_now) < stack.eta_min:
+    if gram_kappa < ps.kappa2_bar and eta_now < stack.eta_min:
         stack.clear()
         ps.purge_count += 1
     return ps.w_current

@@ -1,6 +1,5 @@
 """Configuration, runner and reporting tests."""
 
-import copy
 import json
 import os
 import pickle
@@ -14,6 +13,7 @@ import pytest
 
 from irlobs import experiment, purge
 from irlobs.errors import ConfigError, IrlobsError, NumericOverflowError
+from irlobs.estimator import ParamHistoryStack, theta_dim
 from irlobs.experiment import (
     ExperimentConfig,
     default_config,
@@ -22,6 +22,8 @@ from irlobs.experiment import (
     run_experiment,
     write_report,
 )
+from irlobs.numerics import rk4_step
+from irlobs.plant import closed_loop_field, make_demonstrator, optimal_action, query
 
 from conftest import eager_purge_policy
 
@@ -52,6 +54,27 @@ def short_config(duration=4.0, mode="query", seed=0, **run_overrides):
     raw["run"]["seed"] = seed
     raw["run"].update(run_overrides)
     return ExperimentConfig(raw)
+
+
+def measured_run(cfg):
+    """A fresh OnlineIrl as run_experiment builds it, and the (t, p, u,
+    queries) of every step that run_experiment measures, made with the same
+    calls in the same order."""
+    n, dt = cfg.n, cfg.dt
+    demo = make_demonstrator(cfg.plant(), cfg.cost())
+    stack = ParamHistoryStack(cfg.param_capacity, theta_dim(n, cfg.m), cfg.min_eig_threshold)
+    experiment.prerecord_param_stack(demo, cfg, stack)
+    online = experiment.OnlineIrl(cfg, stack, cfg.x0[:n], optimal_action(demo, cfg.x0), cfg.w0)
+    field_fn, rng = closed_loop_field(demo), np.random.default_rng(cfg.seed)
+    x, steps = cfg.x0, []
+    for k in range(round(cfg.duration / dt)):
+        x = rk4_step(field_fn, k * dt, x, dt)
+        u, queries = optimal_action(demo, x), ()
+        if cfg.mode == "query":
+            x_star = rng.uniform(cfg.query_low, cfg.query_high)
+            queries = ((x_star, query(demo, x_star)),)
+        steps.append(((k + 1) * dt, x[:n], u, queries))
+    return online, steps
 
 
 @pytest.fixture(scope="module")
@@ -205,10 +228,10 @@ class TestRunExperiment:
         assert bounds[0] == bounds[1]
 
     @pytest.mark.parametrize("mode", ["observed", "query"])
-    def test_quality_score_computed_once_per_step_that_reads_it(self, monkeypatch, mode):
-        # with kappa2_bar tiny the purge gate never compares eta, so only a
-        # store after the smoothing floor reads it, at most once per step;
-        # eta1 and eta2 share one smoothed velocity
+    def test_eta_computed_once_per_step_from_the_floor(self, monkeypatch, mode):
+        # measure scores eta once per step from the first step with the
+        # full horizon and smoothing window on, whether or not a decision
+        # reads it; eta1 and eta2 share one smoothed velocity
         times, smoothings = [], []
         original = experiment.quality_eta2
 
@@ -228,16 +251,16 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "quality_eta2", counting)
         counting_smoothing(experiment)
         counting_smoothing(purge)
-        raw = default_config_dict()
-        raw["run"].update(duration=2.0, mode=mode)
-        raw["purge"]["kappa2_bar"] = 1e-300
-        report = run_experiment(ExperimentConfig(raw))
-        floor = raw["purge"]["horizon"] + raw["purge"]["half_width"] * raw["run"]["dt"]
-        stored = sorted({t for t, *_ in report.trace.stores if t > floor - 1e-9})
-        assert times == stored
-        assert len(smoothings) == len(times)
-        steps_after_floor = round((2.0 - floor) / raw["run"]["dt"]) + 1
-        assert 0 < len(times) < steps_after_floor
+        cfg = short_config(duration=2.0, mode=mode)
+        online, steps = measured_run(cfg)
+        for t, p, u, queries in steps:
+            online.step(t, p, u, queries)
+        floor = cfg.quality().horizon + cfg.quality().half_width * cfg.dt
+        assert online.eta_floor_step == round(floor / cfg.dt)
+        assert times == [t for k, (t, *_) in enumerate(steps, 1) if k >= online.eta_floor_step]
+        assert smoothings == [t - cfg.quality().horizon for t in times]
+        stored = {t for t, *_ in online.trace.stores if t > floor - 1e-9}
+        assert stored and stored <= set(times)
 
     def test_deferred_weight_solve_matches_eager_reference(self, monkeypatch):
         # the estimate is solved when read, yet every weight update, store,
@@ -265,26 +288,14 @@ class TestRunExperiment:
         assert 0 < len(solves) <= deferred.t.size
 
     @pytest.mark.parametrize("mode", ["observed", "query"])
-    def test_online_irl_replays_the_run_bit_for_bit(self, monkeypatch, mode):
-        # a fresh OnlineIrl fed the measurements and queries of a run, with a
-        # copy of its calibration stack, makes the same estimates and
-        # decisions, also after it rejected a non-finite input at t = 0.002
-        inputs, steps = [], []
-        fresh = experiment.OnlineIrl
-
-        class Recording(fresh):
-            def __init__(self, cfg, param_stack, p0, u0, w0):
-                inputs.extend([cfg, copy.deepcopy(param_stack), p0.copy(), u0.copy(), w0])
-                super().__init__(cfg, param_stack, p0, u0, w0)
-
-            def step(self, t, p, u, queries=()):
-                steps.append((t, p.copy(), u.copy(), copy.deepcopy(queries)))
-                super().step(t, p, u, queries)
-
-        monkeypatch.setattr(experiment, "OnlineIrl", Recording)
-        report = run_experiment(short_config(duration=2.0, mode=mode))
-        cfg = inputs[0]
-        online = fresh(*inputs)
+    def test_online_irl_replays_the_run_bit_for_bit(self, mode):
+        # a fresh in-process OnlineIrl fed the measurements and queries that
+        # the pipelined run measures, made with the same calls, makes the
+        # same estimates and decisions, also after it rejected a non-finite
+        # input at t = 0.002
+        cfg = short_config(duration=2.0, mode=mode)
+        report = run_experiment(cfg)
+        online, steps = measured_run(cfg)
         stride = cfg.report_stride
         theta_true = cfg.plant().theta
         rows_theta = [theta_true - online.theta]
@@ -308,6 +319,22 @@ class TestRunExperiment:
         assert np.asarray(rows_w).tobytes() == report.w_tilde.tobytes()
         assert online.trace == report.trace
         assert len(report.trace.stores) > 0
+
+    def test_in_process_run_equals_the_pipelined_run(self, monkeypatch):
+        # without os.fork, measure and offer run in one process, with the
+        # same bits; a pipelined run leaves no child process behind
+        cfg = short_config(duration=2.0)
+        pipelined = run_experiment(cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.delattr(os, "fork")
+        serial = run_experiment(cfg)
+        assert serial.trace == pipelined.trace and len(serial.trace.weight_updates) > 0
+        for name in ("t", "p_tilde", "q_tilde", "theta_tilde", "w_tilde", "w_final"):
+            assert getattr(serial, name).tobytes() == getattr(pipelined, name).tobytes(), name
+        for name in ("queries", "purge_count", "gamma_eig_min", "gamma_eig_max",
+                     "final_kappa", "final_gram_kappa", "final_residual"):
+            assert getattr(serial, name) == getattr(pipelined, name), name
 
     def test_step_off_the_time_grid_is_an_irlobs_error(self, monkeypatch):
         # a measurement stream that restarts, repeats or skips a grid time

@@ -10,8 +10,10 @@ traceback or a report of NaNs.
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irlobs import experiment
+from irlobs import errors, experiment
 from irlobs.cli import main
 from irlobs.errors import ConfigError, NumericOverflowError
 from irlobs.experiment import ExperimentConfig, default_config_dict, run_experiment
@@ -151,3 +153,100 @@ def test_cli_exits_1_on_a_too_large_grid_step(tmp_path):
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("error: ") and "dt too large" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+ERRORS = [  # one of every exception class in irlobs.errors, with its fields
+    (errors.IrlobsError("base"), {}),
+    (errors.NumericOverflowError("non-finite"), {}),
+    (errors.WindowUnderflowError("before the window"), {}),
+    (errors.SolverFailureError("no convergence", residual=0.25), {"residual": 0.25}),
+    (errors.RankDeficiencyError("rank deficient", rank=3), {"rank": 3}),
+    (errors.SampleTimeError("off-grid"), {}),
+    (errors.ConfigError("field 'run.dt'"), {}),
+    (errors.ArgumentError("horizon", "must be positive"), {"name": "horizon"}),
+]
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    # the run's measuring process sends its exception to the caller pickled
+    classes = {
+        c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)
+    }
+    assert {type(exc) for exc, _ in ERRORS} == classes
+    for exc, fields in ERRORS:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+        assert {name: getattr(back, name) for name in fields} == fields
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def patch_step_half(mp, name, step=None, fail=None):
+    """Call fail(t) instead of OnlineIrl.<name> at its step-th call, in
+    whichever process runs it; returns the times of the calls made in this
+    process."""
+    original = getattr(experiment.OnlineIrl, name)
+    calls = []
+
+    def patched(self, t, *args):
+        calls.append(t)
+        if len(calls) == step:
+            fail(t)
+        return original(self, t, *args)
+
+    mp.setattr(experiment.OnlineIrl, name, patched)
+    return calls
+
+
+def rank_failure(t):
+    raise errors.RankDeficiencyError(f"injected at t = {t:.3f}", rank=3)
+
+
+pipelined = pytest.mark.skipif(not hasattr(os, "fork"), reason="runs in one process")
+
+
+@pipelined
+def test_an_error_in_measure_reaches_the_caller(tmp_path, capsys):
+    # the steps measured before the error are offered, then the child's
+    # exception is raised here with its type, message and fields
+    with pytest.MonkeyPatch.context() as mp:
+        patch_step_half(mp, "measure", 700, rank_failure)
+        offers = patch_step_half(mp, "offer")
+        with pytest.raises(errors.RankDeficiencyError, match=r"^injected at t = 0\.700$") as info:
+            run_experiment(ExperimentConfig(short_raw()))
+    assert info.value.rank == 3 and offers == [0.001 * k for k in range(1, 700)]
+    assert_no_child_left()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(short_raw()))
+    with pytest.MonkeyPatch.context() as mp:
+        patch_step_half(mp, "measure", 700, rank_failure)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: injected at t = 0.700\n"
+    assert not (tmp_path / "out").exists()
+    assert_no_child_left()
+
+
+@pipelined
+def test_an_error_in_offer_stops_and_reaps_the_child():
+    # the child of a 60 s query run is killed at the first offer's error,
+    # not left to measure the run to its end
+    raw = short_raw(duration=60.0)
+    with pytest.MonkeyPatch.context() as mp:
+        patch_step_half(mp, "offer", 1, rank_failure)
+        start = time.perf_counter()
+        with pytest.raises(errors.RankDeficiencyError, match="0.001"):
+            run_experiment(ExperimentConfig(raw))
+    assert time.perf_counter() - start < 30.0
+    assert_no_child_left()
+
+
+@pipelined
+def test_a_child_that_exits_without_a_result_is_an_irlobs_error():
+    with pytest.MonkeyPatch.context() as mp:
+        patch_step_half(mp, "measure", 300, lambda t: os._exit(3))
+        with pytest.raises(errors.IrlobsError, match="ended without a result"):
+            run_experiment(ExperimentConfig(short_raw()))
+    assert_no_child_left()
