@@ -57,7 +57,6 @@ from .plant import (
     make_demonstrator,
     optimal_action,
     query,
-    simulate_demonstrator,
 )
 from .purge import (
     PurgeState,

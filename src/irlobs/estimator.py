@@ -105,47 +105,45 @@ class EstimatorGains:
                 raise ArgumentError(name, f"gain {name} must be positive")
 
 
-def integral_residual(p_log, t, t1, t2):
-    """Measured side of the integral error system.
+def integral_residual(p_log, k, t1, t2):
+    """Measured side of the integral error system at step k.
 
     The four-point position combination
-    p(t - t1 - t2) - p(t - t1) + p(t) - p(t - t2) for t >= t1 + t2, and the
-    zero vector before enough history exists.
+    p(k - t1 - t2) - p(k - t1) + p(k) - p(k - t2), windows t1 and t2 in
+    steps, for k >= t1 + t2, and the zero vector before enough history
+    exists.
     """
-    if t < t1 + t2:
+    if k < t1 + t2:
         return np.zeros(p_log.dim)
-    return (
-        p_log.value_at(t - t2 - t1)
-        - p_log.value_at(t - t1)
-        + p_log.value_at(t)
-        - p_log.value_at(t - t2)
-    )
+    early, late = p_log.rows(k - t1 - t2, 2, t2), p_log.rows(k - t2, 2, t2)
+    return early[0] - early[1] + late[1] - late[0]
 
 
-def _double_integral(log, t, t1, t2):
-    """Integral over [t - t2, t] of the sliding window integral of width t1."""
-    times, cum = log.cumulative_samples(t - t2, t)
-    lagged = log.grid_rows(times[0] - t1, times[-1] - t1, times.size, cumulative=True)
-    if lagged is None:
-        lagged = log.cumulative_at(times - t1)
-    inner = cum - lagged
-    return np.trapezoid(inner, x=times, axis=0)
+def _double_integral(log, k, t1, t2):
+    """Integral over the t2 steps up to step k of the sliding window
+    integral of width t1 steps."""
+    cum = log.rows(k - t2, t2 + 1, cumulative=True)
+    lagged = log.rows(k - t2 - t1, t2 + 1, cumulative=True)
+    # over the logged times, not a uniform dx: the result keeps their rounding
+    return np.trapezoid(cum - lagged, x=log.times(k - t2, t2 + 1), axis=0)
 
 
-def integral_regressor(p_log, u_log, t, t1, t2):
-    """Regressor matrix of the integral error system at time t.
+def integral_regressor(p_log, u_log, k, t1, t2):
+    """Regressor matrix of the integral error system at step k.
 
     Columns multiply [vec(A1); vec(A2); vec(B)]; the zero matrix is
-    returned before t1 + t2 so the error system stays consistent with the
-    zero residual.
+    returned before step t1 + t2 so the error system stays consistent with
+    the zero residual.
     """
     n = p_log.dim
     m = u_log.dim
-    if t < t1 + t2:
+    if k < t1 + t2:
         return np.zeros((n, theta_dim(n, m)))
-    f_block = _double_integral(p_log, t, t1, t2)
-    g_block = p_log.integral(t - t2, t) - p_log.integral(t - t1 - t2, t - t1)
-    u_block = _double_integral(u_log, t, t1, t2)
+    f_block = _double_integral(p_log, k, t1, t2)
+    early = p_log.rows(k - t1 - t2, 2, t2, cumulative=True)
+    late = p_log.rows(k - t2, 2, t2, cumulative=True)
+    g_block = (late[1] - late[0]) - (early[1] - early[0])
+    u_block = _double_integral(u_log, k, t1, t2)
     eye = np.eye(n)
     return np.hstack(
         [

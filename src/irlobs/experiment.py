@@ -59,7 +59,6 @@ from .purge import (
     purge_policy,
     quality_eta1,
     quality_eta2,
-    rollout_steps,
     smooth_velocity,
 )
 
@@ -111,6 +110,15 @@ def _count(path, value, low=1):
     return _number(path, value, low, inclusive=True, integer=True)
 
 
+def _steps(path, span, dt):
+    """span as a number of steps of dt; raises ConfigError naming the field
+    unless that is a whole number to within 1e-9 * min(1, |span|)."""
+    steps = span / dt
+    if not math.isfinite(steps) or abs(round(steps) * dt - span) > 1e-9 * min(1.0, abs(span)):
+        raise ConfigError(f"field '{path}': {span!r} is not a whole number of {dt!r} s steps")
+    return round(steps)
+
+
 def _array(path, value, shape=None):
     """value as a finite float array of the given shape; raises ConfigError
     naming the field otherwise."""
@@ -144,8 +152,12 @@ class ExperimentConfig:
     The plant, cost, gains, feature basis and quality sections are built
     once here and check their own entries; every other entry is kept as a
     plain attribute named after its field (gains.capacity and irl.capacity
-    as param_capacity and irl_capacity; a null run.w0 as zeros).  Any
-    invalid or non-finite entry raises ConfigError naming the field.
+    as param_capacity and irl_capacity; a null run.w0 as zeros).  Every
+    duration and window is a whole number of steps of the grid that reads
+    it, kept as a step count: steps (run.duration) and windows (gains.t1,
+    gains.t2) in run.dt, excitation_steps and excitation_windows in
+    gains.excitation_dt, and the quality horizon in run.dt.  Any invalid,
+    non-finite or off-grid entry raises ConfigError naming the field.
     """
 
     def __init__(self, raw):
@@ -164,7 +176,7 @@ class ExperimentConfig:
             q_monomials=c["q_monomials"],
         ))
         self.param_capacity = capacity = _count("gains.capacity", g["capacity"])
-        self._gains = _build("gains", lambda: EstimatorGains(
+        self._gains = gains = _build("gains", lambda: EstimatorGains(
             k_theta=(
                 0.3 / capacity if g["k_theta"] is None
                 else _number("gains.k_theta", g["k_theta"])
@@ -175,13 +187,6 @@ class ExperimentConfig:
             FeatureBasis.quadratic(2 * n, self._cost.q_monomials) if irl["v_monomials"] is None
             else FeatureBasis(2 * n, irl["v_monomials"], self._cost.q_monomials)
         ), fields={"q_monomials": "cost.q_monomials"})
-        self._quality = _build("purge", lambda: QualityConfig(
-            horizon=_number("purge.horizon", p["horizon"]),
-            s1=np.eye(2 * n) if p["s1"] is None else _array("purge.s1", p["s1"], (2 * n, 2 * n)),
-            s2=np.eye(n) if p["s2"] is None else _array("purge.s2", p["s2"], (n, n)),
-            half_width=_number("purge.half_width", p["half_width"], integer=True),
-            rollout_stride=_number("purge.rollout_stride", p["rollout_stride"], integer=True),
-        ))
 
         for name in ("gamma0", "min_eig_threshold", "excitation_duration", "excitation_dt",
                      "excitation_amplitude"):
@@ -198,11 +203,25 @@ class ExperimentConfig:
             setattr(self, name, _array(f"run.{name}", r[name], (2 * n,)))
         self.duration = _number("run.duration", r["duration"], 0.0, inclusive=True)
         self.dt = dt = _number("run.dt", r["dt"], 0.0)
-        windows = self._gains.t1 + self._gains.t2
-        if 0 < self.duration <= windows:
+        self.steps = _steps("run.duration", self.duration, dt)
+        self.windows = tuple(_steps(f"gains.{k}", getattr(gains, k), dt) for k in ("t1", "t2"))
+        self.excitation_steps = _steps(
+            "gains.excitation_duration", self.excitation_duration, self.excitation_dt
+        )
+        self.excitation_windows = tuple(
+            _steps(f"gains.{k}", getattr(gains, k), self.excitation_dt) for k in ("t1", "t2")
+        )
+        if 0 < self.steps <= sum(self.windows):
             raise ConfigError("field 'run.duration' must exceed gains.t1 + gains.t2")
-        if self.excitation_duration <= windows:
+        if self.excitation_steps <= sum(self.excitation_windows):
             raise ConfigError("field 'gains.excitation_duration' must exceed t1 + t2")
+        self._quality = _build("purge", lambda: QualityConfig(
+            horizon=_steps("purge.horizon", _number("purge.horizon", p["horizon"]), dt),
+            s1=np.eye(2 * n) if p["s1"] is None else _array("purge.s1", p["s1"], (2 * n, 2 * n)),
+            s2=np.eye(n) if p["s2"] is None else _array("purge.s2", p["s2"], (n, n)),
+            half_width=_number("purge.half_width", p["half_width"], integer=True),
+            rollout_stride=_number("purge.rollout_stride", p["rollout_stride"], integer=True),
+        ))
         if r["mode"] not in MODES:
             raise ConfigError(f"field 'run.mode' must be one of {MODES}")
         self.mode = r["mode"]
@@ -212,10 +231,6 @@ class ExperimentConfig:
         self.seed = _count("run.seed", r["seed"], low=0)
         width = self._basis.width(m)
         self.w0 = np.zeros(width) if r["w0"] is None else _array("run.w0", r["w0"], (width,))
-        q = self._quality
-        if q.horizon < (2 * q.half_width + 1) * dt:
-            raise ConfigError("field 'purge.horizon' is shorter than the smoothing window")
-        _build("purge.horizon", lambda: rollout_steps(q.horizon, q.rollout_stride * dt))
 
     def plant(self):
         return self._plant
@@ -324,9 +339,8 @@ def prerecord_param_stack(demo, cfg, stack):
     """
     plant = demo.plant
     n, m = plant.n, plant.m
-    dt, duration = cfg.excitation_dt, cfg.excitation_duration
-    t1, t2 = cfg.gains().t1, cfg.gains().t2
-    steps = int(round(duration / dt))
+    dt, steps = cfg.excitation_dt, cfg.excitation_steps
+    t1, t2 = cfg.excitation_windows
 
     # closed loop driven by the dither is linear time-invariant, so one set
     # of RK4 step matrices advances the whole calibration trajectory
@@ -338,16 +352,14 @@ def prerecord_param_stack(demo, cfg, stack):
         raise NumericOverflowError("calibration run diverged")
     inputs = states @ (-demo.k_fb.T) + dither_half[0::2]
 
-    window = duration + dt
+    window = cfg.excitation_duration + dt
     p_log = SampledSignal.from_samples(dt, window, 0.0, states[:, :n])
     u_log = SampledSignal.from_samples(dt, window, 0.0, inputs)
-    first = int(np.ceil((t1 + t2) / dt - 1e-9))
-    for k in range(first, steps + 1):
+    for k in range(t1 + t2, steps + 1):
         if k % cfg.excitation_stride == 0:
-            t = k * dt
             stack.record(
-                integral_residual(p_log, t, t1, t2),
-                integral_regressor(p_log, u_log, t, t1, t2),
+                integral_residual(p_log, k, t1, t2),
+                integral_regressor(p_log, u_log, k, t1, t2),
             )
     return stack
 
@@ -379,20 +391,21 @@ class OnlineIrl:
 
     def __init__(self, cfg, param_stack, p0, u0, w0):
         n, m = cfg.n, cfg.m
-        self.gains = gains = cfg.gains()
+        gains = cfg.gains()
         self.quality = quality = cfg.quality()
         basis, r1 = cfg.basis(), cfg.cost().r1
         self.dt = dt = cfg.dt
+        self.windows = cfg.windows
         self.record_stride = cfg.record_stride
         self.param_stack = param_stack
         self.steps = 0
         # first step with both the full horizon and the smoothing window available
-        self.eta_floor_step = int(round(quality.horizon / dt)) + quality.half_width
+        self.eta_floor_step = quality.horizon + quality.half_width
 
-        window = max(gains.t1 + gains.t2, quality.horizon + (quality.half_width + 2) * dt)
+        window = max(gains.t1 + gains.t2, (quality.horizon + quality.half_width + 2) * dt)
         self.p_log = SampledSignal(n, dt, window + 4 * dt)
         self.u_log = SampledSignal(m, dt, window + 4 * dt)
-        self.qhat_log = SampledSignal(n, dt, quality.horizon + 4 * dt)
+        self.qhat_log = SampledSignal(n, dt, (quality.horizon + 4) * dt)
         self.p_log.append(0.0, p0)
         self.u_log.append(0.0, u0)
         self.observer = AdaptiveObserver(n, m, p0=p0, u0=u0, gains=gains,
@@ -426,24 +439,25 @@ class OnlineIrl:
         parameter stack, advance the adaptation law and the observer, and
         score the quality η (inf before eta_floor_step).  Returns the
         arguments of offer: (t, x_hat, u, theta, eta)."""
-        gains, observer = self.gains, self.observer
+        observer, (t1, t2) = self.observer, self.windows
         # a rejected measurement leaves every log and counter as it was
         self.p_log.check(t, p)
         self.u_log.check(t, u)
         self.steps += 1
+        k = self.steps
         self.p_log.append(t, p)
         self.u_log.append(t, u)
-        if t >= gains.t1 + gains.t2 and self.steps % self.record_stride == 0:
+        if k >= t1 + t2 and k % self.record_stride == 0:
             self.param_stack.record(
-                integral_residual(self.p_log, t, gains.t1, gains.t2),
-                integral_regressor(self.p_log, self.u_log, t, gains.t1, gains.t2),
+                integral_residual(self.p_log, k, t1, t2),
+                integral_regressor(self.p_log, self.u_log, k, t1, t2),
             )
         observer.update_parameters(self.param_stack, self.dt)
         observer.step(p, u, self.dt)
         self.qhat_log.append(t, observer.q_hat)
 
         theta_v = observer.theta_vector
-        eta = self._eta(t, theta_v) if self.steps >= self.eta_floor_step else float("inf")
+        eta = self._eta(k, theta_v) if k >= self.eta_floor_step else float("inf")
         return t, observer.x_hat, u, theta_v, eta
 
     def offer(self, t, x_hat, u, theta, eta, queries=()):
@@ -455,14 +469,14 @@ class OnlineIrl:
         for x_star, u_star in queries:
             self._offer(Candidate(x=x_star, u=u_star, theta=theta, eta=eta, t=t))
 
-    def _eta(self, t, theta_v):
+    def _eta(self, k, theta_v):
         quality = self.quality
-        t0 = t - quality.horizon
-        v_smooth = smooth_velocity(self.p_log, t0, quality.half_width)
+        k0 = k - quality.horizon
+        v_smooth = smooth_velocity(self.p_log, k0, quality.half_width)
         eta1 = quality_eta1(
-            self.observer.p_tilde, self.qhat_log.value_at(t0), v_smooth, quality.s1
+            self.observer.p_tilde, self.qhat_log.rows(k0)[0], v_smooth, quality.s1
         )
-        return eta1 + quality_eta2(self.p_log, self.u_log, theta_v, t, quality, v_smooth)
+        return eta1 + quality_eta2(self.p_log, self.u_log, theta_v, k, quality, v_smooth)
 
     def _offer(self, cand):
         stack, ps, trace = self.irl_stack, self.purge_state, self.trace
@@ -592,7 +606,7 @@ def run_experiment(cfg):
     _check_rk4_step(demo.a_cl, dt, "run.dt")
     _check_rk4_step(demo.a_cl, cfg.excitation_dt, "gains.excitation_dt")
 
-    steps = int(round(cfg.duration / dt))
+    steps = cfg.steps
     report_stride = cfg.report_stride
     theta_true = plant.theta
     w_true = ideal_weights(basis, demo.riccati_p, cost.w_q, cost.r_diag).stacked

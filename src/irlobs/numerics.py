@@ -1,6 +1,6 @@
 """Shared numerical kernels.
 
-Fixed-step integration, quadrature over uniformly sampled signals, a
+Fixed-step integration, step-indexed logs of uniformly sampled signals, a
 continuous-time algebraic Riccati solver with the Tits-Yang pole placement
 that starts it, least squares and the Gram-block history stack.  Nothing in
 this module knows about plants, observers or costs; everything operates on
@@ -20,11 +20,7 @@ from .errors import (
     WindowUnderflowError,
 )
 
-_GRID_TOL = 1e-6  # fraction of dt tolerated when matching sample times
-# grid_rows trusts times within this many cells of zero: their rounding, a
-# few eps*|t|/dt cells (4 eps 1e8 < 1e-7), then stays below the _GRID_TOL / 2
-# it leaves between a snapped and an unsnapped time
-_GRID_EXACT_CELLS = 1e8
+_GRID_TOL = 1e-6  # fraction of dt tolerated when checking a sample's time
 _EPS = np.finfo(float).eps
 
 
@@ -49,12 +45,12 @@ def rk4_step(f, t, x, dt):
 class SampledSignal:
     """Uniformly sampled vector signal with a bounded retention window.
 
-    Samples are appended one grid step at a time (single writer).  The
-    signal retains at least ``window`` seconds of history; lookups and
-    integrals anywhere inside the retained window operate on the exact
-    piecewise-linear interpolant of the samples, so integral additivity
-    holds to machine precision.  A cumulative integral is maintained
-    alongside the samples to keep sliding-window integrals O(1).
+    Samples are appended one grid step at a time (single writer) and
+    addressed by step index: the first sample appended is step 0.  The
+    signal retains at least ``window`` seconds of history.  A running
+    trapezoid integral is kept alongside the samples, so the integral
+    between two steps is the difference of two of its rows and integral
+    additivity holds to machine precision.
     """
 
     def __init__(self, dim, dt, window, t0=0.0):
@@ -70,7 +66,9 @@ class SampledSignal:
         self._cum = np.zeros((cap, self.dim))
         self._head = 0            # storage row of the first retained sample
         self._count = 0           # number of retained samples
+        self.first_step = 0       # step index of the first retained sample
         self._t_first = float(t0)  # time of the first retained sample
+        self._t0 = float(t0)      # time of step 0
 
     @classmethod
     def from_samples(cls, dt, window, t0, values):
@@ -97,18 +95,6 @@ class SampledSignal:
     def __len__(self):
         return self._count
 
-    @property
-    def earliest_time(self):
-        if self._count == 0:
-            raise WindowUnderflowError("signal has no samples")
-        return self._t_first
-
-    @property
-    def latest_time(self):
-        if self._count == 0:
-            raise WindowUnderflowError("signal has no samples")
-        return self._t_first + (self._count - 1) * self.dt
-
     def check(self, t, value):
         """value as a float vector if it may be appended at time t; raises,
         changing nothing, unless it is a finite dim-vector at the next grid time."""
@@ -117,7 +103,8 @@ class SampledSignal:
             raise ValueError(f"expected a {self.dim}-vector, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise NumericOverflowError(f"non-finite sample at t={t}")
-        expected = self._t_first + self._count * self.dt
+        # t0 + k*dt, not the running sum _t_first, which drifts off the grid
+        expected = self._t0 + (self.first_step + self._count) * self.dt
         if self._count > 0 and abs(t - expected) > _GRID_TOL * self.dt:
             raise SampleTimeError(f"sample at t={t} is off-grid (expected {expected})")
         return v
@@ -126,7 +113,7 @@ class SampledSignal:
         """Append the sample for the next grid time (see check)."""
         v = self.check(t, value)
         if self._count == 0:
-            self._t_first = float(t)
+            self._t_first = self._t0 = float(t)
         if self._head + self._count >= self._values.shape[0]:
             self._compact_or_grow()
         i = self._head + self._count
@@ -153,177 +140,40 @@ class SampledSignal:
         self._head = 0
 
     def _prune(self):
-        # keep one sample beyond the window so lookups at exactly
-        # latest - window stay inside the retained range
-        keep_from = self.latest_time - self.window - self.dt
-        drop = int((keep_from - self._t_first) / self.dt)
+        # keep one sample beyond the window, so that the step window seconds
+        # before the latest stays retained
+        latest = self._t_first + (self._count - 1) * self.dt
+        drop = int((latest - self.window - self.dt - self._t_first) / self.dt)
         if drop > 0:
             self._head += drop
             self._count -= drop
+            self.first_step += drop
             self._t_first += drop * self.dt
 
-    def _check_inside(self, t):
-        lo, hi = self.earliest_time, self.latest_time
-        tol = _GRID_TOL * self.dt
-        if t < lo - tol or t > hi + tol:
-            raise WindowUnderflowError(f"time {t} outside retained window [{lo}, {hi}]")
-        return min(max(t, lo), hi)
-
-    def _locate(self, t):
-        """Local sample index left of t and the fractional offset in [0, 1)."""
-        t = self._check_inside(t)
-        rel = (t - self._t_first) / self.dt
-        k = int(rel)
-        frac = rel - k
-        if frac > 1.0 - _GRID_TOL:
-            k += 1
-            frac = 0.0
-        elif frac < _GRID_TOL:
-            frac = 0.0
-        if k >= self._count:
-            k = self._count - 1
-            frac = 0.0
-        return k, frac
-
-    def value_at(self, t):
-        """Linearly interpolated value at time t inside the retained window."""
-        k, frac = self._locate(t)
-        row = self._head + k
-        if frac == 0.0:
-            return self._values[row].copy()
-        return (1.0 - frac) * self._values[row] + frac * self._values[row + 1]
-
-    def _cum_at(self, t):
-        """Exact cumulative integral of the interpolant at time t."""
-        k, frac = self._locate(t)
-        row = self._head + k
-        if frac == 0.0:
-            return self._cum[row].copy()
-        v0 = self._values[row]
-        v1 = self._values[row + 1]
-        vt = (1.0 - frac) * v0 + frac * v1
-        return self._cum[row] + (0.5 * frac * self.dt) * (v0 + vt)
-
-    def integral(self, a, b):
-        """Integral of the piecewise-linear interpolant over [a, b]."""
-        if b < a:
-            raise ValueError("integration bounds must satisfy a <= b")
-        if a == b:
-            return np.zeros(self.dim)
-        return self._cum_at(b) - self._cum_at(a)
-
-    def _locate_many(self, times):
-        t = np.asarray(times, dtype=float)
-        lo, hi = self.earliest_time, self.latest_time
-        tol = _GRID_TOL * self.dt
-        if np.any(t < lo - tol) or np.any(t > hi + tol):
+    def _local(self, first, count, stride):
+        """The retained-row offset of step first; raises unless count >= 1
+        steps from first on, stride >= 1 apart, are all retained."""
+        if count < 1 or stride < 1:
+            raise ValueError("count and stride must be positive")
+        lo = first - self.first_step
+        if lo < 0 or lo + (count - 1) * stride >= self._count:
             raise WindowUnderflowError(
-                f"times outside retained window [{lo}, {hi}]"
+                f"steps {first}..{first + (count - 1) * stride} are outside the retained "
+                f"steps {self.first_step}..{self.first_step + self._count - 1}"
             )
-        rel = (np.clip(t, lo, hi) - self._t_first) / self.dt
-        k = np.floor(rel).astype(int)
-        frac = rel - k
-        snap_up = frac > 1.0 - _GRID_TOL
-        k[snap_up] += 1
-        frac[snap_up] = 0.0
-        frac[frac < _GRID_TOL] = 0.0
-        over = k >= self._count
-        k[over] = self._count - 1
-        frac[over] = 0.0
-        return k, frac
+        return lo
 
-    def values_at(self, times):
-        """Vectorized value_at over an array of times."""
-        k, frac = self._locate_many(times)
-        rows = self._head + k
-        out = self._values[rows].copy()
-        off = frac > 0.0
-        if np.any(off):
-            f = frac[off, None]
-            out[off] = (1.0 - f) * self._values[rows[off]] + f * self._values[rows[off] + 1]
-        return out
+    def rows(self, first, count=1, stride=1, cumulative=False):
+        """The samples (running integrals when cumulative) of count steps
+        from step first on, stride steps apart, as a (count, dim) copy."""
+        lo = self._head + self._local(first, count, stride)
+        data = self._cum if cumulative else self._values
+        return data[lo : lo + (count - 1) * stride + 1 : stride].copy()
 
-    def cumulative_at(self, times):
-        """Vectorized exact cumulative integral at an array of times."""
-        k, frac = self._locate_many(times)
-        rows = self._head + k
-        out = self._cum[rows].copy()
-        off = frac > 0.0
-        if np.any(off):
-            f = frac[off, None]
-            v0 = self._values[rows[off]]
-            v1 = self._values[rows[off] + 1]
-            vt = (1.0 - f) * v0 + f * v1
-            out[off] = self._cum[rows[off]] + (0.5 * self.dt) * f * (v0 + vt)
-        return out
-
-    def grid_rows(self, a, b, count, cumulative=False):
-        """Stored samples (cumulative integrals when cumulative) at count
-        evenly spaced grid times from a to b, or None unless a and b lie
-        within half the grid tolerance of samples whose distance splits
-        into count - 1 equal whole strides.
-
-        For times a + j*(b - a)/(count - 1), however the caller rounds them,
-        this is bitwise what values_at/cumulative_at return: both snap each
-        time to its sample, since the times' rounding (a few eps*|t|/dt
-        cells, bounded through _GRID_EXACT_CELLS) stays below the other half
-        of the tolerance.  Raises WindowUnderflowError as those do when a
-        time leaves the retained window.
-        """
-        lo, hi = self.earliest_time, self.latest_time
-        if count < 2 or max(abs(a), abs(b), abs(lo)) > _GRID_EXACT_CELLS * self.dt:
-            return None
-        rel_a = (a - self._t_first) / self.dt
-        rel_b = (b - self._t_first) / self.dt
-        k_a, k_b = round(rel_a), round(rel_b)
-        stride, rem = divmod(k_b - k_a, count - 1)
-        if (
-            abs(rel_a - k_a) > 0.5 * _GRID_TOL
-            or abs(rel_b - k_b) > 0.5 * _GRID_TOL
-            or stride < 1
-            or rem
-        ):
-            return None
-        if k_a < 0 or k_b >= self._count:
-            raise WindowUnderflowError(f"times outside retained window [{lo}, {hi}]")
-        rows = self._cum if cumulative else self._values
-        return rows[self._head + k_a : self._head + k_b + 1 : stride].copy()
-
-    def _grid_range(self, a, b):
-        lo = int(np.ceil((a - self._t_first) / self.dt - _GRID_TOL))
-        hi = int(np.floor((b - self._t_first) / self.dt + _GRID_TOL))
-        return max(lo, 0), min(hi, self._count - 1)
-
-    def grid_samples(self, a, b):
-        """Times and values of the grid samples with a <= t <= b."""
-        self._check_inside(a)
-        self._check_inside(b)
-        lo, hi = self._grid_range(a, b)
-        times = self._t_first + self.dt * np.arange(lo, hi + 1)
-        return times, self._values[self._head + lo : self._head + hi + 1]
-
-    def cumulative_samples(self, a, b):
-        """Times and cumulative-integral values at the grid samples in [a, b].
-
-        When a or b fall off-grid the first/last entries hold the exact
-        cumulative values at a and b.
-        """
-        self._check_inside(a)
-        self._check_inside(b)
-        lo, hi = self._grid_range(a, b)
-        if lo > hi:
-            # the interval lies inside a single cell
-            return np.array([a, b]), np.vstack((self._cum_at(a), self._cum_at(b)))
-        times = self._t_first + self.dt * np.arange(lo, hi + 1)
-        vals = self._cum[self._head + lo : self._head + hi + 1]
-        tol = _GRID_TOL * self.dt
-        if a < times[0] - tol:
-            times = np.concatenate(([a], times))
-            vals = np.vstack((self._cum_at(a), vals))
-        if b > times[-1] + tol:
-            times = np.concatenate((times, [b]))
-            vals = np.vstack((vals, self._cum_at(b)))
-        return times, vals
+    def times(self, first, count):
+        """The grid times of count consecutive steps from step first on."""
+        lo = self._local(first, count, 1)
+        return self._t_first + self.dt * np.arange(lo, lo + count)
 
 
 def linear_rk4_matrices(a, b, h):

@@ -1,7 +1,7 @@
 """The demonstrator.
 
 True linear dynamics with double-integrator structure, the true quadratic
-cost, the LQR-optimal policy, trajectory generation, and the query oracle
+cost, the LQR-optimal policy, its closed-loop field, and the query oracle
 answering "what would you do at state x*?".
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ArgumentError, SolverFailureError
 from .estimator import ThetaVector
-from .numerics import SampledSignal, rk4_step, solve_are
+from .numerics import solve_are
 
 
 def monomial_matrix(dim, weights, monomials):
@@ -100,9 +100,6 @@ class CostFunction:
         """The known first control weight (scale anchor)."""
         return float(self.r_diag[0])
 
-    def q_value(self, x):
-        return float(x @ self.q_matrix @ x)
-
 
 @dataclass
 class Demonstrator:
@@ -114,10 +111,6 @@ class Demonstrator:
     riccati_p: np.ndarray
     k_fb: np.ndarray
     a_cl: np.ndarray
-
-    def value(self, x):
-        """Optimal value x'Px."""
-        return float(x @ self.riccati_p @ x)
 
 
 def make_demonstrator(plant, cost):
@@ -164,29 +157,3 @@ def closed_loop_field(demo):
         return a_cl @ x
 
     return field
-
-
-def simulate_demonstrator(demo, x0, duration, dt):
-    """Simulate the closed loop and log position and input on the grid.
-
-    Returns (p_log, u_log); the internal velocity is never exposed so that
-    downstream consumers stay output-feedback honest.
-    """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
-    n = demo.plant.n
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (2 * n,):
-        raise ValueError(f"x0 must be a {2 * n}-vector")
-    field = closed_loop_field(demo)
-    steps = int(round(duration / dt))
-    p_log = SampledSignal(n, dt, window=duration + dt)
-    u_log = SampledSignal(demo.plant.m, dt, window=duration + dt)
-    p_log.append(0.0, x[:n])
-    u_log.append(0.0, optimal_action(demo, x))
-    for k in range(steps):
-        x = rk4_step(field, k * dt, x, dt)
-        t = (k + 1) * dt
-        p_log.append(t, x[:n])
-        u_log.append(t, optimal_action(demo, x))
-    return p_log, u_log

@@ -23,14 +23,16 @@ _ROLLOUT_NORM_CAP = 1e12
 
 @dataclass
 class QualityConfig:
-    """Horizon and weighting for the quality indicators.
+    """Horizon and weighting for the quality indicators, in grid steps.
 
     horizon is both the smoothing lag and the rollout length; s1 weighs the
     state-estimate residual, s2 the rollout prediction error.  The rollout
-    is integrated on a grid coarsened by rollout_stride measurement steps.
+    is integrated on a grid coarsened by rollout_stride measurement steps,
+    an even number dividing the horizon, so that its RK4 half steps are
+    samples too.
     """
 
-    horizon: float
+    horizon: int
     s1: np.ndarray
     s2: np.ndarray
     half_width: int
@@ -39,12 +41,16 @@ class QualityConfig:
     def __post_init__(self):
         self.s1 = np.asarray(self.s1, dtype=float)
         self.s2 = np.asarray(self.s2, dtype=float)
-        if self.horizon <= 0.0:
+        if self.horizon <= 0:
             raise ArgumentError("horizon", "horizon must be positive")
         if self.half_width < 1:
             raise ArgumentError("half_width", "half_width must be at least 1")
-        if self.rollout_stride < 1:
-            raise ArgumentError("rollout_stride", "rollout_stride must be at least 1")
+        if self.rollout_stride < 2 or self.rollout_stride % 2:
+            raise ArgumentError("rollout_stride", "rollout_stride must be a positive even number")
+        if self.horizon % self.rollout_stride:
+            raise ArgumentError("horizon", "horizon must be a whole number of rollout strides")
+        if self.horizon < 2 * self.half_width + 1:
+            raise ArgumentError("horizon", "horizon is shorter than the smoothing window")
         for name, s in (("s1", self.s1), ("s2", self.s2)):
             if s.ndim != 2 or s.shape[0] != s.shape[1]:
                 raise ArgumentError(name, f"{name} must be square")
@@ -54,31 +60,19 @@ class QualityConfig:
                 raise ArgumentError(name, f"{name} must be positive semidefinite")
 
 
-def rollout_steps(horizon, h):
-    """The number of rollout steps of length h in horizon; raises ValueError
-    unless that is a whole number, at least one, to within 1e-9 * min(1, horizon)."""
-    steps = round(horizon / h) if np.isfinite(horizon / h) else 0
-    if steps < 1 or abs(steps * h - horizon) > 1e-9 * min(1.0, horizon):
-        raise ValueError("horizon must be a whole number of rollout_stride * run.dt steps")
-    return steps
+def smooth_velocity(p_log, center, half_width):
+    """Velocity estimate from a local quadratic fit around step center.
 
-
-def smooth_velocity(p_log, t_center, half_width):
-    """Velocity estimate from a local quadratic fit around t_center.
-
-    Per coordinate, fits the 2*half_width+1 samples centered at t_center by
-    least squares and returns the fitted derivative at the center; exact on
-    trajectories that are polynomials of degree <= 2 over the window.
-    Noncausal: needs samples on both sides of t_center.
+    Per coordinate, fits the 2*half_width+1 samples centered at that step
+    by least squares and returns the fitted derivative at the center;
+    exact on trajectories that are polynomials of degree <= 2 over the
+    window.  Noncausal: needs samples on both sides of the center.
     """
     w = int(half_width)
-    dt = p_log.dt
     offsets = np.arange(-w, w + 1)
-    vals = p_log.grid_rows(t_center + dt * -w, t_center + dt * w, 2 * w + 1)
-    if vals is None:
-        vals = p_log.values_at(t_center + dt * offsets)
+    vals = p_log.rows(center - w, 2 * w + 1)
     # symmetric stencil: the quadratic term drops out of the slope
-    return (offsets @ vals) / (dt * float(offsets @ offsets))
+    return (offsets @ vals) / (p_log.dt * float(offsets @ offsets))
 
 
 def quality_eta1(p_tilde, q_hat_lagged, v_smooth, s1):
@@ -92,32 +86,27 @@ def quality_eta1(p_tilde, q_hat_lagged, v_smooth, s1):
     return float(xbar @ s1 @ xbar)
 
 
-def quality_eta2(p_log, u_log, theta_hat, t, quality, v0):
-    """Parameter-estimate quality score.
+def quality_eta2(p_log, u_log, theta_hat, k, quality, v0):
+    """Parameter-estimate quality score at step k.
 
-    Rolls the estimated model out over [t - horizon, t] from the measured
-    position and the smoothed velocity v0 at t - horizon (smooth_velocity
-    with quality.half_width, as quality_eta1 reads it), replaying the
-    logged input, and integrates the squared position prediction error
-    under s2.  Returns +inf (worst quality) if the rollout diverges.
+    Rolls the estimated model out over the quality.horizon steps up to k
+    from the measured position and the smoothed velocity v0 at their first
+    step (smooth_velocity with quality.half_width, as quality_eta1 reads
+    it), replaying the logged input, and integrates the squared position
+    prediction error under s2.  Returns +inf (worst quality) if the
+    rollout diverges.
     """
-    horizon = quality.horizon
-    if t < horizon:
-        raise ValueError(f"t={t} is before the first full horizon {horizon}")
-    dt = p_log.dt
-    h = quality.rollout_stride * dt
-    steps = rollout_steps(horizon, h)
-    t0 = t - horizon
+    horizon, stride = quality.horizon, quality.rollout_stride
+    if k < horizon:
+        raise ValueError(f"step {k} is before the first full horizon {horizon}")
+    h = stride * p_log.dt
+    steps = horizon // stride
+    k0 = k - horizon
     n = p_log.dim
-    x = np.concatenate([p_log.value_at(t0), v0])
+    x = np.concatenate([p_log.rows(k0)[0], v0])
     phi, w0, wh, w1 = linear_rk4_matrices(theta_hat.a_prime, theta_hat.b_prime, h)
-    # on an even rollout_stride the half steps are samples too
-    u_half = u_log.grid_rows(t0, t0 + (0.5 * h) * (2 * steps), 2 * steps + 1)
-    if u_half is None:
-        u_half = u_log.values_at(t0 + (0.5 * h) * np.arange(2 * steps + 1))
-    p_meas = p_log.grid_rows(t0, t0 + h * steps, steps + 1)
-    if p_meas is None:
-        p_meas = p_log.values_at(t0 + h * np.arange(steps + 1))
+    u_half = u_log.rows(k0, 2 * steps + 1, stride // 2)
+    p_meas = p_log.rows(k0, steps + 1, stride)
     drive = u_half[0:-1:2] @ w0.T + u_half[1::2] @ wh.T + u_half[2::2] @ w1.T
     with np.errstate(over="ignore", invalid="ignore"):
         states = linear_rollout(phi, drive, x)

@@ -11,6 +11,8 @@ from irlobs.estimator import (
     AdaptiveObserver,
     EstimatorGains,
     ParamHistoryStack,
+    integral_regressor,
+    integral_residual,
     theta_dim,
 )
 from irlobs.experiment import default_config, prerecord_param_stack
@@ -54,6 +56,30 @@ def cumulative_trapezoid(y, dt):
     out = np.zeros_like(np.asarray(y, dtype=float))
     out[1:] = np.cumsum(0.5 * dt * (y[:-1] + y[1:]), axis=0)
     return out
+
+
+def simulate_demonstrator(demo, x0, duration, dt):
+    """Simulate the closed loop and log position and input on the grid.
+
+    Returns (p_log, u_log), step k at time k * dt; the internal velocity is
+    never exposed so that downstream consumers stay output-feedback honest.
+    """
+    if duration <= 0.0:
+        raise ValueError("duration must be positive")
+    n = demo.plant.n
+    x = np.asarray(x0, dtype=float).copy()
+    field = closed_loop_field(demo)
+    steps = int(round(duration / dt))
+    p_log = SampledSignal(n, dt, window=duration + dt)
+    u_log = SampledSignal(demo.plant.m, dt, window=duration + dt)
+    p_log.append(0.0, x[:n])
+    u_log.append(0.0, optimal_action(demo, x))
+    for k in range(steps):
+        x = rk4_step(field, k * dt, x, dt)
+        t = (k + 1) * dt
+        p_log.append(t, x[:n])
+        u_log.append(t, optimal_action(demo, x))
+    return p_log, u_log
 
 
 def eval_features_loop(basis, x, u):
@@ -230,6 +256,7 @@ def drive_estimator(
     gains = gains or default_gains()
     field = closed_loop_field(demo)
     steps = int(round(duration / dt))
+    t1, t2 = round(gains.t1 / dt), round(gains.t2 / dt)
     x = np.asarray(x0, dtype=float).copy()
     u = optimal_action(demo, x)
     p_log = SampledSignal(n, dt, window=duration + dt)
@@ -252,12 +279,10 @@ def drive_estimator(
         u = optimal_action(demo, x)
         p_log.append(t, x[:n])
         u_log.append(t, u)
-        if record_stride and t >= gains.t1 + gains.t2 and (k + 1) % record_stride == 0:
-            from irlobs.estimator import integral_regressor, integral_residual
-
+        if record_stride and k + 1 >= t1 + t2 and (k + 1) % record_stride == 0:
             stack.record(
-                integral_residual(p_log, t, gains.t1, gains.t2),
-                integral_regressor(p_log, u_log, t, gains.t1, gains.t2),
+                integral_residual(p_log, k + 1, t1, t2),
+                integral_regressor(p_log, u_log, k + 1, t1, t2),
             )
         if update_parameters:
             obs.update_parameters(stack, dt)

@@ -27,14 +27,9 @@ from irlobs.irl import (
     solve_weights,
 )
 from irlobs.numerics import are_residual, least_squares, rk4_step, solve_are
-from irlobs.plant import (
-    CostFunction,
-    make_demonstrator,
-    optimal_action,
-    simulate_demonstrator,
-)
+from irlobs.plant import CostFunction, make_demonstrator, optimal_action
 
-from conftest import DEFAULT_RDIAG, DEFAULT_WQ, X0, drive_estimator
+from conftest import DEFAULT_RDIAG, DEFAULT_WQ, X0, drive_estimator, simulate_demonstrator
 
 XI2 = 1e-3
 KAPPA1_BAR = 1e6
@@ -110,7 +105,7 @@ def test_criterion_2_hjb_residual_along_trajectory(default_system):
             u = optimal_action(demo, x)
             grad_v = 2.0 * demo.riccati_p @ x
             resid = grad_v @ (plant.a_prime @ x + plant.b_prime @ u)
-            resid += cost.q_value(x) + u @ (cost.r_diag * u)
+            resid += x @ cost.q_matrix @ x + u @ (cost.r_diag * u)
             assert abs(resid) < 1e-8 * (1.0 + x @ x)
             x = rk4_step(field, k * dt, x, dt)
         assert time.perf_counter() - t0 < 5.0
@@ -123,12 +118,11 @@ def test_criterion_3_error_system_identity(default_system):
         dt = 1e-3
         p_log, u_log = simulate_demonstrator(demo, X0, 6.0, dt)
         theta = plant.theta
-        t1, t2 = 1.0, 0.8
+        t1, t2 = 1000, 800  # 1.0 s and 0.8 s
         worst = 0.0
-        for k in range(int(round((t1 + t2) / dt)), int(round(6.0 / dt)) + 1):
-            t = k * dt
-            resid = integral_residual(p_log, t, t1, t2)
-            reg = integral_regressor(p_log, u_log, t, t1, t2)
+        for k in range(t1 + t2, int(round(6.0 / dt)) + 1):
+            resid = integral_residual(p_log, k, t1, t2)
+            reg = integral_regressor(p_log, u_log, k, t1, t2)
             worst = max(worst, float(np.linalg.norm(resid - reg @ theta)))
         assert worst < 1e-5
         assert time.perf_counter() - t0 < 10.0
@@ -196,12 +190,8 @@ def test_criterion_7_scale_identifiability(default_system, c6_report, c7_report)
         assert np.array_equal(demo5.k_fb, demo.k_fb)
         p1, u1 = simulate_demonstrator(demo, X0, 30.0, 1e-3)
         p5, u5 = simulate_demonstrator(demo5, X0, 30.0, 1e-3)
-        _, vals1 = p1.grid_samples(p1.earliest_time, p1.latest_time)
-        _, vals5 = p5.grid_samples(p5.earliest_time, p5.latest_time)
-        assert np.array_equal(vals1, vals5)
-        _, uvals1 = u1.grid_samples(u1.earliest_time, u1.latest_time)
-        _, uvals5 = u5.grid_samples(u5.earliest_time, u5.latest_time)
-        assert np.array_equal(uvals1, uvals5)
+        assert np.array_equal(p1.rows(0, len(p1)), p5.rows(0, len(p5)))
+        assert np.array_equal(u1.rows(0, len(u1)), u5.rows(0, len(u5)))
 
 
 def test_criterion_8_algorithmic_gates(c6_report):

@@ -1,7 +1,8 @@
 """Property tests: a config with one mutated field either raises ConfigError
 or builds every section from finite numbers; it never raises anything else.
-And a quality horizon the config accepts also passes quality_eta2's check
-that it is a whole number of rollout steps.
+And a quality horizon the config accepts is a whole number of even rollout
+strides of run.dt steps, on which quality_eta2 runs from its first full
+horizon.
 
 Each example takes one field of the default config and gives it a wrong
 type, a wrong shape, or a negative, zero, NaN or infinite entry.  Fields
@@ -99,12 +100,12 @@ def test_one_mutated_field_gives_config_error_or_finite_sections(mutation):
 
 @st.composite
 def rollout_grids(draw):
-    """(run.dt, purge.rollout_stride, purge.horizon) with the horizon a whole
-    number of rollout steps, or off one by up to twice 1e-9 * horizon or
-    twice 1e-9 s; the second covers (1e-9 * horizon, 1e-9] for horizons
-    under 1 s."""
+    """(run.dt, purge.rollout_stride, purge.horizon) with an even stride and
+    the horizon a whole number of rollout steps, or off one by up to twice
+    1e-9 * horizon or twice 1e-9 s; the second covers (1e-9 * horizon, 1e-9]
+    for horizons under 1 s."""
     dt = draw(st.sampled_from([1e-4, 5e-4, 1e-3, 2e-3]))
-    stride = draw(st.integers(1, 40))
+    stride = 2 * draw(st.integers(1, 20))
     whole = draw(st.integers(1, 50)) * stride * dt
     scale = draw(st.sampled_from([1e-9 * whole, 1e-9]))
     return dt, stride, whole + scale * draw(st.floats(-2.0, 2.0))
@@ -122,9 +123,11 @@ def test_accepted_horizon_passes_the_rollout_step_check(grid):
     except ConfigError as exc:
         assert "'purge.horizon'" in str(exc)
         return
+    steps = cfg.quality().horizon
+    assert steps % stride == 0 and abs(steps * dt - horizon) <= 1e-9 * min(1.0, horizon)
     n, m = cfg.n, cfg.m
     count = int(np.ceil(horizon / dt)) + 2
     p_log = SampledSignal.from_samples(dt, count * dt, 0.0, np.zeros((count, n)))
     u_log = SampledSignal.from_samples(dt, count * dt, 0.0, np.zeros((count, m)))
     theta = ThetaVector(np.zeros(theta_dim(n, m)), n, m)
-    assert quality_eta2(p_log, u_log, theta, horizon, cfg.quality(), np.zeros(n)) == 0.0
+    assert quality_eta2(p_log, u_log, theta, steps, cfg.quality(), np.zeros(n)) == 0.0

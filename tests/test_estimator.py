@@ -18,7 +18,7 @@ from irlobs.estimator import (
 )
 from irlobs.numerics import SampledSignal
 
-from conftest import X0, cumulative_trapezoid, drive_estimator, default_gains
+from conftest import X0, cumulative_trapezoid, default_gains, drive_estimator, simulate_demonstrator
 
 
 def ramp_log(dim, dt, duration, slope=1.0):
@@ -67,23 +67,23 @@ class TestEstimatorGains:
 class TestIntegralResidual:
     def test_zero_before_window(self):
         log = ramp_log(2, 1e-2, 3.0)
-        np.testing.assert_array_equal(integral_residual(log, 1.0, 1.0, 0.8), np.zeros(2))
+        np.testing.assert_array_equal(integral_residual(log, 100, 100, 80), np.zeros(2))
 
     def test_constant_signal_cancels(self):
         log = constant_log(2, 1e-2, 3.0, 4.2)
-        np.testing.assert_allclose(integral_residual(log, 2.5, 1.0, 0.8), np.zeros(2), atol=1e-12)
+        np.testing.assert_allclose(integral_residual(log, 250, 100, 80), np.zeros(2), atol=1e-12)
 
     def test_ramp_cancels(self):
         log = ramp_log(1, 1e-2, 6.0)
         # (5 - 1.8) - (5 - 1) + 5 - (5 - 0.8) = 0
-        assert abs(integral_residual(log, 5.0, 1.0, 0.8)[0]) < 1e-12
+        assert abs(integral_residual(log, 500, 100, 80)[0]) < 1e-12
 
 
 class TestIntegralRegressor:
     def test_zero_before_window(self):
         p = ramp_log(2, 1e-2, 3.0)
         u = ramp_log(2, 1e-2, 3.0)
-        out = integral_regressor(p, u, 1.5, 1.0, 0.8)
+        out = integral_regressor(p, u, 150, 100, 80)
         assert out.shape == (2, theta_dim(2, 2))
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
@@ -92,7 +92,7 @@ class TestIntegralRegressor:
         p = constant_log(2, 1e-3, 3.0, c)
         u = constant_log(2, 1e-3, 3.0, 1.0)
         t1, t2 = 1.0, 0.8
-        reg = integral_regressor(p, u, 2.5, t1, t2)
+        reg = integral_regressor(p, u, 2500, 1000, 800)
         eye = np.eye(2)
         f_block = reg[:, :4]
         g_block = reg[:, 4:8]
@@ -101,16 +101,27 @@ class TestIntegralRegressor:
         )
         np.testing.assert_allclose(g_block, np.zeros((2, 4)), atol=1e-10)
 
+    def test_double_integral_is_the_trapezoid_over_the_logged_times(self):
+        # a pruned log's grid times carry the rounding of its first time, and
+        # the quadrature runs over them, not over a uniform dt
+        dt, t1, t2, k = 1e-3, 1000, 800, 2999
+        values = np.random.default_rng(24).normal(size=(k + 1, 2))
+        p = SampledSignal(2, dt, (t1 + t2 + 4) * dt)
+        for step, value in enumerate(values):
+            p.append(step * dt, value)
+        cum = cumulative_trapezoid(values, dt)
+        inner = cum[k - t2 : k + 1] - cum[k - t2 - t1 : k - t1 + 1]
+        f_block = np.trapezoid(inner, x=p.times(k - t2, t2 + 1), axis=0)
+        assert np.array_equal(integral_regressor(p, p, k, t1, t2)[0, 0:4:2], f_block)
+
     def test_error_system_identity_on_default_run(self, default_system):
         _, _, demo = default_system
-        from irlobs.plant import simulate_demonstrator
-
         p_log, u_log = simulate_demonstrator(demo, X0, 6.0, 1e-3)
         theta = demo.plant.theta
         worst = 0.0
-        for t in np.arange(1.8, 6.0, 0.05):
-            resid = integral_residual(p_log, t, 1.0, 0.8)
-            reg = integral_regressor(p_log, u_log, t, 1.0, 0.8)
+        for k in range(1800, 6000, 50):
+            resid = integral_residual(p_log, k, 1000, 800)
+            reg = integral_regressor(p_log, u_log, k, 1000, 800)
             worst = max(worst, float(np.linalg.norm(resid - reg @ theta)))
         assert worst < 1e-5
 
@@ -148,14 +159,12 @@ class TestParamHistoryStack:
         # u = -Kx makes the input window integrals a linear image of the
         # position window integrals, so the Gram stays rank deficient
         _, _, demo = default_system
-        from irlobs.plant import simulate_demonstrator
-
         p_log, u_log = simulate_demonstrator(demo, X0, 5.0, 1e-3)
         stack = ParamHistoryStack(capacity=40, dim=theta_dim(2, 2), min_eig_threshold=1e-3)
-        for t in np.arange(1.8, 5.0, 0.08):
+        for k in range(1800, 5000, 80):
             stack.record(
-                integral_residual(p_log, t, 1.0, 0.8),
-                integral_regressor(p_log, u_log, t, 1.0, 0.8),
+                integral_residual(p_log, k, 1000, 800),
+                integral_regressor(p_log, u_log, k, 1000, 800),
             )
         assert stack.min_eigenvalue < 1e-10
         assert not stack.is_full_rank
@@ -177,15 +186,13 @@ class TestParamHistoryStack:
         # noise around zero and no swap can truly raise it: every commit
         # must still raise the recomputed lambda_min
         _, _, demo = default_system
-        from irlobs.plant import simulate_demonstrator
-
         p_log, u_log = simulate_demonstrator(demo, X0, 5.0, 1e-3)
         stack = ParamHistoryStack(capacity=10, dim=theta_dim(2, 2), min_eig_threshold=1e-3)
-        for t in np.arange(1.8, 5.0, 0.02):
+        for k in range(1800, 5000, 20):
             was_full, before = stack.is_full, stack.min_eigenvalue
             committed = stack.record(
-                integral_residual(p_log, t, 1.0, 0.8),
-                integral_regressor(p_log, u_log, t, 1.0, 0.8),
+                integral_residual(p_log, k, 1000, 800),
+                integral_regressor(p_log, u_log, k, 1000, 800),
             )
             if was_full and committed:
                 assert np.linalg.eigvalsh(stack.gram)[0] > before

@@ -45,6 +45,16 @@ INVALID_ENTRIES = [
     # 5e-10 s off two rollout steps: within 1e-9 s, but not within 1e-9 * horizon
     ("purge", "horizon", 0.0400000005, "purge.horizon"),
 ]
+# windows and durations off their grids (run.dt 1e-3, gains.excitation_dt
+# 2e-4), and rollout half steps off the samples
+OFF_GRID_ENTRIES = [
+    ("gains", "t1", 1.0005, "gains.t1"),
+    ("gains", "t2", 0.8002, "gains.t2"),  # 4,001 calibration steps, 800.2 run steps
+    ("purge", "rollout_stride", 25, "purge.rollout_stride"),
+    ("run", "duration", 2.0004, "run.duration"),
+    ("gains", "excitation_duration", 6.00013, "gains.excitation_duration"),
+]
+INVALID_ENTRIES += OFF_GRID_ENTRIES
 
 
 def short_config(duration=4.0, mode="query", seed=0, **run_overrides):
@@ -67,7 +77,7 @@ def measured_run(cfg):
     online = experiment.OnlineIrl(cfg, stack, cfg.x0[:n], optimal_action(demo, cfg.x0), cfg.w0)
     field_fn, rng = closed_loop_field(demo), np.random.default_rng(cfg.seed)
     x, steps = cfg.x0, []
-    for k in range(round(cfg.duration / dt)):
+    for k in range(cfg.steps):
         x = rk4_step(field_fn, k * dt, x, dt)
         u, queries = optimal_action(demo, x), ()
         if cfg.mode == "query":
@@ -232,19 +242,19 @@ class TestRunExperiment:
         # measure scores eta once per step from the first step with the
         # full horizon and smoothing window on, whether or not a decision
         # reads it; eta1 and eta2 share one smoothed velocity
-        times, smoothings = [], []
+        scored, smoothings = [], []
         original = experiment.quality_eta2
 
-        def counting(p_log, u_log, theta_hat, t, quality, v0):
-            times.append(t)
-            return original(p_log, u_log, theta_hat, t, quality, v0)
+        def counting(p_log, u_log, theta_hat, k, quality, v0):
+            scored.append(k)
+            return original(p_log, u_log, theta_hat, k, quality, v0)
 
         def counting_smoothing(module):
             smooth = module.smooth_velocity
 
-            def wrapped(p_log, t_center, half_width):
-                smoothings.append(t_center)
-                return smooth(p_log, t_center, half_width)
+            def wrapped(p_log, center, half_width):
+                smoothings.append(center)
+                return smooth(p_log, center, half_width)
 
             monkeypatch.setattr(module, "smooth_velocity", wrapped)
 
@@ -255,12 +265,13 @@ class TestRunExperiment:
         online, steps = measured_run(cfg)
         for t, p, u, queries in steps:
             online.step(t, p, u, queries)
-        floor = cfg.quality().horizon + cfg.quality().half_width * cfg.dt
-        assert online.eta_floor_step == round(floor / cfg.dt)
-        assert times == [t for k, (t, *_) in enumerate(steps, 1) if k >= online.eta_floor_step]
-        assert smoothings == [t - cfg.quality().horizon for t in times]
-        stored = {t for t, *_ in online.trace.stores if t > floor - 1e-9}
-        assert stored and stored <= set(times)
+        floor = cfg.quality().horizon + cfg.quality().half_width
+        assert online.eta_floor_step == floor
+        assert scored == [k for k in range(1, len(steps) + 1) if k >= online.eta_floor_step]
+        assert smoothings == [k - cfg.quality().horizon for k in scored]
+        times = {steps[k - 1][0] for k in scored}
+        stored = {t for t, *_ in online.trace.stores if t >= steps[floor - 1][0]}
+        assert stored and stored <= times
 
     def test_deferred_weight_solve_matches_eager_reference(self, monkeypatch):
         # the estimate is solved when read, yet every weight update, store,
@@ -486,9 +497,11 @@ class TestCli:
         ))
         out = tmp_path / "out"
         cases = []  # (config file, --out, text the error line must contain)
-        for i, (section, name, value, path) in enumerate(INVALID_ENTRIES[:5]):
+        for i, (section, name, value, path) in enumerate(INVALID_ENTRIES[:5] + OFF_GRID_ENTRIES):
             cfg_path = tmp_path / f"bad{i}.json"
-            cfg_path.write_text(json.dumps({section: {name: value}, "run": {"duration": 0}}))
+            bad = {"run": {"duration": 0}}
+            bad.setdefault(section, {})[name] = value
+            cfg_path.write_text(json.dumps(bad))
             cases.append((cfg_path, out, f"'{path}'"))
         horizon, latin1, empty = (tmp_path / f"{k}.json" for k in ("horizon", "latin1", "empty"))
         horizon.write_text(

@@ -42,13 +42,16 @@ def short_raw(**run):
 
 
 def large_step_raw(dt, excitation_duration=6.0):
-    """A run on grid step dt, the quality windows scaled to fit it.  The
-    default calibration maneuver certifies full rank, so the adaptation
-    law would run from the first step; a 2 s one does not."""
+    """A run on grid step dt, the default windows scaled to fit it: time
+    runs in units of 5 dt, so t1 = 5 dt and t2 = 4 dt are whole steps of dt
+    and of the calibration grid dt / 1000, the quality horizon is 4 dt (two
+    rollout steps of stride 2), and the calibration lasts
+    excitation_duration units: 6 as by default, or 2, just past t1 + t2."""
     raw = default_config_dict()
-    raw["gains"]["excitation_duration"] = excitation_duration
+    raw["gains"].update(t1=5.0 * dt, t2=4.0 * dt, excitation_dt=dt / 1000,
+                        excitation_duration=excitation_duration * 5.0 * dt)
     raw["run"].update(dt=dt, duration=40.0 * dt)
-    raw["purge"].update(horizon=4.0 * dt, half_width=1, rollout_stride=1)
+    raw["purge"].update(horizon=4.0 * dt, half_width=1, rollout_stride=2)
     return raw
 
 
@@ -111,8 +114,10 @@ def test_too_large_grid_step_raises_config_error(dt, mode, excitation_duration):
 
 
 def test_unstable_rk4_step_is_rejected_before_a_diverged_report():
-    # the calibration is too short to certify full rank, so the adaptation
-    # law never runs; this run used to exit 0 with |p~| of about 1.6e12
+    # a 1 s grid and a short calibration; with t1 = 1 s, t2 = 0.8 s and a
+    # 2 s calibration, too short to certify full rank, so that the
+    # adaptation law never ran, this run used to exit 0 with |p~| of about
+    # 1.6e12
     raw = large_step_raw(1.0, excitation_duration=2.0)
     raw["run"]["duration"] = 40.0
     with pytest.raises(ConfigError, match=r"'run\.dt'.*2\.469"):
@@ -121,7 +126,7 @@ def test_unstable_rk4_step_is_rejected_before_a_diverged_report():
 
 def test_unstable_calibration_step_is_rejected():
     raw = default_config_dict()
-    raw["gains"]["excitation_dt"] = 1.0
+    raw["gains"].update(excitation_dt=1.0, t2=1.0)  # t1 and t2 whole steps of it
     with pytest.raises(ConfigError, match=r"'gains\.excitation_dt': dt too large"):
         run_experiment(ExperimentConfig(raw))
 

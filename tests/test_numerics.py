@@ -47,6 +47,11 @@ def make_signal(fn, dim, dt, duration, window=None):
     return sig
 
 
+def integral(sig, a, b):
+    """The trapezoid integral of sig from step a to step b."""
+    return sig.rows(b, cumulative=True)[0] - sig.rows(a, cumulative=True)[0]
+
+
 class TestRk4:
     def test_zero_field_is_identity(self):
         x0 = np.array([1.5, -2.0])
@@ -82,39 +87,34 @@ class TestSampledSignalAndTrapezoid:
     def test_constant_integral(self):
         c = np.array([2.0, -3.0])
         sig = make_signal(lambda t: c, 2, 0.01, 2.0)
-        np.testing.assert_allclose(sig.integral(0.0, 2.0), 2.0 * c, atol=1e-12)
+        np.testing.assert_allclose(integral(sig, 0, 200), 2.0 * c, atol=1e-12)
 
     def test_empty_interval_is_zero(self):
         sig = make_signal(lambda t: np.array([t]), 1, 0.01, 1.0)
-        np.testing.assert_array_equal(sig.integral(0.5, 0.5), np.zeros(1))
+        np.testing.assert_array_equal(integral(sig, 50, 50), np.zeros(1))
 
     def test_linear_ramp(self):
         sig = make_signal(lambda t: np.array([t]), 1, 1e-3, 1.0)
-        assert abs(sig.integral(0.0, 1.0)[0] - 0.5) < 1e-6
+        assert abs(integral(sig, 0, 1000)[0] - 0.5) < 1e-6
 
     def test_additivity(self):
         rng = np.random.default_rng(0)
         sig = make_signal(lambda t: np.array([np.sin(3 * t), np.cos(2 * t)]), 2, 1e-2, 3.0)
         for _ in range(50):
-            a, b, c = np.sort(rng.uniform(0.0, 3.0, size=3))
-            lhs = sig.integral(a, b) + sig.integral(b, c)
-            rhs = sig.integral(a, c)
+            a, b, c = np.sort(rng.integers(0, 301, size=3))
+            lhs = integral(sig, a, b) + integral(sig, b, c)
+            rhs = integral(sig, a, c)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_off_grid_endpoints_exact_on_ramp(self):
-        sig = make_signal(lambda t: np.array([t]), 1, 0.1, 2.0)
-        a, b = 0.137, 1.493
-        assert abs(sig.integral(a, b)[0] - 0.5 * (b * b - a * a)) < 1e-12
 
     def test_window_underflow_raises(self):
         sig = make_signal(lambda t: np.array([t]), 1, 0.01, 3.0, window=1.0)
         with pytest.raises(WindowUnderflowError):
-            sig.integral(0.0, 0.5)
+            sig.rows(0, 51, cumulative=True)
 
     def test_retention_window(self):
         sig = make_signal(lambda t: np.array([t]), 1, 0.01, 5.0, window=2.0)
-        assert sig.earliest_time <= 3.0
-        np.testing.assert_allclose(sig.value_at(3.0), [3.0], atol=1e-12)
+        assert sig.first_step <= 300
+        np.testing.assert_allclose(sig.rows(300)[0], [3.0], atol=1e-12)
 
     def test_off_grid_append_rejected(self):
         sig = SampledSignal(1, 0.01, 1.0)
@@ -130,6 +130,17 @@ class TestSampledSignalAndTrapezoid:
             sig.append(t, [1.0])
         assert len(sig) == 1
 
+    def test_a_long_log_keeps_its_grid(self):
+        # the retained log's first time is a running sum of dt that drifts
+        # past the grid tolerance at step 341,218 of 1 ms; appends are still
+        # due at k * dt, and a time half a step off is still rejected
+        sig, zero = SampledSignal(1, 1e-3, 1.804), np.zeros(1)
+        for k in range(350_000):
+            sig.append(k * 1e-3, zero)
+        assert sig.first_step + len(sig) == 350_000
+        with pytest.raises(SampleTimeError):
+            sig.append(350_000.5 * 1e-3, zero)
+
     def test_non_finite_append_rejected(self):
         sig = SampledSignal(1, 0.01, 1.0)
         with pytest.raises(NumericOverflowError):
@@ -138,19 +149,9 @@ class TestSampledSignalAndTrapezoid:
     def test_reversed_bounds_rejected(self):
         sig = make_signal(lambda t: np.array([t]), 1, 0.01, 1.0)
         with pytest.raises(ValueError):
-            sig.integral(0.8, 0.2)
-
-    def test_values_at_interpolates(self):
-        sig = make_signal(lambda t: np.array([2 * t]), 1, 0.1, 1.0)
-        out = sig.values_at(np.array([0.05, 0.25, 1.0]))
-        np.testing.assert_allclose(out[:, 0], [0.1, 0.5, 2.0], atol=1e-12)
-
-    def test_sub_cell_interval_integral(self):
-        sig = make_signal(lambda t: np.array([t]), 1, 0.1, 2.0)
-        a, b = 0.52, 0.58  # both inside one cell
-        assert abs(sig.integral(a, b)[0] - 0.5 * (b * b - a * a)) < 1e-12
-        times, vals = sig.cumulative_samples(a, b)
-        assert times[0] == a and times[-1] == b
+            sig.rows(80, 2, stride=-60)
+        with pytest.raises(ValueError):
+            sig.rows(80, 0)
 
     def test_bulk_load_matches_appends(self):
         dt = 0.01
@@ -159,9 +160,7 @@ class TestSampledSignalAndTrapezoid:
         ref = SampledSignal(2, dt, 1.2)
         for k in range(101):
             ref.append(k * dt, values[k])
-        np.testing.assert_allclose(
-            bulk.integral(0.1, 0.9), ref.integral(0.1, 0.9), atol=1e-14
-        )
+        np.testing.assert_allclose(integral(bulk, 10, 90), integral(ref, 10, 90), atol=1e-14)
 
 
 class TestSolveAre:

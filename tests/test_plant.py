@@ -1,4 +1,4 @@
-"""Demonstrator tests: policy optimality, trajectory generation, scaling."""
+"""Demonstrator tests: policy optimality, closed-loop trajectories, scaling."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,9 @@ from irlobs.plant import (
     make_demonstrator,
     optimal_action,
     query,
-    simulate_demonstrator,
 )
 
-from conftest import DEFAULT_RDIAG, DEFAULT_WQ, X0
+from conftest import DEFAULT_RDIAG, DEFAULT_WQ, X0, simulate_demonstrator
 
 
 def hjb_residual(demo, x, u):
@@ -23,7 +22,7 @@ def hjb_residual(demo, x, u):
     plant, cost = demo.plant, demo.cost
     grad_v = 2.0 * demo.riccati_p @ x
     xdot = plant.a_prime @ x + plant.b_prime @ u
-    return float(grad_v @ xdot + cost.q_value(x) + u @ (cost.r_diag * u))
+    return float(grad_v @ xdot + x @ cost.q_matrix @ x + u @ (cost.r_diag * u))
 
 
 class TestLinearPlant:
@@ -68,14 +67,14 @@ class TestCostFunction:
     def test_quadratic_value(self):
         cost = CostFunction(dim=2, w_q=[2.0, 3.0], r_diag=[1.0])
         x = np.array([1.5, -2.0])
-        assert abs(cost.q_value(x) - (2.0 * 1.5**2 + 3.0 * 2.0**2)) < 1e-12
+        assert abs(x @ cost.q_matrix @ x - (2.0 * 1.5**2 + 3.0 * 2.0**2)) < 1e-12
 
     def test_cross_monomials(self):
         cost = CostFunction(
             dim=2, w_q=[2.0, 2.0, 2.0], r_diag=[1.0], q_monomials=[(0, 0), (0, 1), (1, 1)]
         )
         x = np.array([2.0, 3.0])
-        assert abs(cost.q_value(x) - (8.0 + 12.0 + 18.0)) < 1e-12
+        assert abs(x @ cost.q_matrix @ x - (8.0 + 12.0 + 18.0)) < 1e-12
 
 
 class TestMakeDemonstrator:
@@ -136,8 +135,8 @@ class TestSimulate:
     def test_equilibrium_stays_zero(self, default_system):
         _, _, demo = default_system
         p_log, u_log = simulate_demonstrator(demo, np.zeros(4), 1.0, 1e-3)
-        np.testing.assert_array_equal(p_log.value_at(1.0), np.zeros(2))
-        np.testing.assert_array_equal(u_log.value_at(1.0), np.zeros(2))
+        np.testing.assert_array_equal(p_log.rows(1000)[0], np.zeros(2))
+        np.testing.assert_array_equal(u_log.rows(1000)[0], np.zeros(2))
 
     def test_double_integrator_decay_vs_expm_oracle(self, double_integrator):
         plant, _, demo = double_integrator
@@ -146,13 +145,13 @@ class TestSimulate:
         a_cl = plant.a_prime - plant.b_prime @ demo.k_fb
         x_final = expm(10.0 * a_cl) @ x0
         assert np.linalg.norm(x_final) < 1e-2
-        assert abs(p_log.value_at(10.0)[0] - x_final[0]) < 1e-6
+        assert abs(p_log.rows(10000)[0, 0] - x_final[0]) < 1e-6
 
     def test_default_system_decays(self, default_system):
         _, _, demo = default_system
         p_log, _ = simulate_demonstrator(demo, X0, 15.0, 1e-3)
-        assert np.linalg.norm(p_log.value_at(15.0)) < 1e-3
-        assert np.linalg.norm(p_log.value_at(15.0)) < np.linalg.norm(p_log.value_at(0.0))
+        assert np.linalg.norm(p_log.rows(15000)[0]) < 1e-3
+        assert np.linalg.norm(p_log.rows(15000)[0]) < np.linalg.norm(p_log.rows(0)[0])
 
     def test_nonpositive_duration_rejected(self, default_system):
         _, _, demo = default_system
@@ -164,10 +163,10 @@ class TestSimulate:
         field = closed_loop_field(demo)
         x = X0.copy()
         dt = 1e-3
-        v_prev = demo.value(x)
+        v_prev = x @ demo.riccati_p @ x
         for k in range(5000):
             x = rk4_step(field, k * dt, x, dt)
-            v = demo.value(x)
+            v = x @ demo.riccati_p @ x
             assert v <= v_prev + 1e-6
             v_prev = v
 
@@ -180,8 +179,8 @@ class TestScaleInvariance:
         assert np.array_equal(demo5.k_fb, demo.k_fb)
         p1, u1 = simulate_demonstrator(demo, X0, 2.0, 1e-3)
         p5, u5 = simulate_demonstrator(demo5, X0, 2.0, 1e-3)
-        assert np.array_equal(p1.value_at(2.0), p5.value_at(2.0))
-        assert np.array_equal(u1.value_at(2.0), u5.value_at(2.0))
+        assert np.array_equal(p1.rows(2000)[0], p5.rows(2000)[0])
+        assert np.array_equal(u1.rows(2000)[0], u5.rows(2000)[0])
 
     def test_riccati_scales(self, default_system):
         plant, _, demo = default_system

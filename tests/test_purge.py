@@ -37,17 +37,17 @@ def make_log(fn, dim, dt, duration):
     return sig
 
 
-def default_quality(n=2, horizon=1.0, half_width=5, rollout_stride=20):
+def default_quality(n=2, horizon=1000, half_width=5, rollout_stride=20):
     return QualityConfig(
         horizon=horizon, s1=np.eye(2 * n), s2=np.eye(n),
         half_width=half_width, rollout_stride=rollout_stride,
     )
 
 
-def eta2(run, theta_hat, t, quality):
-    """quality_eta2 given the smoothed velocity at t - horizon, as the runner does."""
-    v0 = smooth_velocity(run.p_log, t - quality.horizon, quality.half_width)
-    return quality_eta2(run.p_log, run.u_log, theta_hat, t, quality, v0)
+def eta2(run, theta_hat, k, quality):
+    """quality_eta2 given the smoothed velocity at step k - horizon, as the runner does."""
+    v0 = smooth_velocity(run.p_log, k - quality.horizon, quality.half_width)
+    return quality_eta2(run.p_log, run.u_log, theta_hat, k, quality, v0)
 
 
 @pytest.fixture(scope="module")
@@ -58,21 +58,21 @@ def basis():
 class TestSmoothVelocity:
     def test_constant_gives_zero(self):
         log = make_log(lambda t: np.array([4.0, -1.0]), 2, 1e-3, 1.0)
-        np.testing.assert_allclose(smooth_velocity(log, 0.5, 5), np.zeros(2), atol=1e-12)
+        np.testing.assert_allclose(smooth_velocity(log, 500, 5), np.zeros(2), atol=1e-12)
 
     def test_linear_ramp_exact(self):
         log = make_log(lambda t: np.array([3.0 * t, -2.0 * t]), 2, 1e-3, 1.0)
-        np.testing.assert_allclose(smooth_velocity(log, 0.5, 5), [3.0, -2.0], atol=1e-9)
+        np.testing.assert_allclose(smooth_velocity(log, 500, 5), [3.0, -2.0], atol=1e-9)
 
     def test_quadratic_exact(self):
         log = make_log(lambda t: np.array([t**2]), 1, 1e-3, 1.0)
         t0 = 0.5
-        assert abs(smooth_velocity(log, t0, 5)[0] - 2.0 * t0) < 1e-9
+        assert abs(smooth_velocity(log, 500, 5)[0] - 2.0 * t0) < 1e-9
 
     def test_insufficient_window_raises(self):
         log = make_log(lambda t: np.array([t]), 1, 1e-3, 1.0)
         with pytest.raises(WindowUnderflowError):
-            smooth_velocity(log, 0.001, 5)
+            smooth_velocity(log, 1, 5)
 
     def test_tracks_true_velocity_on_default_run(self, default_run):
         run = default_run
@@ -80,7 +80,7 @@ class TestSmoothVelocity:
         worst = 0.0
         for t in np.arange(2.0, 10.0, 0.5):
             k = int(round(t / run.dt))
-            v = smooth_velocity(run.p_log, t, 5)
+            v = smooth_velocity(run.p_log, k, 5)
             worst = max(worst, float(np.linalg.norm(v - run.x_true[k, n:])))
         assert worst < 1e-4
 
@@ -107,8 +107,8 @@ class TestQualityEta1:
 
         def eta1_at(t):
             k = int(round(t / run.dt))
-            k_lag = int(round((t - qc.horizon) / run.dt))
-            v = smooth_velocity(run.p_log, t - qc.horizon, qc.half_width)
+            k_lag = k - qc.horizon
+            v = smooth_velocity(run.p_log, k_lag, qc.half_width)
             return quality_eta1(run.p_tilde[k], run.q_hat[k_lag], v, qc.s1)
 
         assert eta1_at(2.0) > eta1_at(10.0)
@@ -118,7 +118,7 @@ class TestQualityEta2:
     def test_true_model_near_zero(self, default_run):
         run = default_run
         tv = ThetaVector(theta=run.theta_true.copy(), n=2, m=2)
-        val = eta2(run, tv, 8.0, default_quality())
+        val = eta2(run, tv, 8000, default_quality())
         assert 0.0 <= val < 1e-8
 
     def test_wrong_model_strictly_positive(self, default_run):
@@ -127,32 +127,32 @@ class TestQualityEta2:
         doubled = run.theta_true.copy()
         doubled[:8] *= 2.0  # scale both dynamics blocks
         tv_bad = ThetaVector(theta=doubled, n=2, m=2)
-        good = eta2(run, tv_true, 8.0, default_quality())
-        bad = eta2(run, tv_bad, 8.0, default_quality())
+        good = eta2(run, tv_true, 8000, default_quality())
+        bad = eta2(run, tv_bad, 8000, default_quality())
         assert bad > 1e3 * max(good, 1e-30)
         assert bad > 0.0
 
     def test_zero_weighting_gives_zero(self, default_run):
         run = default_run
-        qc = QualityConfig(horizon=1.0, s1=np.eye(4), s2=np.zeros((2, 2)), half_width=5)
+        qc = QualityConfig(horizon=1000, s1=np.eye(4), s2=np.zeros((2, 2)), half_width=5)
         tv = ThetaVector(theta=np.zeros(12), n=2, m=2)
-        assert eta2(run, tv, 8.0, qc) == 0.0
+        assert eta2(run, tv, 8000, qc) == 0.0
 
     def test_divergent_rollout_returns_inf(self, default_run):
         run = default_run
         unstable = np.zeros(12)
         unstable[0] = unstable[3] = 4e4  # violently unstable A1
         tv = ThetaVector(theta=unstable, n=2, m=2)
-        qc = QualityConfig(horizon=1.0, s1=np.eye(4), s2=np.eye(2), half_width=5,
+        qc = QualityConfig(horizon=1000, s1=np.eye(4), s2=np.eye(2), half_width=5,
                            rollout_stride=20)
-        val = eta2(run, tv, 8.0, qc)
+        val = eta2(run, tv, 8000, qc)
         assert val == float("inf")
 
     def test_before_first_horizon_rejected(self, default_run):
         run = default_run
         tv = ThetaVector(theta=np.zeros(12), n=2, m=2)
         with pytest.raises(ValueError):
-            quality_eta2(run.p_log, run.u_log, tv, 0.5, default_quality(), np.zeros(2))
+            quality_eta2(run.p_log, run.u_log, tv, 500, default_quality(), np.zeros(2))
 
 
 class TestCompositeQuality:
@@ -164,11 +164,11 @@ class TestCompositeQuality:
 
         def eta_at(t):
             k = int(round(t / run.dt))
-            k_lag = int(round((t - qc.horizon) / run.dt))
-            v = smooth_velocity(run.p_log, t - qc.horizon, qc.half_width)
+            k_lag = k - qc.horizon
+            v = smooth_velocity(run.p_log, k_lag, qc.half_width)
             e1 = quality_eta1(run.p_tilde[k], run.q_hat[k_lag], v, qc.s1)
             tv = ThetaVector(theta=run.theta[k].copy(), n=2, m=2)
-            e2 = quality_eta2(run.p_log, run.u_log, tv, t, qc, v)
+            e2 = quality_eta2(run.p_log, run.u_log, tv, k, qc, v)
             return e1 + e2
 
         early, late = eta_at(2.0), eta_at(11.0)
@@ -181,11 +181,11 @@ class TestQualityConfig:
         s1 = np.eye(4)
         s1[0, 1] = 0.5
         with pytest.raises(ValueError):
-            QualityConfig(horizon=1.0, s1=s1, s2=np.eye(2), half_width=5)
+            QualityConfig(horizon=1000, s1=s1, s2=np.eye(2), half_width=5)
 
     def test_indefinite_weight_rejected(self):
         with pytest.raises(ValueError):
-            QualityConfig(horizon=1.0, s1=-np.eye(4), s2=np.eye(2), half_width=5)
+            QualityConfig(horizon=1000, s1=-np.eye(4), s2=np.eye(2), half_width=5)
 
 
 def zero_weights(basis, m=2, r1=20.0):

@@ -1,10 +1,11 @@
-"""Property tests of SampledSignal lookups and integrals.
+"""Property tests of SampledSignal reads by step index.
 
 Signals are built by appending, with windows short enough that old samples
-are pruned and the ring buffer compacts.  Integrals over adjacent intervals
-add up to rounding, lookups outside the retained window raise, and the
-scalar lookups used per step and the grid-row reads agree bitwise with the
-vectorised ones.
+are pruned and the ring buffer compacts.  Strided reads return the
+appended samples and the running trapezoid integral bit for bit, integrals
+between steps add up to rounding, single-step reads equal the rows of
+strided ones, and any read that leaves the retained steps raises, the step
+just below them included.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from irlobs.errors import WindowUnderflowError
-from irlobs.numerics import _GRID_TOL, SampledSignal
+from irlobs.numerics import SampledSignal
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
@@ -22,7 +23,9 @@ UNIT = st.floats(0.0, 1.0)
 
 
 @st.composite
-def signals(draw):
+def logs(draw):
+    """A signal built by appending, the samples appended to it and the
+    time of the first."""
     dim = draw(st.integers(1, 3))
     dt = draw(st.sampled_from([1e-3, 0.01, 0.1, 0.37]))
     count = draw(st.integers(2, 200))
@@ -32,100 +35,91 @@ def signals(draw):
     sig = SampledSignal(dim, dt, window, t0=t0)
     for k, value in enumerate(values):
         sig.append(t0 + k * dt, value)
-    return sig
+    return sig, values, t0
 
 
-def inside(sig, frac):
-    return sig.earliest_time + frac * (sig.latest_time - sig.earliest_time)
+def running_integral(values, dt):
+    """The trapezoid running integral, summed one step at a time from zero."""
+    cum = [np.zeros(values.shape[1])]
+    for prev, value in zip(values, values[1:]):
+        cum.append(cum[-1] + (0.5 * dt) * (prev + value))
+    return np.array(cum)
 
 
-def grid_or_inside(sig, frac, on_grid):
-    if on_grid:
-        return sig.earliest_time + round(frac * (len(sig) - 1)) * sig.dt
-    return inside(sig, frac)
+def retained(sig, frac):
+    """The retained step at fraction frac of the retained range."""
+    return sig.first_step + round(frac * (len(sig) - 1))
+
+
+def integral(sig, a, b):
+    return sig.rows(b, cumulative=True)[0] - sig.rows(a, cumulative=True)[0]
 
 
 @PROPERTY
-@given(sig=signals(), fracs=st.lists(UNIT, min_size=3, max_size=3))
-def test_integral_is_additive(sig, fracs):
-    a, b, c = (inside(sig, f) for f in sorted(fracs))
-    lhs = sig.integral(a, b) + sig.integral(b, c)
-    rhs = sig.integral(a, c)
-    scale = np.abs(sig.cumulative_at([a, b, c])).max()
+@given(log=logs(), fracs=st.lists(UNIT, min_size=3, max_size=3))
+def test_integral_is_additive(log, fracs):
+    sig, *_ = log
+    a, b, c = (retained(sig, f) for f in sorted(fracs))
+    lhs = integral(sig, a, b) + integral(sig, b, c)
+    rhs = integral(sig, a, c)
+    scale = np.abs(sig.rows(sig.first_step, len(sig), cumulative=True)).max()
     assert np.abs(lhs - rhs).max() <= 4 * EPS * scale
 
 
 @PROPERTY
-@given(sig=signals(), cells=st.floats(1e-3, 10.0), frac=UNIT)
-def test_lookups_outside_the_window_raise(sig, cells, frac):
-    t_in = inside(sig, frac)
-    for t_out in (sig.earliest_time - cells * sig.dt, sig.latest_time + cells * sig.dt):
-        with pytest.raises(WindowUnderflowError):
-            sig.value_at(t_out)
-        with pytest.raises(WindowUnderflowError):
-            sig.values_at([t_in, t_out])
-        with pytest.raises(WindowUnderflowError):
-            sig.cumulative_at([t_out])
-        with pytest.raises(WindowUnderflowError):
-            sig.integral(*sorted((t_in, t_out)))
-
-
-@PROPERTY
-@given(sig=signals(), lookups=st.lists(st.tuples(UNIT, st.booleans()), min_size=1, max_size=20))
-def test_scalar_lookups_match_vector_lookups_bitwise(sig, lookups):
-    for frac, on_grid in lookups:
-        t = grid_or_inside(sig, frac, on_grid)
-        assert np.array_equal(sig.value_at(t), sig.values_at([t])[0])
-        assert np.array_equal(sig._cum_at(t), sig.cumulative_at([t])[0])
-
-
-# offsets from the grid, in cells, that grid_rows still reads as samples
-JITTER = st.floats(-0.4 * _GRID_TOL, 0.4 * _GRID_TOL)
-
-
-@PROPERTY
-@given(
-    sig=signals(),
-    start=UNIT,
-    stride=st.integers(1, 4),
-    count=st.integers(2, 40),
-    jitter=JITTER,
-    cumulative=st.booleans(),
-)
-def test_grid_rows_match_vector_lookups_bitwise(sig, start, stride, count, jitter, cumulative):
+@given(log=logs(), start=UNIT, stride=st.integers(1, 4), count=st.integers(1, 40))
+def test_strided_reads_equal_the_appended_samples(log, start, stride, count):
+    sig, values, t0 = log
     count = min(count, (len(sig) - 1) // stride + 1)
-    assume(count >= 2)
-    first = round(start * (len(sig) - 1 - stride * (count - 1)))
-    a = sig.earliest_time + (first + jitter) * sig.dt
-    spacing = stride * sig.dt
-    times = a + spacing * np.arange(count)
-    rows = sig.grid_rows(a, a + spacing * (count - 1), count, cumulative=cumulative)
-    lookup = sig.cumulative_at if cumulative else sig.values_at
-    assert np.array_equal(rows, lookup(times))
+    first = sig.first_step + round(start * (len(sig) - 1 - stride * (count - 1)))
+    steps = first + stride * np.arange(count)
+    assert np.array_equal(sig.rows(first, count, stride), values[steps])
+    cum = running_integral(values, sig.dt)
+    assert np.array_equal(sig.rows(first, count, stride, cumulative=True), cum[steps])
+    # the grid times of consecutive steps, to the rounding of their sums
+    times = sig.times(first, count)
+    assert np.allclose(times, t0 + sig.dt * np.arange(first, first + count), rtol=0.0, atol=1e-9)
 
 
 @PROPERTY
-@given(sig=signals(), cells=st.integers(1, 5), count=st.integers(2, 6), jitter=JITTER)
-def test_grid_rows_outside_the_window_raise(sig, cells, count, jitter):
-    dt = sig.dt
-    for a in (
-        sig.earliest_time - (cells + jitter) * dt,
-        sig.latest_time + (cells + jitter - count + 1) * dt,
-    ):
-        times = a + dt * np.arange(count)
+@given(log=logs(), cells=st.integers(1, 10), frac=UNIT)
+def test_lookups_outside_the_window_raise(log, cells, frac):
+    sig, *_ = log
+    last = sig.first_step + len(sig) - 1
+    inside = retained(sig, frac)
+    for cumulative in (False, True):
+        for step in (sig.first_step - 1, sig.first_step - cells, last + cells):
+            with pytest.raises(WindowUnderflowError):
+                sig.rows(step, cumulative=cumulative)
+        # from inside the window to a step past it
         with pytest.raises(WindowUnderflowError):
-            sig.values_at(times)
-        with pytest.raises(WindowUnderflowError):
-            sig.grid_rows(a, times[-1], count)
+            sig.rows(inside, last - inside + 1 + cells, cumulative=cumulative)
+    with pytest.raises(WindowUnderflowError):
+        sig.times(sig.first_step - cells, 1)
 
 
 @PROPERTY
-@given(sig=signals(), offset=st.floats(0.01, 0.99), stride=st.integers(1, 3))
-def test_grid_rows_leave_off_grid_times_to_interpolation(sig, offset, stride):
-    on_a = sig.earliest_time
-    on_b = on_a + 2 * stride * sig.dt
-    off = offset * sig.dt
-    assert sig.grid_rows(on_a + off, on_b, 3) is None
-    assert sig.grid_rows(on_a, on_b + off, 3) is None
-    # evenly spaced samples that do not split into the requested count
-    assert sig.grid_rows(on_a, on_a + 3 * sig.dt, 3) is None
+@given(log=logs(), start=UNIT, stride=st.integers(1, 4), count=st.integers(1, 20))
+def test_scalar_lookups_match_vector_lookups_bitwise(log, start, stride, count):
+    sig, *_ = log
+    count = min(count, (len(sig) - 1) // stride + 1)
+    first = sig.first_step + round(start * (len(sig) - 1 - stride * (count - 1)))
+    for cumulative in (False, True):
+        rows = sig.rows(first, count, stride, cumulative=cumulative)
+        for j in range(count):
+            single = sig.rows(first + j * stride, cumulative=cumulative)
+            assert np.array_equal(single[0], rows[j])
+
+
+@PROPERTY
+@given(log=logs(), cells=st.integers(1, 5), count=st.integers(2, 6), stride=st.integers(1, 3))
+def test_grid_rows_outside_the_window_raise(log, cells, count, stride):
+    sig, *_ = log
+    last = sig.first_step + len(sig) - 1
+    span = (count - 1) * stride
+    assume(span < len(sig))
+    # strided reads that start below the window, or end past it, by cells steps
+    for first in (sig.first_step - cells, last - span + cells):
+        for cumulative in (False, True):
+            with pytest.raises(WindowUnderflowError):
+                sig.rows(first, count, stride, cumulative=cumulative)
