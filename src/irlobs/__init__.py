@@ -34,11 +34,12 @@ from .experiment import (
     write_report,
 )
 from .irl import (
-    Candidate,
+    Entry,
     FeatureBasis,
     IrlHistoryStack,
     WeightVector,
     data_select,
+    entry_rows,
     eval_features,
     ideal_weights,
     solve_weights,

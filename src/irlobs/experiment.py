@@ -30,17 +30,17 @@ from .estimator import (
     AdaptiveObserver,
     EstimatorGains,
     ParamHistoryStack,
-    ThetaVector,
     integral_regressor,
     integral_residual,
     theta_dim,
 )
 from .irl import (
-    Candidate,
+    Entry,
     FeatureBasis,
     IrlHistoryStack,
     WeightVector,
     data_select,
+    entry_rows,
     ideal_weights,
     read_lazy,
 )
@@ -56,15 +56,18 @@ from .plant import (
 from .purge import (
     PurgeState,
     QualityConfig,
+    eta2_inputs,
     purge_policy,
     quality_eta1,
-    quality_eta2,
+    quality_eta2,  # unused here, but bench/tracing.py wraps experiment.quality_eta2
+    quality_eta2_block,
     smooth_velocity,
 )
 
 MODES = ("observed", "query")
 _GAMMA_BATCH = 256  # gain matrices per batched eigvalsh in run_experiment
-_PIPE_BATCH = 32  # measured steps per write to the pipe in _pipelined
+_PIPE_BATCH = 32  # measured steps per η block and per write to the pipe in _pipelined
+_PIPE_BYTES = 1 << 20  # the pipe's capacity in _pipelined, where the platform sets it
 DEFAULTS_PATH = Path(__file__).with_name("default_config.json")
 
 
@@ -385,8 +388,9 @@ class OnlineIrl:
     IRL stack under the weight-update/purge policy.  It sees nothing else:
     param_stack comes filled by a calibration maneuver (see
     prerecord_param_stack), and w0 is the stacked initial weight guess.
-    step is offer(*measure(t, p, u), queries): measure is the estimator,
-    offer the cost recovery, and offer reads nothing that measure writes.
+    step is measure, score_eta and candidate_rows, the estimator, then
+    offer, the cost recovery, which reads nothing that the others write;
+    score_eta may also score the η of many measured steps in one block.
     """
 
     def __init__(self, cfg, param_stack, p0, u0, w0):
@@ -432,13 +436,16 @@ class OnlineIrl:
 
     def step(self, t, p, u, queries=()):
         """Take the measurement (p, u) at time t and offer the data."""
-        self.offer(*self.measure(t, p, u), queries)
+        x_hat, theta, pending = self.measure(t, p, u)
+        (eta,) = self.score_eta([pending])
+        self.offer(t, eta, self.candidate_rows(x_hat, u, theta, queries))
 
     def measure(self, t, p, u):
         """The estimator half of step: log (p, u) at time t, record the
         parameter stack, advance the adaptation law and the observer, and
-        score the quality η (inf before eta_floor_step).  Returns the
-        arguments of offer: (t, x_hat, u, theta, eta)."""
+        take what the step's quality η reads.  Returns (x_hat, theta,
+        pending): the state estimate, the ThetaVector and score_eta's input
+        for this step, None before eta_floor_step."""
         observer, (t1, t2) = self.observer, self.windows
         # a rejected measurement leaves every log and counter as it was
         self.p_log.check(t, p)
@@ -457,50 +464,70 @@ class OnlineIrl:
         self.qhat_log.append(t, observer.q_hat)
 
         theta_v = observer.theta_vector
-        eta = self._eta(k, theta_v) if k >= self.eta_floor_step else float("inf")
-        return t, observer.x_hat, u, theta_v, eta
+        pending = self._eta_inputs(k, theta_v) if k >= self.eta_floor_step else None
+        return observer.x_hat, theta_v, pending
 
-    def offer(self, t, x_hat, u, theta, eta, queries=()):
-        """The cost-recovery half of step: offer the estimated pair
-        (x_hat, u) and each oracle pair, with theta and eta, to the IRL
-        stack under the weight-update/purge policy.  Reads nothing that
-        measure changes, so it may run in another process."""
-        self._offer(Candidate(x=x_hat, u=u, theta=theta, eta=eta, t=t))
-        for x_star, u_star in queries:
-            self._offer(Candidate(x=x_star, u=u_star, theta=theta, eta=eta, t=t))
+    def score_eta(self, pendings):
+        """The quality η of each step whose pending (of measure) is listed,
+        in the same order: eta1 plus the step's quality_eta2, all rollouts
+        in one quality_eta2_block, and inf where pending is None."""
+        scored = [pending[1] for pending in pendings if pending is not None]
+        eta2 = iter(quality_eta2_block(scored, self.quality, self.dt) if scored else ())
+        return [float("inf") if pending is None else pending[0] + float(next(eta2))
+                for pending in pendings]
 
-    def _eta(self, k, theta_v):
+    def candidate_rows(self, x_hat, u, theta, queries=()):
+        """The IRL rows and right-hand side (irl.entry_rows) of the
+        estimated pair (x_hat, u) and of each oracle pair, under theta."""
+        basis, r1 = self.irl_stack.basis, self.irl_stack.r1
+        return [entry_rows(basis, x, v, theta, r1) for x, v in ((x_hat, u), *queries)]
+
+    def offer(self, t, eta, rows):
+        """The cost-recovery half of step: offer each (rows, rhs) of
+        candidate_rows, with the quality eta of step t, to the IRL stack
+        under the weight-update/purge policy.  Reads nothing that measure
+        changes, so it may run in another process."""
+        for block, rhs in rows:
+            self._offer(Entry(block, rhs, eta, t))
+
+    def _eta_inputs(self, k, theta_v):
+        """(eta1, eta2_inputs) of step k, sharing one smoothed velocity."""
         quality = self.quality
         k0 = k - quality.horizon
         v_smooth = smooth_velocity(self.p_log, k0, quality.half_width)
         eta1 = quality_eta1(
             self.observer.p_tilde, self.qhat_log.rows(k0)[0], v_smooth, quality.s1
         )
-        return eta1 + quality_eta2(self.p_log, self.u_log, theta_v, k, quality, v_smooth)
+        return eta1, eta2_inputs(self.p_log, self.u_log, theta_v, k, quality, v_smooth)
 
-    def _offer(self, cand):
+    def _offer(self, entry):
         stack, ps, trace = self.irl_stack, self.purge_state, self.trace
         kappa_before, size_before = stack.gram_kappa, stack.size
-        varpi = data_select(stack, cand, self.xi1, stack.xi2)
+        varpi = data_select(stack, entry, self.xi1, stack.xi2)
         if varpi:
             branch = "append" if stack.size > size_before else "swap"
             trace.stores.append(
-                (cand.t, branch, kappa_before, stack.gram_kappa, stack.sigma_u1_norm)
+                (entry.t, branch, kappa_before, stack.gram_kappa, stack.sigma_u1_norm)
             )
         ps.varpi = varpi
         w_before, purges_before = ps.w_current, ps.purge_count
         eta_bar_before, kappa_gate, u1_gate = stack.eta_min, stack.gram_kappa, stack.sigma_u1_norm
-        if purge_policy(ps, stack, cand.eta) is not w_before:
-            trace.weight_updates.append((cand.t, varpi, kappa_gate, u1_gate))
+        if purge_policy(ps, stack, entry.eta) is not w_before:
+            trace.weight_updates.append((entry.t, varpi, kappa_gate, u1_gate))
         if ps.purge_count > purges_before:
-            trace.purges.append((cand.t, kappa_gate, cand.eta, eta_bar_before))
+            trace.purges.append((entry.t, kappa_gate, entry.eta, eta_bar_before))
 
 
 def _measure_run(cfg, demo, online, steps, emit):
     """The measuring half of run_experiment: per grid step k = 1..steps,
     advance the demonstrator, draw one oracle query in query mode, call
-    online.measure and emit(k, x, measured, queries); returns the bounds
-    of the observer gain's spectrum over the run."""
+    online.measure and build the IRL rows of the estimated pair and each
+    query (OnlineIrl.candidate_rows).  Every _PIPE_BATCH steps, at the
+    last step and before an exception leaves, it scores η for the steps
+    since in one block (OnlineIrl.score_eta) and passes them to emit as a
+    list of (k, x, x_hat, theta, (t, eta, rows)), theta the parameter
+    vector and the last item offer's arguments.  Returns the bounds of the
+    observer gain's spectrum over the run."""
     n, dt = cfg.n, cfg.dt
     field_fn = closed_loop_field(demo)
     rng = np.random.default_rng(cfg.seed)
@@ -508,51 +535,75 @@ def _measure_run(cfg, demo, online, steps, emit):
     # steps are solved in one batch, per matrix bitwise the single solves
     gammas = np.empty((_GAMMA_BATCH,) + online.observer.gamma.shape)
     gamma_lo, gamma_hi = np.inf, 0.0
-    x = cfg.x0
-    for k in range(steps):
-        x = rk4_step(field_fn, k * dt, x, dt)
-        t = (k + 1) * dt
-        u = optimal_action(demo, x)
-        queries = ()
-        if cfg.mode == "query":
-            x_star = rng.uniform(cfg.query_low, cfg.query_high)
-            queries = ((x_star, query(demo, x_star)),)
-        emit(k + 1, x, online.measure(t, x[:n], u), queries)
+    block = []  # (k, x, x_hat, theta, t, rows, pending) of the steps not yet emitted
 
-        gammas[k % _GAMMA_BATCH] = online.observer.gamma
-        if (k + 1) % _GAMMA_BATCH == 0 or k + 1 == steps:
-            lam = np.linalg.eigvalsh(gammas[: k % _GAMMA_BATCH + 1])
-            gamma_lo = min(gamma_lo, float(lam[:, 0].min()))
-            gamma_hi = max(gamma_hi, float(lam[:, -1].max()))
+    def flush():
+        etas = online.score_eta([pending for *_, pending in block])
+        ready = [(k, x, x_hat, theta, (t, eta, rows))
+                 for (k, x, x_hat, theta, t, rows, _), eta in zip(block, etas)]
+        block.clear()
+        emit(ready)
+
+    x = cfg.x0
+    try:
+        for k in range(steps):
+            x = rk4_step(field_fn, k * dt, x, dt)
+            t = (k + 1) * dt
+            u = optimal_action(demo, x)
+            queries = ()
+            if cfg.mode == "query":
+                x_star = rng.uniform(cfg.query_low, cfg.query_high)
+                queries = ((x_star, query(demo, x_star)),)
+            x_hat, theta, pending = online.measure(t, x[:n], u)
+            rows = online.candidate_rows(x_hat, u, theta, queries)
+            block.append((k + 1, x, x_hat, theta.theta, t, rows, pending))
+
+            gammas[k % _GAMMA_BATCH] = online.observer.gamma
+            if (k + 1) % _GAMMA_BATCH == 0 or k + 1 == steps:
+                lam = np.linalg.eigvalsh(gammas[: k % _GAMMA_BATCH + 1])
+                gamma_lo = min(gamma_lo, float(lam[:, 0].min()))
+                gamma_hi = max(gamma_hi, float(lam[:, -1].max()))
+            if (k + 1) % _PIPE_BATCH == 0 or k + 1 == steps:
+                flush()
+    except BaseException:
+        flush()  # the steps measured before the error are offered first
+        raise
     return gamma_lo, gamma_hi
 
 
-def _pipelined(front, take, n, m, mode):
-    """front(emit) in a forked child, and here take(k, x, measured,
-    queries) for each step it emits; returns what front returns.
+def _pipelined(front, take, shapes):
+    """front(emit) in a forked child, and here take(k, x, x_hat, theta,
+    offered) for each step it emits; returns what front returns.
 
-    The child streams each step as a float64 row (t, eta, x, x_hat, u,
-    theta and, in query mode, x* and u*) over a pipe, _PIPE_BATCH steps
-    per write.  A row of zeros (t = 0 is no measured step) ends the rows,
-    and the pickled result of front, or the exception it raised, follows;
-    that exception is raised here once the steps before it are taken.  An
-    exception here kills the child, and the child is always reaped.
+    The child writes each block it emits to a pipe of _PIPE_BYTES, one
+    float64 row per step: the parts of the step's record, flattened, with
+    shapes giving each part's shape in order ((t, eta), x, x_hat, theta,
+    then the rows and right-hand side of each candidate).  A row of zeros
+    (t = 0 is no measured step) ends the rows, and the pickled result of
+    front, or the exception it raised, follows; that exception is raised
+    here once the steps before it are taken.  An exception here kills the
+    child, and the child is always reaped.
     """
-    sizes = [2, 2 * n, 2 * n, m, theta_dim(n, m)] + ([2 * n, m] if mode == "query" else [])
-    cuts = np.cumsum([0] + sizes).tolist()
+    import fcntl  # POSIX only, like os.fork, which every caller has
+
+    cuts = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
     size = 8 * cuts[-1]
     read_fd, write_fd = os.pipe()
+    try:
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):
+        pass  # no F_SETPIPE_SZ, or a size above the system's limit: keep the default
     pid = os.fork()
     if pid == 0:
         try:
             os.close(read_fd)
             with open(write_fd, "wb", buffering=size * _PIPE_BATCH) as pipe:
 
-                def emit(k, x, measured, queries):
-                    t, x_hat, u, theta, eta = measured
-                    pipe.write(np.concatenate(
-                        [(t, eta), x, x_hat, u, theta.theta, *itertools.chain(*queries)]
-                    ))
+                def emit(block):
+                    for _, x, x_hat, theta, (t, eta, rows) in block:
+                        parts = (part.ravel() for pair in rows for part in pair)
+                        pipe.write(np.concatenate([(t, eta), x, x_hat, theta, *parts]))
+                    pipe.flush()
 
                 try:
                     result = front(emit)
@@ -570,9 +621,10 @@ def _pipelined(front, take, n, m, mode):
                 if len(data) < size or data[:8] == bytes(8):
                     break
                 row = np.frombuffer(data)
-                _, x, x_hat, u, theta, *pair = (row[a:b].copy() for a, b in zip(cuts, cuts[1:]))
-                measured = (float(row[0]), x_hat, u, ThetaVector(theta, n, m), float(row[1]))
-                take(k, x, measured, (tuple(pair),) if pair else ())
+                (t, eta), x, x_hat, theta, *rows = (
+                    row[a:b].reshape(shape).copy() for a, b, shape in zip(cuts, cuts[1:], shapes)
+                )
+                take(k, x, x_hat, theta, (float(t), float(eta), list(zip(rows[::2], rows[1::2]))))
             try:  # after the end row; EOF if the child died before it
                 result = pickle.load(pipe)
             except Exception as exc:
@@ -593,10 +645,10 @@ def run_experiment(cfg):
     estimator, and every report_stride steps and at the last step logs
     the estimation errors against ground truth.  Where os.fork exists,
     the run is a two-process pipeline: a child runs the demonstrator, the
-    oracle and OnlineIrl.measure, and this process runs OnlineIrl.offer
-    and the report rows on the records it streams (see _pipelined); no
-    output bit depends on which.  Deterministic for a fixed config and
-    seed.
+    oracle, OnlineIrl.measure, the η blocks and the IRL rows, and this
+    process runs OnlineIrl.offer and the report rows on the records it
+    streams (see _pipelined); no output bit depends on which.
+    Deterministic for a fixed config and seed.
     """
     t_start = time.perf_counter()
     n, m = cfg.n, cfg.m
@@ -622,19 +674,25 @@ def run_experiment(cfg):
         rows.append((t, x_tilde[:n], x_tilde[n:], theta_true - theta,
                      online.weights.stacked - w_true))
 
-    def take(k, x, measured, queries):
-        online.offer(*measured, queries)
+    def take(k, x, x_hat, theta, offered):
+        online.offer(*offered)
         if k % report_stride == 0 or k == steps:
-            t, x_hat, _, theta, _ = measured
-            log_row(t, x, x_hat, theta.theta)
+            log_row(offered[0], x, x_hat, theta)
+
+    def take_block(block):
+        for record in block:
+            take(*record)
 
     if steps > 0:
         log_row(0.0, cfg.x0, online.x_hat, online.theta)
     front = functools.partial(_measure_run, cfg, demo, online, steps)
     if hasattr(os, "fork"):
-        gamma_lo, gamma_hi = _pipelined(front, take, n, m, cfg.mode)
+        candidates = 2 if cfg.mode == "query" else 1
+        shapes = [(2,), (2 * n,), (2 * n,), (theta_dim(n, m),)]
+        shapes += [(1 + m, basis.width(m)), (1 + m,)] * candidates
+        gamma_lo, gamma_hi = _pipelined(front, take, shapes)
     else:
-        gamma_lo, gamma_hi = front(take)
+        gamma_lo, gamma_hi = front(take_block)
 
     irl_stack, w_final = online.irl_stack, online.weights.stacked
     final_residual = float("nan")

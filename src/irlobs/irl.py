@@ -180,26 +180,17 @@ def entry_rows(basis, x_hat, u, theta_hat, r1):
     return rows, rhs
 
 
-@dataclass
-class Candidate:
-    """A state-action pair offered to the history stack, with the parameter
-    estimate in force and the estimator-quality score at recording time.
-    """
-
-    x: np.ndarray
-    u: np.ndarray
-    theta: object  # ThetaVector
-    eta: float
-    t: float
-
-
 def read_lazy(value):
     """A weight estimate given as itself, or as a zero-argument callable
     that runs its deferred solve and returns it."""
     return value() if callable(value) else value
 
 
-class _Entry:
+class Entry:
+    """One stored data point: its rows and right-hand side (entry_rows),
+    quality score and time, with the Gram block and squared right-hand
+    side norm they give."""
+
     __slots__ = ("rows", "rhs", "eta", "t", "gram", "rhs_sq")
 
     def __init__(self, rows, rhs, eta, t):
@@ -317,10 +308,6 @@ class IrlHistoryStack(GramStack):
             self.basis, self.r1, self.size,
         )
 
-    def build_entry(self, cand):
-        rows, rhs = entry_rows(self.basis, cand.x, cand.u, cand.theta, self.r1)
-        return _Entry(rows, rhs, cand.eta, cand.t)
-
 
 @dataclass(frozen=True)
 class StackSnapshot:
@@ -343,8 +330,9 @@ def _kappa_floor(lam_min_bound, lam_max_bound):
     )
 
 
-def data_select(stack, candidate, xi1, xi2):
-    """Offer a candidate to the stack per the condition-number selection rule.
+def data_select(stack, entry, xi1, xi2):
+    """Offer a candidate Entry to the stack per the condition-number
+    selection rule.
 
     Appends unconditionally while the stack is not full.  Once full, finds
     the swap that best conditions the stacked matrix and commits it only if
@@ -356,7 +344,6 @@ def data_select(stack, candidate, xi1, xi2):
     """
     if xi2 != stack.xi2:
         raise ValueError(f"xi2 = {xi2} differs from the stack's floor {stack.xi2}")
-    entry = stack.build_entry(candidate)
     if not (np.isfinite(entry.rows).all() and np.isfinite(entry.rhs).all()):
         raise ValueError("candidate produced non-finite regression rows")
     if not stack.is_full:

@@ -180,11 +180,13 @@ def linear_rk4_matrices(a, b, h):
     """One-step RK4 matrices for xdot = A x + B u(t) with step h.
 
     Returns (phi, w0, wh, w1) such that the classical RK4 update is
-    x+ = phi x + w0 u(t) + wh u(t + h/2) + w1 u(t + h).
+    x+ = phi x + w0 u(t) + wh u(t + h/2) + w1 u(t + h).  a and b may
+    carry a leading stack axis of independent systems; each system's
+    matrices are then bitwise those of its own call.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    eye = np.eye(a.shape[0])
+    eye = np.eye(a.shape[-1])
     a2 = a @ a
     a3 = a2 @ a
     a4 = a3 @ a
@@ -198,15 +200,21 @@ def linear_rk4_matrices(a, b, h):
 def linear_rollout(phi, drive, x0):
     """States x_0 = x0, x_{j+1} = phi x_j + drive[j] for every row of drive.
 
-    The rows are written in place, one matrix-vector product and one add
-    per step, bitwise the same as x = phi @ x + drive[j].
+    One matrix-vector product and one add per step, bitwise the same as
+    x = phi @ x + drive[j].  phi (d, d), drive (steps, d) and x0 (d,) may
+    carry a leading stack axis of independent systems, advanced in
+    lockstep by stacked products; each system's states, shaped
+    (steps + 1, d) behind that axis, are then bitwise those of its own
+    call.
     """
-    states = np.empty((drive.shape[0] + 1, np.size(x0)))
+    x0 = np.asarray(x0, dtype=float)
+    # step-major, so that each step's states are one contiguous block
+    states = np.empty((drive.shape[-2] + 1,) + x0.shape)
     states[0] = x0
-    for prev, row, step in zip(states, states[1:], drive):
-        np.matmul(phi, prev, out=row)
+    for prev, row, step in zip(states, states[1:], np.moveaxis(drive, -2, 0)):
+        np.matmul(phi, prev[..., None], out=row[..., None])
         row += step
-    return states
+    return np.moveaxis(states, 0, -2)
 
 
 def _is_hurwitz(a):

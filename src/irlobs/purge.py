@@ -94,27 +94,57 @@ def quality_eta2(p_log, u_log, theta_hat, k, quality, v0):
     step (smooth_velocity with quality.half_width, as quality_eta1 reads
     it), replaying the logged input, and integrates the squared position
     prediction error under s2.  Returns +inf (worst quality) if the
-    rollout diverges.
+    rollout diverges.  The score of a block of one (quality_eta2_block).
     """
+    inputs = eta2_inputs(p_log, u_log, theta_hat, k, quality, v0)
+    return float(quality_eta2_block([inputs], quality, p_log.dt)[0])
+
+
+def eta2_inputs(p_log, u_log, theta_hat, k, quality, v0):
+    """What quality_eta2 at step k reads, copied out of the logs: the
+    rollout's initial state, theta_hat's a_prime and b_prime, the input
+    at every rollout half step and the measured position at every
+    rollout step."""
     horizon, stride = quality.horizon, quality.rollout_stride
     if k < horizon:
         raise ValueError(f"step {k} is before the first full horizon {horizon}")
-    h = stride * p_log.dt
     steps = horizon // stride
     k0 = k - horizon
-    n = p_log.dim
-    x = np.concatenate([p_log.rows(k0)[0], v0])
-    phi, w0, wh, w1 = linear_rk4_matrices(theta_hat.a_prime, theta_hat.b_prime, h)
+    x0 = np.concatenate([p_log.rows(k0)[0], v0])
     u_half = u_log.rows(k0, 2 * steps + 1, stride // 2)
     p_meas = p_log.rows(k0, steps + 1, stride)
-    drive = u_half[0:-1:2] @ w0.T + u_half[1::2] @ wh.T + u_half[2::2] @ w1.T
+    return x0, theta_hat.a_prime, theta_hat.b_prime, u_half, p_meas
+
+
+def quality_eta2_block(inputs, quality, dt):
+    """quality_eta2 of a block of steps from their eta2_inputs, on the
+    grid of step dt, as an array in the same order.
+
+    The rollouts advance in lockstep through stacked products, and each
+    score is bitwise that of its own step; a diverging rollout scores
+    +inf in its own entry only.
+    """
+    x0, a, b, u_half, p_meas = (np.stack(part) for part in zip(*inputs))
+    h = quality.rollout_stride * dt
+    n = p_meas.shape[-1]
+    phi, w0, wh, w1 = linear_rk4_matrices(a, b, h)
+    drive = (
+        u_half[:, 0:-1:2] @ w0.swapaxes(1, 2)
+        + u_half[:, 1::2] @ wh.swapaxes(1, 2)
+        + u_half[:, 2::2] @ w1.swapaxes(1, 2)
+    )
+    eta2 = np.full(len(x0), np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        states = linear_rollout(phi, drive, x)
-        if not np.isfinite(states).all() or np.max(np.abs(states)) > _ROLLOUT_NORM_CAP:
-            return float("inf")
-        err = states[:, :n] - p_meas
-        integrand = np.einsum("ij,jk,ik->i", err, quality.s2, err)
-    return float(np.trapezoid(integrand, dx=h))
+        states = linear_rollout(phi, drive, x0)
+        # also false where a rollout holds a nan or an inf
+        bounded = np.max(np.abs(states), axis=(1, 2)) <= _ROLLOUT_NORM_CAP
+        err = states[bounded, :, :n] - p_meas[bounded]
+        # one einsum per rollout: a stacked einsum's sums can differ in bits
+        integrand = np.empty(err.shape[:2])
+        for row, e in zip(integrand, err):
+            row[:] = np.einsum("ij,jk,ik->i", e, quality.s2, e)
+        eta2[bounded] = np.trapezoid(integrand, dx=h, axis=-1)
+    return eta2
 
 
 @dataclass

@@ -16,7 +16,7 @@ from irlobs.estimator import (
     theta_dim,
 )
 from irlobs.experiment import default_config, prerecord_param_stack
-from irlobs.irl import eval_features, read_lazy, solve_weights
+from irlobs.irl import Entry, entry_rows, eval_features, read_lazy, solve_weights
 from irlobs.numerics import SampledSignal, rk4_step
 from irlobs.plant import (
     CostFunction,
@@ -142,6 +142,12 @@ def gram_kappas(lam):
     lo, hi = lam[..., 0], lam[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((hi > 0.0) & (lo > hi * lam.shape[-1] * np.finfo(float).eps), hi / lo, np.inf)
+
+
+def make_entry(stack, x, u, theta, eta=0.0, t=0.0):
+    """The Entry offered to data_select for the pair (x, u) under the
+    parameter estimate theta, with the stack's basis and r1."""
+    return Entry(*entry_rows(stack.basis, x, u, theta, stack.r1), eta, t)
 
 
 def exhaustive_irl_slot(stack, entry, xi1):

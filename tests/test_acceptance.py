@@ -18,7 +18,6 @@ from irlobs.experiment import (
     run_experiment,
 )
 from irlobs.irl import (
-    Candidate,
     FeatureBasis,
     IrlHistoryStack,
     data_select,
@@ -29,7 +28,14 @@ from irlobs.irl import (
 from irlobs.numerics import are_residual, least_squares, rk4_step, solve_are
 from irlobs.plant import CostFunction, make_demonstrator, optimal_action
 
-from conftest import DEFAULT_RDIAG, DEFAULT_WQ, X0, drive_estimator, simulate_demonstrator
+from conftest import (
+    DEFAULT_RDIAG,
+    DEFAULT_WQ,
+    X0,
+    drive_estimator,
+    make_entry,
+    simulate_demonstrator,
+)
 
 XI2 = 1e-3
 KAPPA1_BAR = 1e6
@@ -150,7 +156,7 @@ def test_criterion_5_ideal_regressor_recovery(default_system):
         stack = IrlHistoryStack(capacity=30, basis=basis, r1=cost.r1, m=plant.m, xi2=XI2)
         for i in range(30):
             x = rng.uniform(-2.0, 2.0, size=4)
-            cand = Candidate(x=x, u=optimal_action(demo, x), theta=theta_true, eta=0.0, t=float(i))
+            cand = make_entry(stack, x, optimal_action(demo, x), theta_true, t=float(i))
             data_select(stack, cand, 1.0, XI2)
         w_hat = solve_weights(stack)
         rel = np.linalg.norm(w_hat.stacked - w_true.stacked) / np.linalg.norm(w_true.stacked)

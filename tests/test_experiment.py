@@ -239,15 +239,21 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", ["observed", "query"])
     def test_eta_computed_once_per_step_from_the_floor(self, monkeypatch, mode):
-        # measure scores eta once per step from the first step with the
-        # full horizon and smoothing window on, whether or not a decision
-        # reads it; eta1 and eta2 share one smoothed velocity
-        scored, smoothings = [], []
-        original = experiment.quality_eta2
+        # measure takes eta's inputs once per step from the first step with
+        # the full horizon and smoothing window on, whether or not a
+        # decision reads it, and each is scored exactly once: in blocks of
+        # one when stepped, in the run's blocks of _PIPE_BATCH steps when
+        # run; eta1 and eta2 share one smoothed velocity
+        taken, blocks, smoothings = [], [], []
+        inputs_of, score = experiment.eta2_inputs, experiment.quality_eta2_block
 
-        def counting(p_log, u_log, theta_hat, k, quality, v0):
-            scored.append(k)
-            return original(p_log, u_log, theta_hat, k, quality, v0)
+        def counting_inputs(p_log, u_log, theta_hat, k, quality, v0):
+            taken.append(k)
+            return inputs_of(p_log, u_log, theta_hat, k, quality, v0)
+
+        def counting_blocks(inputs, quality, dt):
+            blocks.append(len(inputs))
+            return score(inputs, quality, dt)
 
         def counting_smoothing(module):
             smooth = module.smooth_velocity
@@ -258,7 +264,8 @@ class TestRunExperiment:
 
             monkeypatch.setattr(module, "smooth_velocity", wrapped)
 
-        monkeypatch.setattr(experiment, "quality_eta2", counting)
+        monkeypatch.setattr(experiment, "eta2_inputs", counting_inputs)
+        monkeypatch.setattr(experiment, "quality_eta2_block", counting_blocks)
         counting_smoothing(experiment)
         counting_smoothing(purge)
         cfg = short_config(duration=2.0, mode=mode)
@@ -267,11 +274,22 @@ class TestRunExperiment:
             online.step(t, p, u, queries)
         floor = cfg.quality().horizon + cfg.quality().half_width
         assert online.eta_floor_step == floor
-        assert scored == [k for k in range(1, len(steps) + 1) if k >= online.eta_floor_step]
+        scored = [k for k in range(1, len(steps) + 1) if k >= online.eta_floor_step]
+        assert taken == scored and blocks == [1] * len(scored)
         assert smoothings == [k - cfg.quality().horizon for k in scored]
         times = {steps[k - 1][0] for k in scored}
         stored = {t for t, *_ in online.trace.stores if t >= steps[floor - 1][0]}
         assert stored and stored <= times
+
+        # in process, so that the counts see the measuring half
+        monkeypatch.delattr(os, "fork")
+        taken.clear()
+        blocks.clear()
+        run_experiment(cfg)
+        batch = experiment._PIPE_BATCH
+        runs = [[k for k in scored if first <= k < first + batch]
+                for first in range(1, len(steps) + 1, batch)]
+        assert taken == scored and blocks == [len(run) for run in runs if run]
 
     def test_deferred_weight_solve_matches_eager_reference(self, monkeypatch):
         # the estimate is solved when read, yet every weight update, store,

@@ -235,6 +235,20 @@ def test_an_error_in_measure_reaches_the_caller(tmp_path, capsys):
 
 
 @pipelined
+@pytest.mark.parametrize("step", [experiment._PIPE_BATCH * 21 + 1, round(DURATION / DT)])
+def test_an_error_at_a_block_edge_offers_every_step_before_it(step):
+    # at the first step of an eta block, with no step pending, and at the
+    # run's last step, in the block that the run's end would score
+    with pytest.MonkeyPatch.context() as mp:
+        patch_step_half(mp, "measure", step, rank_failure)
+        offers = patch_step_half(mp, "offer")
+        with pytest.raises(errors.RankDeficiencyError, match="injected"):
+            run_experiment(ExperimentConfig(short_raw()))
+    assert offers == [0.001 * k for k in range(1, step)]
+    assert_no_child_left()
+
+
+@pipelined
 def test_an_error_in_offer_stops_and_reaps_the_child():
     # the child of a 60 s query run is killed at the first offer's error,
     # not left to measure the run to its end

@@ -6,7 +6,6 @@ import pytest
 from irlobs.errors import RankDeficiencyError
 from irlobs.estimator import ThetaVector
 from irlobs.irl import (
-    Candidate,
     FeatureBasis,
     IrlHistoryStack,
     WeightVector,
@@ -25,6 +24,7 @@ from conftest import (
     controller_rows,
     eval_features_loop,
     inverse_bellman_row,
+    make_entry,
 )
 
 
@@ -45,8 +45,8 @@ def w_true(default_system, basis):
     return ideal_weights(basis, demo.riccati_p, cost.w_q, cost.r_diag)
 
 
-def ideal_candidate(demo, theta_true, x, t=0.0, eta=0.0):
-    return Candidate(x=x, u=optimal_action(demo, x), theta=theta_true, eta=eta, t=t)
+def ideal_entry(stack, demo, theta_true, x, t=0.0, eta=0.0):
+    return make_entry(stack, x, optimal_action(demo, x), theta_true, eta=eta, t=t)
 
 
 def filled_ideal_stack(demo, theta_true, basis, count=30, seed=123, capacity=None):
@@ -56,7 +56,7 @@ def filled_ideal_stack(demo, theta_true, basis, count=30, seed=123, capacity=Non
     )
     for i in range(count):
         x = rng.uniform(-2.0, 2.0, size=4)
-        data_select(stack, ideal_candidate(demo, theta_true, x, t=float(i)), 1.0, 1e-3)
+        data_select(stack, ideal_entry(stack, demo, theta_true, x, t=float(i)), 1.0, 1e-3)
     return stack
 
 
@@ -186,7 +186,7 @@ class TestDataSelect:
     def test_append_while_not_full(self, default_system, basis, theta_true):
         _, _, demo = default_system
         stack = IrlHistoryStack(capacity=3, basis=basis, r1=20.0, m=2)
-        varpi = data_select(stack, ideal_candidate(demo, theta_true, np.ones(4)), 1.0, 1e-3)
+        varpi = data_select(stack, ideal_entry(stack, demo, theta_true, np.ones(4)), 1.0, 1e-3)
         assert varpi == 1
         assert stack.size == 1
 
@@ -196,7 +196,7 @@ class TestDataSelect:
         # must reject the duplicate
         _, _, demo = default_system
         stack = IrlHistoryStack(capacity=6, basis=basis, r1=20.0, m=2)
-        cand = ideal_candidate(demo, theta_true, np.array([1.0, -0.5, 0.5, 2.0]))
+        cand = ideal_entry(stack, demo, theta_true, np.array([1.0, -0.5, 0.5, 2.0]))
         for _ in range(6):
             data_select(stack, cand, 1.0, 1e-3)
         assert stack.is_full
@@ -215,10 +215,10 @@ class TestDataSelect:
         stack = IrlHistoryStack(capacity=12, basis=basis, r1=20.0, m=2)
         points = [rng.uniform(-2.0, 2.0, size=4) for _ in range(12)]
         for i, x in enumerate(points):
-            data_select(stack, ideal_candidate(demo, theta_true, x, t=float(i)), 1.0, 1e-3)
+            data_select(stack, ideal_entry(stack, demo, theta_true, x, t=float(i)), 1.0, 1e-3)
         for x in points:
             before = stack.gram_kappa
-            stored = data_select(stack, ideal_candidate(demo, theta_true, x, t=99.0), 1.0, 1e-3)
+            stored = data_select(stack, ideal_entry(stack, demo, theta_true, x, t=99.0), 1.0, 1e-3)
             if stored:
                 assert stack.gram_kappa < before
             else:
@@ -235,10 +235,11 @@ class TestDataSelect:
         points = [rng.uniform(-2.0, 2.0, size=4) for _ in range(7)]
         stack = IrlHistoryStack(capacity=7, basis=basis, r1=20.0, m=2)
         for i, x in enumerate(points[:6] + points[:1]):
-            data_select(stack, ideal_candidate(demo, theta_true, x, t=float(i)), 1.0, 1e-3)
+            data_select(stack, ideal_entry(stack, demo, theta_true, x, t=float(i)), 1.0, 1e-3)
         assert stack.is_full
         assert stack.gram_kappa == np.inf
-        varpi = data_select(stack, ideal_candidate(demo, theta_true, points[6], t=7.0), 1.0, 1e-3)
+        offered = ideal_entry(stack, demo, theta_true, points[6], t=7.0)
+        varpi = data_select(stack, offered, 1.0, 1e-3)
         assert varpi == 1
         assert np.isfinite(stack.gram_kappa)
 
@@ -247,14 +248,13 @@ class TestDataSelect:
         # zero candidate removes the informative entry and drives the
         # right-hand side norm under the floor, so it must be rejected
         stack = IrlHistoryStack(capacity=2, basis=basis, r1=20.0, m=2)
-        strong = Candidate(
-            x=np.array([1.0, -1.0, 0.5, 0.25]), u=np.array([2.0, 1.0]),
-            theta=theta_true, eta=0.0, t=0.0,
+        strong = make_entry(
+            stack, np.array([1.0, -1.0, 0.5, 0.25]), np.array([2.0, 1.0]), theta_true, t=0.0
         )
-        weak = Candidate(x=1e-6 * np.ones(4), u=1e-6 * np.ones(2), theta=theta_true, eta=0.0, t=1.0)
+        weak = make_entry(stack, 1e-6 * np.ones(4), 1e-6 * np.ones(2), theta_true, t=1.0)
         data_select(stack, strong, 1.0, 1e-3)
         data_select(stack, weak, 1.0, 1e-3)
-        zero_cand = Candidate(x=np.ones(4), u=np.zeros(2), theta=theta_true, eta=0.0, t=2.0)
+        zero_cand = make_entry(stack, np.ones(4), np.zeros(2), theta_true, t=2.0)
         u1_before = stack.sigma_u1_norm
         varpi = data_select(stack, zero_cand, np.inf, 1e-3)
         assert varpi == 0
@@ -264,7 +264,7 @@ class TestDataSelect:
         # stores and weight solves gate on one right-hand-side floor
         _, _, demo = default_system
         stack = IrlHistoryStack(capacity=3, basis=basis, r1=20.0, m=2, xi2=1e-3)
-        cand = ideal_candidate(demo, theta_true, np.ones(4))
+        cand = ideal_entry(stack, demo, theta_true, np.ones(4))
         with pytest.raises(ValueError, match="xi2"):
             data_select(stack, cand, 1.0, 1e-2)
         assert stack.size == 0
@@ -278,7 +278,7 @@ class TestDataSelect:
             before = stack.gram_kappa
             x = rng.uniform(-2.0, 2.0, size=4)
             stored = data_select(
-                stack, ideal_candidate(demo, theta_true, x, t=100.0 + i), 1.0, 1e-3
+                stack, ideal_entry(stack, demo, theta_true, x, t=100.0 + i), 1.0, 1e-3
             )
             if stored:
                 assert stack.gram_kappa <= before
@@ -296,7 +296,7 @@ class TestDataSelect:
         rng = np.random.default_rng(35)
         for i in range(15):
             x = rng.uniform(-2.0, 2.0, size=4)
-            data_select(stack, ideal_candidate(demo, theta_true, x, t=50.0 + i), 1.0, 1e-3)
+            data_select(stack, ideal_entry(stack, demo, theta_true, x, t=50.0 + i), 1.0, 1e-3)
             s = np.linalg.svd(stack.sigma_matrix, compute_uv=False)
             oracle = s[0] / s[-1]
             assert abs(stack.kappa - oracle) < 1e-6 * oracle

@@ -393,6 +393,31 @@ class TestLinearRollout:
                 np.testing.assert_array_equal(linear_rollout(phi, drive, x0), np.array(want))
 
 
+class TestStackedRollout:
+    """A stack of systems through linear_rk4_matrices and linear_rollout
+    gives each system the bits of its own calls, a diverging one included."""
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 12])
+    def test_stack_equals_the_single_calls_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        count, m, steps, h = 9, 3, 50, 0.02
+        a = rng.normal(size=(count, d, d)) * rng.uniform(0.1, 3.0, size=(count, 1, 1))
+        a[4] *= 1e4  # grows past the float range within the rollout
+        b = rng.normal(size=(count, d, m))
+        x0 = rng.normal(size=(count, d))
+        drive = rng.normal(size=(count, steps, d))
+        stacked = linear_rk4_matrices(a, b, h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = linear_rollout(stacked[0], drive, x0)
+            for i in range(count):
+                for one, many in zip(linear_rk4_matrices(a[i], b[i], h), stacked):
+                    assert one.tobytes() == many[i].tobytes()
+                alone = linear_rollout(stacked[0][i], drive[i], x0[i])
+                assert alone.tobytes() == np.ascontiguousarray(states[i]).tobytes()
+        assert not np.isfinite(states[4]).all()
+        assert np.isfinite(np.delete(states, 4, axis=0)).all()
+
+
 class TestGramStack:
     @staticmethod
     def blocks(count, dim, seed):

@@ -9,7 +9,6 @@ from irlobs import purge
 from irlobs.errors import WindowUnderflowError
 from irlobs.estimator import ThetaVector
 from irlobs.irl import (
-    Candidate,
     FeatureBasis,
     IrlHistoryStack,
     WeightVector,
@@ -27,6 +26,8 @@ from irlobs.purge import (
     quality_eta2,
     smooth_velocity,
 )
+
+from conftest import make_entry
 
 
 def make_log(fn, dim, dt, duration):
@@ -203,7 +204,7 @@ def filled_stack(default_system, basis, count=30, eta=1.0, seed=50):
     rng = np.random.default_rng(seed)
     for i in range(count):
         x = rng.uniform(-2.0, 2.0, size=4)
-        cand = Candidate(x=x, u=optimal_action(demo, x), theta=tv, eta=eta, t=float(i))
+        cand = make_entry(stack, x, optimal_action(demo, x), tv, eta=eta, t=float(i))
         data_select(stack, cand, 1.0, 1e-3)
     return stack
 
@@ -266,7 +267,7 @@ class TestPurgePolicy:
         for i in range(25):
             x = rng.uniform(-2.0, 2.0, size=4)
             eta = float(rng.uniform(0.1, 5.0))
-            cand = Candidate(x=x, u=optimal_action(demo, x), theta=tv, eta=eta, t=float(i))
+            cand = make_entry(stack, x, optimal_action(demo, x), tv, eta=eta, t=float(i))
             if data_select(stack, cand, 1.0, 1e-3):
                 pass
             purge_policy(ps, stack, eta_now=eta)
@@ -310,7 +311,7 @@ class TestDeferredSolve:
         updates = []
         for i in range(80):
             x = rng.uniform(-2.0, 2.0, size=4)
-            cand = Candidate(x=x, u=optimal_action(demo, x), theta=tv, eta=1.0, t=float(i))
+            cand = make_entry(stack, x, optimal_action(demo, x), tv, eta=1.0, t=float(i))
             ps.varpi = data_select(stack, cand, 1.0, 1e-3)
             w_before = ps.w_current
             if purge_policy(ps, stack, eta_now=1.0) is not w_before:

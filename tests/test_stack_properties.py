@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from irlobs.estimator import ParamHistoryStack, ThetaVector
-from irlobs.irl import Candidate, FeatureBasis, IrlHistoryStack, data_select
+from irlobs.irl import FeatureBasis, IrlHistoryStack, data_select
 
 from conftest import (
     DEFAULT_A,
@@ -23,6 +23,7 @@ from conftest import (
     exhaustive_irl_slot,
     exhaustive_param_slot,
     gram_kappas,
+    make_entry,
 )
 
 EPS = np.finfo(float).eps
@@ -98,7 +99,7 @@ def test_irl_stack_commits_only_strict_gains(capacity, points):
     for t, (x, u) in enumerate(points):
         was_full, before = stack.is_full, stack.gram_kappa
         old_ids, old_gram = [id(e) for e in stack.entries], stack.gram.copy()
-        cand = Candidate(x=x, u=u, theta=THETA, eta=0.0, t=float(t))
+        cand = make_entry(stack, x, u, THETA, t=float(t))
         stored = data_select(stack, cand, 1.0, 1e-3)
         assert_gram_is_block_sum(stack.gram, [e.gram for e in stack.entries])
         if stored:
@@ -149,10 +150,10 @@ def test_irl_stack_bounded_search_matches_exhaustive(capacity, xi1, picks):
     # a scaled copy adds no rank, so small pools leave the stack at kappa = inf
     stack = IrlHistoryStack(capacity=capacity, basis=BASIS, r1=20.0, m=2)
     for t, ((x, u), scale) in enumerate(picks):
-        cand = Candidate(x=scale * x, u=scale * u, theta=THETA, eta=0.0, t=float(t))
+        cand = make_entry(stack, scale * x, scale * u, THETA, t=float(t))
         expected = list(stack.entries)
         if stack.is_full:
-            slot = exhaustive_irl_slot(stack, stack.build_entry(cand), xi1)
+            slot = exhaustive_irl_slot(stack, cand, xi1)
         else:
             slot = stack.size
         stored = data_select(stack, cand, xi1, stack.xi2)
