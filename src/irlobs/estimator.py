@@ -124,8 +124,7 @@ def _double_integral(log, k, t1, t2):
     integral of width t1 steps."""
     cum = log.rows(k - t2, t2 + 1, cumulative=True)
     lagged = log.rows(k - t2 - t1, t2 + 1, cumulative=True)
-    # over the logged times, not a uniform dx: the result keeps their rounding
-    return np.trapezoid(cum - lagged, x=log.times(k - t2, t2 + 1), axis=0)
+    return np.trapezoid(cum - lagged, dx=log.dt, axis=0)
 
 
 def integral_regressor(p_log, u_log, k, t1, t2):

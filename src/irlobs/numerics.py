@@ -1,16 +1,15 @@
 """Shared numerical kernels.
 
 Fixed-step integration, step-indexed logs of uniformly sampled signals, a
-continuous-time algebraic Riccati solver with the Tits-Yang pole placement
-that starts it, least squares and the Gram-block history stack.  Nothing in
-this module knows about plants, observers or costs; everything operates on
-plain numpy arrays.  Of scipy only scipy.linalg is imported.
+continuous-time algebraic Riccati solver (a Hamiltonian start gain refined by
+Kleinman-Newton iteration), least squares and the Gram-block history stack.
+Nothing in this module knows about plants, observers or costs; everything
+operates on plain numpy arrays, and numpy is the only dependency.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     NumericOverflowError,
@@ -22,6 +21,8 @@ from .errors import (
 
 _GRID_TOL = 1e-6  # fraction of dt tolerated when checking a sample's time
 _EPS = np.finfo(float).eps
+_NEWTON_TOL = 1e-13  # relative Newton step that ends the Riccati iteration
+_NEWTON_MAX_ITER = 60
 
 
 def rk4_step(f, t, x, dt):
@@ -61,13 +62,15 @@ class SampledSignal:
         self.dim = int(dim)
         self.dt = float(dt)
         self.window = float(window)
+        # samples kept: the int(window/dt) + 1 spanning the window, one more
+        # in case the window ends between two steps, and one beyond it
+        self._keep = int(window / dt + _GRID_TOL) + 3
         cap = max(64, int(window / dt) + 16)
         self._values = np.zeros((cap, self.dim))
         self._cum = np.zeros((cap, self.dim))
         self._head = 0            # storage row of the first retained sample
         self._count = 0           # number of retained samples
         self.first_step = 0       # step index of the first retained sample
-        self._t_first = float(t0)  # time of the first retained sample
         self._t0 = float(t0)      # time of step 0
 
     @classmethod
@@ -88,7 +91,6 @@ class SampledSignal:
             (0.5 * dt) * (values[:-1] + values[1:]), axis=0
         )
         sig._count = count
-        sig._t_first = float(t0)
         sig._prune()
         return sig
 
@@ -103,7 +105,6 @@ class SampledSignal:
             raise ValueError(f"expected a {self.dim}-vector, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise NumericOverflowError(f"non-finite sample at t={t}")
-        # t0 + k*dt, not the running sum _t_first, which drifts off the grid
         expected = self._t0 + (self.first_step + self._count) * self.dt
         if self._count > 0 and abs(t - expected) > _GRID_TOL * self.dt:
             raise SampleTimeError(f"sample at t={t} is off-grid (expected {expected})")
@@ -113,7 +114,7 @@ class SampledSignal:
         """Append the sample for the next grid time (see check)."""
         v = self.check(t, value)
         if self._count == 0:
-            self._t_first = self._t0 = float(t)
+            self._t0 = float(t)
         if self._head + self._count >= self._values.shape[0]:
             self._compact_or_grow()
         i = self._head + self._count
@@ -140,15 +141,11 @@ class SampledSignal:
         self._head = 0
 
     def _prune(self):
-        # keep one sample beyond the window, so that the step window seconds
-        # before the latest stays retained
-        latest = self._t_first + (self._count - 1) * self.dt
-        drop = int((latest - self.window - self.dt - self._t_first) / self.dt)
+        drop = self._count - self._keep
         if drop > 0:
             self._head += drop
             self._count -= drop
             self.first_step += drop
-            self._t_first += drop * self.dt
 
     def _local(self, first, count, stride):
         """The retained-row offset of step first; raises unless count >= 1
@@ -169,11 +166,6 @@ class SampledSignal:
         lo = self._head + self._local(first, count, stride)
         data = self._cum if cumulative else self._values
         return data[lo : lo + (count - 1) * stride + 1 : stride].copy()
-
-    def times(self, first, count):
-        """The grid times of count consecutive steps from step first on."""
-        lo = self._local(first, count, 1)
-        return self._t_first + self.dt * np.arange(lo, lo + count)
 
 
 def linear_rk4_matrices(a, b, h):
@@ -221,80 +213,34 @@ def _is_hurwitz(a):
     return bool(np.all(np.linalg.eigvals(a).real < 0.0))
 
 
-def _yt_gain(a, b, poles):
-    """Gain K with eig(A - BK) = poles for distinct real poles: bitwise the
-    ``gain_matrix`` of scipy's ``place_poles(a, b, poles)`` (method YT, rtol
-    1e-3, maxiter 30), whose operations it repeats in order (Tits & Yang,
-    IEEE TAC 1996).  Raises SolverFailureError where scipy raises.
-    """
+def _hamiltonian_gain(a, b, q, r):
+    """Start gain R^-1 B'P0, with P0 = Y X^-1 from the stable eigenvectors
+    [X; Y] of the Hamiltonian [[A, -BR^-1B'], [-Q, -A']] (Laub, IEEE TAC
+    1979).  Raises SolverFailureError unless A - BK0 is Hurwitz."""
     n = a.shape[0]
-    poles = np.sort(poles)
-    u, z = sla.qr(b, mode="full")
-    rank = np.linalg.matrix_rank(b)
-    if rank == 0:
-        raise SolverFailureError("could not find a stabilizing gain: B is zero")
-    if rank == n:  # scipy solves A - BK = diag(poles) by least squares
-        return -np.linalg.lstsq(b, np.diag(poles) - a, rcond=-1)[0]
-    u0, u1, z = u[:, :rank], u[:, rank:], z[:rank, :]
-    ker, cols = [], []
-    for p in poles:
-        space = np.dot(u1.T, a - p * np.eye(n)).T
-        ker.append(sla.qr(space, mode="full")[0][:, space.shape[1]:])
-        col = np.sum(ker[-1], axis=1)[:, np.newaxis]
-        cols.append(col / np.linalg.norm(col))
-    x = np.hstack(cols)
-    # YT's update order of column pairs for real poles (steps 1.a-3.a,
-    # 1-based); the single-pole KNV steps need n = 1, a square case
-    h, odd = n // 2, n % 2
-    order = [(n, 1)] + [(2 * r, 2 * r + 1) for r in range(1, h + odd)]
-    order += [(2 * r - 1, 2 * r) for r in range(1, h + 1)]
-    order += [(i, i + j) for j in range(2, h + odd) for i in range(1, h + 1)]
-    order += [(i, (i + j - 1) % n + 1) for j in range(2, h + odd) for i in range(h + 1, n + 1)]
-    order += [(i, i + h) for i in range(1, h + 1)]
-    floor, tries, stop = np.sqrt(np.spacing(1)), 0, rank < 2  # rank 1: nothing to rotate
-    while tries < 30 and not stop:
-        det_before = np.abs(np.linalg.det(x))
-        for i, j in np.array(order) - 1:
-            q = sla.qr(np.delete(x, (i, j), axis=1), mode="full")[0]
-            u, v = q[:, -2, np.newaxis], q[:, -1, np.newaxis]
-            um, sm, vm = np.linalg.svd(
-                np.dot(np.dot(ker[i].T, np.dot(u, v.T) - np.dot(v, u.T)), ker[j])
-            )
-            mu, nu = um.T[:2, :, np.newaxis], vm[:2, :, np.newaxis]
-            if not np.allclose(sm[0], sm[1]):
-                kmn = np.vstack((np.dot(ker[i], mu[0]), np.dot(ker[j], nu[0])))
-            else:
-                zero = np.zeros(ker[i].shape)
-                kmn = np.dot(
-                    np.vstack((np.hstack((ker[i], zero)), np.hstack((zero, ker[j])))),
-                    np.vstack((np.hstack((mu[0], mu[1])), np.hstack((nu[0], nu[1])))),
-                )
-            pair = np.dot(np.dot(kmn, kmn.T), np.vstack((x[:, i, None], x[:, j, None])))
-            if np.allclose(pair, 0):
-                pair = kmn
-            else:
-                pair = np.sqrt(2) * pair / np.linalg.norm(pair)
-            x[:, i], x[:, j] = pair[:n, 0], pair[n:, 0]
-        det = np.max((floor, np.abs(np.linalg.det(x))))
-        stop = np.abs((det - det_before) / det) < 1e-3 and det > floor
-        tries += 1
-    x = x.astype(complex)
+    vals, vecs = np.linalg.eig(np.block([[a, -b @ np.linalg.solve(r, b.T)], [-q, -a.T]]))
+    stable = vecs[:, vals.real < 0.0]
+    if stable.shape[1] != n:
+        raise SolverFailureError("the Hamiltonian has eigenvalues on the imaginary axis")
     try:
-        m = np.linalg.solve(x.T, np.dot(np.diag(poles), x.T)).T
-        return -np.real(np.linalg.solve(z, np.dot(u0.T, m - a)))
+        p0 = np.real(np.linalg.solve(stable[:n].T, stable[n:].T).T)
     except np.linalg.LinAlgError as exc:
         raise SolverFailureError(f"could not find a stabilizing gain: {exc}")
-
-
-def _stabilizing_gain(a, b):
-    """A gain K with A - BK Hurwitz, found deterministically."""
-    n = a.shape[0]
-    if _is_hurwitz(a):
-        return np.zeros((b.shape[1], n))
-    k0 = _yt_gain(a, b, -1.0 - 0.5 * np.arange(n))
-    if not _is_hurwitz(a - b @ k0):
-        raise SolverFailureError("pole placement did not stabilize the pair")
+    k0 = np.linalg.solve(r, b.T @ (0.5 * (p0 + p0.T)))
+    if not (np.isfinite(k0).all() and _is_hurwitz(a - b @ k0)):
+        raise SolverFailureError("the Hamiltonian start gain does not stabilize the pair")
     return k0
+
+
+def _lyapunov(a, c):
+    """P with A'P + PA = C, from the n^2 x n^2 Kronecker system."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    try:
+        p = np.linalg.solve(np.kron(eye, a.T) + np.kron(a.T, eye), c.reshape(-1))
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailureError(f"singular Lyapunov equation: {exc}")
+    return p.reshape(n, n)
 
 
 def are_residual(a, b, q, r, p):
@@ -303,12 +249,13 @@ def are_residual(a, b, q, r, p):
     return float(np.linalg.norm(res, "fro"))
 
 
-def solve_are(a, b, q, r, tol=1e-13, max_iter=60):
+def solve_are(a, b, q, r):
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
 
-    Kleinman-Newton iteration: from a stabilizing gain, each pass solves the
-    Lyapunov equation (A - BK)'P + P(A - BK) = -(Q + K'RK) and refreshes
-    K = R^-1 B'P.  Quadratically convergent when (A, B) is stabilizable.
+    Kleinman-Newton iteration (IEEE TAC 1968): from the Hamiltonian start
+    gain, each pass solves the Lyapunov equation
+    (A - BK)'P + P(A - BK) = -(Q + K'RK) and refreshes K = R^-1 B'P.
+    Quadratically convergent when (A, B) is stabilizable.
 
     Raises SolverFailureError (with the final residual attached) when no
     stabilizing gain exists, the iteration stalls, or the verified solution
@@ -326,18 +273,20 @@ def solve_are(a, b, q, r, tol=1e-13, max_iter=60):
     if np.any(np.linalg.eigvalsh(0.5 * (r + r.T)) <= 0.0):
         raise ValueError("R must be positive definite")
 
-    k = _stabilizing_gain(a, b)
+    k = _hamiltonian_gain(a, b, q, r)
     p = np.zeros((n, n))
-    for _ in range(max_iter):
-        acl = a - b @ k
-        rhs = -(q + k.T @ r @ k)
-        p_next = sla.solve_continuous_lyapunov(acl.T, rhs)
+    last = np.inf
+    for _ in range(_NEWTON_MAX_ITER):
+        p_next = _lyapunov(a - b @ k, -(q + k.T @ r @ k))
         p_next = 0.5 * (p_next + p_next.T)
         step = np.linalg.norm(p_next - p, "fro")
         p = p_next
         k = np.linalg.solve(r, b.T @ p)
-        if step <= tol * max(1.0, np.linalg.norm(p, "fro")):
+        # the Kronecker solve bottoms out near 1e-12 relative on badly
+        # conditioned closed loops, so a step that stops shrinking ends it too
+        if step <= _NEWTON_TOL * max(1.0, np.linalg.norm(p, "fro")) or step >= last:
             break
+        last = step
     else:
         raise SolverFailureError(
             "Kleinman-Newton iteration did not converge",

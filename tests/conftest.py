@@ -39,18 +39,6 @@ def default_gains():
     )
 
 
-def hamiltonian_are(a, b, q, r):
-    """Independent Riccati oracle from the stable Hamiltonian eigenspace."""
-    n = a.shape[0]
-    ham = np.block([[a, -b @ np.linalg.solve(r, b.T)], [-q, -a.T]])
-    vals, vecs = np.linalg.eig(ham)
-    stable = vecs[:, vals.real < 0.0]
-    x = stable[:n, :]
-    y = stable[n:, :]
-    p = np.real(y @ np.linalg.inv(x))
-    return 0.5 * (p + p.T)
-
-
 def cumulative_trapezoid(y, dt):
     """Cumulative composite-trapezoid values of a sampled series."""
     out = np.zeros_like(np.asarray(y, dtype=float))

@@ -102,8 +102,8 @@ class TestIntegralRegressor:
         np.testing.assert_allclose(g_block, np.zeros((2, 4)), atol=1e-10)
 
     def test_double_integral_is_the_trapezoid_over_the_logged_times(self):
-        # a pruned log's grid times carry the rounding of its first time, and
-        # the quadrature runs over them, not over a uniform dt
+        # the logged steps lie on the grid, so the quadrature runs with a
+        # uniform spacing dt, however much of the log was pruned
         dt, t1, t2, k = 1e-3, 1000, 800, 2999
         values = np.random.default_rng(24).normal(size=(k + 1, 2))
         p = SampledSignal(2, dt, (t1 + t2 + 4) * dt)
@@ -111,8 +111,21 @@ class TestIntegralRegressor:
             p.append(step * dt, value)
         cum = cumulative_trapezoid(values, dt)
         inner = cum[k - t2 : k + 1] - cum[k - t2 - t1 : k - t1 + 1]
-        f_block = np.trapezoid(inner, x=p.times(k - t2, t2 + 1), axis=0)
+        f_block = np.trapezoid(inner, dx=dt, axis=0)
         assert np.array_equal(integral_regressor(p, p, k, t1, t2)[0, 0:4:2], f_block)
+
+    def test_regressor_bits_do_not_depend_on_pruning(self):
+        # the same samples, appended to a log that prunes to OnlineIrl's
+        # 1.804 s window, or bulk-loaded into one that keeps them all
+        dt, t1, t2 = 1e-3, 1000, 800
+        values = np.random.default_rng(25).normal(size=(6001, 2))
+        whole = SampledSignal.from_samples(dt, 6.001, 0.0, values)
+        pruned = SampledSignal(2, dt, 1.804)
+        for k, value in enumerate(values):
+            pruned.append(k * dt, value)
+            if k >= t1 + t2 and k % 10 == 0:
+                assert np.array_equal(integral_regressor(pruned, pruned, k, t1, t2),
+                                      integral_regressor(whole, whole, k, t1, t2))
 
     def test_error_system_identity_on_default_run(self, default_system):
         _, _, demo = default_system

@@ -24,8 +24,7 @@ UNIT = st.floats(0.0, 1.0)
 
 @st.composite
 def logs(draw):
-    """A signal built by appending, the samples appended to it and the
-    time of the first."""
+    """A signal built by appending, and the samples appended to it."""
     dim = draw(st.integers(1, 3))
     dt = draw(st.sampled_from([1e-3, 0.01, 0.1, 0.37]))
     count = draw(st.integers(2, 200))
@@ -35,7 +34,7 @@ def logs(draw):
     sig = SampledSignal(dim, dt, window, t0=t0)
     for k, value in enumerate(values):
         sig.append(t0 + k * dt, value)
-    return sig, values, t0
+    return sig, values
 
 
 def running_integral(values, dt):
@@ -69,16 +68,13 @@ def test_integral_is_additive(log, fracs):
 @PROPERTY
 @given(log=logs(), start=UNIT, stride=st.integers(1, 4), count=st.integers(1, 40))
 def test_strided_reads_equal_the_appended_samples(log, start, stride, count):
-    sig, values, t0 = log
+    sig, values = log
     count = min(count, (len(sig) - 1) // stride + 1)
     first = sig.first_step + round(start * (len(sig) - 1 - stride * (count - 1)))
     steps = first + stride * np.arange(count)
     assert np.array_equal(sig.rows(first, count, stride), values[steps])
     cum = running_integral(values, sig.dt)
     assert np.array_equal(sig.rows(first, count, stride, cumulative=True), cum[steps])
-    # the grid times of consecutive steps, to the rounding of their sums
-    times = sig.times(first, count)
-    assert np.allclose(times, t0 + sig.dt * np.arange(first, first + count), rtol=0.0, atol=1e-9)
 
 
 @PROPERTY
@@ -94,8 +90,6 @@ def test_lookups_outside_the_window_raise(log, cells, frac):
         # from inside the window to a step past it
         with pytest.raises(WindowUnderflowError):
             sig.rows(inside, last - inside + 1 + cells, cumulative=cumulative)
-    with pytest.raises(WindowUnderflowError):
-        sig.times(sig.first_step - cells, 1)
 
 
 @PROPERTY
