@@ -31,6 +31,8 @@ from irlobs.numerics import (
 )
 from irlobs.plant import CostFunction, LinearPlant
 
+from conftest import DEFAULT_A, DEFAULT_B, DEFAULT_RDIAG, DEFAULT_WQ
+
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 # the 3-position plant of the benchmark's query_n3 workload
 N3_A = [[1.0, 0.5, 0.0, 1.0, 0.0, -0.5], [0.0, 1.0, 1.0, 0.5, -1.0, 0.0],
@@ -187,18 +189,23 @@ class TestSolveAre:
         assert np.all(np.linalg.eigvals(closed).real < 0.0)
 
     def test_matches_hamiltonian_oracle(self, default_system):
-        # scipy's Schur solver takes P from the Hamiltonian's stable
-        # invariant subspace, with no Newton refinement
         plant, cost, _ = default_system
         q = cost.q_matrix
         r = np.diag(cost.r_diag)
         p = solve_are(plant.a_prime, plant.b_prime, q, r)
-        assert_close(p, scipy_are(plant.a_prime, plant.b_prime, q, r))
+        np.testing.assert_allclose(p, hamiltonian_are(plant.a_prime, plant.b_prime, q, r),
+                                   atol=1e-8)
 
-    def test_query_n3_plant_matches_scipy(self):
-        plant = LinearPlant(a=np.array(N3_A), b=np.array(N3_B))
-        q = CostFunction(dim=6, w_q=np.arange(1.0, 7.0), r_diag=np.array([20.0, 10.0])).q_matrix
-        r = np.diag([20.0, 10.0])
+    @pytest.mark.parametrize("a, b, w_q, r_diag", [
+        (DEFAULT_A, DEFAULT_B, DEFAULT_WQ, DEFAULT_RDIAG),
+        (N3_A, N3_B, np.arange(1.0, 7.0), np.array([20.0, 10.0])),
+    ], ids=["default", "query_n3"])
+    def test_benchmark_plants_match_scipy(self, a, b, w_q, r_diag):
+        # scipy's Schur solver takes P from the Hamiltonian's stable
+        # invariant subspace, with no Newton refinement
+        plant = LinearPlant(a=np.array(a), b=np.array(b))
+        q = CostFunction(dim=len(w_q), w_q=w_q, r_diag=r_diag).q_matrix
+        r = np.diag(r_diag)
         p = solve_are(plant.a_prime, plant.b_prime, q, r)
         assert_close(p, scipy_are(plant.a_prime, plant.b_prime, q, r))
 
@@ -258,6 +265,16 @@ def lifted(a, b):
     n = a.shape[0]
     return (np.block([[np.zeros((n, n)), np.eye(n)], [a]]),
             np.vstack((np.zeros(b.shape), b)))
+
+
+def hamiltonian_are(a, b, q, r):
+    """Independent Riccati oracle from the stable Hamiltonian eigenspace."""
+    n = a.shape[0]
+    ham = np.block([[a, -b @ np.linalg.solve(r, b.T)], [-q, -a.T]])
+    vals, vecs = np.linalg.eig(ham)
+    stable = vecs[:, vals.real < 0.0]
+    p = np.real(stable[n:, :] @ np.linalg.inv(stable[:n, :]))
+    return 0.5 * (p + p.T)
 
 
 def scipy_are(a, b, q, r):
