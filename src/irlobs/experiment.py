@@ -90,6 +90,20 @@ def _merge(base, override, path=""):
     return base
 
 
+def _require(base, raw, path="root"):
+    """Raise ConfigError naming the first section of the key tree base (the
+    shipped defaults) that raw does not give as an object, or the first
+    field that it lacks; the mirror of _merge's unknown-field check."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section '{path}' must be an object")
+    for key, val in base.items():
+        name = key if path == "root" else f"{path}.{key}"
+        if key not in raw:
+            raise ConfigError(f"missing config field '{name}'")
+        if isinstance(val, dict):
+            _require(val, raw[key], name)
+
+
 def _number(path, value, low=None, *, inclusive=False, integer=False):
     """value as a finite float (an int when integer) above low, or at least
     low when inclusive; raises ConfigError naming the field otherwise."""
@@ -159,11 +173,13 @@ class ExperimentConfig:
     duration and window is a whole number of steps of the grid that reads
     it, kept as a step count: steps (run.duration) and windows (gains.t1,
     gains.t2) in run.dt, excitation_steps and excitation_windows in
-    gains.excitation_dt, and the quality horizon in run.dt.  Any invalid,
-    non-finite or off-grid entry raises ConfigError naming the field.
+    gains.excitation_dt, and the quality horizon in run.dt.  Any missing,
+    invalid, non-finite or off-grid entry, and any section that is not an
+    object, raises ConfigError naming the field.
     """
 
     def __init__(self, raw):
+        _require(default_config_dict(), raw)
         self.raw = copy.deepcopy(raw)
         pl, c, g, irl, p, r = (
             self.raw[k] for k in ("plant", "cost", "gains", "irl", "purge", "run")
@@ -388,9 +404,9 @@ class OnlineIrl:
     IRL stack under the weight-update/purge policy.  It sees nothing else:
     param_stack comes filled by a calibration maneuver (see
     prerecord_param_stack), and w0 is the stacked initial weight guess.
-    step is measure, score_eta and candidate_rows, the estimator, then
-    offer, the cost recovery, which reads nothing that the others write;
-    score_eta may also score the η of many measured steps in one block.
+    step is measure, the estimator, then offer, the cost recovery, of each
+    step that drain returns; drain scores the η of all steps measured since
+    the last in one block, and offer reads nothing that measure writes.
     """
 
     def __init__(self, cfg, param_stack, p0, u0, w0):
@@ -420,6 +436,7 @@ class OnlineIrl:
         w_start = WeightVector.from_stacked(w0, basis.num_v, basis.num_q, r1)
         self.purge_state = PurgeState(cfg.kappa1_bar, cfg.kappa2_bar, w_current=w_start)
         self.trace = RunTrace()
+        self._queue = []  # (t, η inputs or None, rows) of each step measured, not yet drained
 
     @property
     def x_hat(self):
@@ -436,18 +453,17 @@ class OnlineIrl:
 
     def step(self, t, p, u, queries=()):
         """Take the measurement (p, u) at time t and offer the data."""
-        x_hat, theta, pending = self.measure(t, p, u)
-        (eta,) = self.score_eta([pending])
-        self.offer(t, eta, self.candidate_rows(x_hat, u, theta, queries))
+        self.measure(t, p, u, queries)
+        for offered in self.drain():
+            self.offer(*offered)
 
-    def measure(self, t, p, u):
+    def measure(self, t, p, u, queries=()):
         """The estimator half of step: log (p, u) at time t, record the
         parameter stack, advance the adaptation law and the observer, and
-        take what the step's quality η reads.  Returns (x_hat, theta,
-        pending): the state estimate, the ThetaVector and score_eta's input
-        for this step, None before eta_floor_step."""
+        queue the step's η inputs (None before eta_floor_step) and the IRL
+        rows (irl.entry_rows) of the estimated pair and each oracle pair."""
         observer, (t1, t2) = self.observer, self.windows
-        # a rejected measurement leaves every log and counter as it was
+        # a rejected measurement leaves every log, counter and the queue as it was
         self.p_log.check(t, p)
         self.u_log.check(t, u)
         self.steps += 1
@@ -464,27 +480,25 @@ class OnlineIrl:
         self.qhat_log.append(t, observer.q_hat)
 
         theta_v = observer.theta_vector
-        pending = self._eta_inputs(k, theta_v) if k >= self.eta_floor_step else None
-        return observer.x_hat, theta_v, pending
-
-    def score_eta(self, pendings):
-        """The quality η of each step whose pending (of measure) is listed,
-        in the same order: eta1 plus the step's quality_eta2, all rollouts
-        in one quality_eta2_block, and inf where pending is None."""
-        scored = [pending[1] for pending in pendings if pending is not None]
-        eta2 = iter(quality_eta2_block(scored, self.quality, self.dt) if scored else ())
-        return [float("inf") if pending is None else pending[0] + float(next(eta2))
-                for pending in pendings]
-
-    def candidate_rows(self, x_hat, u, theta, queries=()):
-        """The IRL rows and right-hand side (irl.entry_rows) of the
-        estimated pair (x_hat, u) and of each oracle pair, under theta."""
+        eta = self._eta_inputs(k, theta_v) if k >= self.eta_floor_step else None
         basis, r1 = self.irl_stack.basis, self.irl_stack.r1
-        return [entry_rows(basis, x, v, theta, r1) for x, v in ((x_hat, u), *queries)]
+        rows = [entry_rows(basis, x, v, theta_v, r1) for x, v in ((observer.x_hat, u), *queries)]
+        self._queue.append((t, eta, rows))
+
+    def drain(self):
+        """Empty the queue into offer's arguments (t, eta, rows) per step, in
+        order: eta is eta1 plus the step's quality_eta2, all scored in one
+        quality_eta2_block, and inf before eta_floor_step."""
+        queue = self._queue
+        scored = [inputs[1] for _, inputs, _ in queue if inputs is not None]
+        eta2 = iter(quality_eta2_block(scored, self.quality, self.dt) if scored else ())
+        self._queue = []
+        return [(t, float("inf") if inputs is None else inputs[0] + float(next(eta2)), rows)
+                for t, inputs, rows in queue]
 
     def offer(self, t, eta, rows):
-        """The cost-recovery half of step: offer each (rows, rhs) of
-        candidate_rows, with the quality eta of step t, to the IRL stack
+        """The cost-recovery half of step: offer each (rows, rhs) of a
+        drained step, with the quality eta of step t, to the IRL stack
         under the weight-update/purge policy.  Reads nothing that measure
         changes, so it may run in another process."""
         for block, rhs in rows:
@@ -503,7 +517,7 @@ class OnlineIrl:
     def _offer(self, entry):
         stack, ps, trace = self.irl_stack, self.purge_state, self.trace
         kappa_before, size_before = stack.gram_kappa, stack.size
-        varpi = data_select(stack, entry, self.xi1, stack.xi2)
+        varpi = data_select(stack, entry, self.xi1)
         if varpi:
             branch = "append" if stack.size > size_before else "swap"
             trace.stores.append(
@@ -518,33 +532,28 @@ class OnlineIrl:
             trace.purges.append((entry.t, kappa_gate, entry.eta, eta_bar_before))
 
 
-def _measure_run(cfg, demo, online, steps, emit):
-    """The measuring half of run_experiment: per grid step k = 1..steps,
-    advance the demonstrator, draw one oracle query in query mode, call
-    online.measure and build the IRL rows of the estimated pair and each
-    query (OnlineIrl.candidate_rows).  Every _PIPE_BATCH steps, at the
-    last step and before an exception leaves, it scores η for the steps
-    since in one block (OnlineIrl.score_eta) and passes them to emit as a
-    list of (k, x, x_hat, theta, (t, eta, rows)), theta the parameter
-    vector and the last item offer's arguments.  Returns the bounds of the
-    observer gain's spectrum over the run."""
-    n, dt = cfg.n, cfg.dt
+def _measure_run(cfg, demo, online, emit):
+    """The measuring half of run_experiment: per grid step, advance the
+    demonstrator, draw one oracle query in query mode and call
+    online.measure; every _PIPE_BATCH steps, at the last step and before
+    an exception leaves, pass online.drain() to emit.  Returns one float64
+    array: the bounds of the observer gain's spectrum (nan for a run of
+    no steps), then the report rows (t, p - p_hat, q - q_hat, theta -
+    theta_hat) of step 0 and of every report_stride-th and the last step."""
+    n, dt, steps, stride = cfg.n, cfg.dt, cfg.steps, cfg.report_stride
+    theta_true = cfg.plant().theta
     field_fn = closed_loop_field(demo)
     rng = np.random.default_rng(cfg.seed)
     # the gain's spectrum is a report diagnostic: the gains of _GAMMA_BATCH
     # steps are solved in one batch, per matrix bitwise the single solves
     gammas = np.empty((_GAMMA_BATCH,) + online.observer.gamma.shape)
     gamma_lo, gamma_hi = np.inf, 0.0
-    block = []  # (k, x, x_hat, theta, t, rows, pending) of the steps not yet emitted
 
-    def flush():
-        etas = online.score_eta([pending for *_, pending in block])
-        ready = [(k, x, x_hat, theta, (t, eta, rows))
-                 for (k, x, x_hat, theta, t, rows, _), eta in zip(block, etas)]
-        block.clear()
-        emit(ready)
+    def truth_row(t, x):
+        return np.concatenate([(t,), x - online.x_hat, theta_true - online.theta])
 
     x = cfg.x0
+    truth = [truth_row(0.0, x)] if steps > 0 else []
     try:
         for k in range(steps):
             x = rk4_step(field_fn, k * dt, x, dt)
@@ -554,9 +563,9 @@ def _measure_run(cfg, demo, online, steps, emit):
             if cfg.mode == "query":
                 x_star = rng.uniform(cfg.query_low, cfg.query_high)
                 queries = ((x_star, query(demo, x_star)),)
-            x_hat, theta, pending = online.measure(t, x[:n], u)
-            rows = online.candidate_rows(x_hat, u, theta, queries)
-            block.append((k + 1, x, x_hat, theta.theta, t, rows, pending))
+            online.measure(t, x[:n], u, queries)
+            if (k + 1) % stride == 0 or k + 1 == steps:
+                truth.append(truth_row(t, x))
 
             gammas[k % _GAMMA_BATCH] = online.observer.gamma
             if (k + 1) % _GAMMA_BATCH == 0 or k + 1 == steps:
@@ -564,25 +573,25 @@ def _measure_run(cfg, demo, online, steps, emit):
                 gamma_lo = min(gamma_lo, float(lam[:, 0].min()))
                 gamma_hi = max(gamma_hi, float(lam[:, -1].max()))
             if (k + 1) % _PIPE_BATCH == 0 or k + 1 == steps:
-                flush()
+                emit(online.drain())
     except BaseException:
-        flush()  # the steps measured before the error are offered first
+        emit(online.drain())  # the steps measured before the error are offered first
         raise
-    return gamma_lo, gamma_hi
+    return np.concatenate([(gamma_lo, gamma_hi) if steps > 0 else (np.nan, np.nan), *truth])
 
 
 def _pipelined(front, take, shapes):
-    """front(emit) in a forked child, and here take(k, x, x_hat, theta,
-    offered) for each step it emits; returns what front returns.
+    """front(emit) in a forked child, and here take([offered]) for each
+    step that it emits, offered the step's (t, eta, rows); returns what
+    front returns.
 
     The child writes each block it emits to a pipe of _PIPE_BYTES, one
-    float64 row per step: the parts of the step's record, flattened, with
-    shapes giving each part's shape in order ((t, eta), x, x_hat, theta,
-    then the rows and right-hand side of each candidate).  A row of zeros
-    (t = 0 is no measured step) ends the rows, and the pickled result of
-    front, or the exception it raised, follows; that exception is raised
-    here once the steps before it are taken.  An exception here kills the
-    child, and the child is always reaped.
+    float64 row per step: (t, eta), then the rows and right-hand side of
+    each candidate, flattened, with shapes giving each part's shape in
+    order.  A row of zeros (t = 0 is no measured step) ends the rows, and
+    the pickled result of front, or the exception it raised, follows;
+    that exception is raised here once the steps before it are taken.  An
+    exception here kills the child, and the child is always reaped.
     """
     import fcntl  # POSIX only, like os.fork, which every caller has
 
@@ -600,9 +609,9 @@ def _pipelined(front, take, shapes):
             with open(write_fd, "wb", buffering=size * _PIPE_BATCH) as pipe:
 
                 def emit(block):
-                    for _, x, x_hat, theta, (t, eta, rows) in block:
+                    for t, eta, rows in block:
                         parts = (part.ravel() for pair in rows for part in pair)
-                        pipe.write(np.concatenate([(t, eta), x, x_hat, theta, *parts]))
+                        pipe.write(np.concatenate([(t, eta), *parts]))
                     pipe.flush()
 
                 try:
@@ -616,15 +625,12 @@ def _pipelined(front, take, shapes):
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            for k in itertools.count(1):
-                data = pipe.read(size)
-                if len(data) < size or data[:8] == bytes(8):
-                    break
+            while len(data := pipe.read(size)) == size and data[:8] != bytes(8):
                 row = np.frombuffer(data)
-                (t, eta), x, x_hat, theta, *rows = (
+                (t, eta), *rows = (
                     row[a:b].reshape(shape).copy() for a, b, shape in zip(cuts, cuts[1:], shapes)
                 )
-                take(k, x, x_hat, theta, (float(t), float(eta), list(zip(rows[::2], rows[1::2]))))
+                take([(float(t), float(eta), list(zip(rows[::2], rows[1::2])))])
             try:  # after the end row; EOF if the child died before it
                 result = pickle.load(pipe)
             except Exception as exc:
@@ -642,83 +648,63 @@ def run_experiment(cfg):
 
     Records the calibration stack, then per grid step advances the
     demonstrator, draws one oracle query in query mode, steps the
-    estimator, and every report_stride steps and at the last step logs
-    the estimation errors against ground truth.  Where os.fork exists,
-    the run is a two-process pipeline: a child runs the demonstrator, the
-    oracle, OnlineIrl.measure, the η blocks and the IRL rows, and this
-    process runs OnlineIrl.offer and the report rows on the records it
-    streams (see _pipelined); no output bit depends on which.
-    Deterministic for a fixed config and seed.
+    estimator through OnlineIrl.measure, drain and offer, and every
+    report_stride steps and at the last step logs the estimation errors
+    against ground truth.  Where os.fork exists, the run is a two-process
+    pipeline: a child runs _measure_run, and this process offers the
+    drained steps it streams and logs W_hat - W (see _pipelined); no
+    output bit depends on which.  Deterministic for a fixed config and seed.
     """
     t_start = time.perf_counter()
     n, m = cfg.n, cfg.m
     plant, cost, basis = cfg.plant(), cfg.cost(), cfg.basis()
     demo = make_demonstrator(plant, cost)
-    dt = cfg.dt
-    _check_rk4_step(demo.a_cl, dt, "run.dt")
+    _check_rk4_step(demo.a_cl, cfg.dt, "run.dt")
     _check_rk4_step(demo.a_cl, cfg.excitation_dt, "gains.excitation_dt")
 
     steps = cfg.steps
-    report_stride = cfg.report_stride
-    theta_true = plant.theta
     w_true = ideal_weights(basis, demo.riccati_p, cost.w_q, cost.r_diag).stacked
 
     param_stack = ParamHistoryStack(cfg.param_capacity, theta_dim(n, m), cfg.min_eig_threshold)
     prerecord_param_stack(demo, cfg, param_stack)
     online = OnlineIrl(cfg, param_stack, cfg.x0[:n], optimal_action(demo, cfg.x0), cfg.w0)
 
-    rows = []  # (t, p - p_hat, q - q_hat, theta - theta_hat, W_hat - W)
+    w_rows = [online.weights.stacked - w_true] if steps > 0 else []
+    counter = itertools.count(1)
 
-    def log_row(t, x, x_hat, theta):
-        x_tilde = x - x_hat
-        rows.append((t, x_tilde[:n], x_tilde[n:], theta_true - theta,
-                     online.weights.stacked - w_true))
+    def take(block):
+        # block first, so that zip draws no step number past the block's end
+        for (t, eta, rows), k in zip(block, counter):
+            online.offer(t, eta, rows)
+            if k % cfg.report_stride == 0 or k == steps:
+                w_rows.append(online.weights.stacked - w_true)
 
-    def take(k, x, x_hat, theta, offered):
-        online.offer(*offered)
-        if k % report_stride == 0 or k == steps:
-            log_row(offered[0], x, x_hat, theta)
-
-    def take_block(block):
-        for record in block:
-            take(*record)
-
-    if steps > 0:
-        log_row(0.0, cfg.x0, online.x_hat, online.theta)
-    front = functools.partial(_measure_run, cfg, demo, online, steps)
+    front = functools.partial(_measure_run, cfg, demo, online)
     if hasattr(os, "fork"):
-        candidates = 2 if cfg.mode == "query" else 1
-        shapes = [(2,), (2 * n,), (2 * n,), (theta_dim(n, m),)]
-        shapes += [(1 + m, basis.width(m)), (1 + m,)] * candidates
-        gamma_lo, gamma_hi = _pipelined(front, take, shapes)
+        shapes = [(2,)] + [(1 + m, basis.width(m)), (1 + m,)] * (2 if cfg.mode == "query" else 1)
+        measured = _pipelined(front, take, shapes)
     else:
-        gamma_lo, gamma_hi = front(take_block)
+        measured = front(take)
+    # a reshape fails loudly unless both processes logged the same report steps
+    truth = measured[2:].reshape(len(w_rows), 1 + 2 * n + theta_dim(n, m))
 
     irl_stack, w_final = online.irl_stack, online.weights.stacked
-    final_residual = float("nan")
-    if irl_stack.size > 0:
-        final_residual = float(
-            np.linalg.norm(irl_stack.sigma_matrix @ w_final - irl_stack.rhs_vector)
-        )
-
-    def series(column, width):
-        if rows:
-            return np.asarray([row[column] for row in rows])
-        return np.zeros((0, width))
+    residual = irl_stack.sigma_matrix @ w_final - irl_stack.rhs_vector
+    final_residual = float(np.linalg.norm(residual)) if irl_stack.size > 0 else float("nan")
 
     return RunReport(
-        t=np.asarray([row[0] for row in rows]),
-        p_tilde=series(1, n),
-        q_tilde=series(2, n),
-        theta_tilde=series(3, theta_dim(n, m)),
-        w_tilde=series(4, basis.width(m)),
+        t=truth[:, 0],
+        p_tilde=truth[:, 1 : 1 + n],
+        q_tilde=truth[:, 1 + n : 1 + 2 * n],
+        theta_tilde=truth[:, 1 + 2 * n :],
+        w_tilde=np.asarray(w_rows).reshape(len(w_rows), basis.width(m)),
         purge_count=online.purge_state.purge_count,
         queries=steps if cfg.mode == "query" else 0,
         final_kappa=irl_stack.kappa,
         final_gram_kappa=irl_stack.gram_kappa,
         final_residual=final_residual,
-        gamma_eig_min=float(gamma_lo) if steps > 0 else float("nan"),
-        gamma_eig_max=float(gamma_hi) if steps > 0 else float("nan"),
+        gamma_eig_min=float(measured[0]),
+        gamma_eig_max=float(measured[1]),
         w_true=w_true,
         w_final=w_final,
         wall_clock_seconds=time.perf_counter() - t_start,

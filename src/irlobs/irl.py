@@ -330,7 +330,7 @@ def _kappa_floor(lam_min_bound, lam_max_bound):
     )
 
 
-def data_select(stack, entry, xi1, xi2):
+def data_select(stack, entry, xi1):
     """Offer a candidate Entry to the stack per the condition-number
     selection rule.
 
@@ -339,11 +339,9 @@ def data_select(stack, entry, xi1, xi2):
     the Gram condition number improves by the factor xi1, by more than the
     relative eigvalsh rounding width*eps*kappa of the swapped condition
     number, while the known right-hand side keeps norm at least the stack's
-    floor xi2, which the weight solve checks too; a different xi2 raises
-    ValueError.  Returns 1 if stored, else 0.
+    floor stack.xi2, which the weight solve checks too.  Returns 1 if
+    stored, else 0.
     """
-    if xi2 != stack.xi2:
-        raise ValueError(f"xi2 = {xi2} differs from the stack's floor {stack.xi2}")
     if not (np.isfinite(entry.rows).all() and np.isfinite(entry.rhs).all()):
         raise ValueError("candidate produced non-finite regression rows")
     if not stack.is_full:

@@ -157,7 +157,7 @@ def test_criterion_5_ideal_regressor_recovery(default_system):
         for i in range(30):
             x = rng.uniform(-2.0, 2.0, size=4)
             cand = make_entry(stack, x, optimal_action(demo, x), theta_true, t=float(i))
-            data_select(stack, cand, 1.0, XI2)
+            data_select(stack, cand, 1.0)
         w_hat = solve_weights(stack)
         rel = np.linalg.norm(w_hat.stacked - w_true.stacked) / np.linalg.norm(w_true.stacked)
         assert rel < 1e-6

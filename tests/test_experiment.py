@@ -131,6 +131,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="duraton"):
             load_config(path)
 
+    def test_hand_built_config_names_a_missing_field_or_section(self):
+        # ExperimentConfig takes a raw dict without read_config's merge over
+        # the defaults: each missing leaf, each section given as a list and
+        # a root that is not an object are ConfigErrors naming them
+        for section, fields in default_config_dict().items():
+            for name in fields:
+                raw = default_config_dict()
+                del raw[section][name]
+                with pytest.raises(ConfigError, match=re.escape(f"'{section}.{name}'")):
+                    ExperimentConfig(raw)
+            raw = default_config_dict()
+            raw[section] = [1]
+            with pytest.raises(ConfigError, match=re.escape(f"section '{section}'")):
+                ExperimentConfig(raw)
+        with pytest.raises(ConfigError, match="root"):
+            ExperimentConfig([1])
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -321,7 +338,8 @@ class TestRunExperiment:
         # a fresh in-process OnlineIrl fed the measurements and queries that
         # the pipelined run measures, made with the same calls, makes the
         # same estimates and decisions, also after it rejected a non-finite
-        # input at t = 0.002
+        # input at t = 0.002, which leaves the logs and the step queue as
+        # they were
         cfg = short_config(duration=2.0, mode=mode)
         report = run_experiment(cfg)
         online, steps = measured_run(cfg)
@@ -331,7 +349,7 @@ class TestRunExperiment:
         rows_w = [online.weights.stacked - report.w_true]
 
         def measured_state():
-            return pickle.dumps((online.steps, online.p_log, online.u_log))
+            return pickle.dumps((online.steps, online.p_log, online.u_log, online._queue))
 
         for k, (t, p, u, queries) in enumerate(steps, 1):
             if k == 2:

@@ -56,7 +56,7 @@ def filled_ideal_stack(demo, theta_true, basis, count=30, seed=123, capacity=Non
     )
     for i in range(count):
         x = rng.uniform(-2.0, 2.0, size=4)
-        data_select(stack, ideal_entry(stack, demo, theta_true, x, t=float(i)), 1.0, 1e-3)
+        data_select(stack, ideal_entry(stack, demo, theta_true, x, t=float(i)), 1.0)
     return stack
 
 
@@ -186,7 +186,7 @@ class TestDataSelect:
     def test_append_while_not_full(self, default_system, basis, theta_true):
         _, _, demo = default_system
         stack = IrlHistoryStack(capacity=3, basis=basis, r1=20.0, m=2)
-        varpi = data_select(stack, ideal_entry(stack, demo, theta_true, np.ones(4)), 1.0, 1e-3)
+        varpi = data_select(stack, ideal_entry(stack, demo, theta_true, np.ones(4)), 1.0)
         assert varpi == 1
         assert stack.size == 1
 
@@ -198,10 +198,10 @@ class TestDataSelect:
         stack = IrlHistoryStack(capacity=6, basis=basis, r1=20.0, m=2)
         cand = ideal_entry(stack, demo, theta_true, np.array([1.0, -0.5, 0.5, 2.0]))
         for _ in range(6):
-            data_select(stack, cand, 1.0, 1e-3)
+            data_select(stack, cand, 1.0)
         assert stack.is_full
         kappa_before = stack.gram_kappa
-        varpi = data_select(stack, cand, 1.0, 1e-3)
+        varpi = data_select(stack, cand, 1.0)
         assert varpi == 0
         assert stack.gram_kappa == kappa_before
 
@@ -215,10 +215,10 @@ class TestDataSelect:
         stack = IrlHistoryStack(capacity=12, basis=basis, r1=20.0, m=2)
         points = [rng.uniform(-2.0, 2.0, size=4) for _ in range(12)]
         for i, x in enumerate(points):
-            data_select(stack, ideal_entry(stack, demo, theta_true, x, t=float(i)), 1.0, 1e-3)
+            data_select(stack, ideal_entry(stack, demo, theta_true, x, t=float(i)), 1.0)
         for x in points:
             before = stack.gram_kappa
-            stored = data_select(stack, ideal_entry(stack, demo, theta_true, x, t=99.0), 1.0, 1e-3)
+            stored = data_select(stack, ideal_entry(stack, demo, theta_true, x, t=99.0), 1.0)
             if stored:
                 assert stack.gram_kappa < before
             else:
@@ -235,11 +235,11 @@ class TestDataSelect:
         points = [rng.uniform(-2.0, 2.0, size=4) for _ in range(7)]
         stack = IrlHistoryStack(capacity=7, basis=basis, r1=20.0, m=2)
         for i, x in enumerate(points[:6] + points[:1]):
-            data_select(stack, ideal_entry(stack, demo, theta_true, x, t=float(i)), 1.0, 1e-3)
+            data_select(stack, ideal_entry(stack, demo, theta_true, x, t=float(i)), 1.0)
         assert stack.is_full
         assert stack.gram_kappa == np.inf
         offered = ideal_entry(stack, demo, theta_true, points[6], t=7.0)
-        varpi = data_select(stack, offered, 1.0, 1e-3)
+        varpi = data_select(stack, offered, 1.0)
         assert varpi == 1
         assert np.isfinite(stack.gram_kappa)
 
@@ -252,23 +252,29 @@ class TestDataSelect:
             stack, np.array([1.0, -1.0, 0.5, 0.25]), np.array([2.0, 1.0]), theta_true, t=0.0
         )
         weak = make_entry(stack, 1e-6 * np.ones(4), 1e-6 * np.ones(2), theta_true, t=1.0)
-        data_select(stack, strong, 1.0, 1e-3)
-        data_select(stack, weak, 1.0, 1e-3)
+        data_select(stack, strong, 1.0)
+        data_select(stack, weak, 1.0)
         zero_cand = make_entry(stack, np.ones(4), np.zeros(2), theta_true, t=2.0)
         u1_before = stack.sigma_u1_norm
-        varpi = data_select(stack, zero_cand, np.inf, 1e-3)
+        varpi = data_select(stack, zero_cand, np.inf)
         assert varpi == 0
         assert stack.sigma_u1_norm == u1_before
 
     def test_rhs_floor_must_match_the_stack(self, default_system, basis, theta_true):
-        # stores and weight solves gate on one right-hand-side floor
+        # stores and weight solves gate on one right-hand-side floor, the
+        # stack's: the swap that restores full rank below is refused by a
+        # stack whose floor no right-hand side of these points meets
         _, _, demo = default_system
-        stack = IrlHistoryStack(capacity=3, basis=basis, r1=20.0, m=2, xi2=1e-3)
-        cand = ideal_entry(stack, demo, theta_true, np.ones(4))
-        with pytest.raises(ValueError, match="xi2"):
-            data_select(stack, cand, 1.0, 1e-2)
-        assert stack.size == 0
-        assert data_select(stack, cand, 1.0, 1e-3) == 1
+        rng = np.random.default_rng(37)
+        points = [rng.uniform(-2.0, 2.0, size=4) for _ in range(7)]
+        for xi2, stored in ((1e-3, 1), (1e6, 0)):
+            stack = IrlHistoryStack(capacity=7, basis=basis, r1=20.0, m=2, xi2=xi2)
+            for i, x in enumerate(points[:6] + points[:1]):
+                data_select(stack, ideal_entry(stack, demo, theta_true, x, t=float(i)), 1.0)
+            assert stack.is_full and stack.gram_kappa == np.inf
+            offered = ideal_entry(stack, demo, theta_true, points[6], t=7.0)
+            assert data_select(stack, offered, 1.0) == stored
+            assert np.isfinite(stack.gram_kappa) == bool(stored)
 
     def test_replacement_never_worsens_conditioning(self, default_system, basis, theta_true):
         _, _, demo = default_system
@@ -277,9 +283,7 @@ class TestDataSelect:
         for i in range(100):
             before = stack.gram_kappa
             x = rng.uniform(-2.0, 2.0, size=4)
-            stored = data_select(
-                stack, ideal_entry(stack, demo, theta_true, x, t=100.0 + i), 1.0, 1e-3
-            )
+            stored = data_select(stack, ideal_entry(stack, demo, theta_true, x, t=100.0 + i), 1.0)
             if stored:
                 assert stack.gram_kappa <= before
             else:
@@ -296,7 +300,7 @@ class TestDataSelect:
         rng = np.random.default_rng(35)
         for i in range(15):
             x = rng.uniform(-2.0, 2.0, size=4)
-            data_select(stack, ideal_entry(stack, demo, theta_true, x, t=50.0 + i), 1.0, 1e-3)
+            data_select(stack, ideal_entry(stack, demo, theta_true, x, t=50.0 + i), 1.0)
             s = np.linalg.svd(stack.sigma_matrix, compute_uv=False)
             oracle = s[0] / s[-1]
             assert abs(stack.kappa - oracle) < 1e-6 * oracle

@@ -205,7 +205,7 @@ def filled_stack(default_system, basis, count=30, eta=1.0, seed=50):
     for i in range(count):
         x = rng.uniform(-2.0, 2.0, size=4)
         cand = make_entry(stack, x, optimal_action(demo, x), tv, eta=eta, t=float(i))
-        data_select(stack, cand, 1.0, 1e-3)
+        data_select(stack, cand, 1.0)
     return stack
 
 
@@ -268,7 +268,7 @@ class TestPurgePolicy:
             x = rng.uniform(-2.0, 2.0, size=4)
             eta = float(rng.uniform(0.1, 5.0))
             cand = make_entry(stack, x, optimal_action(demo, x), tv, eta=eta, t=float(i))
-            if data_select(stack, cand, 1.0, 1e-3):
+            if data_select(stack, cand, 1.0):
                 pass
             purge_policy(ps, stack, eta_now=eta)
             # oracle: exhaustive recomputation over the stored entries
@@ -312,7 +312,7 @@ class TestDeferredSolve:
         for i in range(80):
             x = rng.uniform(-2.0, 2.0, size=4)
             cand = make_entry(stack, x, optimal_action(demo, x), tv, eta=1.0, t=float(i))
-            ps.varpi = data_select(stack, cand, 1.0, 1e-3)
+            ps.varpi = data_select(stack, cand, 1.0)
             w_before = ps.w_current
             if purge_policy(ps, stack, eta_now=1.0) is not w_before:
                 updates.append((ps.w_current, copy.deepcopy(stack), i))

@@ -100,7 +100,7 @@ def test_irl_stack_commits_only_strict_gains(capacity, points):
         was_full, before = stack.is_full, stack.gram_kappa
         old_ids, old_gram = [id(e) for e in stack.entries], stack.gram.copy()
         cand = make_entry(stack, x, u, THETA, t=float(t))
-        stored = data_select(stack, cand, 1.0, 1e-3)
+        stored = data_select(stack, cand, 1.0)
         assert_gram_is_block_sum(stack.gram, [e.gram for e in stack.entries])
         if stored:
             if was_full:
@@ -156,7 +156,7 @@ def test_irl_stack_bounded_search_matches_exhaustive(capacity, xi1, picks):
             slot = exhaustive_irl_slot(stack, cand, xi1)
         else:
             slot = stack.size
-        stored = data_select(stack, cand, xi1, stack.xi2)
+        stored = data_select(stack, cand, xi1)
         assert stored == (slot is not None)
         if stored:
             assert stack.entries[slot].t == float(t)
