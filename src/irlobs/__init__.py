@@ -37,7 +37,6 @@ from .irl import (
     Entry,
     FeatureBasis,
     IrlHistoryStack,
-    WeightVector,
     data_select,
     entry_rows,
     eval_features,

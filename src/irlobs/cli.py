@@ -23,7 +23,7 @@ def _cmd_run(args):
     out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the run
     try:
         report = run_experiment(cfg)
-    except IrlobsError:
+    except (IrlobsError, MemoryError):  # MemoryError: a stack capacity too large to allocate
         if made:  # a failed run leaves no output directory behind
             out.rmdir()
         raise
@@ -76,7 +76,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IrlobsError, OSError) as exc:  # OSError: creating or writing --out
+    except (IrlobsError, OSError, MemoryError) as exc:  # OSError: creating or writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,7 +38,6 @@ from .irl import (
     Entry,
     FeatureBasis,
     IrlHistoryStack,
-    WeightVector,
     data_select,
     entry_rows,
     ideal_weights,
@@ -78,10 +77,10 @@ def default_config_dict():
 
 
 def _merge(base, override, path=""):
+    """base with override's fields merged over it, section by section;
+    ExperimentConfig checks the merged key tree."""
     for key, val in override.items():
-        if key not in base:
-            raise ConfigError(f"unknown config field '{path}{key}'")
-        if isinstance(base[key], dict):
+        if isinstance(base.get(key), dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"config section '{path}{key}' must be an object")
             _merge(base[key], val, path=f"{path}{key}.")
@@ -92,16 +91,19 @@ def _merge(base, override, path=""):
 
 def _require(base, raw, path="root"):
     """Raise ConfigError naming the first section of the key tree base (the
-    shipped defaults) that raw does not give as an object, or the first
-    field that it lacks; the mirror of _merge's unknown-field check."""
+    shipped defaults) that raw does not give as an object, the first field
+    that it lacks, or the first field that base does not have."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config section '{path}' must be an object")
+    prefix = "" if path == "root" else f"{path}."
+    for key in raw:
+        if key not in base:
+            raise ConfigError(f"unknown config field '{prefix}{key}'")
     for key, val in base.items():
-        name = key if path == "root" else f"{path}.{key}"
         if key not in raw:
-            raise ConfigError(f"missing config field '{name}'")
+            raise ConfigError(f"missing config field '{prefix}{key}'")
         if isinstance(val, dict):
-            _require(val, raw[key], name)
+            _require(val, raw[key], prefix + key)
 
 
 def _number(path, value, low=None, *, inclusive=False, integer=False):
@@ -174,8 +176,8 @@ class ExperimentConfig:
     it, kept as a step count: steps (run.duration) and windows (gains.t1,
     gains.t2) in run.dt, excitation_steps and excitation_windows in
     gains.excitation_dt, and the quality horizon in run.dt.  Any missing,
-    invalid, non-finite or off-grid entry, and any section that is not an
-    object, raises ConfigError naming the field.
+    unknown, invalid, non-finite or off-grid entry, and any section that is
+    not an object, raises ConfigError naming the field.
     """
 
     def __init__(self, raw):
@@ -431,10 +433,12 @@ class OnlineIrl:
         self.observer = AdaptiveObserver(n, m, p0=p0, u0=u0, gains=gains,
                                          gamma_scale=cfg.gamma0)
         self.qhat_log.append(0.0, self.observer.q_hat)
+        w0 = np.array(w0, dtype=float)  # a copy: the run never writes to cfg.w0
+        if w0.shape != (basis.width(m),) or not np.isfinite(w0).all():
+            raise ValueError(f"w0 must be a finite {basis.width(m)}-vector")
         self.irl_stack = IrlHistoryStack(cfg.irl_capacity, basis, r1, m, xi2=cfg.xi2)
         self.xi1 = cfg.xi1
-        w_start = WeightVector.from_stacked(w0, basis.num_v, basis.num_q, r1)
-        self.purge_state = PurgeState(cfg.kappa1_bar, cfg.kappa2_bar, w_current=w_start)
+        self.purge_state = PurgeState(cfg.kappa1_bar, cfg.kappa2_bar, w_current=w0)
         self.trace = RunTrace()
         self._queue = []  # (t, η inputs or None, rows) of each step measured, not yet drained
 
@@ -663,13 +667,13 @@ def run_experiment(cfg):
     _check_rk4_step(demo.a_cl, cfg.excitation_dt, "gains.excitation_dt")
 
     steps = cfg.steps
-    w_true = ideal_weights(basis, demo.riccati_p, cost.w_q, cost.r_diag).stacked
+    w_true = ideal_weights(basis, demo.riccati_p, cost.w_q, cost.r_diag)
 
     param_stack = ParamHistoryStack(cfg.param_capacity, theta_dim(n, m), cfg.min_eig_threshold)
     prerecord_param_stack(demo, cfg, param_stack)
     online = OnlineIrl(cfg, param_stack, cfg.x0[:n], optimal_action(demo, cfg.x0), cfg.w0)
 
-    w_rows = [online.weights.stacked - w_true] if steps > 0 else []
+    w_rows = [online.weights - w_true] if steps > 0 else []
     counter = itertools.count(1)
 
     def take(block):
@@ -677,7 +681,7 @@ def run_experiment(cfg):
         for (t, eta, rows), k in zip(block, counter):
             online.offer(t, eta, rows)
             if k % cfg.report_stride == 0 or k == steps:
-                w_rows.append(online.weights.stacked - w_true)
+                w_rows.append(online.weights - w_true)
 
     front = functools.partial(_measure_run, cfg, demo, online)
     if hasattr(os, "fork"):
@@ -688,7 +692,7 @@ def run_experiment(cfg):
     # a reshape fails loudly unless both processes logged the same report steps
     truth = measured[2:].reshape(len(w_rows), 1 + 2 * n + theta_dim(n, m))
 
-    irl_stack, w_final = online.irl_stack, online.weights.stacked
+    irl_stack, w_final = online.irl_stack, online.weights
     residual = irl_stack.sigma_matrix @ w_final - irl_stack.rhs_vector
     final_residual = float(np.linalg.norm(residual)) if irl_stack.size > 0 else float("nan")
 

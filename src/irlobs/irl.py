@@ -14,7 +14,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import ArgumentError, RankDeficiencyError
+from .errors import ArgumentError
 from .numerics import GramStack, least_squares
 
 _EPS = np.finfo(float).eps
@@ -103,59 +103,19 @@ def eval_features(basis, x, u):
     return sigma_v, grad, sigma_q, sigma_u
 
 
-@dataclass
-class WeightVector:
-    """Estimated cost/value weights [W_V; W_Q; W_R-minus] with the known r1
-    carried along for context (never solved for)."""
-
-    w_v: np.ndarray
-    w_q: np.ndarray
-    w_r_minus: np.ndarray
-    r1: float
-
-    def __post_init__(self):
-        self.w_v = np.asarray(self.w_v, dtype=float)
-        self.w_q = np.asarray(self.w_q, dtype=float)
-        self.w_r_minus = np.asarray(self.w_r_minus, dtype=float)
-        if self.r1 <= 0.0:
-            raise ValueError("r1 must be positive")
-        if not (
-            np.isfinite(self.w_v).all()
-            and np.isfinite(self.w_q).all()
-            and np.isfinite(self.w_r_minus).all()
-        ):
-            raise ValueError("weight entries must be finite")
-
-    @property
-    def stacked(self):
-        return np.concatenate([self.w_v, self.w_q, self.w_r_minus])
-
-    @classmethod
-    def from_stacked(cls, vec, num_v, num_q, r1):
-        vec = np.asarray(vec, dtype=float)
-        return cls(
-            w_v=vec[:num_v],
-            w_q=vec[num_v : num_v + num_q],
-            w_r_minus=vec[num_v + num_q :],
-            r1=r1,
-        )
-
-
 def ideal_weights(basis, riccati_p, w_q_star, r_diag):
-    """The weight vector the solve should recover on ideal data.
+    """The stacked weights [W_V; W_Q; W_R-minus] the solve should recover
+    on ideal data.
 
     Value weights read off the Riccati solution (diagonal entries for
     squares, twice the off-diagonals for cross monomials), true state-cost
-    weights, and the tail of the R diagonal.
+    weights, and the R diagonal after the known r1.
     """
     riccati_p = np.asarray(riccati_p, dtype=float)
     w_v = np.array(
         [riccati_p[i, i] if i == j else 2.0 * riccati_p[i, j] for i, j in basis.v_monomials]
     )
-    r_diag = np.asarray(r_diag, dtype=float)
-    return WeightVector(
-        w_v=w_v, w_q=np.asarray(w_q_star, dtype=float), w_r_minus=r_diag[1:], r1=float(r_diag[0])
-    )
+    return np.concatenate([w_v, np.asarray(w_q_star, dtype=float), np.asarray(r_diag, float)[1:]])
 
 
 def entry_rows(basis, x_hat, u, theta_hat, r1):
@@ -300,26 +260,6 @@ class IrlHistoryStack(GramStack):
         view.flags.writeable = False
         return view
 
-    def snapshot(self):
-        """A copy of the stacked regression that later changes leave alone."""
-        return StackSnapshot(
-            self._rows[: self.size].reshape(-1, self.dim).copy(),
-            self._rhs[: self.size].reshape(-1).copy(),
-            self.basis, self.r1, self.size,
-        )
-
-
-@dataclass(frozen=True)
-class StackSnapshot:
-    """The stacked regression of an IrlHistoryStack at one moment; solve_weights
-    reads it as it reads the stack."""
-
-    sigma_matrix: np.ndarray
-    rhs_vector: np.ndarray
-    basis: FeatureBasis
-    r1: float
-    size: int
-
 
 def _kappa_floor(lam_min_bound, lam_max_bound):
     """Lower bounds on _gram_kappas from bounds on each spectrum's ends:
@@ -369,14 +309,12 @@ def data_select(stack, entry, xi1):
     return 0
 
 
-def solve_weights(stack):
-    """Least-squares weight estimate from the stacked regression.
+def solve_weights(sigma_matrix, rhs_vector):
+    """Least-squares weight estimate [W_V; W_Q; W_R-minus] from the stacked
+    regression (an IrlHistoryStack's sigma_matrix and rhs_vector).
 
     Requires the stacked matrix to have full column rank; raises
-    RankDeficiencyError otherwise so the caller can hold the previous
-    estimate.
+    RankDeficiencyError otherwise (rank 0 for an empty stack) so the caller
+    can hold the previous estimate.
     """
-    if stack.size == 0:
-        raise RankDeficiencyError("history stack is empty", rank=0)
-    sol = least_squares(stack.sigma_matrix, stack.rhs_vector)
-    return WeightVector.from_stacked(sol, stack.basis.num_v, stack.basis.num_q, stack.r1)
+    return least_squares(sigma_matrix, rhs_vector)

@@ -61,7 +61,6 @@ class SampledSignal:
             raise ValueError("window must be positive")
         self.dim = int(dim)
         self.dt = float(dt)
-        self.window = float(window)
         # samples kept: the int(window/dt) + 1 spanning the window, one more
         # in case the window ends between two steps, and one beyond it
         self._keep = int(window / dt + _GRID_TOL) + 3
@@ -116,7 +115,12 @@ class SampledSignal:
         if self._count == 0:
             self._t0 = float(t)
         if self._head + self._count >= self._values.shape[0]:
-            self._compact_or_grow()
+            # retention (_keep) is below the capacity, so a full buffer has
+            # pruned rows at its head: move the retained rows to the front
+            lo, hi = self._head, self._head + self._count
+            self._values[: self._count] = self._values[lo:hi]
+            self._cum[: self._count] = self._cum[lo:hi]
+            self._head = 0
         i = self._head + self._count
         self._values[i] = v
         if self._count == 0:
@@ -125,20 +129,6 @@ class SampledSignal:
             self._cum[i] = self._cum[i - 1] + (0.5 * self.dt) * (self._values[i - 1] + v)
         self._count += 1
         self._prune()
-
-    def _compact_or_grow(self):
-        lo, hi = self._head, self._head + self._count
-        if self._count + 1 <= self._values.shape[0] and self._head > 0:
-            self._values[: self._count] = self._values[lo:hi]
-            self._cum[: self._count] = self._cum[lo:hi]
-        else:
-            cap = max(2 * self._values.shape[0], self._count + 16)
-            values = np.zeros((cap, self.dim))
-            cum = np.zeros((cap, self.dim))
-            values[: self._count] = self._values[lo:hi]
-            cum[: self._count] = self._cum[lo:hi]
-            self._values, self._cum = values, cum
-        self._head = 0
 
     def _prune(self):
         drop = self._count - self._keep

@@ -153,7 +153,7 @@ class PurgeState:
 
     kappa1_bar: float
     kappa2_bar: float
-    w_current: object  # WeightVector, or a cached solve returning it; read with irl.read_lazy
+    w_current: object  # the stacked weights, or a cached solve of them; read with irl.read_lazy
     varpi: int = 0
     purge_count: int = 0
 
@@ -168,17 +168,20 @@ def purge_policy(ps, stack, eta_now):
 
     When the Gram condition number certifies full column rank
     (stack.full_rank_kappa), the solve cannot fail, so it is deferred:
-    the new estimate is a cached solve_weights of a snapshot of the
-    stack, run when read_lazy first reads it.  Otherwise it is solved
-    now, and a rank deficient system holds the previous estimate.
+    the new estimate is a cached solve_weights of copies of the stacked
+    rows and right-hand side, run when read_lazy first reads it.
+    Otherwise it is solved now, and a rank deficient system holds the
+    previous estimate.
     """
     gram_kappa = stack.gram_kappa
     if gram_kappa < ps.kappa1_bar and ps.varpi == 1 and stack.sigma_u1_norm >= stack.xi2:
         if gram_kappa < stack.full_rank_kappa:
-            ps.w_current = functools.cache(functools.partial(solve_weights, stack.snapshot()))
+            ps.w_current = functools.cache(functools.partial(
+                solve_weights, stack.sigma_matrix.copy(), stack.rhs_vector.copy()
+            ))
         else:
             try:
-                ps.w_current = solve_weights(stack)
+                ps.w_current = solve_weights(stack.sigma_matrix, stack.rhs_vector)
             except RankDeficiencyError:
                 pass  # hold at the previous value
     if gram_kappa < ps.kappa2_bar and eta_now < stack.eta_min:

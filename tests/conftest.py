@@ -159,7 +159,7 @@ def eager_purge_policy(ps, stack, eta_now):
     gram_kappa = stack.gram_kappa
     if gram_kappa < ps.kappa1_bar and ps.varpi == 1 and stack.sigma_u1_norm >= stack.xi2:
         try:
-            ps.w_current = solve_weights(stack)
+            ps.w_current = solve_weights(stack.sigma_matrix, stack.rhs_vector)
         except RankDeficiencyError:
             pass
     if gram_kappa < ps.kappa2_bar and read_lazy(eta_now) < stack.eta_min:

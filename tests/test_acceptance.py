@@ -158,8 +158,8 @@ def test_criterion_5_ideal_regressor_recovery(default_system):
             x = rng.uniform(-2.0, 2.0, size=4)
             cand = make_entry(stack, x, optimal_action(demo, x), theta_true, t=float(i))
             data_select(stack, cand, 1.0)
-        w_hat = solve_weights(stack)
-        rel = np.linalg.norm(w_hat.stacked - w_true.stacked) / np.linalg.norm(w_true.stacked)
+        w_hat = solve_weights(stack.sigma_matrix, stack.rhs_vector)
+        rel = np.linalg.norm(w_hat - w_true) / np.linalg.norm(w_true)
         assert rel < 1e-6
 
 

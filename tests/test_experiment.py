@@ -1,5 +1,6 @@
 """Configuration, runner and reporting tests."""
 
+import functools
 import json
 import os
 import pickle
@@ -133,8 +134,9 @@ class TestLoadConfig:
 
     def test_hand_built_config_names_a_missing_field_or_section(self):
         # ExperimentConfig takes a raw dict without read_config's merge over
-        # the defaults: each missing leaf, each section given as a list and
-        # a root that is not an object are ConfigErrors naming them
+        # the defaults: each missing leaf, each extra leaf, each section
+        # given as a list and a root that is not an object are ConfigErrors
+        # naming them
         for section, fields in default_config_dict().items():
             for name in fields:
                 raw = default_config_dict()
@@ -142,9 +144,17 @@ class TestLoadConfig:
                 with pytest.raises(ConfigError, match=re.escape(f"'{section}.{name}'")):
                     ExperimentConfig(raw)
             raw = default_config_dict()
+            raw[section]["extra"] = 3.0
+            with pytest.raises(ConfigError, match=f"unknown config field '{section}.extra'"):
+                ExperimentConfig(raw)
+            raw = default_config_dict()
             raw[section] = [1]
             with pytest.raises(ConfigError, match=re.escape(f"section '{section}'")):
                 ExperimentConfig(raw)
+        raw = default_config_dict()
+        raw["extra"] = {}
+        with pytest.raises(ConfigError, match="unknown config field 'extra'"):
+            ExperimentConfig(raw)
         with pytest.raises(ConfigError, match="root"):
             ExperimentConfig([1])
 
@@ -314,9 +324,9 @@ class TestRunExperiment:
         solves = []
         original = purge.solve_weights
 
-        def counting(stack):
-            solves.append(stack)
-            return original(stack)
+        def counting(sigma_matrix, rhs_vector):
+            solves.append(sigma_matrix)
+            return original(sigma_matrix, rhs_vector)
 
         monkeypatch.setattr(purge, "solve_weights", counting)
         cfg = short_config(duration=2.0)
@@ -346,7 +356,7 @@ class TestRunExperiment:
         stride = cfg.report_stride
         theta_true = cfg.plant().theta
         rows_theta = [theta_true - online.theta]
-        rows_w = [online.weights.stacked - report.w_true]
+        rows_w = [online.weights - report.w_true]
 
         def measured_state():
             return pickle.dumps((online.steps, online.p_log, online.u_log, online._queue))
@@ -360,7 +370,7 @@ class TestRunExperiment:
             online.step(t, p, u, queries)
             if k % stride == 0:
                 rows_theta.append(theta_true - online.theta)
-                rows_w.append(online.weights.stacked - report.w_true)
+                rows_w.append(online.weights - report.w_true)
         assert len(steps) == 2000 and sum(len(q) for _, _, _, q in steps) == report.queries
         assert np.asarray(rows_theta).tobytes() == report.theta_tilde.tobytes()
         assert np.asarray(rows_w).tobytes() == report.w_tilde.tobytes()
@@ -403,6 +413,17 @@ class TestRunExperiment:
             with pytest.raises(IrlobsError, match="off-grid"):
                 online.step(t, p, u)
         online.step(0.002, p, u)
+
+    def test_online_irl_takes_a_copy_of_a_finite_w0_of_the_weight_width(self):
+        cfg = short_config(duration=0.0)
+        online, _ = measured_run(cfg)
+        assert online.weights is not cfg.w0
+        np.testing.assert_array_equal(online.weights, cfg.w0, strict=True)
+        make = functools.partial(experiment.OnlineIrl, cfg, online.param_stack,
+                                 cfg.x0[:cfg.n], np.zeros(cfg.m))
+        for w0 in (np.full(15, np.inf), np.zeros(14), np.zeros((15, 1))):
+            with pytest.raises(ValueError, match="w0"):
+                make(w0)
 
     def test_stack_source_is_no_longer_a_config_field(self, tmp_path):
         path = tmp_path / "old.json"
@@ -550,6 +571,12 @@ class TestCli:
             (latin1, out, "codec can't decode"),
             (empty, latin1, "File exists"),  # --out names an existing file
         ]
+        # a stack too large to allocate: above the 128 TiB user address
+        # space, so the allocation fails at once and commits no memory
+        for section in ("gains", "irl"):
+            cfg_path = tmp_path / f"huge_{section}.json"
+            cfg_path.write_text(json.dumps({section: {"capacity": 10**15}}))
+            cases.append((cfg_path, out, "allocate"))
         for cfg_path, out_dir, needle in cases:
             done = subprocess.run(
                 [sys.executable, "-m", "irlobs.cli", "run", "--config", str(cfg_path),
@@ -560,6 +587,7 @@ class TestCli:
             assert done.stderr.startswith("error: ") and needle in done.stderr, done.stderr
             assert len(done.stderr.splitlines()) == 1, done.stderr
             assert "Traceback" not in done.stderr
+            assert not out.exists()  # no run leaves its output directory behind
 
     def test_mode_and_seed_overrides(self, tmp_path, monkeypatch):
         # the three flags write the same files as a config file that sets

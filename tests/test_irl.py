@@ -8,7 +8,6 @@ from irlobs.estimator import ThetaVector
 from irlobs.irl import (
     FeatureBasis,
     IrlHistoryStack,
-    WeightVector,
     data_select,
     entry_rows,
     eval_features,
@@ -136,14 +135,14 @@ class TestRegressionRows:
             x = rng.uniform(-2.0, 2.0, size=4)
             u = optimal_action(demo, x)
             rows, rhs = entry_rows(basis, x, u, theta_true, cost.r1)
-            assert abs(rows[0] @ w_true.stacked - rhs[0]) < 1e-8
+            assert abs(rows[0] @ w_true - rhs[0]) < 1e-8
 
     def test_perturbed_weight_residual_is_linear(self, default_system, basis, theta_true, w_true):
         _, cost, demo = default_system
         x = np.array([1.0, -0.5, 0.3, 0.8])
         u = optimal_action(demo, x)
         rows, rhs = entry_rows(basis, x, u, theta_true, cost.r1)
-        perturbed = w_true.stacked.copy()
+        perturbed = w_true.copy()
         perturbed[0] += 1.0
         assert abs((rows[0] @ perturbed - rhs[0]) - rows[0, 0]) < 1e-10
 
@@ -158,7 +157,7 @@ class TestRegressionRows:
             x = rng.uniform(-2.0, 2.0, size=4)
             u = optimal_action(demo, x)
             rows, rhs = entry_rows(basis, x, u, theta_true, cost.r1)
-            assert np.max(np.abs(rows[1:] @ w_true.stacked - rhs[1:])) < 1e-8
+            assert np.max(np.abs(rows[1:] @ w_true - rhs[1:])) < 1e-8
 
     def test_controller_rows_single_input(self, double_integrator):
         plant, cost, demo = double_integrator
@@ -311,20 +310,20 @@ class TestSolveWeights:
     def test_ideal_regressor_recovery(self, default_system, basis, theta_true, w_true):
         _, _, demo = default_system
         stack = filled_ideal_stack(demo, theta_true, basis)
-        w_hat = solve_weights(stack)
-        rel = np.linalg.norm(w_hat.stacked - w_true.stacked) / np.linalg.norm(w_true.stacked)
+        w_hat = solve_weights(stack.sigma_matrix, stack.rhs_vector)
+        rel = np.linalg.norm(w_hat - w_true) / np.linalg.norm(w_true)
         assert rel < 1e-6
 
     def test_rank_deficient_refused(self, default_system, basis, theta_true):
         _, _, demo = default_system
         stack = filled_ideal_stack(demo, theta_true, basis, count=2, capacity=30)
         with pytest.raises(RankDeficiencyError):
-            solve_weights(stack)
+            solve_weights(stack.sigma_matrix, stack.rhs_vector)
 
     def test_empty_stack_refused(self, basis):
         stack = IrlHistoryStack(capacity=5, basis=basis, r1=20.0, m=2)
         with pytest.raises(RankDeficiencyError) as err:
-            solve_weights(stack)
+            solve_weights(stack.sigma_matrix, stack.rhs_vector)
         assert err.value.rank == 0
 
     def test_rhs_nonzero_under_floor_guarantee(self, default_system, basis, theta_true):
@@ -342,20 +341,12 @@ class TestSolveWeights:
         cost5 = CostFunction(dim=4, w_q=5.0 * DEFAULT_WQ, r_diag=5.0 * DEFAULT_RDIAG)
         demo5 = make_demonstrator(plant, cost5)
         stack5 = filled_ideal_stack(demo5, theta_true, basis, seed=123)
-        w5 = solve_weights(stack5)
-        np.testing.assert_allclose(w5.stacked, 5.0 * w_true.stacked, rtol=1e-6)
+        w5 = solve_weights(stack5.sigma_matrix, stack5.rhs_vector)
+        np.testing.assert_allclose(w5, 5.0 * w_true, rtol=1e-6)
 
 
 class TestWeightVector:
-    def test_stack_round_trip(self):
-        w = WeightVector(w_v=np.arange(3.0), w_q=np.arange(2.0), w_r_minus=np.array([7.0]), r1=2.0)
-        again = WeightVector.from_stacked(w.stacked, 3, 2, 2.0)
-        np.testing.assert_array_equal(again.stacked, w.stacked)
-        assert again.r1 == 2.0
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            WeightVector(w_v=np.array([np.inf]), w_q=np.zeros(1), w_r_minus=np.zeros(0), r1=1.0)
+    # the stacked weights [W_V; W_Q; W_R-minus], one float64 array
 
     def test_ideal_weights_mapping(self, default_system, basis):
         _, cost, demo = default_system
@@ -363,10 +354,12 @@ class TestWeightVector:
         p = demo.riccati_p
         idx_00 = basis.v_monomials.index((0, 0))
         idx_01 = basis.v_monomials.index((0, 1))
-        assert w.w_v[idx_00] == p[0, 0]
-        assert w.w_v[idx_01] == 2.0 * p[0, 1]
-        np.testing.assert_array_equal(w.w_q, cost.w_q)
-        np.testing.assert_array_equal(w.w_r_minus, cost.r_diag[1:])
+        num_v, num_q = basis.num_v, basis.num_q
+        assert w.shape == (basis.width(2),)
+        assert w[idx_00] == p[0, 0]
+        assert w[idx_01] == 2.0 * p[0, 1]
+        np.testing.assert_array_equal(w[num_v : num_v + num_q], cost.w_q)
+        np.testing.assert_array_equal(w[num_v + num_q :], cost.r_diag[1:])
 
     def test_quadratic_monomial_count(self):
         assert len(quadratic_monomials(4)) == 10

@@ -11,7 +11,6 @@ from irlobs.estimator import ThetaVector
 from irlobs.irl import (
     FeatureBasis,
     IrlHistoryStack,
-    WeightVector,
     data_select,
     read_lazy,
     solve_weights,
@@ -189,11 +188,8 @@ class TestQualityConfig:
             QualityConfig(horizon=1000, s1=-np.eye(4), s2=np.eye(2), half_width=5)
 
 
-def zero_weights(basis, m=2, r1=20.0):
-    return WeightVector(
-        w_v=np.zeros(basis.num_v), w_q=np.zeros(basis.num_q),
-        w_r_minus=np.zeros(m - 1), r1=r1,
-    )
+def zero_weights(basis):
+    return np.zeros(basis.width(2))
 
 
 def filled_stack(default_system, basis, count=30, eta=1.0, seed=50):
@@ -221,7 +217,7 @@ class TestPurgePolicy:
         stack = filled_stack(default_system, basis)
         ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e6, w_current=zero_weights(basis), varpi=1)
         w = purge_policy(ps, stack, eta_now=10.0)
-        assert np.linalg.norm(read_lazy(w).stacked) > 0.0
+        assert np.linalg.norm(read_lazy(w)) > 0.0
 
     def test_no_purge_when_quality_not_better(self, default_system, basis):
         stack = filled_stack(default_system, basis, eta=1.0)
@@ -240,7 +236,7 @@ class TestPurgePolicy:
         assert stack.size == 0
         # the weights survive the purge
         assert w_after is ps.w_current
-        np.testing.assert_array_equal(read_lazy(w_after).stacked, read_lazy(w_before).stacked)
+        np.testing.assert_array_equal(read_lazy(w_after), read_lazy(w_before))
 
     def test_purge_blocked_by_conditioning(self, default_system, basis):
         stack = filled_stack(default_system, basis, count=2, eta=1.0)  # rank deficient
@@ -279,22 +275,26 @@ class TestPurgePolicy:
 
 
 def counting_solves(monkeypatch):
-    """Count the calls of purge.solve_weights; returns the list of stacks."""
+    """Count the calls of purge.solve_weights; returns the list of their
+    (sigma_matrix, rhs_vector) arguments."""
     calls = []
     original = purge.solve_weights
 
-    def counting(stack):
-        calls.append(stack)
-        return original(stack)
+    def counting(sigma_matrix, rhs_vector):
+        calls.append((sigma_matrix, rhs_vector))
+        return original(sigma_matrix, rhs_vector)
 
     monkeypatch.setattr(purge, "solve_weights", counting)
     return calls
 
 
 def assert_same_weights(w, reference):
-    for name in ("w_v", "w_q", "w_r_minus", "stacked"):
-        np.testing.assert_array_equal(getattr(w, name), getattr(reference, name), strict=True)
-    assert w.r1 == reference.r1
+    assert isinstance(w, np.ndarray) and w.dtype == np.float64
+    np.testing.assert_array_equal(w, reference, strict=True)
+
+
+def solve_stack(stack):
+    return solve_weights(stack.sigma_matrix, stack.rhs_vector)
 
 
 class TestDeferredSolve:
@@ -320,15 +320,15 @@ class TestDeferredSolve:
         assert len(updates) > 10 and updates[0][2] < 60  # later offers store swaps
         assert stack.size == 30 and stack.gram_kappa < stack.full_rank_kappa
         for w, stack_then, _ in updates:
-            assert callable(w) and not isinstance(w, WeightVector)
-            assert_same_weights(read_lazy(w), solve_weights(stack_then))
+            assert callable(w) and not isinstance(w, np.ndarray)
+            assert_same_weights(read_lazy(w), solve_stack(stack_then))
         assert len(solves) == len(updates)
         for w, _, _ in updates:  # the solve is kept
             assert read_lazy(w) is read_lazy(w)
         assert len(solves) == len(updates)
 
     def test_one_reader_for_held_and_deferred_weights(self, default_system, basis, monkeypatch):
-        # read_lazy hands a WeightVector back as it is, and runs a deferred
+        # read_lazy hands a weight array back as it is, and runs a deferred
         # estimate's solve on its first read only
         stack = filled_stack(default_system, basis)
         solves = counting_solves(monkeypatch)
@@ -338,9 +338,9 @@ class TestDeferredSolve:
         w = purge_policy(ps, stack, eta_now=10.0)
         assert w is ps.w_current and not solves
         first = read_lazy(w)
-        assert isinstance(first, WeightVector) and read_lazy(w) is first
+        assert isinstance(first, np.ndarray) and read_lazy(w) is first
         assert len(solves) == 1
-        assert_same_weights(first, solve_weights(stack))
+        assert_same_weights(first, solve_stack(stack))
 
     def test_kappa_above_the_certificate_solves_at_once(self, default_system, basis, monkeypatch):
         stack = filled_stack(default_system, basis)
@@ -348,9 +348,9 @@ class TestDeferredSolve:
         solves = counting_solves(monkeypatch)
         ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e6, w_current=zero_weights(basis), varpi=1)
         w = purge_policy(ps, stack, eta_now=10.0)
-        assert len(solves) == 1 and isinstance(w, WeightVector)
+        assert len(solves) == 1 and isinstance(w, np.ndarray)
         assert read_lazy(w) is w
-        assert_same_weights(w, solve_weights(stack))
+        assert_same_weights(w, solve_stack(stack))
 
     def test_kappa_above_the_certificate_holds_on_rank_deficiency(
         self, default_system, basis, monkeypatch
