@@ -122,9 +122,14 @@ def integral_residual(p_log, k, t1, t2):
 def _double_integral(log, k, t1, t2):
     """Integral over the t2 steps up to step k of the sliding window
     integral of width t1 steps."""
-    cum = log.rows(k - t2, t2 + 1, cumulative=True)
-    lagged = log.rows(k - t2 - t1, t2 + 1, cumulative=True)
-    return np.trapezoid(cum - lagged, dx=log.dt, axis=0)
+    y = log.rows(k - t2, t2 + 1, cumulative=True) - log.rows(
+        k - t2 - t1, t2 + 1, cumulative=True
+    )
+    # np.trapezoid(y, dx=log.dt, axis=0), operation for operation, in place
+    ends = y[1:] + y[:-1]
+    ends *= log.dt
+    ends /= 2.0
+    return ends.sum(axis=0)
 
 
 def integral_regressor(p_log, u_log, k, t1, t2):
@@ -143,14 +148,9 @@ def integral_regressor(p_log, u_log, k, t1, t2):
     late = p_log.rows(k - t2, 2, t2, cumulative=True)
     g_block = (late[1] - late[0]) - (early[1] - early[0])
     u_block = _double_integral(u_log, k, t1, t2)
-    eye = np.eye(n)
-    return np.hstack(
-        [
-            np.kron(f_block[None, :], eye),
-            np.kron(g_block[None, :], eye),
-            np.kron(u_block[None, :], eye),
-        ]
-    )
+    row = np.concatenate((f_block, g_block, u_block))
+    # kron(row, I) with the products np.kron forms: [i, j*n + l] = I[i, l] * row[j]
+    return (np.eye(n)[:, None, :] * row[None, :, None]).reshape(n, row.size * n)
 
 
 class ParamHistoryStack(GramStack):
@@ -245,11 +245,14 @@ class AdaptiveObserver:
         u0 = np.asarray(u0, dtype=float)
         if theta0 is None:
             theta0 = np.zeros(self.dim)
-        self.theta = np.asarray(theta0, dtype=float).copy()
-        if self.theta.shape != (self.dim,):
+        theta = np.asarray(theta0, dtype=float).copy()
+        if theta.shape != (self.dim,):
             raise ValueError(f"theta0 must have length {self.dim}")
+        # built once per parameter update: each step reads it, and a queued
+        # step keeps it
+        self.theta_vector = ThetaVector(theta=theta, n=self.n, m=self.m)
         self.gamma = gamma_scale * np.eye(self.dim)
-        self.theta_rate = np.zeros(self.dim)
+        self._set_rate(np.zeros(self.dim))
 
         self.p_hat = p0.copy()
         self.q_hat = np.zeros(n) if q_hat0 is None else np.asarray(q_hat0, dtype=float).copy()
@@ -274,8 +277,14 @@ class AdaptiveObserver:
         self._eta_integrand_prev = np.zeros(n)
 
     @property
-    def theta_vector(self):
-        return ThetaVector(theta=self.theta.copy(), n=self.n, m=self.m)
+    def theta(self):
+        """The parameter estimate [vec(A1); vec(A2); vec(B)] (read-only by
+        convention: update_parameters replaces it)."""
+        return self.theta_vector.theta
+
+    def _set_rate(self, theta_rate):
+        self.theta_rate = theta_rate
+        self._a2_rate = ThetaVector(theta=theta_rate, n=self.n, m=self.m).a2
 
     @property
     def x_hat(self):
@@ -296,7 +305,7 @@ class AdaptiveObserver:
         definiteness, which indicates the step size is too large.
         """
         if not stack.is_full_rank:
-            self.theta_rate = np.zeros(self.dim)
+            self._set_rate(np.zeros(self.dim))
             return
         gram = stack.gram
         proj = stack.rhs_projection
@@ -305,10 +314,10 @@ class AdaptiveObserver:
         k2t, k2g = self._adaptation_rates(th + 0.5 * dt * k1t, ga + 0.5 * dt * k1g, gram, proj)
         k3t, k3g = self._adaptation_rates(th + 0.5 * dt * k2t, ga + 0.5 * dt * k2g, gram, proj)
         k4t, k4g = self._adaptation_rates(th + dt * k3t, ga + dt * k3g, gram, proj)
-        self.theta = th + (dt / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
+        theta = th + (dt / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
         gamma = ga + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
         gamma = 0.5 * (gamma + gamma.T)
-        if not (np.isfinite(gamma).all() and np.isfinite(self.theta).all()):
+        if not (np.isfinite(gamma).all() and np.isfinite(theta).all()):
             raise NumericOverflowError("adaptation state became non-finite (dt too large)")
         try:
             np.linalg.cholesky(gamma)
@@ -317,8 +326,9 @@ class AdaptiveObserver:
                 "least-squares gain lost positive definiteness (dt too large)"
             )
         self.gamma = gamma
+        self.theta_vector = ThetaVector(theta=theta, n=self.n, m=self.m)
         # the rate alone: the gain's rate at the new state is not needed
-        self.theta_rate = self.gains.k_theta * (gamma @ (proj - gram @ self.theta))
+        self._set_rate(self.gains.k_theta * (gamma @ (proj - gram @ theta)))
 
     def step(self, p_meas, u, dt):
         """Advance the observer one grid step given the new measurements.
@@ -331,8 +341,7 @@ class AdaptiveObserver:
         p_meas = np.asarray(p_meas, dtype=float)
         u = np.asarray(u, dtype=float)
         tv = self.theta_vector
-        a2_dot = ThetaVector(theta=self.theta_rate, n=self.n, m=self.m).a2
-        drive = tv.b @ u + (tv.a1 - a2_dot) @ p_meas
+        drive = tv.b @ u + (tv.a1 - self._a2_rate) @ p_meas
 
         g1, g2, g3, g4 = self._g1, self._g2, self._g3, self._g4
         half = 0.5 * dt

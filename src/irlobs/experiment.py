@@ -65,7 +65,9 @@ from .purge import (
 
 MODES = ("observed", "query")
 _GAMMA_BATCH = 256  # gain matrices per batched eigvalsh in run_experiment
-_PIPE_BATCH = 32  # measured steps per η block and per write to the pipe in _pipelined
+# measured steps per η block and per write to the pipe in _pipelined, and
+# the most that OnlineIrl queues between two drains
+_PIPE_BATCH = 32
 _PIPE_BYTES = 1 << 20  # the pipe's capacity in _pipelined, where the platform sets it
 DEFAULTS_PATH = Path(__file__).with_name("default_config.json")
 
@@ -407,8 +409,10 @@ class OnlineIrl:
     param_stack comes filled by a calibration maneuver (see
     prerecord_param_stack), and w0 is the stacked initial weight guess.
     step is measure, the estimator, then offer, the cost recovery, of each
-    step that drain returns; drain scores the η of all steps measured since
-    the last in one block, and offer reads nothing that measure writes.
+    step that drain returns; measure queues each step's own values, drain
+    builds the IRL rows and scores the η of all steps queued since the
+    last, at most _PIPE_BATCH, in one block, and offer reads nothing that
+    measure writes.
     """
 
     def __init__(self, cfg, param_stack, p0, u0, w0):
@@ -424,7 +428,12 @@ class OnlineIrl:
         # first step with both the full horizon and the smoothing window available
         self.eta_floor_step = quality.horizon + quality.half_width
 
-        window = max(gains.t1 + gains.t2, (quality.horizon + quality.half_width + 2) * dt)
+        # the records read t1 + t2 back from the newest step; drain reads
+        # the smoothing window and horizon back from the oldest queued one
+        window = max(
+            gains.t1 + gains.t2,
+            (quality.horizon + quality.half_width + 2 + _PIPE_BATCH) * dt,
+        )
         self.p_log = SampledSignal(n, dt, window + 4 * dt)
         self.u_log = SampledSignal(m, dt, window + 4 * dt)
         self.qhat_log = SampledSignal(n, dt, (quality.horizon + 4) * dt)
@@ -440,7 +449,9 @@ class OnlineIrl:
         self.xi1 = cfg.xi1
         self.purge_state = PurgeState(cfg.kappa1_bar, cfg.kappa2_bar, w_current=w0)
         self.trace = RunTrace()
-        self._queue = []  # (t, η inputs or None, rows) of each step measured, not yet drained
+        # (t, x_hat, theta_vector, p_tilde, lagged q_hat or None, oracle
+        # pairs) of each step measured, not yet drained; drain reads u from u_log
+        self._queue = []
 
     @property
     def x_hat(self):
@@ -458,22 +469,35 @@ class OnlineIrl:
     def step(self, t, p, u, queries=()):
         """Take the measurement (p, u) at time t and offer the data."""
         self.measure(t, p, u, queries)
-        for offered in self.drain():
+        for offered in zip(*self.drain()):
             self.offer(*offered)
 
     def measure(self, t, p, u, queries=()):
         """The estimator half of step: log (p, u) at time t, record the
         parameter stack, advance the adaptation law and the observer, and
-        queue the step's η inputs (None before eta_floor_step) and the IRL
-        rows (irl.entry_rows) of the estimated pair and each oracle pair."""
+        queue the step's time, x_hat, parameter estimate, position error
+        and, from eta_floor_step on, velocity estimate of horizon steps
+        back, with copies of the oracle pairs (drain reads u from its log).
+        Raises ValueError if _PIPE_BATCH steps are queued already, if a
+        pair is not a (2n-vector, m-vector), or if the step has another
+        number of pairs than the steps queued."""
         observer, (t1, t2) = self.observer, self.windows
+        n, m = observer.n, observer.m
+        queue = self._queue
         # a rejected measurement leaves every log, counter and the queue as it was
-        self.p_log.check(t, p)
-        self.u_log.check(t, u)
+        if len(queue) >= _PIPE_BATCH:
+            raise ValueError(f"{_PIPE_BATCH} steps are queued: drain them first")
+        pairs = tuple((np.array(x, dtype=float), np.array(v, dtype=float)) for x, v in queries)
+        if any(x.shape != (2 * n,) or v.shape != (m,) for x, v in pairs):
+            raise ValueError(f"oracle pairs must be ({2 * n}-vector, {m}-vector)")
+        if queue and len(pairs) != len(queue[0][-1]):
+            raise ValueError("every step queued must have as many oracle pairs")
+        p = self.p_log.check(t, p)
+        u = self.u_log.check(t, u)
         self.steps += 1
         k = self.steps
-        self.p_log.append(t, p)
-        self.u_log.append(t, u)
+        self.p_log.push(t, p)
+        self.u_log.push(t, u)
         if k >= t1 + t2 and k % self.record_stride == 0:
             self.param_stack.record(
                 integral_residual(self.p_log, k, t1, t2),
@@ -482,41 +506,52 @@ class OnlineIrl:
         observer.update_parameters(self.param_stack, self.dt)
         observer.step(p, u, self.dt)
         self.qhat_log.append(t, observer.q_hat)
-
-        theta_v = observer.theta_vector
-        eta = self._eta_inputs(k, theta_v) if k >= self.eta_floor_step else None
-        basis, r1 = self.irl_stack.basis, self.irl_stack.r1
-        rows = [entry_rows(basis, x, v, theta_v, r1) for x, v in ((observer.x_hat, u), *queries)]
-        self._queue.append((t, eta, rows))
+        lagged = (self.qhat_log.rows(k - self.quality.horizon)[0].copy()
+                  if k >= self.eta_floor_step else None)
+        queue.append((t, observer.x_hat, observer.theta_vector, observer.p_tilde, lagged, pairs))
 
     def drain(self):
-        """Empty the queue into offer's arguments (t, eta, rows) per step, in
-        order: eta is eta1 plus the step's quality_eta2, all scored in one
-        quality_eta2_block, and inf before eta_floor_step."""
+        """Empty the queue into offer's arguments: the times, the quality
+        scores eta (inf before eta_floor_step) and, stacked over the steps
+        in order, the IRL rows (irl.entry_rows) of each step's estimated
+        pair and oracle pairs, and their right-hand sides; empty lists for
+        an empty queue.  eta is eta1 plus quality_eta2, each scored for
+        all steps in one block, bitwise as step by step.  The queue is
+        emptied only once all of it is built."""
         queue = self._queue
-        scored = [inputs[1] for _, inputs, _ in queue if inputs is not None]
-        eta2 = iter(quality_eta2_block(scored, self.quality, self.dt) if scored else ())
+        if not queue:
+            return [], [], [], []
+        quality, stack = self.quality, self.irl_stack
+        times, x_hat, thetas, p_tilde, lagged, pairs = zip(*queue)
+        a = np.stack([theta.a_prime for theta in thetas])
+        b = np.stack([theta.b_prime for theta in thetas])
+        u = self.u_log.rows(self.steps - len(queue) + 1, len(queue))
+        xs = np.array([(x, *(xp for xp, _ in step)) for x, step in zip(x_hat, pairs)])
+        us = np.array([(v, *(vp for _, vp in step)) for v, step in zip(u, pairs)])
+        rows, rhs = entry_rows(stack.basis, xs, us, a[:, None], b[:, None], stack.r1)
+        eta = np.full(len(queue), np.inf)
+        # the scored steps, those from eta_floor_step on, end the queue
+        scored = min(len(queue), self.steps - self.eta_floor_step + 1)
+        if scored > 0:
+            first = self.steps - scored + 1
+            v = smooth_velocity(self.p_log, first - quality.horizon, quality.half_width, scored)
+            eta1 = quality_eta1(np.stack(p_tilde[-scored:]), np.stack(lagged[-scored:]), v,
+                                quality.s1)
+            inputs = eta2_inputs(self.p_log, self.u_log, first, quality, v)
+            eta[-scored:] = eta1 + quality_eta2_block(
+                a[-scored:], b[-scored:], inputs, quality, self.dt
+            )
         self._queue = []
-        return [(t, float("inf") if inputs is None else inputs[0] + float(next(eta2)), rows)
-                for t, inputs, rows in queue]
+        return list(times), eta.tolist(), rows, rhs
 
-    def offer(self, t, eta, rows):
-        """The cost-recovery half of step: offer each (rows, rhs) of a
-        drained step, with the quality eta of step t, to the IRL stack
-        under the weight-update/purge policy.  Reads nothing that measure
-        changes, so it may run in another process."""
-        for block, rhs in rows:
-            self._offer(Entry(block, rhs, eta, t))
-
-    def _eta_inputs(self, k, theta_v):
-        """(eta1, eta2_inputs) of step k, sharing one smoothed velocity."""
-        quality = self.quality
-        k0 = k - quality.horizon
-        v_smooth = smooth_velocity(self.p_log, k0, quality.half_width)
-        eta1 = quality_eta1(
-            self.observer.p_tilde, self.qhat_log.rows(k0)[0], v_smooth, quality.s1
-        )
-        return eta1, eta2_inputs(self.p_log, self.u_log, theta_v, k, quality, v_smooth)
+    def offer(self, t, eta, rows, rhs):
+        """The cost-recovery half of step: offer each candidate's rows and
+        right-hand side (the step's part of what drain returns), with the
+        quality eta of step t, to the IRL stack under the
+        weight-update/purge policy.  Reads nothing that measure changes, so
+        it may run in another process."""
+        for block, r in zip(rows, rhs):
+            self._offer(Entry(block, r, eta, t))
 
     def _offer(self, entry):
         stack, ps, trace = self.irl_stack, self.purge_state, self.trace
@@ -585,22 +620,22 @@ def _measure_run(cfg, demo, online, emit):
 
 
 def _pipelined(front, take, shapes):
-    """front(emit) in a forked child, and here take([offered]) for each
-    step that it emits, offered the step's (t, eta, rows); returns what
-    front returns.
+    """front(emit) in a forked child, and here take(block) for each block
+    of drained steps (OnlineIrl.drain) that it emits; returns what front
+    returns.
 
-    The child writes each block it emits to a pipe of _PIPE_BYTES, one
-    float64 row per step: (t, eta), then the rows and right-hand side of
-    each candidate, flattened, with shapes giving each part's shape in
-    order.  A row of zeros (t = 0 is no measured step) ends the rows, and
-    the pickled result of front, or the exception it raised, follows;
-    that exception is raised here once the steps before it are taken.  An
-    exception here kills the child, and the child is always reaped.
+    The child writes each nonempty block it emits to a pipe of _PIPE_BYTES
+    as one float64 record: its step count, the steps' times and etas, then
+    their rows and right-hand sides, with shapes giving one step's part of
+    each.  A count of 0 ends the blocks, and the pickled result of front,
+    or the exception it raised, follows; that exception is raised here once
+    the blocks before it are taken.  An exception here kills the child, and
+    the child is always reaped.
     """
     import fcntl  # POSIX only, like os.fork, which every caller has
 
-    cuts = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
-    size = 8 * cuts[-1]
+    widths = [math.prod(shape) for shape in shapes]
+    size = 8 * (2 + sum(widths))
     read_fd, write_fd = os.pipe()
     try:
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
@@ -610,32 +645,37 @@ def _pipelined(front, take, shapes):
     if pid == 0:
         try:
             os.close(read_fd)
-            with open(write_fd, "wb", buffering=size * _PIPE_BATCH) as pipe:
+            with open(write_fd, "wb", buffering=8 + size * _PIPE_BATCH) as pipe:
 
                 def emit(block):
-                    for t, eta, rows in block:
-                        parts = (part.ravel() for pair in rows for part in pair)
-                        pipe.write(np.concatenate([(t, eta), *parts]))
-                    pipe.flush()
+                    times, etas, rows, rhs = block
+                    if times:
+                        pipe.write(np.concatenate(
+                            [(len(times),), times, etas, rows.ravel(), rhs.ravel()]
+                        ))
+                        pipe.flush()
 
                 try:
                     result = front(emit)
                 except BaseException as exc:  # raised again in the parent
                     result = exc
-                pipe.write(bytes(size))
+                pipe.write(bytes(8))
                 pickle.dump(result, pipe)
         finally:
             os._exit(0)
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            while len(data := pipe.read(size)) == size and data[:8] != bytes(8):
-                row = np.frombuffer(data)
-                (t, eta), *rows = (
-                    row[a:b].reshape(shape).copy() for a, b, shape in zip(cuts, cuts[1:], shapes)
-                )
-                take([(float(t), float(eta), list(zip(rows[::2], rows[1::2])))])
-            try:  # after the end row; EOF if the child died before it
+            while len(head := pipe.read(8)) == 8 and (count := int(np.frombuffer(head)[0])):
+                data = pipe.read(count * size)
+                if len(data) < count * size:
+                    break  # the child died within the block
+                record = np.frombuffer(data)
+                cut = 2 * count + count * widths[0]
+                take((record[:count].tolist(), record[count : 2 * count].tolist(),
+                      record[2 * count : cut].reshape((count, *shapes[0])),
+                      record[cut:].reshape((count, *shapes[1]))))
+            try:  # after the end count; EOF if the child died before it
                 result = pickle.load(pipe)
             except Exception as exc:
                 raise IrlobsError("the measuring process ended without a result") from exc
@@ -678,15 +718,17 @@ def run_experiment(cfg):
 
     def take(block):
         # block first, so that zip draws no step number past the block's end
-        for (t, eta, rows), k in zip(block, counter):
-            online.offer(t, eta, rows)
+        for offered, k in zip(zip(*block), counter):
+            online.offer(*offered)
             if k % cfg.report_stride == 0 or k == steps:
                 w_rows.append(online.weights - w_true)
 
     front = functools.partial(_measure_run, cfg, demo, online)
     if hasattr(os, "fork"):
-        shapes = [(2,)] + [(1 + m, basis.width(m)), (1 + m,)] * (2 if cfg.mode == "query" else 1)
-        measured = _pipelined(front, take, shapes)
+        candidates = 2 if cfg.mode == "query" else 1
+        measured = _pipelined(
+            front, take, [(candidates, 1 + m, basis.width(m)), (candidates, 1 + m)]
+        )
     else:
         measured = front(take)
     # a reshape fails loudly unless both processes logged the same report steps

@@ -89,16 +89,18 @@ def eval_features(basis, x, u):
     """Evaluate (sigma_V, grad sigma_V, sigma_Q, sigma_u) at (x, u).
 
     The gradient row of monomial x_i x_j holds x_j at column i and x_i at
-    column j (2 x_i at i when i == j).
+    column j (2 x_i at i when i == j).  x and u may carry leading axes of
+    points; each point's features are then bitwise those of its own call.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.shape != (basis.dim,):
+    if x.shape[-1:] != (basis.dim,):
         raise ValueError(f"x must be a {basis.dim}-vector")
-    sigma_v = x[basis._v_i] * x[basis._v_j]
-    grad = np.zeros((basis.num_v, basis.dim))
-    grad.flat[basis._grad_at] = x[basis._grad_src] * basis._grad_factor
-    sigma_q = x[basis._q_i] * x[basis._q_j]
+    lead = x.shape[:-1]
+    sigma_v = x[..., basis._v_i] * x[..., basis._v_j]
+    grad = np.zeros(lead + (basis.num_v, basis.dim))
+    grad.reshape(lead + (-1,))[..., basis._grad_at] = x[..., basis._grad_src] * basis._grad_factor
+    sigma_q = x[..., basis._q_i] * x[..., basis._q_j]
     sigma_u = u * u
     return sigma_v, grad, sigma_q, sigma_u
 
@@ -118,25 +120,34 @@ def ideal_weights(basis, riccati_p, w_q_star, r_diag):
     return np.concatenate([w_v, np.asarray(w_q_star, dtype=float), np.asarray(r_diag, float)[1:]])
 
 
-def entry_rows(basis, x_hat, u, theta_hat, r1):
+def entry_rows(basis, x_hat, u, a_prime, b_prime, r1):
     """Full (1+m)-row block of one data point: the inverse-Bellman row
-    stacked over the controller rows, sharing one feature evaluation."""
+    stacked over the controller rows, sharing one feature evaluation, with
+    the model xdot = a_prime x + b_prime u of a parameter estimate
+    (ThetaVector.a_prime and b_prime).
+
+    Every argument but basis and r1 may carry leading axes, broadcast
+    against each other, of points; each point's block, shaped (1+m, width)
+    behind them, is then bitwise that of its own call, since each stacked
+    product is one product per point.
+    """
     x_hat = np.asarray(x_hat, dtype=float)
     u = np.asarray(u, dtype=float)
-    m = u.size
+    m = u.shape[-1]
     num_v, num_q = basis.num_v, basis.num_q
     _, grad, sigma_q, sigma_u = eval_features(basis, x_hat, u)
-    rows = np.zeros((1 + m, basis.width(m)))
-    rhs = np.zeros(1 + m)
-    xdot = theta_hat.a_prime @ x_hat + theta_hat.b_prime @ u
-    rows[0, :num_v] = grad @ xdot
-    rows[0, num_v : num_v + num_q] = sigma_q
-    rows[0, num_v + num_q :] = sigma_u[1:]
-    rhs[0] = -r1 * sigma_u[0]
-    rows[1:, :num_v] = theta_hat.b_prime.T @ grad.T
-    rhs[1] = -2.0 * r1 * u[0]
+    lead = np.broadcast_shapes(grad.shape[:-2], a_prime.shape[:-2], b_prime.shape[:-2])
+    rows = np.zeros(lead + (1 + m, basis.width(m)))
+    rhs = np.zeros(lead + (1 + m,))
+    xdot = (a_prime @ x_hat[..., None] + b_prime @ u[..., None])[..., 0]
+    rows[..., 0, :num_v] = (grad @ xdot[..., None])[..., 0]
+    rows[..., 0, num_v : num_v + num_q] = sigma_q
+    rows[..., 0, num_v + num_q :] = sigma_u[..., 1:]
+    rhs[..., 0] = -r1 * sigma_u[..., 0]
+    rows[..., 1:, :num_v] = b_prime.swapaxes(-1, -2) @ grad.swapaxes(-1, -2)
+    rhs[..., 1] = -2.0 * r1 * u[..., 0]
     for i in range(1, m):
-        rows[1 + i, num_v + num_q + i - 1] = 2.0 * u[i]
+        rows[..., 1 + i, num_v + num_q + i - 1] = 2.0 * u[..., i]
     return rows, rhs
 
 

@@ -9,6 +9,8 @@ operates on plain numpy arrays, and numpy is the only dependency.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -23,6 +25,7 @@ _GRID_TOL = 1e-6  # fraction of dt tolerated when checking a sample's time
 _EPS = np.finfo(float).eps
 _NEWTON_TOL = 1e-13  # relative Newton step that ends the Riccati iteration
 _NEWTON_MAX_ITER = 60
+_FIRST_BATCH = 6  # slots GramStack.best_swap solves before it prunes by the best score
 
 
 def rk4_step(f, t, x, dt):
@@ -111,7 +114,10 @@ class SampledSignal:
 
     def append(self, t, value):
         """Append the sample for the next grid time (see check)."""
-        v = self.check(t, value)
+        self.push(t, self.check(t, value))
+
+    def push(self, t, v):
+        """Append v, a float vector that check(t, v) returned, unchecked."""
         if self._count == 0:
             self._t0 = float(t)
         if self._head + self._count >= self._values.shape[0]:
@@ -152,10 +158,13 @@ class SampledSignal:
 
     def rows(self, first, count=1, stride=1, cumulative=False):
         """The samples (running integrals when cumulative) of count steps
-        from step first on, stride steps apart, as a (count, dim) copy."""
+        from step first on, stride steps apart, as a (count, dim) read-only
+        view, valid until the next append."""
         lo = self._head + self._local(first, count, stride)
         data = self._cum if cumulative else self._values
-        return data[lo : lo + (count - 1) * stride + 1 : stride].copy()
+        view = data[lo : lo + (count - 1) * stride + 1 : stride]
+        view.flags.writeable = False
+        return view
 
 
 def linear_rk4_matrices(a, b, h):
@@ -190,13 +199,14 @@ def linear_rollout(phi, drive, x0):
     call.
     """
     x0 = np.asarray(x0, dtype=float)
-    # step-major, so that each step's states are one contiguous block
-    states = np.empty((drive.shape[-2] + 1,) + x0.shape)
-    states[0] = x0
-    for prev, row, step in zip(states, states[1:], np.moveaxis(drive, -2, 0)):
-        np.matmul(phi, prev[..., None], out=row[..., None])
+    # step-major, so that each step's states are one contiguous block; the
+    # states and drive rows as columns, so that each product is phi @ x
+    states = np.empty((drive.shape[-2] + 1,) + x0.shape + (1,))
+    states[0, ..., 0] = x0
+    for prev, row, step in zip(states, states[1:], np.moveaxis(drive, -2, 0)[..., None]):
+        np.matmul(phi, prev, out=row)
         row += step
-    return np.moveaxis(states, 0, -2)
+    return np.moveaxis(states[..., 0], 0, -2)
 
 
 def _is_hurwitz(a):
@@ -329,12 +339,9 @@ class GramStack:
         self.blocks = np.zeros((self.capacity, self.dim, self.dim))
         self._traces = np.zeros(self.capacity)
         self.entries = []
+        self.size = 0  # len(entries)
         self.gram = np.zeros((self.dim, self.dim))
         self._ritz = None
-
-    @property
-    def size(self):
-        return len(self.entries)
 
     @property
     def is_full(self):
@@ -355,74 +362,98 @@ class GramStack:
         scoring one, ties going to the lowest slot as with argmin;
         otherwise the result is None or a slot scoring at least cut.
 
-        Exact eigen-solves run on at most two batches: the 4 slots with the
-        lowest floors, then every other slot whose floor is below cut and
-        at most the best score found.  A non-finite cut scores every slot
-        in one batch.
+        Exact eigen-solves run on at most two batches: the _FIRST_BATCH
+        slots with the lowest floors, then every other slot whose floor is
+        below cut and at most the best score found.  A non-finite cut, or a
+        dim of 1, scores every slot in one batch.
         """
-        if not np.isfinite(cut):
+        if self.dim < 2 or not math.isfinite(cut):
             lam = self.swap_spectra(block)
             slot = int(np.argmin(score(lam)))
             return slot, lam[slot]
-        grown = self.gram + block
-        m = grown[None, :, :] - self.blocks[: self.size]
-        floor = score_floor(*self._ritz_bounds(m, np.trace(grown)))
+        floor = score_floor(*self._ritz_bounds(block))
         order = np.argsort(floor, kind="stable")
         ranked = floor[order]
         live = int(np.searchsorted(ranked, cut, side="left"))
         if live == 0:
             return None
-        slots = order[: min(4, live)]
-        lam = np.linalg.eigvalsh(m[slots])
+        grown = self.gram + block
+        slots = order[: min(_FIRST_BATCH, live)]
+        # rows of grown - blocks[:size], bitwise, for the slots solved
+        lam = np.linalg.eigvalsh(grown[None, :, :] - self.blocks[slots])
         scores = score(lam)
         rest = order[slots.size : min(live, np.searchsorted(ranked, scores.min(), side="right"))]
         if rest.size:
+            more = np.linalg.eigvalsh(grown[None, :, :] - self.blocks[rest])
             slots = np.concatenate((slots, rest))
-            lam = np.concatenate((lam, np.linalg.eigvalsh(m[rest])))
-            scores = score(lam)
+            lam = np.concatenate((lam, more))
+            scores = np.concatenate((scores, score(more)))
         ties = np.flatnonzero(scores == scores.min())
         j = ties[np.argmin(slots[ties])]
         return int(slots[j]), lam[j]
 
-    def _ritz_bounds(self, m, grown_trace):
-        """Per slot i, an upper bound on eigvalsh(m[i])[0] and a lower bound
-        on eigvalsh(m[i])[-1], from the eigenvectors of gram.
+    def _ritz_bounds(self, block):
+        """Per slot i, an upper bound on lam_min and a lower bound on lam_max
+        of M_i = gram + block - blocks[i], from the eigenvectors of gram.
 
-        With U the eigenvectors of gram's 3 smallest eigenvalues and v that
+        With U the eigenvectors of gram's 2 smallest eigenvalues and v that
         of its largest, Rayleigh-Ritz (Cauchy interlacing) gives
         lam_min(M) <= lam_min(U'MU) and lam_max(M) >= v'Mv for orthonormal
-        U, v.  The computed values differ from these by at most
-        tau_i = (64 d^2 eps + 3 delta) s_i, where s_i = trace(gram + block)
-        + trace(blocks[i]) bounds ||m[i]||_2 for PSD blocks, also when
+        U, v.  The projections W'(X W) of gram and of each blocks[i] on
+        W = [U, v] are summed once per change of the stack, and each offer
+        adds that of block; lam_min of the 2x2 U'MU [[a, b], [b, c]] is the
+        closed form ((a + c) - hypot(a - c, 2b)) / 2.  The computed values
+        differ from these by at most tau_i = (64 d^2 eps + 3 delta) s_i,
+        where s_i = trace(gram) + trace(block) + trace(blocks[i]) bounds
+        ||M_i||_2 and the norms of the three PSD terms together, also when
         swapping out a dominant entry cancels most of the trace, and delta
-        is the measured loss of orthonormality ||Q'Q - I||_F + d eps of
-        gram's eigenvector matrix Q.  Budget, in units of eps ||M||:
-          - eigvalsh backward error, on m[i] and on the 3x3 U'MU:
-            at most d^2 each (LAPACK's modest p(d));
-          - rounding of U'(MU) and (Mv).v: at most 2d * 3 * sqrt(d)
-            <= 6 d^2 (elementwise gamma_2d times || |U| ||^2 || |M| ||);
-          - the Rayleigh quotient's norm ||Qy||^2 in [1 - delta, 1 + delta]
+        = ||W'W - I||_F + 4d eps bounds W's loss of orthonormality.
+        Budget, in units of eps s_i:
+          - eigvalsh backward error on the exact solve of M_i, and the
+            rounding of M_i: at most d^2 + 2d (LAPACK's modest p(d), and
+            sqrt(d) eps per sum of PSD terms);
+          - rounding of the three projections: at most 2 * 2d * sqrt(d)
+            <= 4 d^2 (elementwise gamma_2d times || |w| ||^2 || |X| ||,
+            doubled from an entry to the 2x2 matrix);
+          - the sums of the projections, each entry's sum and difference
+            and the closed form: at most 12 (eps ||M|| per operation, 2 eps
+            ||M|| for hypot, which also carries its arguments' errors);
+          - the Rayleigh quotient's norm ||Wy||^2 in [1 - delta, 1 + delta]
             moves it by at most 2 delta (1 + delta) ||M|| <= 3 delta ||M||.
-        The first two sum to 8 d^2, a factor 8 below the 64 d^2 used.
+        The first three sum to 5 d^2 + 2d + 12 <= 8 d^2 for d >= 3 (10 d^2
+        at d = 2), a factor 6 below the 64 d^2 used.
         """
-        d = self.dim
         if self._ritz is None:
+            d = self.dim
             _, q = np.linalg.eigh(self.gram)
-            delta = np.linalg.norm(q.T @ q - np.eye(d)) + d * _EPS
-            self._ritz = (q[:, :3], q[:, -1], 64 * d * d * _EPS + 3 * delta)
-        u, v, scale = self._ritz
-        tau = scale * (grown_trace + self._traces[: self.size])
-        ritz = u.T @ (m.reshape(-1, d) @ u).reshape(m.shape[0], d, u.shape[1])
-        return np.linalg.eigvalsh(ritz)[:, 0] + tau, (m @ v) @ v - tau
+            w = q[:, [0, 1, -1]]
+            delta = np.linalg.norm(w.T @ w - np.eye(3)) + 4 * d * _EPS
+            scale = 64 * d * d * _EPS + 3 * delta
+            # W'(gram - blocks[i])W for every slot, from one product each
+            rest = (w.T @ (self.gram @ w))[None] - w.T @ (
+                self.blocks[: self.size].reshape(-1, d) @ w
+            ).reshape(self.size, d, 3)
+            a, b, c = rest[:, 0, 0], rest[:, 0, 1], rest[:, 1, 1]
+            tau = scale * (self.gram.trace() + self._traces[: self.size])
+            self._ritz = (w, scale, a + c, a - c, 2.0 * b, rest[:, 2, 2], tau)
+        w, scale, sums, diffs, b2, top, tau = self._ritz
+        p = w.T @ (block @ w)
+        tau = tau + scale * block.trace()
+        lam_min = 0.5 * (
+            (sums + (p[0, 0] + p[1, 1]))
+            - np.hypot(diffs + (p[0, 0] - p[1, 1]), b2 + 2.0 * p[0, 1])
+        )
+        return lam_min + tau, top - (tau - p[2, 2])
 
     def put(self, i, block, entry):
         """Store an entry and its Gram block in slot i; i == size appends."""
         if not 0 <= i <= self.size or i >= self.capacity:
             raise IndexError(f"slot {i} is outside the stack (size {self.size})")
         self.blocks[i] = block
-        self._traces[i] = np.trace(block)
+        self._traces[i] = block.trace()
         if i == self.size:
             self.entries.append(entry)
+            self.size += 1
         else:
             self.entries[i] = entry
         self.gram = self.blocks[: self.size].sum(axis=0)
@@ -431,6 +462,7 @@ class GramStack:
 
     def clear(self):
         self.entries = []
+        self.size = 0
         self.gram = np.zeros((self.dim, self.dim))
         self._ritz = None
         self._changed()

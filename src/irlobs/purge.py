@@ -60,19 +60,29 @@ class QualityConfig:
                 raise ArgumentError(name, f"{name} must be positive semidefinite")
 
 
-def smooth_velocity(p_log, center, half_width):
+def smooth_velocity(p_log, center, half_width, count=None):
     """Velocity estimate from a local quadratic fit around step center.
 
     Per coordinate, fits the 2*half_width+1 samples centered at that step
     by least squares and returns the fitted derivative at the center;
     exact on trajectories that are polynomials of degree <= 2 over the
-    window.  Noncausal: needs samples on both sides of the center.
+    window.  Noncausal: needs samples on both sides of the center.  With
+    a count, the estimates at count consecutive centers from center on,
+    as rows, each bitwise that of its own call.
     """
     w = int(half_width)
     offsets = np.arange(-w, w + 1)
-    vals = p_log.rows(center - w, 2 * w + 1)
+    vals = _windows(p_log.rows(center - w, 2 * w + (count or 1)), 2 * w + 1, 1)
     # symmetric stencil: the quadratic term drops out of the slope
-    return (offsets @ vals) / (p_log.dt * float(offsets @ offsets))
+    v = (offsets @ vals) / (p_log.dt * float(offsets @ offsets))
+    return v if count else v[0]
+
+
+def _windows(rows, size, stride):
+    """The windows rows[j : j + size : stride] of every start j that fits,
+    as one contiguous (starts, ceil(size / stride), dim) array."""
+    view = np.lib.stride_tricks.sliding_window_view(rows, size, axis=0)
+    return np.ascontiguousarray(view[:, :, ::stride].swapaxes(1, 2))
 
 
 def quality_eta1(p_tilde, q_hat_lagged, v_smooth, s1):
@@ -80,10 +90,13 @@ def quality_eta1(p_tilde, q_hat_lagged, v_smooth, s1):
 
     Quadratic form of the stacked residual [position error now; lagged
     velocity estimate minus the smoothed velocity]; zero for perfect
-    estimates and nonnegative for positive semidefinite s1.
+    estimates and nonnegative for positive semidefinite s1.  The arguments
+    but s1 may carry a leading axis of steps, each scored bitwise as by
+    its own call.
     """
-    xbar = np.concatenate([np.asarray(p_tilde, float), np.asarray(q_hat_lagged, float) - v_smooth])
-    return float(xbar @ s1 @ xbar)
+    p_tilde, q_hat_lagged = np.asarray(p_tilde, float), np.asarray(q_hat_lagged, float)
+    xbar = np.concatenate([p_tilde, q_hat_lagged - v_smooth], axis=-1)
+    return (xbar[..., None, :] @ s1 @ xbar[..., None])[..., 0, 0]
 
 
 def quality_eta2(p_log, u_log, theta_hat, k, quality, v0):
@@ -96,38 +109,43 @@ def quality_eta2(p_log, u_log, theta_hat, k, quality, v0):
     prediction error under s2.  Returns +inf (worst quality) if the
     rollout diverges.  The score of a block of one (quality_eta2_block).
     """
-    inputs = eta2_inputs(p_log, u_log, theta_hat, k, quality, v0)
-    return float(quality_eta2_block([inputs], quality, p_log.dt)[0])
+    inputs = eta2_inputs(p_log, u_log, k, quality, np.asarray(v0, dtype=float)[None])
+    eta2 = quality_eta2_block(theta_hat.a_prime[None], theta_hat.b_prime[None], inputs,
+                              quality, p_log.dt)
+    return float(eta2[0])
 
 
-def eta2_inputs(p_log, u_log, theta_hat, k, quality, v0):
-    """What quality_eta2 at step k reads, copied out of the logs: the
-    rollout's initial state, theta_hat's a_prime and b_prime, the input
-    at every rollout half step and the measured position at every
-    rollout step."""
+def eta2_inputs(p_log, u_log, k, quality, v0):
+    """What quality_eta2 reads from the logs, for the len(v0) consecutive
+    steps from step k on, given the smoothed velocity v0[j] of step
+    k + j: the rollouts' initial states, the input at every rollout half
+    step and the measured position at every rollout step, each stacked
+    over the steps."""
     horizon, stride = quality.horizon, quality.rollout_stride
     if k < horizon:
         raise ValueError(f"step {k} is before the first full horizon {horizon}")
-    steps = horizon // stride
+    count = len(v0)
     k0 = k - horizon
-    x0 = np.concatenate([p_log.rows(k0)[0], v0])
-    u_half = u_log.rows(k0, 2 * steps + 1, stride // 2)
-    p_meas = p_log.rows(k0, steps + 1, stride)
-    return x0, theta_hat.a_prime, theta_hat.b_prime, u_half, p_meas
+    p_rows = p_log.rows(k0, horizon + count)
+    x0 = np.concatenate([p_rows[:count], v0], axis=1)
+    u_half = _windows(u_log.rows(k0, horizon + count), horizon + 1, stride // 2)
+    p_meas = _windows(p_rows, horizon + 1, stride)
+    return x0, u_half, p_meas
 
 
-def quality_eta2_block(inputs, quality, dt):
-    """quality_eta2 of a block of steps from their eta2_inputs, on the
+def quality_eta2_block(a_prime, b_prime, inputs, quality, dt):
+    """quality_eta2 of a block of steps from their models' a_prime and
+    b_prime and their eta2_inputs, each stacked over the steps, on the
     grid of step dt, as an array in the same order.
 
     The rollouts advance in lockstep through stacked products, and each
     score is bitwise that of its own step; a diverging rollout scores
     +inf in its own entry only.
     """
-    x0, a, b, u_half, p_meas = (np.stack(part) for part in zip(*inputs))
+    x0, u_half, p_meas = inputs
     h = quality.rollout_stride * dt
     n = p_meas.shape[-1]
-    phi, w0, wh, w1 = linear_rk4_matrices(a, b, h)
+    phi, w0, wh, w1 = linear_rk4_matrices(a_prime, b_prime, h)
     drive = (
         u_half[:, 0:-1:2] @ w0.swapaxes(1, 2)
         + u_half[:, 1::2] @ wh.swapaxes(1, 2)

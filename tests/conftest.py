@@ -135,7 +135,8 @@ def gram_kappas(lam):
 def make_entry(stack, x, u, theta, eta=0.0, t=0.0):
     """The Entry offered to data_select for the pair (x, u) under the
     parameter estimate theta, with the stack's basis and r1."""
-    return Entry(*entry_rows(stack.basis, x, u, theta, stack.r1), eta, t)
+    rows, rhs = entry_rows(stack.basis, x, u, theta.a_prime, theta.b_prime, stack.r1)
+    return Entry(rows, rhs, eta, t)
 
 
 def exhaustive_irl_slot(stack, entry, xi1):

@@ -64,11 +64,10 @@ def test_block_scores_equal_the_single_scores_bitwise(block):
         quality_eta2(p_log, u_log, theta, k, quality, v0)
         for k, theta, v0 in zip(steps, thetas, v0s)
     ]
-    inputs = [
-        eta2_inputs(p_log, u_log, theta, k, quality, v0)
-        for k, theta, v0 in zip(steps, thetas, v0s)
-    ]
-    together = quality_eta2_block(inputs, quality, p_log.dt)
+    a = np.stack([theta.a_prime for theta in thetas])
+    b = np.stack([theta.b_prime for theta in thetas])
+    inputs = eta2_inputs(p_log, u_log, steps[0], quality, np.array(v0s))
+    together = quality_eta2_block(a, b, inputs, quality, p_log.dt)
     assert together.shape == (len(steps),)
     assert np.array(alone).tobytes() == together.tobytes()
     assert not np.isnan(together).any()
@@ -86,10 +85,9 @@ def test_a_diverging_rollout_scores_inf_in_its_own_entry():
     for i in diverging:
         thetas[i] = ThetaVector(1e6 * thetas[i].theta, n, m)
     steps = range(horizon + 1, horizon + 34)
-    inputs = [
-        eta2_inputs(p_log, u_log, theta, k, quality, np.zeros(n))
-        for k, theta in zip(steps, thetas)
-    ]
-    scores = quality_eta2_block(inputs, quality, p_log.dt)
+    a = np.stack([theta.a_prime for theta in thetas])
+    b = np.stack([theta.b_prime for theta in thetas])
+    inputs = eta2_inputs(p_log, u_log, steps[0], quality, np.zeros((len(steps), n)))
+    scores = quality_eta2_block(a, b, inputs, quality, p_log.dt)
     assert {i for i, s in enumerate(scores) if s == np.inf} == diverging
     assert np.isfinite(np.delete(scores, sorted(diverging))).all()

@@ -266,7 +266,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", ["observed", "query"])
     def test_eta_computed_once_per_step_from_the_floor(self, monkeypatch, mode):
-        # measure takes eta's inputs once per step from the first step with
+        # drain takes eta's inputs once per step from the first step with
         # the full horizon and smoothing window on, whether or not a
         # decision reads it, and each is scored exactly once: in blocks of
         # one when stepped, in the run's blocks of _PIPE_BATCH steps when
@@ -274,20 +274,20 @@ class TestRunExperiment:
         taken, blocks, smoothings = [], [], []
         inputs_of, score = experiment.eta2_inputs, experiment.quality_eta2_block
 
-        def counting_inputs(p_log, u_log, theta_hat, k, quality, v0):
-            taken.append(k)
-            return inputs_of(p_log, u_log, theta_hat, k, quality, v0)
+        def counting_inputs(p_log, u_log, k, quality, v0):
+            taken.extend(range(k, k + len(v0)))
+            return inputs_of(p_log, u_log, k, quality, v0)
 
-        def counting_blocks(inputs, quality, dt):
-            blocks.append(len(inputs))
-            return score(inputs, quality, dt)
+        def counting_blocks(a_prime, b_prime, inputs, quality, dt):
+            blocks.append(len(a_prime))
+            return score(a_prime, b_prime, inputs, quality, dt)
 
         def counting_smoothing(module):
             smooth = module.smooth_velocity
 
-            def wrapped(p_log, center, half_width):
-                smoothings.append(center)
-                return smooth(p_log, center, half_width)
+            def wrapped(p_log, center, half_width, count=None):
+                smoothings.extend(range(center, center + (count or 1)))
+                return smooth(p_log, center, half_width, count)
 
             monkeypatch.setattr(module, "smooth_velocity", wrapped)
 

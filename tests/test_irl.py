@@ -125,7 +125,9 @@ class TestEvalFeatures:
 
 class TestRegressionRows:
     def test_zero_point_gives_zero_row(self, basis, theta_true):
-        rows, rhs = entry_rows(basis, np.zeros(4), np.zeros(2), theta_true, 20.0)
+        rows, rhs = entry_rows(
+            basis, np.zeros(4), np.zeros(2), theta_true.a_prime, theta_true.b_prime, 20.0
+        )
         assert not rows[0].any() and rhs[0] == 0.0
 
     def test_bellman_identity_on_true_data(self, default_system, basis, theta_true, w_true):
@@ -134,20 +136,22 @@ class TestRegressionRows:
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0, size=4)
             u = optimal_action(demo, x)
-            rows, rhs = entry_rows(basis, x, u, theta_true, cost.r1)
+            rows, rhs = entry_rows(basis, x, u, theta_true.a_prime, theta_true.b_prime, cost.r1)
             assert abs(rows[0] @ w_true - rhs[0]) < 1e-8
 
     def test_perturbed_weight_residual_is_linear(self, default_system, basis, theta_true, w_true):
         _, cost, demo = default_system
         x = np.array([1.0, -0.5, 0.3, 0.8])
         u = optimal_action(demo, x)
-        rows, rhs = entry_rows(basis, x, u, theta_true, cost.r1)
+        rows, rhs = entry_rows(basis, x, u, theta_true.a_prime, theta_true.b_prime, cost.r1)
         perturbed = w_true.copy()
         perturbed[0] += 1.0
         assert abs((rows[0] @ perturbed - rhs[0]) - rows[0, 0]) < 1e-10
 
     def test_controller_rows_zero_point(self, basis, theta_true):
-        rows, rhs = entry_rows(basis, np.zeros(4), np.zeros(2), theta_true, 20.0)
+        rows, rhs = entry_rows(
+            basis, np.zeros(4), np.zeros(2), theta_true.a_prime, theta_true.b_prime, 20.0
+        )
         assert not rows[1:].any() and not rhs[1:].any()
 
     def test_controller_identity_on_true_data(self, default_system, basis, theta_true, w_true):
@@ -156,14 +160,16 @@ class TestRegressionRows:
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0, size=4)
             u = optimal_action(demo, x)
-            rows, rhs = entry_rows(basis, x, u, theta_true, cost.r1)
+            rows, rhs = entry_rows(basis, x, u, theta_true.a_prime, theta_true.b_prime, cost.r1)
             assert np.max(np.abs(rows[1:] @ w_true - rhs[1:])) < 1e-8
 
     def test_controller_rows_single_input(self, double_integrator):
         plant, cost, demo = double_integrator
         di_basis = FeatureBasis.quadratic(2)
         tv = ThetaVector.from_matrices(plant.a1, plant.a2, plant.b)
-        rows, rhs = entry_rows(di_basis, np.array([1.0, 0.5]), np.array([-1.5]), tv, 1.0)
+        rows, rhs = entry_rows(
+            di_basis, np.array([1.0, 0.5]), np.array([-1.5]), tv.a_prime, tv.b_prime, 1.0
+        )
         rows, rhs = rows[1:], rhs[1:]
         assert rows.shape == (1, di_basis.width(1))
         assert rhs.shape == (1,)
@@ -173,7 +179,7 @@ class TestRegressionRows:
         _, cost, demo = default_system
         x = np.array([0.5, 1.0, -1.0, 0.2])
         u = optimal_action(demo, x)
-        rows, rhs = entry_rows(basis, x, u, theta_true, cost.r1)
+        rows, rhs = entry_rows(basis, x, u, theta_true.a_prime, theta_true.b_prime, cost.r1)
         row_b, rhs_b = inverse_bellman_row(basis, x, u, theta_true, cost.r1)
         rows_c, rhs_c = controller_rows(basis, x, u, theta_true, cost.r1)
         np.testing.assert_allclose(rows[0], row_b, atol=1e-14)

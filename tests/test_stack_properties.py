@@ -3,7 +3,9 @@
 After every offer the stored Gram equals the sum of its blocks to rounding;
 an offer to a full stack either commits a swap that strictly improves the
 recomputed criterion, or leaves the stack exactly as it was.  The bounded
-swap search makes every decision the exhaustive search does.  Offers are
+swap search makes every decision the exhaustive search does, and the
+Rayleigh-Ritz bounds it prunes with hold on near-singular and
+rank-deficient stacks.  Offers are
 drawn with repeats from a small pool, since re-offered and rank-deficient
 data are where a swap's predicted gain is pure rounding, and scaled copies
 make ties and near-ties.
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from irlobs.estimator import ParamHistoryStack, ThetaVector
-from irlobs.irl import FeatureBasis, IrlHistoryStack, data_select
+from irlobs.irl import Entry, FeatureBasis, IrlHistoryStack, data_select
 
 from conftest import (
     DEFAULT_A,
@@ -165,3 +167,47 @@ def test_irl_stack_bounded_search_matches_exhaustive(capacity, xi1, picks):
         gram = np.sum([e.gram for e in expected], axis=0)
         assert np.array_equal(stack.gram, gram)
         assert stack.gram_kappa == float(gram_kappas(np.linalg.eigvalsh(gram)))
+
+
+@PROPERTY
+@given(
+    capacity=st.integers(2, 30),
+    irl=st.booleans(),
+    dim=st.sampled_from([3, 12, 24]),
+    kappa_decades=st.integers(0, 7),
+    deficient=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ritz_bounds_hold_on_near_singular_and_rank_deficient_stacks(
+    capacity, irl, dim, kappa_decades, deficient, seed
+):
+    # the bounds best_swap rules slots out with must hold for the computed
+    # spectra of every swap: on IRL stacks (3-row entries, 15 wide) whose
+    # Gram kappa reaches about 1e14, as the row scales span up to 7 decades
+    # of singular value, and on parameter stacks that are also rank
+    # deficient, with up to 2 zero regressor columns
+    rng = np.random.default_rng(seed)
+    if irl:
+        stack = IrlHistoryStack(capacity=capacity, basis=BASIS, r1=20.0, m=2)
+        dim, deficient = stack.dim, 0
+    else:
+        stack = ParamHistoryStack(capacity=capacity, dim=dim, min_eig_threshold=1e-6)
+    scales = np.logspace(0.0, -kappa_decades, dim)
+    scales[dim - deficient:] = 0.0
+
+    def offer(scale):
+        rows = rng.normal(size=(3, dim)) * scales * scale
+        if irl:
+            return data_select(stack, Entry(rows, np.ones(3), 0.0, 0.0), 1.0)
+        return stack.record(rows[:, 0], rows)
+
+    while not stack.is_full:
+        offer(1.0)
+    for scale in (1e-3, 1.0, 1e3):
+        rows = rng.normal(size=(3, dim)) * scales * scale
+        block = rows.T @ rows
+        lam = stack.swap_spectra(block)
+        lam_min_bound, lam_max_bound = stack._ritz_bounds(block)
+        assert (lam_min_bound >= lam[:, 0]).all()
+        assert (lam_max_bound <= lam[:, -1]).all()
+        offer(scale)  # and the bounds of the changed stack next time
