@@ -425,6 +425,38 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match="w0"):
                 make(w0)
 
+    def test_queue_holds_at_most_a_pipe_batch_of_like_steps(self):
+        # measure queues at most _PIPE_BATCH steps, each with the same
+        # number of well-formed oracle pairs; a step refused for either
+        # leaves the logs and the queue as they were
+        cfg = short_config(duration=2.0, mode="query")
+        online, steps = measured_run(cfg)
+        batch = experiment._PIPE_BATCH
+
+        def measured_state():
+            return pickle.dumps((online.steps, online.p_log, online.u_log, online._queue))
+
+        for t, p, u, queries in steps[:batch]:
+            online.measure(t, p, u, queries)
+        t, p, u, queries = steps[batch]
+        before = measured_state()
+        with pytest.raises(ValueError, match="drain"):
+            online.measure(t, p, u, queries)
+        assert measured_state() == before
+        times, etas, rows, rhs = online.drain()
+        assert times == [step[0] for step in steps[:batch]] and rows.shape[:2] == (batch, 2)
+        assert online.drain() == ([], [], [], [])
+        online.measure(t, p, u, queries)
+        t, p, u, queries = steps[batch + 1]
+        (x_star, u_star), = queries
+        before = measured_state()
+        for bad in ((), queries * 2, ((x_star[:2], u_star),)):
+            with pytest.raises(ValueError, match="pair"):
+                online.measure(t, p, u, bad)
+            assert measured_state() == before
+        online.measure(t, p, u, queries)
+        assert len(online.drain()[0]) == 2
+
     def test_stack_source_is_no_longer_a_config_field(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"gains": {"stack_source": "prerecorded"}}))
