@@ -65,22 +65,31 @@ class ThetaVector:
     def a_prime(self):
         """[[0, I], [A1, A2]], built once per instance (read-only; theta
         must not change after construction)."""
-        n = self.n
-        ap = np.zeros((2 * n, 2 * n))
-        ap[:n, n:] = np.eye(n)
-        # [A1, A2] column-major is vec(A1) followed by vec(A2)
-        ap[n:] = self.theta[: 2 * n * n].reshape((n, 2 * n), order="F")
+        ap = model_matrices(self.theta, self.n, self.m)[0]
         ap.flags.writeable = False
         return ap
 
     @functools.cached_property
     def b_prime(self):
         """[[0], [B]], built once per instance (read-only)."""
-        n, m = self.n, self.m
-        bp = np.zeros((2 * n, m))
-        bp[n:] = self.b
+        bp = model_matrices(self.theta, self.n, self.m)[1]
         bp.flags.writeable = False
         return bp
+
+
+def model_matrices(theta, n, m):
+    """The model xdot = a_prime x + b_prime u of the parameters theta
+    (ThetaVector.theta): a_prime = [[0, I], [A1, A2]] and
+    b_prime = [[0], [B]].  theta may carry leading axes, which both
+    matrices then carry; their entries are theta's, copied."""
+    lead = theta.shape[:-1]
+    a_prime = np.zeros(lead + (2 * n, 2 * n))
+    a_prime[..., :n, n:] = np.eye(n)
+    # [A1, A2] column-major is vec(A1) followed by vec(A2)
+    a_prime[..., n:, :] = theta[..., : 2 * n * n].reshape(lead + (2 * n, n)).swapaxes(-1, -2)
+    b_prime = np.zeros(lead + (2 * n, m))
+    b_prime[..., n:, :] = theta[..., 2 * n * n :].reshape(lead + (m, n)).swapaxes(-1, -2)
+    return a_prime, b_prime
 
 
 def theta_dim(n, m):
@@ -161,8 +170,13 @@ class ParamHistoryStack(GramStack):
     smallest Gram eigenvalue are kept current; once the stack is full, a
     new pair is only committed if swapping it for an existing entry raises
     that eigenvalue by more than its eigvalsh rounding, dim*eps times the
-    largest eigenvalue.
+    largest eigenvalue.  Its searches take their Ritz basis per offer
+    (GramStack.ritz_per_offer): with 150 slots of rank-2 blocks, bounds
+    from gram alone leave about 50 slots to solve per search, and bounds
+    from gram + block under 6.
     """
+
+    ritz_per_offer = True
 
     def __init__(self, capacity, dim, min_eig_threshold):
         super().__init__(capacity, dim)
@@ -188,7 +202,11 @@ class ParamHistoryStack(GramStack):
         """Store the pair if it is admissible; returns True when committed."""
         residual = np.asarray(residual, dtype=float)
         regressor = np.asarray(regressor, dtype=float)
-        if regressor.shape[1] != self.dim or residual.shape != (regressor.shape[0],):
+        if (
+            regressor.ndim != 2
+            or regressor.shape[1] != self.dim
+            or residual.shape != (regressor.shape[0],)
+        ):
             raise ValueError("residual/regressor dimensions are inconsistent")
         if not (np.isfinite(residual).all() and np.isfinite(regressor).all()):
             raise NumericOverflowError("non-finite history stack candidate")
@@ -212,9 +230,12 @@ class ParamHistoryStack(GramStack):
             rounding = self.dim * _EPS * lam[-1]
             if lam[0] <= lam_cur + rounding:
                 return False
-        self._projections[slot] = regressor.T @ residual
         self.put(slot, block, (residual, regressor))
         return True
+
+    def _store(self, i, entry):
+        residual, regressor = entry
+        self._projections[i] = regressor.T @ residual
 
 
 def _neg_lam_min(lam):
@@ -253,6 +274,14 @@ class AdaptiveObserver:
         self.theta_vector = ThetaVector(theta=theta, n=self.n, m=self.m)
         self.gamma = gamma_scale * np.eye(self.dim)
         self._set_rate(np.zeros(self.dim))
+        # update_parameters' work arrays, each gamma's rows with theta as a
+        # last row, so that one elementwise operation advances both: the RK4
+        # state, a stage's input and the four stages' rates, each with its
+        # (whole, gamma, theta) views; and scratch for one product each
+        d = self.dim
+        self._rk4 = [(w, w[:d], w[d]) for w in np.empty((6, d + 1, d))]
+        self._product = np.empty((d, d))
+        self._residual = np.empty(d)
 
         self.p_hat = p0.copy()
         self.q_hat = np.zeros(n) if q_hat0 is None else np.asarray(q_hat0, dtype=float).copy()
@@ -284,21 +313,20 @@ class AdaptiveObserver:
 
     def _set_rate(self, theta_rate):
         self.theta_rate = theta_rate
-        self._a2_rate = ThetaVector(theta=theta_rate, n=self.n, m=self.m).a2
+        # ThetaVector.a2 of the rate, read straight from it
+        self._a2_rate = theta_rate[self.n * self.n : 2 * self.n * self.n].reshape(
+            (self.n, self.n), order="F"
+        )
 
     @property
     def x_hat(self):
         return np.concatenate([self.p_hat, self.q_hat])
 
-    def _adaptation_rates(self, theta, gamma, gram, proj):
-        k_theta = self.gains.k_theta
-        resid = proj - gram @ theta
-        theta_dot = k_theta * (gamma @ resid)
-        gamma_dot = self.gains.beta1 * gamma - k_theta * (gamma @ gram @ gamma)
-        return theta_dot, gamma_dot
-
     def update_parameters(self, stack, dt):
-        """One RK4 step of the concurrent-learning update laws.
+        """One RK4 step of the concurrent-learning update laws
+        theta' = k_theta gamma (proj - gram theta) and
+        gamma' = beta1 gamma - k_theta gamma gram gamma, with gram and proj
+        the stack's.
 
         Frozen (zero parameter rate) until the stack certifies full rank.
         Raises NumericOverflowError if the gain matrix loses positive
@@ -307,16 +335,42 @@ class AdaptiveObserver:
         if not stack.is_full_rank:
             self._set_rate(np.zeros(self.dim))
             return
-        gram = stack.gram
-        proj = stack.rhs_projection
-        th, ga = self.theta, self.gamma
-        k1t, k1g = self._adaptation_rates(th, ga, gram, proj)
-        k2t, k2g = self._adaptation_rates(th + 0.5 * dt * k1t, ga + 0.5 * dt * k1g, gram, proj)
-        k3t, k3g = self._adaptation_rates(th + 0.5 * dt * k2t, ga + 0.5 * dt * k2g, gram, proj)
-        k4t, k4g = self._adaptation_rates(th + dt * k3t, ga + dt * k3g, gram, proj)
-        theta = th + (dt / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
-        gamma = ga + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
-        gamma = 0.5 * (gamma + gamma.T)
+        gram, proj = stack.gram, stack.rhs_projection
+        k_theta, beta1, d = self.gains.k_theta, self.gains.beta1, self.dim
+        (state, state_g, state_t), (stage, stage_g, stage_t), *rates = self._rk4
+        product, residual = self._product, self._residual
+        state_g[...] = self.gamma
+        state_t[...] = self.theta
+        # each stage does the products and sums of one evaluation of the
+        # rates at state + h * (the last stage's rates), in place and in
+        # their order
+        x_g, x_t = state_g, state_t
+        for k, h in enumerate((0.0, 0.5 * dt, 0.5 * dt, dt)):
+            if k:
+                np.multiply(rates[k - 1][0], h, stage)
+                stage += state
+                x_g, x_t = stage_g, stage_t
+            rate, rate_g, rate_t = rates[k]
+            np.matmul(gram, x_t, residual)
+            np.subtract(proj, residual, residual)
+            np.matmul(x_g, residual, rate_t)
+            np.matmul(x_g, gram, product)
+            np.matmul(product, x_g, rate_g)
+            rate *= k_theta
+            np.multiply(x_g, beta1, product)
+            np.subtract(product, rate_g, rate_g)
+        # state + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
+        k1, total, k3, k4 = (rate for rate, _, _ in rates)
+        total *= 2.0
+        total += k1
+        k3 *= 2.0
+        total += k3
+        total += k4
+        total *= dt / 6.0
+        total += state
+        gamma = total[:d] + total[:d].T
+        gamma *= 0.5
+        theta = total[d].copy()
         if not (np.isfinite(gamma).all() and np.isfinite(theta).all()):
             raise NumericOverflowError("adaptation state became non-finite (dt too large)")
         try:
@@ -328,7 +382,9 @@ class AdaptiveObserver:
         self.gamma = gamma
         self.theta_vector = ThetaVector(theta=theta, n=self.n, m=self.m)
         # the rate alone: the gain's rate at the new state is not needed
-        self._set_rate(self.gains.k_theta * (gamma @ (proj - gram @ theta)))
+        rate = gamma @ (proj - gram @ theta)
+        rate *= k_theta
+        self._set_rate(rate)
 
     def step(self, p_meas, u, dt):
         """Advance the observer one grid step given the new measurements.

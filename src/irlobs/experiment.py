@@ -32,6 +32,7 @@ from .estimator import (
     ParamHistoryStack,
     integral_regressor,
     integral_residual,
+    model_matrices,
     theta_dim,
 )
 from .irl import (
@@ -64,7 +65,8 @@ from .purge import (
 )
 
 MODES = ("observed", "query")
-_GAMMA_BATCH = 256  # gain matrices per batched eigvalsh in run_experiment
+# gain matrices per batched eigvalsh, and oracle states per draw, in _measure_run
+_GAMMA_BATCH = 256
 # measured steps per η block and per write to the pipe in _pipelined, and
 # the most that OnlineIrl queues between two drains
 _PIPE_BATCH = 32
@@ -409,10 +411,10 @@ class OnlineIrl:
     param_stack comes filled by a calibration maneuver (see
     prerecord_param_stack), and w0 is the stacked initial weight guess.
     step is measure, the estimator, then offer, the cost recovery, of each
-    step that drain returns; measure queues each step's own values, drain
-    builds the IRL rows and scores the η of all steps queued since the
-    last, at most _PIPE_BATCH, in one block, and offer reads nothing that
-    measure writes.
+    step's entries that irl.Entry.block builds from what drain returns;
+    measure queues each step's own values, drain builds the IRL rows and
+    scores the η of all steps queued since the last, at most _PIPE_BATCH,
+    in one block, and offer reads nothing that measure writes.
     """
 
     def __init__(self, cfg, param_stack, p0, u0, w0):
@@ -449,8 +451,8 @@ class OnlineIrl:
         self.xi1 = cfg.xi1
         self.purge_state = PurgeState(cfg.kappa1_bar, cfg.kappa2_bar, w_current=w0)
         self.trace = RunTrace()
-        # (t, x_hat, theta_vector, p_tilde, lagged q_hat or None, oracle
-        # pairs) of each step measured, not yet drained; drain reads u from u_log
+        # (t, x_hat, theta, p_tilde, lagged q_hat or None, oracle pairs) of
+        # each step measured, not yet drained; drain reads u from u_log
         self._queue = []
 
     @property
@@ -469,8 +471,8 @@ class OnlineIrl:
     def step(self, t, p, u, queries=()):
         """Take the measurement (p, u) at time t and offer the data."""
         self.measure(t, p, u, queries)
-        for offered in zip(*self.drain()):
-            self.offer(*offered)
+        for entries in Entry.block(*self.drain()):
+            self.offer(entries)
 
     def measure(self, t, p, u, queries=()):
         """The estimator half of step: log (p, u) at time t, record the
@@ -508,23 +510,23 @@ class OnlineIrl:
         self.qhat_log.append(t, observer.q_hat)
         lagged = (self.qhat_log.rows(k - self.quality.horizon)[0].copy()
                   if k >= self.eta_floor_step else None)
-        queue.append((t, observer.x_hat, observer.theta_vector, observer.p_tilde, lagged, pairs))
+        queue.append((t, observer.x_hat, observer.theta, observer.p_tilde, lagged, pairs))
 
     def drain(self):
-        """Empty the queue into offer's arguments: the times, the quality
-        scores eta (inf before eta_floor_step) and, stacked over the steps
-        in order, the IRL rows (irl.entry_rows) of each step's estimated
-        pair and oracle pairs, and their right-hand sides; empty lists for
-        an empty queue.  eta is eta1 plus quality_eta2, each scored for
-        all steps in one block, bitwise as step by step.  The queue is
-        emptied only once all of it is built."""
+        """Empty the queue into the arguments of Entry.block, whose entries
+        offer takes: the times, the quality scores eta (inf before
+        eta_floor_step) and, stacked over the steps in order, the IRL rows
+        (irl.entry_rows) of each step's estimated pair and oracle pairs,
+        and their right-hand sides; empty lists for an empty queue.  eta
+        is eta1 plus quality_eta2, each scored for all steps in one block,
+        bitwise as step by step.  The queue is emptied only once all of it
+        is built."""
         queue = self._queue
         if not queue:
             return [], [], [], []
         quality, stack = self.quality, self.irl_stack
         times, x_hat, thetas, p_tilde, lagged, pairs = zip(*queue)
-        a = np.stack([theta.a_prime for theta in thetas])
-        b = np.stack([theta.b_prime for theta in thetas])
+        a, b = model_matrices(np.stack(thetas), self.observer.n, self.observer.m)
         u = self.u_log.rows(self.steps - len(queue) + 1, len(queue))
         xs = np.array([(x, *(xp for xp, _ in step)) for x, step in zip(x_hat, pairs)])
         us = np.array([(v, *(vp for _, vp in step)) for v, step in zip(u, pairs)])
@@ -544,31 +546,29 @@ class OnlineIrl:
         self._queue = []
         return list(times), eta.tolist(), rows, rhs
 
-    def offer(self, t, eta, rows, rhs):
-        """The cost-recovery half of step: offer each candidate's rows and
-        right-hand side (the step's part of what drain returns), with the
-        quality eta of step t, to the IRL stack under the
-        weight-update/purge policy.  Reads nothing that measure changes, so
-        it may run in another process."""
-        for block, r in zip(rows, rhs):
-            self._offer(Entry(block, r, eta, t))
-
-    def _offer(self, entry):
+    def offer(self, entries):
+        """The cost-recovery half of step: offer one step's candidates, the
+        irl.Entry objects that Entry.block builds from what drain returns,
+        in order to the IRL stack under the weight-update/purge policy.
+        Reads nothing that measure changes, so it may run in another
+        process."""
         stack, ps, trace = self.irl_stack, self.purge_state, self.trace
-        kappa_before, size_before = stack.gram_kappa, stack.size
-        varpi = data_select(stack, entry, self.xi1)
-        if varpi:
-            branch = "append" if stack.size > size_before else "swap"
-            trace.stores.append(
-                (entry.t, branch, kappa_before, stack.gram_kappa, stack.sigma_u1_norm)
-            )
-        ps.varpi = varpi
-        w_before, purges_before = ps.w_current, ps.purge_count
-        eta_bar_before, kappa_gate, u1_gate = stack.eta_min, stack.gram_kappa, stack.sigma_u1_norm
-        if purge_policy(ps, stack, entry.eta) is not w_before:
-            trace.weight_updates.append((entry.t, varpi, kappa_gate, u1_gate))
-        if ps.purge_count > purges_before:
-            trace.purges.append((entry.t, kappa_gate, entry.eta, eta_bar_before))
+        for entry in entries:
+            kappa_before, size_before = stack.gram_kappa, stack.size
+            varpi = data_select(stack, entry, self.xi1)
+            if varpi:
+                branch = "append" if stack.size > size_before else "swap"
+                trace.stores.append(
+                    (entry.t, branch, kappa_before, stack.gram_kappa, stack.sigma_u1_norm)
+                )
+            ps.varpi = varpi
+            w_before, purges_before = ps.w_current, ps.purge_count
+            eta_bar_before, kappa_gate = stack.eta_min, stack.gram_kappa
+            u1_gate = stack.sigma_u1_norm
+            if purge_policy(ps, stack, entry.eta) is not w_before:
+                trace.weight_updates.append((entry.t, varpi, kappa_gate, u1_gate))
+            if ps.purge_count > purges_before:
+                trace.purges.append((entry.t, kappa_gate, entry.eta, eta_bar_before))
 
 
 def _measure_run(cfg, demo, online, emit):
@@ -600,7 +600,11 @@ def _measure_run(cfg, demo, online, emit):
             u = optimal_action(demo, x)
             queries = ()
             if cfg.mode == "query":
-                x_star = rng.uniform(cfg.query_low, cfg.query_high)
+                # one draw of a batch's states takes the values of one draw per step
+                if k % _GAMMA_BATCH == 0:
+                    draws = rng.uniform(cfg.query_low, cfg.query_high,
+                                        size=(min(_GAMMA_BATCH, steps - k), 2 * n))
+                x_star = draws[k % _GAMMA_BATCH]
                 queries = ((x_star, query(demo, x_star)),)
             online.measure(t, x[:n], u, queries)
             if (k + 1) % stride == 0 or k + 1 == steps:
@@ -718,8 +722,8 @@ def run_experiment(cfg):
 
     def take(block):
         # block first, so that zip draws no step number past the block's end
-        for offered, k in zip(zip(*block), counter):
-            online.offer(*offered)
+        for entries, k in zip(Entry.block(*block), counter):
+            online.offer(entries)
             if k % cfg.report_stride == 0 or k == steps:
                 w_rows.append(online.weights - w_true)
 

@@ -160,25 +160,64 @@ def read_lazy(value):
 class Entry:
     """One stored data point: its rows and right-hand side (entry_rows),
     quality score and time, with the Gram block and squared right-hand
-    side norm they give."""
+    side norm they give, and whether its rows and right-hand side are
+    all finite.  Entry.block builds entries, Entry.of one."""
 
-    __slots__ = ("rows", "rhs", "eta", "t", "gram", "rhs_sq")
+    __slots__ = ("rows", "rhs", "eta", "t", "gram", "rhs_sq", "finite")
 
-    def __init__(self, rows, rhs, eta, t):
+    def __init__(self, rows, rhs, eta, t, gram, rhs_sq, finite):
         self.rows = rows
         self.rhs = rhs
         self.eta = eta
         self.t = t
-        self.gram = rows.T @ rows
-        self.rhs_sq = float(rhs @ rhs)
+        self.gram = gram
+        self.rhs_sq = rhs_sq
+        self.finite = finite
+
+    @classmethod
+    def block(cls, times, etas, rows, rhs):
+        """Per step, the list of its candidates' entries, from the times,
+        etas and the rows and right-hand sides stacked over steps and
+        candidates that OnlineIrl.drain returns (no steps for empty
+        lists).  One stacked product gives every Gram block and one every
+        squared norm, each bitwise that of its own entry, since each
+        stacked product is one product per candidate."""
+        if not len(times):
+            return []
+        steps, per_step = rows.shape[:2]
+        grams = rows.swapaxes(-1, -2) @ rows
+        rhs_sq = (rhs[..., None, :] @ rhs[..., None]).ravel().tolist()
+        if np.isfinite(rows).all() and np.isfinite(rhs).all():
+            finite = [True] * (steps * per_step)
+        else:
+            finite = (np.isfinite(rows).all(axis=(-2, -1))
+                      & np.isfinite(rhs).all(axis=-1)).ravel().tolist()
+        entries = list(map(
+            cls,
+            rows.reshape(-1, *rows.shape[2:]),
+            rhs.reshape(-1, rhs.shape[-1]),
+            [eta for eta in etas for _ in range(per_step)],
+            [t for t in times for _ in range(per_step)],
+            grams.reshape(-1, *grams.shape[2:]),
+            rhs_sq,
+            finite,
+        ))
+        return [entries[i : i + per_step] for i in range(0, len(entries), per_step)]
+
+    @classmethod
+    def of(cls, rows, rhs, eta, t):
+        """The entry of one candidate's rows and right-hand side: a block
+        of one."""
+        return cls.block([t], [eta], rows[None, None], rhs[None, None])[0][0]
 
 
 def _gram_kappas(lam):
     """Gram condition numbers from ascending spectra (one per row); +inf
     where the Gram is numerically singular."""
     lo, hi = lam[..., 0], lam[..., -1]
-    cutoff = hi * lam.shape[-1] * _EPS
-    return np.divide(hi, lo, out=np.full(np.shape(hi), np.inf), where=(hi > 0.0) & (lo > cutoff))
+    kappa = np.empty_like(hi)
+    kappa.fill(np.inf)
+    return np.divide(hi, lo, out=kappa, where=(hi > 0.0) & (lo > hi * lam.shape[-1] * _EPS))
 
 
 def _gram_kappa(lam):
@@ -239,23 +278,33 @@ class IrlHistoryStack(GramStack):
         self.xi2 = float(xi2)
         self._rows = np.zeros((self.capacity, 1 + m, self.dim))
         self._rhs = np.zeros((self.capacity, 1 + m))
+        # each slot's squared right-hand side norm and quality score, in slot order
+        self._rhs_sq = [0.0] * self.capacity
+        self._eta = [0.0] * self.capacity
         # entries are inner products over 1 + m rows, summed over the slots
         self.full_rank_kappa = full_rank_kappa(
             self.capacity * (1 + m), self.dim, self.capacity + 1 + m
         )
         self._changed()
 
-    def _changed(self):
-        self.rhs_sq = float(sum(e.rhs_sq for e in self.entries))
-        self.sigma_u1_norm = math.sqrt(self.rhs_sq)  # norm of the stacked known right-hand side
-        self.eta_min = min((e.eta for e in self.entries), default=float("inf"))
-        self.gram_kappa = _gram_kappa(np.linalg.eigvalsh(self.gram))
-        self.kappa = math.sqrt(self.gram_kappa)
-
-    def put(self, i, block, entry):
-        super().put(i, block, entry)
+    def _store(self, i, entry):
+        if entry.rows.shape != self._rows.shape[1:] or entry.rhs.shape != self._rhs.shape[1:]:
+            raise ValueError(
+                f"entry rows {entry.rows.shape} and right-hand side {entry.rhs.shape} do not "
+                f"fit the stack's {self._rows.shape[1:]} and {self._rhs.shape[1:]}"
+            )
         self._rows[i] = entry.rows
         self._rhs[i] = entry.rhs
+        self._rhs_sq[i] = entry.rhs_sq
+        self._eta[i] = entry.eta
+
+    def _changed(self):
+        # the sums and minimum over the slots in order, as over the entries
+        self.rhs_sq = float(sum(self._rhs_sq[: self.size]))
+        self.sigma_u1_norm = math.sqrt(self.rhs_sq)  # norm of the stacked known right-hand side
+        self.eta_min = min(self._eta[: self.size], default=float("inf"))
+        self.gram_kappa = _gram_kappa(np.linalg.eigvalsh(self.gram))
+        self.kappa = math.sqrt(self.gram_kappa)
 
     @property
     def sigma_matrix(self):
@@ -275,10 +324,10 @@ class IrlHistoryStack(GramStack):
 def _kappa_floor(lam_min_bound, lam_max_bound):
     """Lower bounds on _gram_kappas from bounds on each spectrum's ends:
     inf where lam_min cannot be positive, lam_max / lam_min otherwise."""
-    return np.divide(
-        np.maximum(lam_max_bound, 0.0), lam_min_bound,
-        out=np.full(lam_min_bound.shape, np.inf), where=lam_min_bound > 0.0,
-    )
+    floor = np.empty_like(lam_min_bound)
+    floor.fill(np.inf)
+    return np.divide(np.maximum(lam_max_bound, 0.0), lam_min_bound, out=floor,
+                     where=lam_min_bound > 0.0)
 
 
 def data_select(stack, entry, xi1):
@@ -293,7 +342,7 @@ def data_select(stack, entry, xi1):
     floor stack.xi2, which the weight solve checks too.  Returns 1 if
     stored, else 0.
     """
-    if not (np.isfinite(entry.rows).all() and np.isfinite(entry.rhs).all()):
+    if not entry.finite:
         raise ValueError("candidate produced non-finite regression rows")
     if not stack.is_full:
         stack.put(stack.size, entry.gram, entry)
@@ -305,7 +354,7 @@ def data_select(stack, entry, xi1):
         return 0
     best_i, lam = found
     best_gram_kappa = _gram_kappa(lam)
-    rhs_sq_new = stack.rhs_sq - stack.entries[best_i].rhs_sq + entry.rhs_sq
+    rhs_sq_new = stack.rhs_sq - stack._rhs_sq[best_i] + entry.rhs_sq
     # eigvalsh leaves an absolute error of about width*eps*lam_max on lam_min,
     # so kappa is only known to a relative width*eps*kappa.  The margin rides
     # on the candidate's kappa so a stack at kappa = inf can still take a
@@ -313,7 +362,7 @@ def data_select(stack, entry, xi1):
     rounding = 1.0 + stack.dim * _EPS * best_gram_kappa
     if (
         best_gram_kappa * rounding < xi1 * stack.gram_kappa
-        and np.sqrt(max(rhs_sq_new, 0.0)) >= stack.xi2
+        and math.sqrt(max(rhs_sq_new, 0.0)) >= stack.xi2
     ):
         stack.put(best_i, entry.gram, entry)
         return 1

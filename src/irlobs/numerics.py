@@ -26,6 +26,7 @@ _EPS = np.finfo(float).eps
 _NEWTON_TOL = 1e-13  # relative Newton step that ends the Riccati iteration
 _NEWTON_MAX_ITER = 60
 _FIRST_BATCH = 6  # slots GramStack.best_swap solves before it prunes by the best score
+_EYE3 = np.eye(3)
 
 
 def rk4_step(f, t, x, dt):
@@ -328,8 +329,13 @@ class GramStack:
     every change.  ``swap_spectra`` scores every single-entry swap with one
     batched ``eigvalsh``; ``best_swap`` finds the best swap with as few of
     those eigen-solves as Ritz bounds allow.  Subclasses own the selection
-    criterion and refresh what they derive from the stack in ``_changed``.
+    criterion, the Ritz basis (``ritz_per_offer``), what they keep per slot
+    (``_store``) and what they derive from the stack (``_changed``).
     """
+
+    # best_swap's Ritz basis: the eigenvectors of gram, taken once per
+    # change of the stack, or (True) those of gram + block, taken per offer
+    ritz_per_offer = False
 
     def __init__(self, capacity, dim):
         if capacity < 1:
@@ -372,42 +378,49 @@ class GramStack:
             slot = int(np.argmin(score(lam)))
             return slot, lam[slot]
         floor = score_floor(*self._ritz_bounds(block))
-        order = np.argsort(floor, kind="stable")
+        order = floor.argsort(kind="stable")
         ranked = floor[order]
-        live = int(np.searchsorted(ranked, cut, side="left"))
+        live = int(ranked.searchsorted(cut))
         if live == 0:
             return None
         grown = self.gram + block
         slots = order[: min(_FIRST_BATCH, live)]
         # rows of grown - blocks[:size], bitwise, for the slots solved
-        lam = np.linalg.eigvalsh(grown[None, :, :] - self.blocks[slots])
+        lam = np.linalg.eigvalsh(grown - self.blocks.take(slots, axis=0))
         scores = score(lam)
-        rest = order[slots.size : min(live, np.searchsorted(ranked, scores.min(), side="right"))]
+        j = scores.argmin()
+        rest = order[slots.size : min(live, int(ranked.searchsorted(scores[j], side="right")))]
         if rest.size:
-            more = np.linalg.eigvalsh(grown[None, :, :] - self.blocks[rest])
+            more = np.linalg.eigvalsh(grown - self.blocks.take(rest, axis=0))
             slots = np.concatenate((slots, rest))
             lam = np.concatenate((lam, more))
             scores = np.concatenate((scores, score(more)))
-        ties = np.flatnonzero(scores == scores.min())
-        j = ties[np.argmin(slots[ties])]
+            j = scores.argmin()
+        ties = (scores == scores[j]).nonzero()[0]
+        if ties.size != 1:  # the lowest of tied slots
+            j = ties[slots[ties].argmin()]
         return int(slots[j]), lam[j]
 
     def _ritz_bounds(self, block):
         """Per slot i, an upper bound on lam_min and a lower bound on lam_max
-        of M_i = gram + block - blocks[i], from the eigenvectors of gram.
+        of M_i = gram + block - blocks[i], from Rayleigh-Ritz on an
+        eigenbasis: that of gram, taken once per change of the stack, or
+        with ritz_per_offer that of gram + block, taken per offer.
 
-        With U the eigenvectors of gram's 2 smallest eigenvalues and v that
-        of its largest, Rayleigh-Ritz (Cauchy interlacing) gives
-        lam_min(M) <= lam_min(U'MU) and lam_max(M) >= v'Mv for orthonormal
-        U, v.  The projections W'(X W) of gram and of each blocks[i] on
-        W = [U, v] are summed once per change of the stack, and each offer
-        adds that of block; lam_min of the 2x2 U'MU [[a, b], [b, c]] is the
-        closed form ((a + c) - hypot(a - c, 2b)) / 2.  The computed values
-        differ from these by at most tau_i = (64 d^2 eps + 3 delta) s_i,
-        where s_i = trace(gram) + trace(block) + trace(blocks[i]) bounds
-        ||M_i||_2 and the norms of the three PSD terms together, also when
-        swapping out a dominant entry cancels most of the trace, and delta
-        = ||W'W - I||_F + 4d eps bounds W's loss of orthonormality.
+        With U the basis eigenvectors of the 2 smallest eigenvalues and v
+        that of the largest, Rayleigh-Ritz (Cauchy interlacing) gives
+        lam_min(M) <= lam_min(U'MU) and lam_max(M) >= v'Mv for any
+        orthonormal U, v; the basis only decides how tight the bounds are.
+        The projections W'(X W) of gram and of each blocks[i] on W = [U, v]
+        are summed when the basis is taken, and each offer adds that of
+        block; lam_min of the 2x2 U'MU [[a, b], [b, c]] is the closed form
+        ((a + c) - hypot(a - c, 2b)) / 2.  The computed values differ from
+        these by at most tau_i = (64 d^2 eps + 3 delta) s_i, which moves
+        each bound outwards, where s_i = trace(gram) + trace(block) +
+        trace(blocks[i]) bounds ||M_i||_2 and the norms of the three PSD
+        terms together, also when swapping out a dominant entry cancels
+        most of the trace, and delta = sum |W'W - I| + 4d eps, at least
+        ||W'W - I||_F + 4d eps, bounds W's loss of orthonormality.
         Budget, in units of eps s_i:
           - eigvalsh backward error on the exact solve of M_i, and the
             rounding of M_i: at most d^2 + 2d (LAPACK's modest p(d), and
@@ -415,40 +428,54 @@ class GramStack:
           - rounding of the three projections: at most 2 * 2d * sqrt(d)
             <= 4 d^2 (elementwise gamma_2d times || |w| ||^2 || |X| ||,
             doubled from an entry to the 2x2 matrix);
-          - the sums of the projections, each entry's sum and difference
-            and the closed form: at most 12 (eps ||M|| per operation, 2 eps
-            ||M|| for hypot, which also carries its arguments' errors);
+          - the sums of the projections, each entry's sum and difference,
+            the closed form and the adding of tau's two parts: at most 18
+            (eps ||M|| for each of the 16 roundings, 2 eps ||M|| for hypot,
+            which also carries its arguments' errors; halving is exact);
           - the Rayleigh quotient's norm ||Wy||^2 in [1 - delta, 1 + delta]
             moves it by at most 2 delta (1 + delta) ||M|| <= 3 delta ||M||.
-        The first three sum to 5 d^2 + 2d + 12 <= 8 d^2 for d >= 3 (10 d^2
-        at d = 2), a factor 6 below the 64 d^2 used.
+        The first three sum to 5 d^2 + 2d + 18 <= 8 d^2 for d >= 3 (11 d^2
+        at d = 2), a factor 5.8 or more below the 64 d^2 used.
         """
-        if self._ritz is None:
-            d = self.dim
-            _, q = np.linalg.eigh(self.gram)
+        if self._ritz is None or self.ritz_per_offer:
+            d, size = self.dim, self.size
+            _, q = np.linalg.eigh(self.gram + block if self.ritz_per_offer else self.gram)
             w = q[:, [0, 1, -1]]
-            delta = np.linalg.norm(w.T @ w - np.eye(3)) + 4 * d * _EPS
+            loss = w.T @ w
+            loss -= _EYE3
+            # the sum of the magnitudes bounds the Frobenius norm
+            delta = float(np.abs(loss).sum()) + 4 * d * _EPS
             scale = 64 * d * d * _EPS + 3 * delta
             # W'(gram - blocks[i])W for every slot, from one product each
             rest = (w.T @ (self.gram @ w))[None] - w.T @ (
-                self.blocks[: self.size].reshape(-1, d) @ w
-            ).reshape(self.size, d, 3)
+                self.blocks[:size].reshape(-1, d) @ w
+            ).reshape(size, d, 3)
             a, b, c = rest[:, 0, 0], rest[:, 0, 1], rest[:, 1, 1]
-            tau = scale * (self.gram.trace() + self._traces[: self.size])
-            self._ritz = (w, scale, a + c, a - c, 2.0 * b, rest[:, 2, 2], tau)
-        w, scale, sums, diffs, b2, top, tau = self._ritz
-        p = w.T @ (block @ w)
-        tau = tau + scale * block.trace()
-        lam_min = 0.5 * (
-            (sums + (p[0, 0] + p[1, 1]))
-            - np.hypot(diffs + (p[0, 0] - p[1, 1]), b2 + 2.0 * p[0, 1])
-        )
-        return lam_min + tau, top - (tau - p[2, 2])
+            tau = scale * (self.gram.trace() + self._traces[:size])
+            # each bound's part from the stack: half of a + c and the top
+            # Rayleigh quotient, each moved by tau
+            low = 0.5 * (a + c)
+            low += tau
+            high = rest[:, 2, 2] - tau
+            self._ritz = (w, scale, low, a - c, 2.0 * b, high)
+        w, scale, low, diffs, b2, high = self._ritz
+        (p00, p01, _), (_, p11, _), (_, _, p22) = (w.T @ (block @ w)).tolist()
+        tau = scale * float(block.trace())
+        lam_min = np.hypot(diffs + (p00 - p11), b2 + 2.0 * p01)
+        lam_min *= -0.5
+        lam_min += low
+        lam_min += 0.5 * (p00 + p11) + tau
+        return lam_min, high + (p22 - tau)
 
     def put(self, i, block, entry):
-        """Store an entry and its Gram block in slot i; i == size appends."""
+        """Store an entry and its Gram block in slot i; i == size appends.
+        Raises, changing nothing, for a slot past the end, a block of
+        another shape, or an entry that _store rejects."""
         if not 0 <= i <= self.size or i >= self.capacity:
             raise IndexError(f"slot {i} is outside the stack (size {self.size})")
+        if block.shape != self.blocks.shape[1:]:
+            raise ValueError(f"block of shape {block.shape} in a stack of dim {self.dim}")
+        self._store(i, entry)
         self.blocks[i] = block
         self._traces[i] = block.trace()
         if i == self.size:
@@ -466,6 +493,11 @@ class GramStack:
         self.gram = np.zeros((self.dim, self.dim))
         self._ritz = None
         self._changed()
+
+    def _store(self, i, entry):
+        """Hook run first in put, for a subclass to check entry and write
+        what it keeps per slot; raises, changing nothing, if entry does
+        not fit."""
 
     def _changed(self):
         """Hook run after every put and clear."""

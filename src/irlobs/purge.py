@@ -9,7 +9,6 @@ data beats everything currently stored and purge the stack.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +175,20 @@ class PurgeState:
     purge_count: int = 0
 
 
+def _deferred(solve, *args):
+    """A zero-argument callable that runs solve(*args) when first called
+    and returns that result from then on (a solve that raises is run
+    again at the next call)."""
+    result = []
+
+    def read():
+        if not result:
+            result.append(solve(*args))
+        return result[0]
+
+    return read
+
+
 def purge_policy(ps, stack, eta_now):
     """Apply the weight-update and purge gates; returns ps.w_current.
 
@@ -194,9 +207,9 @@ def purge_policy(ps, stack, eta_now):
     gram_kappa = stack.gram_kappa
     if gram_kappa < ps.kappa1_bar and ps.varpi == 1 and stack.sigma_u1_norm >= stack.xi2:
         if gram_kappa < stack.full_rank_kappa:
-            ps.w_current = functools.cache(functools.partial(
+            ps.w_current = _deferred(
                 solve_weights, stack.sigma_matrix.copy(), stack.rhs_vector.copy()
-            ))
+            )
         else:
             try:
                 ps.w_current = solve_weights(stack.sigma_matrix, stack.rhs_vector)

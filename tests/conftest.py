@@ -136,7 +136,7 @@ def make_entry(stack, x, u, theta, eta=0.0, t=0.0):
     """The Entry offered to data_select for the pair (x, u) under the
     parameter estimate theta, with the stack's basis and r1."""
     rows, rhs = entry_rows(stack.basis, x, u, theta.a_prime, theta.b_prime, stack.r1)
-    return Entry(rows, rhs, eta, t)
+    return Entry.of(rows, rhs, eta, t)
 
 
 def exhaustive_irl_slot(stack, entry, xi1):

@@ -1,11 +1,15 @@
-"""Property tests of the per-block drain of OnlineIrl.
+"""Property tests of the per-block drain of OnlineIrl and of the entries
+built from it.
 
-drain builds, for a block of queued steps at once, the IRL rows of every
-candidate pair, the inputs of the quality score's two parts and the score
-η itself, with stacked operations.  Each must be bitwise what the
-per-step arithmetic gives: one feature evaluation and matrix-vector
-products per point for the rows, a copied smoothing window per step for
-η1, and copied windows of the logs per step for η2.  Whether a stacked
+drain builds, for a block of queued steps at once, the models of the
+parameter estimates, the IRL rows of every candidate pair, the inputs of
+the quality score's two parts and the score η itself, with stacked
+operations; Entry.block then builds every candidate's Gram block and
+squared right-hand side norm.  Each must be bitwise what the per-step
+arithmetic gives: one feature evaluation and matrix-vector products per
+point for the rows, a copied smoothing window per step for η1, copied
+windows of the logs per step for η2, and one product of a candidate's
+rows or right-hand side with itself for its entry.  Whether a stacked
 product matches the per-step product bit for bit depends on the numpy and
 BLAS build, so the oldest supported numpy runs this file too.
 """
@@ -15,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from irlobs.estimator import ThetaVector, theta_dim
-from irlobs.irl import FeatureBasis, entry_rows
+from irlobs.estimator import ThetaVector, model_matrices, theta_dim
+from irlobs.irl import Entry, FeatureBasis, entry_rows
 from irlobs.numerics import SampledSignal
 from irlobs.purge import (
     QualityConfig,
@@ -108,6 +112,8 @@ def test_block_rows_equal_the_per_step_rows_bitwise(block):
     basis = FeatureBasis.quadratic(2 * n)
     a = np.stack([theta.a_prime for theta in thetas])
     b = np.stack([theta.b_prime for theta in thetas])
+    stacked = model_matrices(np.stack([theta.theta for theta in thetas]), n, u.shape[-1])
+    assert same_bits(stacked[0], a) and same_bits(stacked[1], b)
     rows, rhs = entry_rows(basis, x, u, a[:, None], b[:, None], r1)
     assert rows.shape == x.shape[:2] + (1 + u.shape[-1], basis.width(u.shape[-1]))
     for j, theta in enumerate(thetas):
@@ -143,3 +149,36 @@ def test_block_eta_and_its_inputs_equal_the_per_step_ones_bitwise(block):
             assert same_bits(part[j], want)
         want = eta1_j + quality_eta2(p_log, u_log, theta, k, quality, v_step)
         assert same_bits(eta[j], want) and not np.isnan(eta[j])
+
+
+@PROPERTY
+@given(
+    shape=st.tuples(st.integers(1, 33), st.integers(1, 3), st.integers(1, 4), st.integers(1, 30)),
+    decades=st.integers(0, 12),
+    broken=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_entries_equal_the_per_candidate_products_bitwise(shape, decades, broken, seed):
+    # a block of steps x candidates x rows x width, its values spanning up
+    # to 12 decades, with one non-finite value in the rows or the
+    # right-hand side of some candidate when broken is set
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-decades, decades, shape)
+    rhs = rng.normal(size=shape[:-1]) * 10.0 ** rng.uniform(-decades, decades, shape[:-1])
+    if broken is not None:
+        target = rows if rng.integers(2) else rhs
+        target[tuple(rng.integers(0, size) for size in target.shape)] = broken
+    times, etas = rng.uniform(0, 5, shape[0]).tolist(), rng.uniform(0, 1, shape[0]).tolist()
+    steps = Entry.block(times, etas, rows, rhs)
+    assert [len(entries) for entries in steps] == [shape[1]] * shape[0]
+    for j, entries in enumerate(steps):
+        for c, entry in enumerate(entries):
+            r, h = rows[j, c], rhs[j, c]
+            assert same_bits(entry.rows, r) and same_bits(entry.rhs, h)
+            assert (entry.t, entry.eta) == (times[j], etas[j])
+            assert same_bits(entry.gram, r.T @ r)
+            assert same_bits(entry.rhs_sq, float(h @ h))
+            assert entry.finite == bool(np.isfinite(r).all() and np.isfinite(h).all())
+            one = Entry.of(r, h, etas[j], times[j])
+            assert same_bits(one.gram, entry.gram) and same_bits(one.rhs_sq, entry.rhs_sq)
+            assert one.finite == entry.finite

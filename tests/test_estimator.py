@@ -182,6 +182,14 @@ class TestParamHistoryStack:
         assert stack.min_eigenvalue < 1e-10
         assert not stack.is_full_rank
 
+    def test_a_one_dimensional_regressor_is_a_value_error(self):
+        stack = ParamHistoryStack(capacity=3, dim=4, min_eig_threshold=1e-6)
+        stack.record(np.ones(2), np.eye(2, 4))
+        for residual, regressor in ((np.ones(1), np.ones(4)), (np.ones(4), np.ones(4))):
+            with pytest.raises(ValueError, match="inconsistent"):
+                stack.record(residual, regressor)
+        assert stack.size == 1
+
     def test_duplicate_discarded_when_it_cannot_improve(self):
         # a stack of copies of one pair: every swap for another copy leaves
         # the Gram unchanged, so the strict test must reject the duplicate
@@ -232,6 +240,34 @@ class TestUpdateParameters:
         obs.update_parameters(stack, 1e-3)
         assert np.linalg.norm(obs.theta - theta) < 1e-12
         assert np.linalg.norm(obs.theta_rate) < 1e-9
+
+    def test_update_does_the_operations_of_the_laws_bitwise(self, prerecorded_stack):
+        # update_parameters runs the RK4 in place on work arrays; it must
+        # give the bits of the laws' plain expressions evaluated in order
+        gains, stack, dt = default_gains(), prerecorded_stack, 1e-3
+        gram, proj = stack.gram, stack.rhs_projection
+        obs = AdaptiveObserver(2, 2, p0=X0[:2], u0=np.zeros(2), gains=gains)
+        theta, gamma = obs.theta, obs.gamma
+
+        def rates(th, ga):
+            resid = proj - gram @ th
+            return (gains.k_theta * (ga @ resid),
+                    gains.beta1 * ga - gains.k_theta * (ga @ gram @ ga))
+
+        for _ in range(5):
+            k1t, k1g = rates(theta, gamma)
+            k2t, k2g = rates(theta + 0.5 * dt * k1t, gamma + 0.5 * dt * k1g)
+            k3t, k3g = rates(theta + 0.5 * dt * k2t, gamma + 0.5 * dt * k2g)
+            k4t, k4g = rates(theta + dt * k3t, gamma + dt * k3g)
+            theta = theta + (dt / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
+            gamma = gamma + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
+            gamma = 0.5 * (gamma + gamma.T)
+            obs.update_parameters(stack, dt)
+            assert obs.theta.tobytes() == theta.tobytes()
+            assert obs.gamma.tobytes() == gamma.tobytes()
+            rate = gains.k_theta * (gamma @ (proj - gram @ theta))
+            assert obs.theta_rate.tobytes() == rate.tobytes()
+            assert obs._a2_rate.tobytes() == ThetaVector(rate, 2, 2).a2.tobytes()
 
     def test_frozen_without_full_rank(self, default_system):
         stack = ParamHistoryStack(capacity=5, dim=theta_dim(2, 2), min_eig_threshold=1e-3)

@@ -192,15 +192,16 @@ def assert_no_child_left():
 def patch_step_half(mp, name, step=None, fail=None):
     """Call fail(t) instead of OnlineIrl.<name> at its step-th call, in
     whichever process runs it; returns the times of the calls made in this
-    process."""
+    process (measure takes the time, offer the step's entries)."""
     original = getattr(experiment.OnlineIrl, name)
     calls = []
 
-    def patched(self, t, *args):
+    def patched(self, first, *args):
+        t = first if name == "measure" else first[0].t
         calls.append(t)
         if len(calls) == step:
             fail(t)
-        return original(self, t, *args)
+        return original(self, first, *args)
 
     mp.setattr(experiment.OnlineIrl, name, patched)
     return calls

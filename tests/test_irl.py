@@ -6,6 +6,7 @@ import pytest
 from irlobs.errors import RankDeficiencyError
 from irlobs.estimator import ThetaVector
 from irlobs.irl import (
+    Entry,
     FeatureBasis,
     IrlHistoryStack,
     data_select,
@@ -264,6 +265,31 @@ class TestDataSelect:
         varpi = data_select(stack, zero_cand, np.inf)
         assert varpi == 0
         assert stack.sigma_u1_norm == u1_before
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_a_malformed_candidate_changes_nothing(self, default_system, basis, theta_true, full):
+        # a candidate with 2 rows where the stack keeps 3 is refused before
+        # any of the stack changes, whether it would append or swap (xi1 =
+        # inf passes the swap gate of a stack at finite kappa)
+        _, _, demo = default_system
+        stack = filled_ideal_stack(demo, theta_true, basis, count=30 if full else 1, capacity=30)
+        assert stack.is_full == full and np.isfinite(stack.gram_kappa) == full
+        good = ideal_entry(stack, demo, theta_true, np.array([1.0, -0.5, 0.5, 2.0]), t=9.0)
+        bad = Entry.of(good.rows[:2], good.rhs[:2], 0.0, 9.0)
+        before = (
+            stack.size, [id(e) for e in stack.entries], stack.gram.copy(), stack.blocks.copy(),
+            stack.sigma_matrix.copy(), stack.rhs_vector.copy(), stack.rhs_sq, stack.eta_min,
+            stack.gram_kappa,
+        )
+        with pytest.raises(ValueError, match="do not fit"):
+            data_select(stack, bad, np.inf)
+        after = (
+            stack.size, [id(e) for e in stack.entries], stack.gram, stack.blocks,
+            stack.sigma_matrix, stack.rhs_vector, stack.rhs_sq, stack.eta_min, stack.gram_kappa,
+        )
+        for was, now in zip(before, after):
+            assert np.array_equal(was, now)
+        assert data_select(stack, good, np.inf) == 1
 
     def test_rhs_floor_must_match_the_stack(self, default_system, basis, theta_true):
         # stores and weight solves gate on one right-hand-side floor, the

@@ -113,16 +113,29 @@ def test_irl_stack_commits_only_strict_gains(capacity, points):
             assert stack.gram_kappa == before
 
 
+@st.composite
+def param_offers(draw):
+    """(capacity, regressors): 4 to 16 slots at dim 4, offered 10 to 40
+    scaled regressors from a pool that hypothesis draws, or the
+    calibration's 150 slots at dim 12, filled and then offered 40 more
+    from a pool drawn with a seed, as that much data would overrun what
+    hypothesis draws an example from."""
+    if draw(st.booleans()):
+        picks = draw(scaled_offers(arrays(float, (2, 4), elements=COORD), (2, 8), (10, 40)))
+        return draw(st.integers(4, 16)), [scale * base for base, scale in picks]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.uniform(-2.0, 2.0, (draw(st.integers(20, 80)), 2, 12))
+    picks = zip(rng.integers(0, len(pool), 190), rng.choice(SCALES, 190))
+    return 150, [scale * pool[i] for i, scale in picks]
+
+
 @PROPERTY
-@given(
-    capacity=st.integers(4, 16),
-    deficient=st.booleans(),
-    picks=scaled_offers(arrays(float, (2, 4), elements=COORD), (2, 8), (10, 40)),
-)
-def test_param_stack_bounded_search_matches_exhaustive(capacity, deficient, picks):
-    stack = ParamHistoryStack(capacity=capacity, dim=4, min_eig_threshold=1e-6)
-    for base, scale in picks:
-        regressor = scale * base
+@given(offered=param_offers(), deficient=st.booleans())
+def test_param_stack_bounded_search_matches_exhaustive(offered, deficient):
+    capacity, regressors = offered
+    dim = regressors[0].shape[1]
+    stack = ParamHistoryStack(capacity=capacity, dim=dim, min_eig_threshold=1e-6)
+    for regressor in regressors:
         if deficient:  # every Gram misses the last direction
             regressor[:, -1] = 0.0
         expected = list(stack.entries)
@@ -171,7 +184,7 @@ def test_irl_stack_bounded_search_matches_exhaustive(capacity, xi1, picks):
 
 @PROPERTY
 @given(
-    capacity=st.integers(2, 30),
+    capacity=st.one_of(st.integers(2, 30), st.just(150)),
     irl=st.booleans(),
     dim=st.sampled_from([3, 12, 24]),
     kappa_decades=st.integers(0, 7),
@@ -185,7 +198,8 @@ def test_ritz_bounds_hold_on_near_singular_and_rank_deficient_stacks(
     # spectra of every swap: on IRL stacks (3-row entries, 15 wide) whose
     # Gram kappa reaches about 1e14, as the row scales span up to 7 decades
     # of singular value, and on parameter stacks that are also rank
-    # deficient, with up to 2 zero regressor columns
+    # deficient, with up to 2 zero regressor columns; up to the
+    # calibration's 150 slots, and with each stack's own Ritz basis
     rng = np.random.default_rng(seed)
     if irl:
         stack = IrlHistoryStack(capacity=capacity, basis=BASIS, r1=20.0, m=2)
@@ -198,7 +212,7 @@ def test_ritz_bounds_hold_on_near_singular_and_rank_deficient_stacks(
     def offer(scale):
         rows = rng.normal(size=(3, dim)) * scales * scale
         if irl:
-            return data_select(stack, Entry(rows, np.ones(3), 0.0, 0.0), 1.0)
+            return data_select(stack, Entry.of(rows, np.ones(3), 0.0, 0.0), 1.0)
         return stack.record(rows[:, 0], rows)
 
     while not stack.is_full:
