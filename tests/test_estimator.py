@@ -2,6 +2,7 @@
 concurrent-learning update, and the velocity-free observer."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -268,6 +269,19 @@ class TestUpdateParameters:
             rate = gains.k_theta * (gamma @ (proj - gram @ theta))
             assert obs.theta_rate.tobytes() == rate.tobytes()
             assert obs._a2_rate.tobytes() == ThetaVector(rate, 2, 2).a2.tobytes()
+
+    def test_a_copied_observer_updates_as_the_original(self, prerecorded_stack):
+        # the work arrays of the in-place RK4 hold no state between calls,
+        # so a deep copy or a pickle round trip updates bit for bit alike
+        obs = AdaptiveObserver(2, 2, p0=X0[:2], u0=np.zeros(2), gains=default_gains())
+        obs.update_parameters(prerecorded_stack, 1e-3)
+        copies = [copy.deepcopy(obs), pickle.loads(pickle.dumps(obs))]
+        for _ in range(3):
+            for o in [obs, *copies]:
+                o.update_parameters(prerecorded_stack, 1e-3)
+        for o in copies:
+            assert o.theta.tobytes() == obs.theta.tobytes()
+            assert o.gamma.tobytes() == obs.gamma.tobytes()
 
     def test_frozen_without_full_rank(self, default_system):
         stack = ParamHistoryStack(capacity=5, dim=theta_dim(2, 2), min_eig_threshold=1e-3)
