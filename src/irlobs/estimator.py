@@ -276,10 +276,12 @@ class AdaptiveObserver:
         self._set_rate(np.zeros(self.dim))
         # update_parameters' work arrays, each gamma's rows with theta as a
         # last row, so that one elementwise operation advances both: the RK4
-        # state, a stage's input and the four stages' rates; and scratch for
-        # one product each
+        # state, a stage's input and the four stages' rates, with their
+        # (whole, gamma, theta) views, built at the first update; and
+        # scratch for one product each
         d = self.dim
         self._rk4 = np.empty((6, d + 1, d))
+        self._rk4_views = None
         self._product = np.empty((d, d))
         self._residual = np.empty(d)
 
@@ -311,6 +313,11 @@ class AdaptiveObserver:
         convention: update_parameters replaces it)."""
         return self.theta_vector.theta
 
+    def __getstate__(self):
+        # a copy's views would not share memory with its work arrays, so a
+        # copy builds its own at its first update
+        return {**self.__dict__, "_rk4_views": None}
+
     def _set_rate(self, theta_rate):
         self.theta_rate = theta_rate
         # ThetaVector.a2 of the rate, read straight from it
@@ -337,29 +344,32 @@ class AdaptiveObserver:
             return
         gram, proj = stack.gram, stack.rhs_projection
         k_theta, beta1, d = self.gains.k_theta, self.gains.beta1, self.dim
-        state, stage, *rates = self._rk4
+        if self._rk4_views is None:
+            self._rk4_views = [(w, w[:d], w[d]) for w in self._rk4]
+        (state, state_g, state_t), (stage, stage_g, stage_t), *rates = self._rk4_views
         product, residual = self._product, self._residual
-        state[:d] = self.gamma
-        state[d] = self.theta
+        state_g[...] = self.gamma
+        state_t[...] = self.theta
         # each stage does the products and sums of one evaluation of the
         # rates at state + h * (the last stage's rates), in place and in
         # their order
-        x = state
+        x_g, x_t = state_g, state_t
         for k, h in enumerate((0.0, 0.5 * dt, 0.5 * dt, dt)):
             if k:
-                x = np.multiply(rates[k - 1], h, stage)
-                x += state
-            rate, x_g, rate_g = rates[k], x[:d], rates[k][:d]
-            np.matmul(gram, x[d], residual)
+                np.multiply(rates[k - 1][0], h, stage)
+                stage += state
+                x_g, x_t = stage_g, stage_t
+            rate, rate_g, rate_t = rates[k]
+            np.matmul(gram, x_t, residual)
             np.subtract(proj, residual, residual)
-            np.matmul(x_g, residual, rate[d])
+            np.matmul(x_g, residual, rate_t)
             np.matmul(x_g, gram, product)
             np.matmul(product, x_g, rate_g)
             rate *= k_theta
             np.multiply(x_g, beta1, product)
             np.subtract(product, rate_g, rate_g)
         # state + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
-        k1, total, k3, k4 = rates
+        k1, total, k3, k4 = (rate for rate, _, _ in rates)
         total *= 2.0
         total += k1
         k3 *= 2.0
