@@ -20,7 +20,6 @@ from .estimator import (
     AdaptiveObserver,
     EstimatorGains,
     ParamHistoryStack,
-    ThetaVector,
     integral_regressor,
     integral_residual,
 )

@@ -9,7 +9,6 @@ state through integral forms that never touch the unmeasured velocity.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,68 +19,12 @@ from .numerics import GramStack
 _EPS = np.finfo(float).eps
 
 
-@dataclass
-class ThetaVector:
-    """Stacked dynamics parameters [vec(A1); vec(A2); vec(B)] for an
-    n-position, m-input plant."""
-
-    theta: np.ndarray
-    n: int
-    m: int
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        expected = 2 * self.n * self.n + self.m * self.n
-        if self.theta.shape != (expected,):
-            raise ValueError(f"theta must have length {expected}, got {self.theta.shape}")
-
-    @classmethod
-    def from_matrices(cls, a1, a2, b):
-        a1 = np.asarray(a1, dtype=float)
-        a2 = np.asarray(a2, dtype=float)
-        b = np.asarray(b, dtype=float)
-        n, m = b.shape
-        theta = np.concatenate(
-            [a1.reshape(-1, order="F"), a2.reshape(-1, order="F"), b.reshape(-1, order="F")]
-        )
-        return cls(theta=theta, n=n, m=m)
-
-    @property
-    def a1(self):
-        n = self.n
-        return self.theta[: n * n].reshape((n, n), order="F")
-
-    @property
-    def a2(self):
-        n = self.n
-        return self.theta[n * n : 2 * n * n].reshape((n, n), order="F")
-
-    @property
-    def b(self):
-        n, m = self.n, self.m
-        return self.theta[2 * n * n :].reshape((n, m), order="F")
-
-    @functools.cached_property
-    def a_prime(self):
-        """[[0, I], [A1, A2]], built once per instance (read-only; theta
-        must not change after construction)."""
-        ap = model_matrices(self.theta, self.n, self.m)[0]
-        ap.flags.writeable = False
-        return ap
-
-    @functools.cached_property
-    def b_prime(self):
-        """[[0], [B]], built once per instance (read-only)."""
-        bp = model_matrices(self.theta, self.n, self.m)[1]
-        bp.flags.writeable = False
-        return bp
-
-
 def model_matrices(theta, n, m):
-    """The model xdot = a_prime x + b_prime u of the parameters theta
-    (ThetaVector.theta): a_prime = [[0, I], [A1, A2]] and
-    b_prime = [[0], [B]].  theta may carry leading axes, which both
-    matrices then carry; their entries are theta's, copied."""
+    """The model xdot = a_prime x + b_prime u of the parameters
+    theta = [vec(A1); vec(A2); vec(B)] of an n-position, m-input plant:
+    a_prime = [[0, I], [A1, A2]] and b_prime = [[0], [B]].  theta may
+    carry leading axes, which both matrices then carry; their entries are
+    theta's, copied."""
     lead = theta.shape[:-1]
     a_prime = np.zeros(lead + (2 * n, 2 * n))
     a_prime[..., :n, n:] = np.eye(n)
@@ -90,6 +33,17 @@ def model_matrices(theta, n, m):
     b_prime = np.zeros(lead + (2 * n, m))
     b_prime[..., n:, :] = theta[..., 2 * n * n :].reshape(lead + (m, n)).swapaxes(-1, -2)
     return a_prime, b_prime
+
+
+def theta_blocks(theta, n, m):
+    """The blocks A1, A2 and B of the parameters theta = [vec(A1); vec(A2);
+    vec(B)] of an n-position, m-input plant, as column-major views sharing
+    theta's memory; raises ValueError unless theta is a theta_dim(n, m)-vector."""
+    if theta.shape != (theta_dim(n, m),):
+        raise ValueError(f"theta must have length {theta_dim(n, m)}, got {theta.shape}")
+    nn = n * n
+    return (theta[:nn].reshape((n, n), order="F"), theta[nn : 2 * nn].reshape((n, n), order="F"),
+            theta[2 * nn :].reshape((n, m), order="F"))
 
 
 def theta_dim(n, m):
@@ -269,9 +223,7 @@ class AdaptiveObserver:
         theta = np.asarray(theta0, dtype=float).copy()
         if theta.shape != (self.dim,):
             raise ValueError(f"theta0 must have length {self.dim}")
-        # built once per parameter update: each step reads it, and a queued
-        # step keeps it
-        self.theta_vector = ThetaVector(theta=theta, n=self.n, m=self.m)
+        self._set_theta(theta)
         self.gamma = gamma_scale * np.eye(self.dim)
         self._set_rate(np.zeros(self.dim))
         # update_parameters' work arrays, each gamma's rows with theta as a
@@ -297,33 +249,30 @@ class AdaptiveObserver:
         self._g3 = g.k + g.alpha
         self._g4 = g.k + g.alpha + g.beta
 
-        tv = self.theta_vector
         self._q0 = self.q_hat.copy()
-        self._boundary0 = tv.a2 @ p0
+        self._boundary0 = self._a2 @ p0
         self._acc_q = np.zeros(n)
         self._acc_eta = np.zeros(n)
         # integrands at the current time, for trapezoid increments
         # (theta_rate and nu are zero at construction)
-        self._g_prev = tv.b @ u0 + tv.a1 @ p0
+        self._g_prev = self._b @ u0 + self._a1 @ p0
         self._eta_integrand_prev = np.zeros(n)
-
-    @property
-    def theta(self):
-        """The parameter estimate [vec(A1); vec(A2); vec(B)] (read-only by
-        convention: update_parameters replaces it)."""
-        return self.theta_vector.theta
 
     def __getstate__(self):
         # a copy's views would not share memory with its work arrays, so a
         # copy builds its own at its first update
         return {**self.__dict__, "_rk4_views": None}
 
+    def _set_theta(self, theta):
+        # the parameter estimate [vec(A1); vec(A2); vec(B)] (read-only by
+        # convention: update_parameters replaces it, and a queued step keeps
+        # it), with the blocks each step multiplies by
+        self.theta = theta
+        self._a1, self._a2, self._b = theta_blocks(theta, self.n, self.m)
+
     def _set_rate(self, theta_rate):
         self.theta_rate = theta_rate
-        # ThetaVector.a2 of the rate, read straight from it
-        self._a2_rate = theta_rate[self.n * self.n : 2 * self.n * self.n].reshape(
-            (self.n, self.n), order="F"
-        )
+        self._a2_rate = theta_blocks(theta_rate, self.n, self.m)[1]
 
     @property
     def x_hat(self):
@@ -389,7 +338,7 @@ class AdaptiveObserver:
                 "least-squares gain lost positive definiteness (dt too large)"
             )
         self.gamma = gamma
-        self.theta_vector = ThetaVector(theta=theta, n=self.n, m=self.m)
+        self._set_theta(theta)
         # the rate alone: the gain's rate at the new state is not needed
         rate = gamma @ (proj - gram @ theta)
         rate *= k_theta
@@ -405,8 +354,7 @@ class AdaptiveObserver:
         """
         p_meas = np.asarray(p_meas, dtype=float)
         u = np.asarray(u, dtype=float)
-        tv = self.theta_vector
-        drive = tv.b @ u + (tv.a1 - self._a2_rate) @ p_meas
+        drive = self._b @ u + (self._a1 - self._a2_rate) @ p_meas
 
         g1, g2, g3, g4 = self._g1, self._g2, self._g3, self._g4
         half = 0.5 * dt
@@ -419,7 +367,7 @@ class AdaptiveObserver:
             + half * self._g_prev
             + half * drive
             + self._q0
-            + tv.a2 @ p_meas
+            + self._a2 @ p_meas
             - self._boundary0
         )
         c = half * (1.0 + g4 * btil / d1)

@@ -482,7 +482,8 @@ class OnlineIrl:
         back, with copies of the oracle pairs (drain reads u from its log).
         Raises ValueError if _PIPE_BATCH steps are queued already, if a
         pair is not a (2n-vector, m-vector), or if the step has another
-        number of pairs than the steps queued."""
+        number of pairs than the steps queued, and NumericOverflowError if
+        p, u or a pair is not finite."""
         observer, (t1, t2) = self.observer, self.windows
         n, m = observer.n, observer.m
         queue = self._queue
@@ -492,6 +493,8 @@ class OnlineIrl:
         pairs = tuple((np.array(x, dtype=float), np.array(v, dtype=float)) for x, v in queries)
         if any(x.shape != (2 * n,) or v.shape != (m,) for x, v in pairs):
             raise ValueError(f"oracle pairs must be ({2 * n}-vector, {m}-vector)")
+        if not all(np.isfinite(x).all() and np.isfinite(v).all() for x, v in pairs):
+            raise NumericOverflowError(f"non-finite oracle pair at t={t}")
         if queue and len(pairs) != len(queue[0][-1]):
             raise ValueError("every step queued must have as many oracle pairs")
         p = self.p_log.check(t, p)
@@ -623,23 +626,19 @@ def _measure_run(cfg, demo, online, emit):
     return np.concatenate([(gamma_lo, gamma_hi) if steps > 0 else (np.nan, np.nan), *truth])
 
 
-def _pipelined(front, take, shapes):
+def _pipelined(front, take):
     """front(emit) in a forked child, and here take(block) for each block
     of drained steps (OnlineIrl.drain) that it emits; returns what front
     returns.
 
-    The child writes each nonempty block it emits to a pipe of _PIPE_BYTES
-    as one float64 record: its step count, the steps' times and etas, then
-    their rows and right-hand sides, with shapes giving one step's part of
-    each.  A count of 0 ends the blocks, and the pickled result of front,
-    or the exception it raised, follows; that exception is raised here once
-    the blocks before it are taken.  An exception here kills the child, and
+    The child pickles each block it emits, whole, to a pipe of _PIPE_BYTES.
+    None ends the blocks, and the pickled result of front, or the
+    exception it raised, follows; that exception is raised here once the
+    blocks before it are taken.  An exception here kills the child, and
     the child is always reaped.
     """
     import fcntl  # POSIX only, like os.fork, which every caller has
 
-    widths = [math.prod(shape) for shape in shapes]
-    size = 8 * (2 + sum(widths))
     read_fd, write_fd = os.pipe()
     try:
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
@@ -649,40 +648,33 @@ def _pipelined(front, take, shapes):
     if pid == 0:
         try:
             os.close(read_fd)
-            with open(write_fd, "wb", buffering=8 + size * _PIPE_BATCH) as pipe:
+            with open(write_fd, "wb") as pipe:
 
                 def emit(block):
-                    times, etas, rows, rhs = block
-                    if times:
-                        pipe.write(np.concatenate(
-                            [(len(times),), times, etas, rows.ravel(), rhs.ravel()]
-                        ))
-                        pipe.flush()
+                    pickle.dump(block, pipe)
+                    pipe.flush()
 
                 try:
                     result = front(emit)
                 except BaseException as exc:  # raised again in the parent
                     result = exc
-                pipe.write(bytes(8))
+                pickle.dump(None, pipe)
                 pickle.dump(result, pipe)
         finally:
             os._exit(0)
     os.close(write_fd)
+
+    def load(pipe):
+        try:  # EOF, or a cut-off pickle, if the child died before the end
+            return pickle.load(pipe)
+        except Exception as exc:
+            raise IrlobsError("the measuring process ended without a result") from exc
+
     try:
         with open(read_fd, "rb") as pipe:
-            while len(head := pipe.read(8)) == 8 and (count := int(np.frombuffer(head)[0])):
-                data = pipe.read(count * size)
-                if len(data) < count * size:
-                    break  # the child died within the block
-                record = np.frombuffer(data)
-                cut = 2 * count + count * widths[0]
-                take((record[:count].tolist(), record[count : 2 * count].tolist(),
-                      record[2 * count : cut].reshape((count, *shapes[0])),
-                      record[cut:].reshape((count, *shapes[1]))))
-            try:  # after the end count; EOF if the child died before it
-                result = pickle.load(pipe)
-            except Exception as exc:
-                raise IrlobsError("the measuring process ended without a result") from exc
+            while (block := load(pipe)) is not None:
+                take(block)
+            result = load(pipe)
         if isinstance(result, BaseException):
             raise result
         return result
@@ -728,13 +720,7 @@ def run_experiment(cfg):
                 w_rows.append(online.weights - w_true)
 
     front = functools.partial(_measure_run, cfg, demo, online)
-    if hasattr(os, "fork"):
-        candidates = 2 if cfg.mode == "query" else 1
-        measured = _pipelined(
-            front, take, [(candidates, 1 + m, basis.width(m)), (candidates, 1 + m)]
-        )
-    else:
-        measured = front(take)
+    measured = _pipelined(front, take) if hasattr(os, "fork") else front(take)
     # a reshape fails loudly unless both processes logged the same report steps
     truth = measured[2:].reshape(len(w_rows), 1 + 2 * n + theta_dim(n, m))
 

@@ -124,7 +124,7 @@ def entry_rows(basis, x_hat, u, a_prime, b_prime, r1):
     """Full (1+m)-row block of one data point: the inverse-Bellman row
     stacked over the controller rows, sharing one feature evaluation, with
     the model xdot = a_prime x + b_prime u of a parameter estimate
-    (ThetaVector.a_prime and b_prime).
+    (estimator.model_matrices).
 
     Every argument but basis and r1 may carry leading axes, broadcast
     against each other, of points; each point's block, shaped (1+m, width)
@@ -184,14 +184,11 @@ class Entry:
         stacked product is one product per candidate."""
         if not len(times):
             return []
-        steps, per_step = rows.shape[:2]
+        per_step = rows.shape[1]
         grams = rows.swapaxes(-1, -2) @ rows
         rhs_sq = (rhs[..., None, :] @ rhs[..., None]).ravel().tolist()
-        if np.isfinite(rows).all() and np.isfinite(rhs).all():
-            finite = [True] * (steps * per_step)
-        else:
-            finite = (np.isfinite(rows).all(axis=(-2, -1))
-                      & np.isfinite(rhs).all(axis=-1)).ravel().tolist()
+        finite = (np.isfinite(rows).all(axis=(-2, -1))
+                  & np.isfinite(rhs).all(axis=-1)).ravel().tolist()
         entries = list(map(
             cls,
             rows.reshape(-1, *rows.shape[2:]),

@@ -13,7 +13,7 @@ from operator import index
 import numpy as np
 
 from .errors import ArgumentError, SolverFailureError
-from .estimator import ThetaVector
+from .estimator import model_matrices, theta_blocks, theta_dim
 from .numerics import solve_are
 
 
@@ -51,9 +51,11 @@ class LinearPlant:
             raise ArgumentError("b", f"B must be {n} x m, got {self.b.shape}")
         self.n = n
         self.m = self.b.shape[1]
-        lifted = ThetaVector.from_matrices(self.a[:, :n], self.a[:, n:], self.b)
-        self.a1, self.a2, self.theta = lifted.a1, lifted.a2, lifted.theta
-        self.a_prime, self.b_prime = lifted.a_prime, lifted.b_prime
+        self.theta = np.empty(theta_dim(n, self.m))
+        self.a1, self.a2, b = theta_blocks(self.theta, n, self.m)
+        self.a1[...], self.a2[...], b[...] = self.a[:, :n], self.a[:, n:], self.b
+        self.a_prime, self.b_prime = model_matrices(self.theta, n, self.m)
+        self.a_prime.flags.writeable = self.b_prime.flags.writeable = False
         if self._controllability_rank() < 2 * n:
             raise ValueError("(a_prime, b_prime) is not controllable")
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, RankDeficiencyError
+from .estimator import model_matrices
 from .irl import solve_weights
 from .numerics import linear_rk4_matrices, linear_rollout
 
@@ -101,7 +102,8 @@ def quality_eta1(p_tilde, q_hat_lagged, v_smooth, s1):
 def quality_eta2(p_log, u_log, theta_hat, k, quality, v0):
     """Parameter-estimate quality score at step k.
 
-    Rolls the estimated model out over the quality.horizon steps up to k
+    Rolls the model of the parameter estimate theta_hat (see
+    estimator.model_matrices) out over the quality.horizon steps up to k
     from the measured position and the smoothed velocity v0 at their first
     step (smooth_velocity with quality.half_width, as quality_eta1 reads
     it), replaying the logged input, and integrates the squared position
@@ -109,8 +111,9 @@ def quality_eta2(p_log, u_log, theta_hat, k, quality, v0):
     rollout diverges.  The score of a block of one (quality_eta2_block).
     """
     inputs = eta2_inputs(p_log, u_log, k, quality, np.asarray(v0, dtype=float)[None])
-    eta2 = quality_eta2_block(theta_hat.a_prime[None], theta_hat.b_prime[None], inputs,
-                              quality, p_log.dt)
+    a_prime, b_prime = model_matrices(np.asarray(theta_hat, dtype=float)[None], p_log.dim,
+                                      u_log.dim)
+    eta2 = quality_eta2_block(a_prime, b_prime, inputs, quality, p_log.dt)
     return float(eta2[0])
 
 

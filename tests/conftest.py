@@ -13,6 +13,7 @@ from irlobs.estimator import (
     ParamHistoryStack,
     integral_regressor,
     integral_residual,
+    model_matrices,
     theta_dim,
 )
 from irlobs.experiment import default_config, prerecord_param_stack
@@ -87,12 +88,19 @@ def eval_features_loop(basis, x, u):
     return sigma_v, grad, sigma_q, u * u
 
 
+def model_of(theta, x, u):
+    """estimator.model_matrices of the parameter vector theta of the plant
+    whose state is x and whose input is u."""
+    return model_matrices(theta, np.size(x) // 2, np.size(u))
+
+
 def inverse_bellman_row(basis, x_hat, u, theta_hat, r1):
     """Independent reference for row 0 of irl.entry_rows: the
     inverse-Bellman row and its right-hand side -r1 u1^2."""
     u = np.asarray(u, dtype=float)
     _, grad, sigma_q, sigma_u = eval_features(basis, x_hat, u)
-    xdot = theta_hat.a_prime @ np.asarray(x_hat, dtype=float) + theta_hat.b_prime @ u
+    a_prime, b_prime = model_of(theta_hat, x_hat, u)
+    xdot = a_prime @ np.asarray(x_hat, dtype=float) + b_prime @ u
     row = np.concatenate([grad @ xdot, sigma_q, sigma_u[1:]])
     return row, -r1 * sigma_u[0]
 
@@ -105,7 +113,7 @@ def controller_rows(basis, x_hat, u, theta_hat, r1):
     m = u.size
     _, grad, _, _ = eval_features(basis, x_hat, u)
     rows = np.zeros((m, basis.width(m)))
-    rows[:, : basis.num_v] = theta_hat.b_prime.T @ grad.T
+    rows[:, : basis.num_v] = model_of(theta_hat, x_hat, u)[1].T @ grad.T
     rhs = np.zeros(m)
     rhs[0] = -2.0 * r1 * u[0]
     for i in range(1, m):
@@ -135,7 +143,7 @@ def gram_kappas(lam):
 def make_entry(stack, x, u, theta, eta=0.0, t=0.0):
     """The Entry offered to data_select for the pair (x, u) under the
     parameter estimate theta, with the stack's basis and r1."""
-    rows, rhs = entry_rows(stack.basis, x, u, theta.a_prime, theta.b_prime, stack.r1)
+    rows, rhs = entry_rows(stack.basis, x, u, *model_of(theta, x, u), stack.r1)
     return Entry.of(rows, rhs, eta, t)
 
 

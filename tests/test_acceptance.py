@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from irlobs.estimator import ThetaVector, integral_regressor, integral_residual
+from irlobs.estimator import integral_regressor, integral_residual
 from irlobs.experiment import (
     ExperimentConfig,
     default_config,
@@ -150,7 +150,7 @@ def test_criterion_5_ideal_regressor_recovery(default_system):
     with criterion(5, "weights recovered exactly from true-data regression rows"):
         plant, cost, demo = default_system
         basis = FeatureBasis.quadratic(4)
-        theta_true = ThetaVector.from_matrices(plant.a1, plant.a2, plant.b)
+        theta_true = plant.theta
         w_true = ideal_weights(basis, demo.riccati_p, cost.w_q, cost.r_diag)
         rng = np.random.default_rng(2024)
         stack = IrlHistoryStack(capacity=30, basis=basis, r1=cost.r1, m=plant.m, xi2=XI2)

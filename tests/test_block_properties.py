@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from irlobs.estimator import ThetaVector, model_matrices, theta_dim
+from irlobs.estimator import model_matrices, theta_dim
 from irlobs.irl import Entry, FeatureBasis, entry_rows
 from irlobs.numerics import SampledSignal
 from irlobs.purge import (
@@ -61,10 +61,7 @@ def blocks(draw):
         horizon=horizon, s1=root @ root.T, s2=np.eye(n), half_width=half_width,
         rollout_stride=stride,
     )
-    thetas = [
-        ThetaVector(draw(arrays(float, theta_dim(n, m), elements=VALUES)), n, m)
-        for _ in range(size)
-    ]
+    thetas = [draw(arrays(float, theta_dim(n, m), elements=VALUES)) for _ in range(size)]
     return {
         "p_log": p_log, "u_log": u_log, "quality": quality, "thetas": thetas,
         "first": count - size,
@@ -108,11 +105,12 @@ def same_bits(a, b):
 @given(block=blocks())
 def test_block_rows_equal_the_per_step_rows_bitwise(block):
     thetas, x, u, r1 = block["thetas"], block["x"], block["u"], block["r1"]
-    n = thetas[0].n
+    n, m = x.shape[-1] // 2, u.shape[-1]
     basis = FeatureBasis.quadratic(2 * n)
-    a = np.stack([theta.a_prime for theta in thetas])
-    b = np.stack([theta.b_prime for theta in thetas])
-    stacked = model_matrices(np.stack([theta.theta for theta in thetas]), n, u.shape[-1])
+    models = [model_matrices(theta, n, m) for theta in thetas]
+    a = np.stack([a_prime for a_prime, _ in models])
+    b = np.stack([b_prime for _, b_prime in models])
+    stacked = model_matrices(np.stack(thetas), n, m)
     assert same_bits(stacked[0], a) and same_bits(stacked[1], b)
     rows, rhs = entry_rows(basis, x, u, a[:, None], b[:, None], r1)
     assert rows.shape == x.shape[:2] + (1 + u.shape[-1], basis.width(u.shape[-1]))
@@ -122,7 +120,7 @@ def test_block_rows_equal_the_per_step_rows_bitwise(block):
             ctrl, ctrl_rhs = controller_rows(basis, x[j, c], u[j, c], theta, r1)
             assert same_bits(rows[j, c, 0], row) and rhs[j, c, 0] == rhs0
             assert same_bits(rows[j, c, 1:], ctrl) and same_bits(rhs[j, c, 1:], ctrl_rhs)
-            one = entry_rows(basis, x[j, c], u[j, c], theta.a_prime, theta.b_prime, r1)
+            one = entry_rows(basis, x[j, c], u[j, c], *models[j], r1)
             assert same_bits(one[0], rows[j, c]) and same_bits(one[1], rhs[j, c])
 
 
@@ -135,8 +133,7 @@ def test_block_eta_and_its_inputs_equal_the_per_step_ones_bitwise(block):
     v = smooth_velocity(p_log, first - horizon, quality.half_width, size)
     eta1 = quality_eta1(block["p_tilde"], block["lagged"], v, quality.s1)
     inputs = eta2_inputs(p_log, u_log, first, quality, v)
-    a = np.stack([theta.a_prime for theta in thetas])
-    b = np.stack([theta.b_prime for theta in thetas])
+    a, b = model_matrices(np.stack(thetas), p_log.dim, u_log.dim)
     eta = eta1 + quality_eta2_block(a, b, inputs, quality, p_log.dt)
     for j, theta in enumerate(thetas):
         k = first + j

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irlobs.errors import ConfigError
-from irlobs.estimator import ThetaVector, theta_dim
+from irlobs.estimator import theta_dim
 from irlobs.experiment import ExperimentConfig, default_config_dict
 from irlobs.irl import quadratic_monomials
 from irlobs.numerics import SampledSignal
@@ -129,5 +129,5 @@ def test_accepted_horizon_passes_the_rollout_step_check(grid):
     count = int(np.ceil(horizon / dt)) + 2
     p_log = SampledSignal.from_samples(dt, count * dt, 0.0, np.zeros((count, n)))
     u_log = SampledSignal.from_samples(dt, count * dt, 0.0, np.zeros((count, m)))
-    theta = ThetaVector(np.zeros(theta_dim(n, m)), n, m)
+    theta = np.zeros(theta_dim(n, m))
     assert quality_eta2(p_log, u_log, theta, steps, cfg.quality(), np.zeros(n)) == 0.0

@@ -12,9 +12,10 @@ from irlobs.estimator import (
     AdaptiveObserver,
     EstimatorGains,
     ParamHistoryStack,
-    ThetaVector,
     integral_regressor,
     integral_residual,
+    model_matrices,
+    theta_blocks,
     theta_dim,
 )
 from irlobs.numerics import SampledSignal
@@ -37,26 +38,38 @@ def constant_log(dim, dt, duration, value):
     return sig
 
 
-class TestThetaVector:
+class TestThetaBlocks:
     def test_round_trip(self):
         rng = np.random.default_rng(20)
         a1 = rng.normal(size=(2, 2))
         a2 = rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 3))
-        tv = ThetaVector.from_matrices(a1, a2, b)
-        np.testing.assert_array_equal(tv.a1, a1)
-        np.testing.assert_array_equal(tv.a2, a2)
-        np.testing.assert_array_equal(tv.b, b)
+        theta = np.concatenate([a1.ravel(order="F"), a2.ravel(order="F"), b.ravel(order="F")])
+        for block, expected in zip(theta_blocks(theta, 2, 3), (a1, a2, b)):
+            np.testing.assert_array_equal(block, expected)
+        a_prime, b_prime = model_matrices(theta, 2, 3)
+        np.testing.assert_array_equal(a_prime[2:], np.hstack([a1, a2]))
+        np.testing.assert_array_equal(b_prime[2:], b)
 
     def test_lifted_blocks(self):
-        tv = ThetaVector.from_matrices(np.eye(2), 2 * np.eye(2), np.ones((2, 1)))
-        np.testing.assert_array_equal(tv.a_prime[:2, 2:], np.eye(2))
-        np.testing.assert_array_equal(tv.a_prime[2:, :2], np.eye(2))
-        np.testing.assert_array_equal(tv.b_prime[:2, :], np.zeros((2, 1)))
+        theta = np.concatenate([np.eye(2).ravel(), 2 * np.eye(2).ravel(), np.ones(2)])
+        a_prime, b_prime = model_matrices(theta, 2, 1)
+        np.testing.assert_array_equal(a_prime[:2, 2:], np.eye(2))
+        np.testing.assert_array_equal(a_prime[2:, :2], np.eye(2))
+        np.testing.assert_array_equal(b_prime[:2, :], np.zeros((2, 1)))
+
+    def test_views_share_the_memory_of_theta(self):
+        theta = np.arange(14.0)
+        a1, a2, b = theta_blocks(theta, 2, 3)
+        assert all(np.shares_memory(block, theta) for block in (a1, a2, b))
+        theta[[0, 5, 13]] = -1.0
+        assert a1[0, 0] == a2[1, 0] == b[1, 2] == -1.0
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
-            ThetaVector(theta=np.zeros(5), n=2, m=2)
+            theta_blocks(np.zeros(5), 2, 2)
+        with pytest.raises(ValueError):
+            theta_blocks(np.zeros((1, 12)), 2, 2)
 
 
 class TestEstimatorGains:
@@ -268,7 +281,7 @@ class TestUpdateParameters:
             assert obs.gamma.tobytes() == gamma.tobytes()
             rate = gains.k_theta * (gamma @ (proj - gram @ theta))
             assert obs.theta_rate.tobytes() == rate.tobytes()
-            assert obs._a2_rate.tobytes() == ThetaVector(rate, 2, 2).a2.tobytes()
+            assert obs._a2_rate.tobytes() == theta_blocks(rate, 2, 2)[1].tobytes()
 
     def test_a_copied_observer_updates_as_the_original(self, prerecorded_stack):
         # the work arrays of the in-place RK4 hold no state between calls,
@@ -347,11 +360,11 @@ class TestObserver:
         steps = run.theta[horizon].shape[0]
         integrand = np.empty((steps, n))
         for k in range(steps):
-            tv = ThetaVector(theta=run.theta[horizon][k], n=2, m=2)
+            a1, a2, b = theta_blocks(run.theta[horizon][k], 2, 2)
             integrand[k] = (
-                tv.a1 @ run.x_true[horizon][k, :n]
-                + tv.a2 @ run.x_true[horizon][k, n:]
-                + tv.b @ run.u[horizon][k]
+                a1 @ run.x_true[horizon][k, :n]
+                + a2 @ run.x_true[horizon][k, n:]
+                + b @ run.u[horizon][k]
                 + run.nu[horizon][k]
             )
         q_direct = cumulative_trapezoid(integrand, run.dt)

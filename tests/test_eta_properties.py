@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from irlobs.estimator import ThetaVector, theta_dim
+from irlobs.estimator import model_matrices, theta_dim
 from irlobs.numerics import SampledSignal
 from irlobs.purge import QualityConfig, eta2_inputs, quality_eta2, quality_eta2_block
 
@@ -47,8 +47,7 @@ def blocks(draw):
     )
     dim = theta_dim(n, m)
     thetas = [
-        ThetaVector(draw(arrays(float, dim, elements=VALUES))
-                    * draw(st.sampled_from([0.01, 1.0, 1e3, 1e5])), n, m)
+        draw(arrays(float, dim, elements=VALUES)) * draw(st.sampled_from([0.01, 1.0, 1e3, 1e5]))
         for _ in range(size)
     ]
     v0s = [draw(arrays(float, n, elements=VALUES)) for _ in range(size)]
@@ -64,8 +63,7 @@ def test_block_scores_equal_the_single_scores_bitwise(block):
         quality_eta2(p_log, u_log, theta, k, quality, v0)
         for k, theta, v0 in zip(steps, thetas, v0s)
     ]
-    a = np.stack([theta.a_prime for theta in thetas])
-    b = np.stack([theta.b_prime for theta in thetas])
+    a, b = model_matrices(np.stack(thetas), p_log.dim, u_log.dim)
     inputs = eta2_inputs(p_log, u_log, steps[0], quality, np.array(v0s))
     together = quality_eta2_block(a, b, inputs, quality, p_log.dt)
     assert together.shape == (len(steps),)
@@ -80,13 +78,12 @@ def test_a_diverging_rollout_scores_inf_in_its_own_entry():
     p_log = SampledSignal.from_samples(1e-3, count * 1e-3, 0.0, rng.normal(size=(count, n)))
     u_log = SampledSignal.from_samples(1e-3, count * 1e-3, 0.0, rng.normal(size=(count, m)))
     quality = QualityConfig(horizon=horizon, s1=np.eye(4), s2=np.eye(2), half_width=1)
-    thetas = [ThetaVector(rng.normal(size=theta_dim(n, m)), n, m) for _ in range(33)]
+    thetas = np.array([rng.normal(size=theta_dim(n, m)) for _ in range(33)])
     diverging = {0, 17, 32}
     for i in diverging:
-        thetas[i] = ThetaVector(1e6 * thetas[i].theta, n, m)
+        thetas[i] *= 1e6
     steps = range(horizon + 1, horizon + 34)
-    a = np.stack([theta.a_prime for theta in thetas])
-    b = np.stack([theta.b_prime for theta in thetas])
+    a, b = model_matrices(thetas, n, m)
     inputs = eta2_inputs(p_log, u_log, steps[0], quality, np.zeros((len(steps), n)))
     scores = quality_eta2_block(a, b, inputs, quality, p_log.dt)
     assert {i for i, s in enumerate(scores) if s == np.inf} == diverging

@@ -23,6 +23,7 @@ from irlobs.experiment import (
     run_experiment,
     write_report,
 )
+from irlobs.irl import Entry
 from irlobs.numerics import rk4_step
 from irlobs.plant import closed_loop_field, make_demonstrator, optimal_action, query
 
@@ -377,16 +378,19 @@ class TestRunExperiment:
         assert online.trace == report.trace
         assert len(report.trace.stores) > 0
 
-    def test_in_process_run_equals_the_pipelined_run(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["observed", "query"])
+    def test_in_process_run_equals_the_pipelined_run(self, monkeypatch, mode):
         # without os.fork, measure and offer run in one process, with the
         # same bits; a pipelined run leaves no child process behind
-        cfg = short_config(duration=2.0)
+        cfg = short_config(duration=2.0, mode=mode)
         pipelined = run_experiment(cfg)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         monkeypatch.delattr(os, "fork")
         serial = run_experiment(cfg)
-        assert serial.trace == pipelined.trace and len(serial.trace.weight_updates) > 0
+        assert serial.trace == pipelined.trace and len(serial.trace.stores) > 0
+        # observed mode's default run never passes the weight-update gate
+        assert (mode == "observed") == (len(serial.trace.weight_updates) == 0)
         for name in ("t", "p_tilde", "q_tilde", "theta_tilde", "w_tilde", "w_final"):
             assert getattr(serial, name).tobytes() == getattr(pipelined, name).tobytes(), name
         for name in ("queries", "purge_count", "gamma_eig_min", "gamma_eig_max",
@@ -456,6 +460,31 @@ class TestRunExperiment:
             assert measured_state() == before
         online.measure(t, p, u, queries)
         assert len(online.drain()[0]) == 2
+
+    def test_a_non_finite_oracle_pair_is_refused_at_measure(self):
+        # like a non-finite measurement, a non-finite oracle answer or query
+        # state is a NumericOverflowError that changes nothing, not a
+        # ValueError raised later from offer
+        cfg = short_config(duration=2.0, mode="query")
+        online, steps = measured_run(cfg)
+
+        def state():
+            return pickle.dumps((online.steps, online.p_log, online.u_log, online._queue))
+
+        for t, p, u, queries in steps[:10]:
+            online.measure(t, p, u, queries)
+        t, p, u, ((x_star, u_star),) = steps[10]
+        before = state()
+        for bad in (np.nan, np.inf, -np.inf):
+            for pair in ((np.where(np.arange(4) == 2, bad, x_star), u_star),
+                         (x_star, np.where(np.arange(2) == 1, bad, u_star))):
+                with pytest.raises(NumericOverflowError, match="oracle pair"):
+                    online.measure(t, p, u, (pair,))
+                assert state() == before
+        online.measure(t, p, u, ((x_star, u_star),))
+        for entries in Entry.block(*online.drain()):
+            online.offer(entries)
+        assert online.steps == 11
 
     def test_stack_source_is_no_longer_a_config_field(self, tmp_path):
         path = tmp_path / "old.json"

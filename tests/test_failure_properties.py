@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -269,4 +270,31 @@ def test_a_child_that_exits_without_a_result_is_an_irlobs_error():
         patch_step_half(mp, "measure", 300, lambda t: os._exit(3))
         with pytest.raises(errors.IrlobsError, match="ended without a result"):
             run_experiment(ExperimentConfig(short_raw()))
+    assert_no_child_left()
+
+
+@pipelined
+def test_a_child_that_dies_within_a_block_is_one_irlobs_error():
+    # the child writes the first half of its fifth block and exits: the
+    # four blocks before it are offered, and the cut-off pickle ends the
+    # run in one IrlobsError
+    blocks = []
+
+    def dump(obj, file):
+        if isinstance(obj, tuple):
+            blocks.append(obj)
+            if len(blocks) == 5:
+                data = pickle.dumps(obj)
+                file.write(data[: len(data) // 2])
+                file.flush()
+                os._exit(3)
+        pickle.dump(obj, file)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "pickle", SimpleNamespace(dump=dump, load=pickle.load))
+        offers = patch_step_half(mp, "offer")
+        with pytest.raises(errors.IrlobsError, match="ended without a result") as info:
+            run_experiment(ExperimentConfig(short_raw()))
+    assert type(info.value) is errors.IrlobsError
+    assert offers == [0.001 * k for k in range(1, 4 * experiment._PIPE_BATCH + 1)]
     assert_no_child_left()

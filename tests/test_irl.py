@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irlobs.errors import RankDeficiencyError
-from irlobs.estimator import ThetaVector
+from irlobs.estimator import model_matrices
 from irlobs.irl import (
     Entry,
     FeatureBasis,
@@ -36,7 +36,7 @@ def basis():
 @pytest.fixture(scope="module")
 def theta_true(default_system):
     plant, _, _ = default_system
-    return ThetaVector.from_matrices(plant.a1, plant.a2, plant.b)
+    return plant.theta
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ class TestEvalFeatures:
 class TestRegressionRows:
     def test_zero_point_gives_zero_row(self, basis, theta_true):
         rows, rhs = entry_rows(
-            basis, np.zeros(4), np.zeros(2), theta_true.a_prime, theta_true.b_prime, 20.0
+            basis, np.zeros(4), np.zeros(2), *model_matrices(theta_true, 2, 2), 20.0
         )
         assert not rows[0].any() and rhs[0] == 0.0
 
@@ -137,21 +137,21 @@ class TestRegressionRows:
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0, size=4)
             u = optimal_action(demo, x)
-            rows, rhs = entry_rows(basis, x, u, theta_true.a_prime, theta_true.b_prime, cost.r1)
+            rows, rhs = entry_rows(basis, x, u, *model_matrices(theta_true, 2, 2), cost.r1)
             assert abs(rows[0] @ w_true - rhs[0]) < 1e-8
 
     def test_perturbed_weight_residual_is_linear(self, default_system, basis, theta_true, w_true):
         _, cost, demo = default_system
         x = np.array([1.0, -0.5, 0.3, 0.8])
         u = optimal_action(demo, x)
-        rows, rhs = entry_rows(basis, x, u, theta_true.a_prime, theta_true.b_prime, cost.r1)
+        rows, rhs = entry_rows(basis, x, u, *model_matrices(theta_true, 2, 2), cost.r1)
         perturbed = w_true.copy()
         perturbed[0] += 1.0
         assert abs((rows[0] @ perturbed - rhs[0]) - rows[0, 0]) < 1e-10
 
     def test_controller_rows_zero_point(self, basis, theta_true):
         rows, rhs = entry_rows(
-            basis, np.zeros(4), np.zeros(2), theta_true.a_prime, theta_true.b_prime, 20.0
+            basis, np.zeros(4), np.zeros(2), *model_matrices(theta_true, 2, 2), 20.0
         )
         assert not rows[1:].any() and not rhs[1:].any()
 
@@ -161,15 +161,15 @@ class TestRegressionRows:
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0, size=4)
             u = optimal_action(demo, x)
-            rows, rhs = entry_rows(basis, x, u, theta_true.a_prime, theta_true.b_prime, cost.r1)
+            rows, rhs = entry_rows(basis, x, u, *model_matrices(theta_true, 2, 2), cost.r1)
             assert np.max(np.abs(rows[1:] @ w_true - rhs[1:])) < 1e-8
 
     def test_controller_rows_single_input(self, double_integrator):
         plant, cost, demo = double_integrator
         di_basis = FeatureBasis.quadratic(2)
-        tv = ThetaVector.from_matrices(plant.a1, plant.a2, plant.b)
         rows, rhs = entry_rows(
-            di_basis, np.array([1.0, 0.5]), np.array([-1.5]), tv.a_prime, tv.b_prime, 1.0
+            di_basis, np.array([1.0, 0.5]), np.array([-1.5]), *model_matrices(plant.theta, 1, 1),
+            1.0
         )
         rows, rhs = rows[1:], rhs[1:]
         assert rows.shape == (1, di_basis.width(1))
@@ -180,7 +180,7 @@ class TestRegressionRows:
         _, cost, demo = default_system
         x = np.array([0.5, 1.0, -1.0, 0.2])
         u = optimal_action(demo, x)
-        rows, rhs = entry_rows(basis, x, u, theta_true.a_prime, theta_true.b_prime, cost.r1)
+        rows, rhs = entry_rows(basis, x, u, *model_matrices(theta_true, 2, 2), cost.r1)
         row_b, rhs_b = inverse_bellman_row(basis, x, u, theta_true, cost.r1)
         rows_c, rhs_c = controller_rows(basis, x, u, theta_true, cost.r1)
         np.testing.assert_allclose(rows[0], row_b, atol=1e-14)

@@ -7,7 +7,6 @@ import pytest
 
 from irlobs import purge
 from irlobs.errors import WindowUnderflowError
-from irlobs.estimator import ThetaVector
 from irlobs.irl import (
     FeatureBasis,
     IrlHistoryStack,
@@ -117,42 +116,40 @@ class TestQualityEta1:
 class TestQualityEta2:
     def test_true_model_near_zero(self, default_run):
         run = default_run
-        tv = ThetaVector(theta=run.theta_true.copy(), n=2, m=2)
-        val = eta2(run, tv, 8000, default_quality())
+        theta = run.theta_true.copy()
+        val = eta2(run, theta, 8000, default_quality())
         assert 0.0 <= val < 1e-8
 
     def test_wrong_model_strictly_positive(self, default_run):
         run = default_run
-        tv_true = ThetaVector(theta=run.theta_true.copy(), n=2, m=2)
+        theta_true = run.theta_true.copy()
         doubled = run.theta_true.copy()
         doubled[:8] *= 2.0  # scale both dynamics blocks
-        tv_bad = ThetaVector(theta=doubled, n=2, m=2)
-        good = eta2(run, tv_true, 8000, default_quality())
-        bad = eta2(run, tv_bad, 8000, default_quality())
+        good = eta2(run, theta_true, 8000, default_quality())
+        bad = eta2(run, doubled, 8000, default_quality())
         assert bad > 1e3 * max(good, 1e-30)
         assert bad > 0.0
 
     def test_zero_weighting_gives_zero(self, default_run):
         run = default_run
         qc = QualityConfig(horizon=1000, s1=np.eye(4), s2=np.zeros((2, 2)), half_width=5)
-        tv = ThetaVector(theta=np.zeros(12), n=2, m=2)
-        assert eta2(run, tv, 8000, qc) == 0.0
+        theta = np.zeros(12)
+        assert eta2(run, theta, 8000, qc) == 0.0
 
     def test_divergent_rollout_returns_inf(self, default_run):
         run = default_run
         unstable = np.zeros(12)
         unstable[0] = unstable[3] = 4e4  # violently unstable A1
-        tv = ThetaVector(theta=unstable, n=2, m=2)
         qc = QualityConfig(horizon=1000, s1=np.eye(4), s2=np.eye(2), half_width=5,
                            rollout_stride=20)
-        val = eta2(run, tv, 8000, qc)
+        val = eta2(run, unstable, 8000, qc)
         assert val == float("inf")
 
     def test_before_first_horizon_rejected(self, default_run):
         run = default_run
-        tv = ThetaVector(theta=np.zeros(12), n=2, m=2)
+        theta = np.zeros(12)
         with pytest.raises(ValueError):
-            quality_eta2(run.p_log, run.u_log, tv, 500, default_quality(), np.zeros(2))
+            quality_eta2(run.p_log, run.u_log, theta, 500, default_quality(), np.zeros(2))
 
 
 class TestCompositeQuality:
@@ -167,8 +164,8 @@ class TestCompositeQuality:
             k_lag = k - qc.horizon
             v = smooth_velocity(run.p_log, k_lag, qc.half_width)
             e1 = quality_eta1(run.p_tilde[k], run.q_hat[k_lag], v, qc.s1)
-            tv = ThetaVector(theta=run.theta[k].copy(), n=2, m=2)
-            e2 = quality_eta2(run.p_log, run.u_log, tv, k, qc, v)
+            theta = run.theta[k].copy()
+            e2 = quality_eta2(run.p_log, run.u_log, theta, k, qc, v)
             return e1 + e2
 
         early, late = eta_at(2.0), eta_at(11.0)
@@ -195,12 +192,12 @@ def zero_weights(basis):
 def filled_stack(default_system, basis, count=30, eta=1.0, seed=50):
     _, _, demo = default_system
     plant = demo.plant
-    tv = ThetaVector.from_matrices(plant.a1, plant.a2, plant.b)
+    theta = plant.theta
     stack = IrlHistoryStack(capacity=count, basis=basis, r1=demo.cost.r1, m=plant.m)
     rng = np.random.default_rng(seed)
     for i in range(count):
         x = rng.uniform(-2.0, 2.0, size=4)
-        cand = make_entry(stack, x, optimal_action(demo, x), tv, eta=eta, t=float(i))
+        cand = make_entry(stack, x, optimal_action(demo, x), theta, eta=eta, t=float(i))
         data_select(stack, cand, 1.0)
     return stack
 
@@ -255,7 +252,7 @@ class TestPurgePolicy:
     def test_eta_bar_bookkeeping(self, default_system, basis):
         _, _, demo = default_system
         plant = demo.plant
-        tv = ThetaVector.from_matrices(plant.a1, plant.a2, plant.b)
+        theta = plant.theta
         stack = IrlHistoryStack(capacity=10, basis=basis, r1=demo.cost.r1, m=2)
         ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e-6, w_current=zero_weights(basis))
         rng = np.random.default_rng(51)
@@ -263,7 +260,7 @@ class TestPurgePolicy:
         for i in range(25):
             x = rng.uniform(-2.0, 2.0, size=4)
             eta = float(rng.uniform(0.1, 5.0))
-            cand = make_entry(stack, x, optimal_action(demo, x), tv, eta=eta, t=float(i))
+            cand = make_entry(stack, x, optimal_action(demo, x), theta, eta=eta, t=float(i))
             if data_select(stack, cand, 1.0):
                 pass
             purge_policy(ps, stack, eta_now=eta)
@@ -303,7 +300,7 @@ class TestDeferredSolve:
         # the stack, it still gives the solve of the stack at the gate
         _, _, demo = default_system
         plant = demo.plant
-        tv = ThetaVector.from_matrices(plant.a1, plant.a2, plant.b)
+        theta = plant.theta
         stack = IrlHistoryStack(capacity=30, basis=basis, r1=demo.cost.r1, m=2)
         ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e-300, w_current=zero_weights(basis))
         solves = counting_solves(monkeypatch)
@@ -311,7 +308,7 @@ class TestDeferredSolve:
         updates = []
         for i in range(80):
             x = rng.uniform(-2.0, 2.0, size=4)
-            cand = make_entry(stack, x, optimal_action(demo, x), tv, eta=1.0, t=float(i))
+            cand = make_entry(stack, x, optimal_action(demo, x), theta, eta=1.0, t=float(i))
             ps.varpi = data_select(stack, cand, 1.0)
             w_before = ps.w_current
             if purge_policy(ps, stack, eta_now=1.0) is not w_before:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from irlobs.estimator import ParamHistoryStack, ThetaVector
+from irlobs.estimator import ParamHistoryStack
 from irlobs.irl import Entry, FeatureBasis, IrlHistoryStack, data_select
 
 from conftest import (
@@ -32,7 +32,8 @@ EPS = np.finfo(float).eps
 COORD = st.floats(-2.0, 2.0, allow_subnormal=False)
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
-THETA = ThetaVector.from_matrices(DEFAULT_A[:, :2], DEFAULT_A[:, 2:], DEFAULT_B)
+# [vec(A1); vec(A2); vec(B)]: [A1, A2] column-major is vec(A1) followed by vec(A2)
+THETA = np.concatenate([DEFAULT_A.ravel(order="F"), DEFAULT_B.ravel(order="F")])
 BASIS = FeatureBasis.quadratic(4)
 # exact copies (ties), doubled and tiny copies, and a copy one rounding
 # step off (near-ties)
