@@ -378,24 +378,27 @@ class TestRunExperiment:
         assert online.trace == report.trace
         assert len(report.trace.stores) > 0
 
-    @pytest.mark.parametrize("mode", ["observed", "query"])
-    def test_in_process_run_equals_the_pipelined_run(self, monkeypatch, mode):
+    def test_in_process_run_equals_the_pipelined_run(self, monkeypatch):
         # without os.fork, measure and offer run in one process, with the
-        # same bits; a pipelined run leaves no child process behind
-        cfg = short_config(duration=2.0, mode=mode)
-        pipelined = run_experiment(cfg)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        monkeypatch.delattr(os, "fork")
-        serial = run_experiment(cfg)
-        assert serial.trace == pipelined.trace and len(serial.trace.stores) > 0
-        # observed mode's default run never passes the weight-update gate
-        assert (mode == "observed") == (len(serial.trace.weight_updates) == 0)
-        for name in ("t", "p_tilde", "q_tilde", "theta_tilde", "w_tilde", "w_final"):
-            assert getattr(serial, name).tobytes() == getattr(pipelined, name).tobytes(), name
-        for name in ("queries", "purge_count", "gamma_eig_min", "gamma_eig_max",
-                     "final_kappa", "final_gram_kappa", "final_residual"):
-            assert getattr(serial, name) == getattr(pipelined, name), name
+        # same bits, in both modes (observed mode sends one-candidate
+        # blocks); a pipelined run leaves no child process behind
+        for mode in ("observed", "query"):
+            cfg = short_config(duration=2.0, mode=mode)
+            pipelined = run_experiment(cfg)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            with monkeypatch.context() as mp:
+                mp.delattr(os, "fork")
+                serial = run_experiment(cfg)
+            assert serial.trace == pipelined.trace and len(serial.trace.stores) > 0
+            # observed mode's default run never passes the weight-update gate
+            assert (mode == "observed") == (len(serial.trace.weight_updates) == 0)
+            for name in ("t", "p_tilde", "q_tilde", "theta_tilde", "w_tilde", "w_final"):
+                same = getattr(serial, name).tobytes() == getattr(pipelined, name).tobytes()
+                assert same, (mode, name)
+            for name in ("queries", "purge_count", "gamma_eig_min", "gamma_eig_max",
+                         "final_kappa", "final_gram_kappa", "final_residual"):
+                assert getattr(serial, name) == getattr(pipelined, name), (mode, name)
 
     def test_step_off_the_time_grid_is_an_irlobs_error(self, monkeypatch):
         # a measurement stream that restarts, repeats or skips a grid time
