@@ -75,7 +75,10 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a run checks its values itself: numpy's overflow warnings would
+        # only add lines to its one error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (IrlobsError, OSError, MemoryError) as exc:  # OSError: creating or writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -165,6 +165,7 @@ class ParamHistoryStack(GramStack):
         if not (np.isfinite(residual).all() and np.isfinite(regressor).all()):
             raise NumericOverflowError("non-finite history stack candidate")
         block = regressor.T @ regressor
+        self.check_block(block)
         slot = self.size
         if self.is_full:
             # a commit needs lam_min > lam_cur + dim*eps*lam_max, and

@@ -71,6 +71,7 @@ _GAMMA_BATCH = 256
 # the most that OnlineIrl queues between two drains
 _PIPE_BATCH = 32
 _PIPE_BYTES = 1 << 20  # the pipe's capacity in _pipelined, where the platform sets it
+_CALIBRATION_BLOCK = 1024  # steps per block of calibration_source
 DEFAULTS_PATH = Path(__file__).with_name("default_config.json")
 
 
@@ -353,6 +354,76 @@ def _excitation(times, m, amplitude):
     )
 
 
+def calibration_source(demo, cfg):
+    """The excited calibration maneuver as blocks (t, positions, inputs) of
+    the steps of excitation_dt from step 0 at t = 0 to excitation_steps,
+    _CALIBRATION_BLOCK steps at a time.  The dithered closed loop is linear
+    time-invariant, so one set of RK4 step matrices advances it, each block
+    from the last state of the one before.  No product has one row, which
+    takes another BLAS path, so every row is bitwise that of simulating the
+    whole maneuver at once."""
+    n, m = demo.plant.n, demo.plant.m
+    dt, steps = cfg.excitation_dt, cfg.excitation_steps
+    phi, w0, wh, w1 = linear_rk4_matrices(demo.a_cl, demo.plant.b_prime, dt)
+    x, lo = cfg.x0, 0
+    # the last block, which also takes the last state, has at least two steps
+    for hi in [*range(_CALIBRATION_BLOCK, steps - 1, _CALIBRATION_BLOCK), steps]:
+        dither_half = _excitation(
+            (0.5 * dt) * np.arange(2 * lo, 2 * hi + 1), m, cfg.excitation_amplitude
+        )
+        drive = dither_half[0:-1:2] @ w0.T + dither_half[1::2] @ wh.T + dither_half[2::2] @ w1.T
+        states = linear_rollout(phi, drive, x)
+        if not np.isfinite(states).all():
+            raise NumericOverflowError("calibration run diverged")
+        x, rows = states[-1], hi - lo + (hi == steps)
+        inputs = states[:rows] @ (-demo.k_fb.T) + dither_half[0 : 2 * rows : 2]
+        yield lo * dt, states[:rows, :n], inputs
+        lo = hi
+
+
+class ParamRecorder:
+    """Records a parameter history stack from position and input logs of
+    window seconds on a grid of dt, and at least the t1 + t2 steps
+    (windows) that a record reads back, plus one.  Every stride-th step
+    from t1 + t2 on is due, and recorded once the logs reach it."""
+
+    def __init__(self, stack, n, m, dt, windows, stride, window):
+        self.stack, self.windows, self.stride = stack, windows, stride
+        window = max(window, (sum(windows) + 1) * dt)
+        # the steps the logs keep beyond a record's window: rows appended
+        # that many at a time leave every due step among them readable
+        self._reach = round(window / dt) - sum(windows)
+        self.p_log, self.u_log = SampledSignal(n, dt, window), SampledSignal(m, dt, window)
+
+    def due(self, first, end):
+        """The due steps from first to before end."""
+        first = max(first, sum(self.windows))
+        return range(first + -first % self.stride, end, self.stride)
+
+    def record(self, k):
+        """Offer the stack the integral error system's pair at step k."""
+        t1, t2 = self.windows
+        self.stack.record(integral_residual(self.p_log, k, t1, t2),
+                          integral_regressor(self.p_log, self.u_log, k, t1, t2))
+
+    def extend(self, t, p, u):
+        """Append the rows of p and u, the samples of consecutive grid
+        times from t on, and record each due step once the logs reach it;
+        raises, changing nothing, unless p and u are as long and finite."""
+        p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
+        if len(p) != len(u):
+            raise ValueError("positions and inputs must have as many rows")
+        if not (np.isfinite(p).all() and np.isfinite(u).all()):
+            raise NumericOverflowError(f"non-finite sample in the rows from t={t}")
+        step, dt = self.p_log.first_step + len(self.p_log), self.p_log.dt
+        for lo in range(0, len(p), self._reach):
+            hi = min(lo + self._reach, len(p))
+            self.p_log.extend(t + lo * dt, p[lo:hi])
+            self.u_log.extend(t + lo * dt, u[lo:hi])
+            for k in self.due(step + lo, step + hi):
+                self.record(k)
+
+
 def prerecord_param_stack(demo, cfg, stack):
     """Fill the parameter history stack from an excited calibration maneuver.
 
@@ -360,32 +431,14 @@ def prerecord_param_stack(demo, cfg, stack):
     exact linear image of the position window integrals, so the regressor
     Gram can never reach full rank; the stack is therefore recorded from a
     run with a deterministic dither on top of the optimal policy, standing
-    in for rich data gathered before observation starts.
+    in for rich data gathered before observation starts.  It streams
+    through a ParamRecorder, so memory does not grow with its duration.
     """
-    plant = demo.plant
-    n, m = plant.n, plant.m
-    dt, steps = cfg.excitation_dt, cfg.excitation_steps
-    t1, t2 = cfg.excitation_windows
-
-    # closed loop driven by the dither is linear time-invariant, so one set
-    # of RK4 step matrices advances the whole calibration trajectory
-    phi, w0, wh, w1 = linear_rk4_matrices(demo.a_cl, plant.b_prime, dt)
-    dither_half = _excitation((0.5 * dt) * np.arange(2 * steps + 1), m, cfg.excitation_amplitude)
-    drive = dither_half[0:-1:2] @ w0.T + dither_half[1::2] @ wh.T + dither_half[2::2] @ w1.T
-    states = linear_rollout(phi, drive, cfg.x0)
-    if not np.isfinite(states).all():
-        raise NumericOverflowError("calibration run diverged")
-    inputs = states @ (-demo.k_fb.T) + dither_half[0::2]
-
-    window = cfg.excitation_duration + dt
-    p_log = SampledSignal.from_samples(dt, window, 0.0, states[:, :n])
-    u_log = SampledSignal.from_samples(dt, window, 0.0, inputs)
-    for k in range(t1 + t2, steps + 1):
-        if k % cfg.excitation_stride == 0:
-            stack.record(
-                integral_residual(p_log, k, t1, t2),
-                integral_regressor(p_log, u_log, k, t1, t2),
-            )
+    dt, windows = cfg.excitation_dt, cfg.excitation_windows
+    recorder = ParamRecorder(stack, demo.plant.n, demo.plant.m, dt, windows,
+                             cfg.excitation_stride, (sum(windows) + _CALIBRATION_BLOCK) * dt)
+    for block in calibration_source(demo, cfg):
+        recorder.extend(*block)
     return stack
 
 
@@ -423,8 +476,6 @@ class OnlineIrl:
         self.quality = quality = cfg.quality()
         basis, r1 = cfg.basis(), cfg.cost().r1
         self.dt = dt = cfg.dt
-        self.windows = cfg.windows
-        self.record_stride = cfg.record_stride
         self.param_stack = param_stack
         self.steps = 0
         # first step with both the full horizon and the smoothing window available
@@ -436,8 +487,9 @@ class OnlineIrl:
             gains.t1 + gains.t2,
             (quality.horizon + quality.half_width + 2 + _PIPE_BATCH) * dt,
         )
-        self.p_log = SampledSignal(n, dt, window + 4 * dt)
-        self.u_log = SampledSignal(m, dt, window + 4 * dt)
+        self.recorder = ParamRecorder(param_stack, n, m, dt, cfg.windows, cfg.record_stride,
+                                      window + 4 * dt)
+        self.p_log, self.u_log = self.recorder.p_log, self.recorder.u_log
         self.qhat_log = SampledSignal(n, dt, (quality.horizon + 4) * dt)
         self.p_log.append(0.0, p0)
         self.u_log.append(0.0, u0)
@@ -484,7 +536,7 @@ class OnlineIrl:
         pair is not a (2n-vector, m-vector), or if the step has another
         number of pairs than the steps queued, and NumericOverflowError if
         p, u or a pair is not finite."""
-        observer, (t1, t2) = self.observer, self.windows
+        observer = self.observer
         n, m = observer.n, observer.m
         queue = self._queue
         # a rejected measurement leaves every log, counter and the queue as it was
@@ -503,11 +555,8 @@ class OnlineIrl:
         k = self.steps
         self.p_log.push(t, p)
         self.u_log.push(t, u)
-        if k >= t1 + t2 and k % self.record_stride == 0:
-            self.param_stack.record(
-                integral_residual(self.p_log, k, t1, t2),
-                integral_regressor(self.p_log, self.u_log, k, t1, t2),
-            )
+        if self.recorder.due(k, k + 1):
+            self.recorder.record(k)
         observer.update_parameters(self.param_stack, self.dt)
         observer.step(p, u, self.dt)
         self.qhat_log.append(t, observer.q_hat)

@@ -14,7 +14,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, NumericOverflowError
 from .numerics import GramStack, least_squares
 
 _EPS = np.finfo(float).eps
@@ -337,10 +337,12 @@ def data_select(stack, entry, xi1):
     relative eigvalsh rounding width*eps*kappa of the swapped condition
     number, while the known right-hand side keeps norm at least the stack's
     floor stack.xi2, which the weight solve checks too.  Returns 1 if
-    stored, else 0.
+    stored, else 0; raises NumericOverflowError, changing nothing, for an
+    entry that is not finite or whose Gram block overflows the stack's.
     """
     if not entry.finite:
-        raise ValueError("candidate produced non-finite regression rows")
+        raise NumericOverflowError(f"candidate produced non-finite regression rows at t={entry.t}")
+    stack.check_block(entry.gram)
     if not stack.is_full:
         stack.put(stack.size, entry.gram, entry)
         return 1

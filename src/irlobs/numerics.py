@@ -76,27 +76,6 @@ class SampledSignal:
         self.first_step = 0       # step index of the first retained sample
         self._t0 = float(t0)      # time of step 0
 
-    @classmethod
-    def from_samples(cls, dt, window, t0, values):
-        """Bulk-load a signal from consecutive grid samples (rows of values)."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[0] < 1:
-            raise ValueError("values must be a nonempty (samples x dim) array")
-        if not np.all(np.isfinite(values)):
-            raise NumericOverflowError("non-finite samples in bulk load")
-        sig = cls(values.shape[1], dt, window, t0=t0)
-        count = values.shape[0]
-        if count + 1 > sig._values.shape[0]:
-            sig._values = np.zeros((count + 16, sig.dim))
-            sig._cum = np.zeros((count + 16, sig.dim))
-        sig._values[:count] = values
-        sig._cum[1:count] = np.cumsum(
-            (0.5 * dt) * (values[:-1] + values[1:]), axis=0
-        )
-        sig._count = count
-        sig._prune()
-        return sig
-
     def __len__(self):
         return self._count
 
@@ -136,6 +115,38 @@ class SampledSignal:
             self._cum[i] = self._cum[i - 1] + (0.5 * self.dt) * (self._values[i - 1] + v)
         self._count += 1
         self._prune()
+
+    def extend(self, t, values):
+        """Append the rows of values, the samples of consecutive grid times
+        from t on, bitwise as one append each; raises, changing nothing,
+        unless they are finite dim-vectors and t the next grid time."""
+        values = np.asarray(values, dtype=float)
+        if not len(values):
+            return
+        self.check(t, values[0])  # a row's shape and the grid time
+        if not np.isfinite(values).all():
+            raise NumericOverflowError(f"non-finite sample in the rows from t={t}")
+        if self._count == 0:  # the first sample starts the running integral
+            self.push(t, values[0])
+            values = values[1:]
+        # push's running integral, one row after another from the last row
+        last, count = self._head + self._count - 1, len(values)
+        terms = np.concatenate((self._values[last : last + 1], values))
+        terms = terms[:-1] + terms[1:]
+        terms *= 0.5 * self.dt
+        cum = np.add.accumulate(np.concatenate((self._cum[last : last + 1], terms)))
+        # keep the last _keep rows of the old and the new ones
+        new = min(count, self._keep)
+        old = min(self._count, self._keep - new)
+        lo = last + 1 - old
+        if lo + old + new > self._values.shape[0]:
+            self._values[:old] = self._values[lo : lo + old]
+            self._cum[:old] = self._cum[lo : lo + old]
+            lo = 0
+        self._values[lo + old : lo + old + new] = values[count - new :]
+        self._cum[lo + old : lo + old + new] = cum[1 + count - new :]
+        self.first_step += self._count - old + count - new
+        self._head, self._count = lo, old + new
 
     def _prune(self):
         drop = self._count - self._keep
@@ -347,6 +358,7 @@ class GramStack:
         self.entries = []
         self.size = 0  # len(entries)
         self.gram = np.zeros((self.dim, self.dim))
+        self._gram_trace = 0.0
         self._ritz = None
 
     @property
@@ -467,6 +479,16 @@ class GramStack:
         lam_min += 0.5 * (p00 + p11) + tau
         return lam_min, high + (p22 - tau)
 
+    def check_block(self, block):
+        """Raise NumericOverflowError unless twice the trace of gram + block
+        is finite, block being the Gram block of finite rows.  That trace
+        bounds every entry of gram + block, which an append gives and
+        best_swap's eigen-solves start from (eigvalsh fails on an infinite
+        matrix), and of the Gram any swap gives; the Ritz bounds take sums
+        of two traces."""
+        if not math.isfinite(2.0 * (self._gram_trace + float(block.trace()))):
+            raise NumericOverflowError("a candidate's Gram block overflows the stack's Gram")
+
     def put(self, i, block, entry):
         """Store an entry and its Gram block in slot i; i == size appends.
         Raises, changing nothing, for a slot past the end, a block of
@@ -484,6 +506,7 @@ class GramStack:
         else:
             self.entries[i] = entry
         self.gram = self.blocks[: self.size].sum(axis=0)
+        self._gram_trace = float(self.gram.trace())
         self._ritz = None
         self._changed()
 
@@ -491,6 +514,7 @@ class GramStack:
         self.entries = []
         self.size = 0
         self.gram = np.zeros((self.dim, self.dim))
+        self._gram_trace = 0.0
         self._ritz = None
         self._changed()
 

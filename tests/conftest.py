@@ -47,6 +47,15 @@ def cumulative_trapezoid(y, dt):
     return out
 
 
+def signal_of(dt, window, values):
+    """A SampledSignal of window seconds holding the rows of values, the
+    first at step 0 and t = 0."""
+    values = np.asarray(values, dtype=float)
+    sig = SampledSignal(values.shape[1], dt, window)
+    sig.extend(0.0, values)
+    return sig
+
+
 def simulate_demonstrator(demo, x0, duration, dt):
     """Simulate the closed loop and log position and input on the grid.
 

@@ -21,7 +21,6 @@ from hypothesis.extra.numpy import arrays
 
 from irlobs.estimator import model_matrices, theta_dim
 from irlobs.irl import Entry, FeatureBasis, entry_rows
-from irlobs.numerics import SampledSignal
 from irlobs.purge import (
     QualityConfig,
     eta2_inputs,
@@ -31,7 +30,7 @@ from irlobs.purge import (
     smooth_velocity,
 )
 
-from conftest import controller_rows, inverse_bellman_row
+from conftest import controller_rows, inverse_bellman_row, signal_of
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 VALUES = st.floats(-10.0, 10.0)
@@ -54,8 +53,8 @@ def blocks(draw):
     # logs, states and pairs from a seeded generator, as they would overrun
     # the data hypothesis draws an example from
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    p_log = SampledSignal.from_samples(dt, count * dt, 0.0, rng.uniform(-10, 10, (count, n)))
-    u_log = SampledSignal.from_samples(dt, count * dt, 0.0, rng.uniform(-10, 10, (count, m)))
+    p_log = signal_of(dt, count * dt, rng.uniform(-10, 10, (count, n)))
+    u_log = signal_of(dt, count * dt, rng.uniform(-10, 10, (count, m)))
     root = draw(arrays(float, (2 * n, 2 * n), elements=st.floats(-2.0, 2.0)))
     quality = QualityConfig(
         horizon=horizon, s1=root @ root.T, s2=np.eye(n), half_width=half_width,

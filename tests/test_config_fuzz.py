@@ -20,8 +20,9 @@ from irlobs.errors import ConfigError
 from irlobs.estimator import theta_dim
 from irlobs.experiment import ExperimentConfig, default_config_dict
 from irlobs.irl import quadratic_monomials
-from irlobs.numerics import SampledSignal
 from irlobs.purge import quality_eta2
+
+from conftest import signal_of
 
 DEFAULTS = default_config_dict()
 FILLED = {
@@ -127,7 +128,7 @@ def test_accepted_horizon_passes_the_rollout_step_check(grid):
     assert steps % stride == 0 and abs(steps * dt - horizon) <= 1e-9 * min(1.0, horizon)
     n, m = cfg.n, cfg.m
     count = int(np.ceil(horizon / dt)) + 2
-    p_log = SampledSignal.from_samples(dt, count * dt, 0.0, np.zeros((count, n)))
-    u_log = SampledSignal.from_samples(dt, count * dt, 0.0, np.zeros((count, m)))
+    p_log = signal_of(dt, count * dt, np.zeros((count, n)))
+    u_log = signal_of(dt, count * dt, np.zeros((count, m)))
     theta = np.zeros(theta_dim(n, m))
     assert quality_eta2(p_log, u_log, theta, steps, cfg.quality(), np.zeros(n)) == 0.0

@@ -20,7 +20,9 @@ from irlobs.estimator import (
 )
 from irlobs.numerics import SampledSignal
 
-from conftest import X0, cumulative_trapezoid, default_gains, drive_estimator, simulate_demonstrator
+from conftest import (
+    X0, cumulative_trapezoid, default_gains, drive_estimator, signal_of, simulate_demonstrator,
+)
 
 
 def ramp_log(dim, dt, duration, slope=1.0):
@@ -133,7 +135,7 @@ class TestIntegralRegressor:
         # 1.804 s window, or bulk-loaded into one that keeps them all
         dt, t1, t2 = 1e-3, 1000, 800
         values = np.random.default_rng(25).normal(size=(6001, 2))
-        whole = SampledSignal.from_samples(dt, 6.001, 0.0, values)
+        whole = signal_of(dt, 6.001, values)
         pruned = SampledSignal(2, dt, 1.804)
         for k, value in enumerate(values):
             pruned.append(k * dt, value)
@@ -161,6 +163,27 @@ class TestParamHistoryStack:
             assert stack.record(rng.normal(size=2), rng.normal(size=(2, 4)))
             assert stack.size == i + 1
         assert stack.is_full
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("scale", [1e160, 2.5e153])
+    def test_an_overflowing_gram_block_changes_nothing(self, size, scale):
+        # finite regressor rows of 1e160 square to an infinite Gram block;
+        # rows of 2.5e153 to a finite one, of trace 5e307, that would give
+        # the stack's Gram, holding one like it, a trace whose double, which
+        # the swap search's bounds take, overflows.  eigvalsh used to fail
+        # on an infinite Gram with a LinAlgError
+        stack = ParamHistoryStack(capacity=3, dim=4, min_eig_threshold=1e-6)
+        rng = np.random.default_rng(21)
+        for _ in range(size - 1):
+            stack.record(rng.normal(size=2), rng.normal(size=(2, 4)))
+        stack.record(np.ones(2), np.full((2, 4), 2.5e153))
+        before = (stack.size, stack.gram.copy(), stack.blocks.copy(), stack.rhs_projection.copy(),
+                  stack.min_eigenvalue)
+        with pytest.raises(NumericOverflowError, match="Gram block"), np.errstate(over="ignore"):
+            stack.record(np.ones(2), np.full((2, 4), scale))
+        after = (stack.size, stack.gram, stack.blocks, stack.rhs_projection, stack.min_eigenvalue)
+        for was, now in zip(before, after):
+            assert np.array_equal(was, now)
 
     def test_replacement_never_decreases_min_eig(self):
         rng = np.random.default_rng(22)

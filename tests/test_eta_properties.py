@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from irlobs.estimator import model_matrices, theta_dim
-from irlobs.numerics import SampledSignal
 from irlobs.purge import QualityConfig, eta2_inputs, quality_eta2, quality_eta2_block
+
+from conftest import signal_of
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 VALUES = st.floats(-10.0, 10.0)
@@ -39,8 +40,8 @@ def blocks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = rng.uniform(-10.0, 10.0, size=(count, n))
     u = rng.uniform(-10.0, 10.0, size=(count, m))
-    p_log = SampledSignal.from_samples(dt, count * dt, 0.0, p)
-    u_log = SampledSignal.from_samples(dt, count * dt, 0.0, u)
+    p_log = signal_of(dt, count * dt, p)
+    u_log = signal_of(dt, count * dt, u)
     root = draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0)))
     quality = QualityConfig(
         horizon=horizon, s1=np.eye(2 * n), s2=root @ root.T, half_width=1, rollout_stride=stride,
@@ -75,8 +76,8 @@ def test_a_diverging_rollout_scores_inf_in_its_own_entry():
     rng = np.random.default_rng(3)
     n, m, horizon = 2, 2, 100
     count = horizon + 40
-    p_log = SampledSignal.from_samples(1e-3, count * 1e-3, 0.0, rng.normal(size=(count, n)))
-    u_log = SampledSignal.from_samples(1e-3, count * 1e-3, 0.0, rng.normal(size=(count, m)))
+    p_log = signal_of(1e-3, count * 1e-3, rng.normal(size=(count, n)))
+    u_log = signal_of(1e-3, count * 1e-3, rng.normal(size=(count, m)))
     quality = QualityConfig(horizon=horizon, s1=np.eye(4), s2=np.eye(2), half_width=1)
     thetas = np.array([rng.normal(size=theta_dim(n, m)) for _ in range(33)])
     diverging = {0, 17, 32}

@@ -215,6 +215,23 @@ def rank_failure(t):
 pipelined = pytest.mark.skipif(not hasattr(os, "fork"), reason="runs in one process")
 
 
+@pytest.mark.parametrize("scale", [1e155, 5e153, 1e80])
+def test_an_overflowing_gram_block_is_one_error_line(tmp_path, capsys, recwarn, scale):
+    # finite initial states whose Gram blocks overflow: at 1e155 the
+    # calibration's regressors square to an infinite block, at 5e153 their
+    # finite blocks overflow the stack's Gram, and at 1e80 the first IRL
+    # rows square to an infinite block.  Each used to end in a LinAlgError
+    # traceback from eigvalsh and leave --out behind
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(short_raw(x0=[scale, -scale, scale, -scale])))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Gram block" in err
+    assert not (tmp_path / "out").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert_no_child_left()
+
+
 @pipelined
 def test_an_error_in_measure_reaches_the_caller(tmp_path, capsys):
     # the steps measured before the error are offered, then the child's

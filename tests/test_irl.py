@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from irlobs.errors import RankDeficiencyError
+from irlobs.errors import NumericOverflowError, RankDeficiencyError
 from irlobs.estimator import model_matrices
 from irlobs.irl import (
     Entry,
@@ -288,6 +288,24 @@ class TestDataSelect:
             stack.sigma_matrix, stack.rhs_vector, stack.rhs_sq, stack.eta_min, stack.gram_kappa,
         )
         for was, now in zip(before, after):
+            assert np.array_equal(was, now)
+        assert data_select(stack, good, np.inf) == 1
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_an_overflowing_candidate_changes_nothing(self, default_system, basis, theta_true,
+                                                      full):
+        # finite rows of 1e160 square to an infinite Gram block, which
+        # eigvalsh used to fail on with a LinAlgError
+        _, _, demo = default_system
+        stack = filled_ideal_stack(demo, theta_true, basis, count=30 if full else 1, capacity=30)
+        good = ideal_entry(stack, demo, theta_true, np.array([1.0, -0.5, 0.5, 2.0]), t=9.0)
+        with np.errstate(over="ignore"):
+            huge = Entry.of(np.full_like(good.rows, 1e160), good.rhs, 0.0, 9.0)
+        assert huge.finite and not np.isfinite(huge.gram).all()
+        before = (stack.size, stack.gram.copy(), stack.blocks.copy(), stack.gram_kappa)
+        with pytest.raises(NumericOverflowError, match="Gram block"):
+            data_select(stack, huge, np.inf)
+        for was, now in zip(before, (stack.size, stack.gram, stack.blocks, stack.gram_kappa)):
             assert np.array_equal(was, now)
         assert data_select(stack, good, np.inf) == 1
 

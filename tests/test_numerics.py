@@ -31,7 +31,7 @@ from irlobs.numerics import (
 )
 from irlobs.plant import CostFunction, LinearPlant
 
-from conftest import DEFAULT_A, DEFAULT_B, DEFAULT_RDIAG, DEFAULT_WQ
+from conftest import DEFAULT_A, DEFAULT_B, DEFAULT_RDIAG, DEFAULT_WQ, signal_of
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 # the 3-position plant of the benchmark's query_n3 workload
@@ -156,11 +156,26 @@ class TestSampledSignalAndTrapezoid:
     def test_bulk_load_matches_appends(self):
         dt = 0.01
         values = np.column_stack([np.sin(np.arange(101) * dt), np.cos(np.arange(101) * dt)])
-        bulk = SampledSignal.from_samples(dt, 1.2, 0.0, values)
+        bulk = signal_of(dt, 1.2, values)
         ref = SampledSignal(2, dt, 1.2)
         for k in range(101):
             ref.append(k * dt, values[k])
-        np.testing.assert_allclose(integral(bulk, 10, 90), integral(ref, 10, 90), atol=1e-14)
+        assert np.array_equal(integral(bulk, 10, 90), integral(ref, 10, 90))
+
+    @pytest.mark.parametrize("t, rows, error", [
+        (0.03, [[1.0, 2.0], [1.0, np.nan]], NumericOverflowError),
+        (0.03, np.ones((2, 3)), ValueError),
+        (0.05, np.ones((2, 2)), SampleTimeError),
+    ])
+    def test_a_rejected_block_changes_nothing(self, t, rows, error):
+        sig = SampledSignal(2, 0.01, 0.02)
+        sig.extend(0.0, np.ones((3, 2)))
+        with pytest.raises(error):
+            sig.extend(t, rows)
+        assert (sig.first_step, len(sig)) == (0, 3)
+        sig.extend(0.03, np.empty((0, 2)))  # no rows, nothing to append
+        sig.extend(0.03, np.ones((4, 2)))
+        assert (sig.first_step, len(sig)) == (2, 5)
 
 
 class TestSolveAre:

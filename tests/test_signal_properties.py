@@ -5,7 +5,8 @@ are pruned and the ring buffer compacts.  Strided reads return the
 appended samples and the running trapezoid integral bit for bit, integrals
 between steps add up to rounding, single-step reads equal the rows of
 strided ones, and any read that leaves the retained steps raises, the step
-just below them included.
+just below them included.  Appending blocks of rows (extend) keeps the
+samples and the running integral bitwise those of appending each row.
 """
 
 import numpy as np
@@ -117,3 +118,35 @@ def test_grid_rows_outside_the_window_raise(log, cells, count, stride):
         for cumulative in (False, True):
             with pytest.raises(WindowUnderflowError):
                 sig.rows(first, count, stride, cumulative=cumulative)
+
+
+@PROPERTY
+@given(
+    dim=st.integers(1, 3),
+    dt=st.sampled_from([1e-3, 0.01, 0.1, 0.37]),
+    keep=st.integers(1, 120),
+    t0=st.floats(-5.0, 5.0),
+    sizes=st.lists(st.integers(1, 90), min_size=1, max_size=12),
+    scale=st.integers(-6, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_appending_blocks_equals_appending_samples(dim, dt, keep, t0, sizes, scale, seed):
+    # blocks of random sizes, one row included, appended across pruning
+    # and compaction, keep the samples and the running integral bit for bit
+    values = np.random.default_rng(seed).normal(size=(sum(sizes), dim)) * 10.0**scale
+    one, blocks = (SampledSignal(dim, dt, dt * keep, t0=t0) for _ in range(2))
+    for k, value in enumerate(values):
+        one.append(t0 + k * dt, value)
+    done = 0
+    for size in sizes:
+        blocks.extend(t0 + done * dt, values[done : done + size])
+        done += size
+        assert blocks.first_step + len(blocks) == done
+    assert (blocks.first_step, len(blocks)) == (one.first_step, len(one))
+    first = one.first_step
+    for cumulative in (False, True):
+        assert np.array_equal(one.rows(first, len(one), cumulative=cumulative),
+                              blocks.rows(first, len(blocks), cumulative=cumulative))
+    assert np.array_equal(blocks.rows(first, len(blocks)), values[first:])
+    assert np.array_equal(blocks.rows(first, len(blocks), cumulative=True),
+                          running_integral(values, dt)[first:])
