@@ -120,11 +120,13 @@ class ParamHistoryStack(GramStack):
     """Recorded (residual, regressor) pairs with a rank certificate.
 
     Each entry is a (residual, regressor) pair with Gram block
-    regressor' regressor.  The summed right-hand side projection and the
+    regressor' regressor; each slot keeps the pair's right-hand side
+    projection regressor' residual.  The summed projection and the
     smallest Gram eigenvalue are kept current; once the stack is full, a
     new pair is only committed if swapping it for an existing entry raises
     that eigenvalue by more than its eigvalsh rounding, dim*eps times the
-    largest eigenvalue.  Its searches take their Ritz basis per offer
+    largest eigenvalue (the criterion: _score, _score_floor, _commits).
+    Its searches take their Ritz basis per offer
     (GramStack.ritz_per_offer): with 150 slots of rank-2 blocks, bounds
     from gram alone leave about 50 slots to solve per search, and bounds
     from gram + block under 6.
@@ -164,41 +166,33 @@ class ParamHistoryStack(GramStack):
             raise ValueError("residual/regressor dimensions are inconsistent")
         if not (np.isfinite(residual).all() and np.isfinite(regressor).all()):
             raise NumericOverflowError("non-finite history stack candidate")
-        block = regressor.T @ regressor
-        self.check_block(block)
-        slot = self.size
-        if self.is_full:
-            # a commit needs lam_min > lam_cur + dim*eps*lam_max, and
-            # lam_max >= lam_min, so even a swap with lam_max < 0 needs
-            # lam_min above about lam_cur - dim*eps*|lam_cur|; the factor 4
-            # covers the rounding of that sum, and a slot whose lam_min
-            # bound is at most this floor cannot commit
-            lam_cur = self.min_eigenvalue
-            floor = lam_cur - 4 * self.dim * _EPS * abs(lam_cur)
-            found = self.best_swap(block, _neg_lam_min, _neg_lam_min_floor, -floor)
-            if found is None:
-                return False
-            slot, lam = found
-            # eigvalsh leaves an absolute error of about dim*eps*lam_max on
-            # lam_min; an absolute margin also holds on a rank-deficient stack,
-            # where lam_min is rounding noise around zero and may be negative
-            rounding = self.dim * _EPS * lam[-1]
-            if lam[0] <= lam_cur + rounding:
-                return False
-        self.put(slot, block, (residual, regressor))
-        return True
+        # a commit needs lam_min > lam_cur + dim*eps*lam_max, and lam_max >=
+        # lam_min, so even a swap with lam_max < 0 needs lam_min above about
+        # lam_cur - dim*eps*|lam_cur|; the factor 4 covers the rounding of
+        # that sum, and a slot whose lam_min bound is at most this floor
+        # cannot commit
+        lam_cur = self.min_eigenvalue
+        floor = lam_cur - 4 * self.dim * _EPS * abs(lam_cur)
+        return self.offer(regressor.T @ regressor, (residual, regressor), -floor)
+
+    @staticmethod
+    def _score(lam):
+        return -lam[:, 0]
+
+    @staticmethod
+    def _score_floor(lam_min_bound, lam_max_bound):
+        return -lam_min_bound
+
+    def _commits(self, entry, slot, lam, cut):
+        # eigvalsh leaves an absolute error of about dim*eps*lam_max on
+        # lam_min; an absolute margin also holds on a rank-deficient stack,
+        # where lam_min is rounding noise around zero and may be negative
+        rounding = self.dim * _EPS * lam[-1]
+        return lam[0] > self.min_eigenvalue + rounding
 
     def _store(self, i, entry):
         residual, regressor = entry
         self._projections[i] = regressor.T @ residual
-
-
-def _neg_lam_min(lam):
-    return -lam[:, 0]
-
-
-def _neg_lam_min_floor(lam_min_bound, lam_max_bound):
-    return -lam_min_bound
 
 
 class AdaptiveObserver:

@@ -65,10 +65,9 @@ from .purge import (
 )
 
 MODES = ("observed", "query")
-# gain matrices per batched eigvalsh, and oracle states per draw, in _measure_run
-_GAMMA_BATCH = 256
-# measured steps per η block and per write to the pipe in _pipelined, and
-# the most that OnlineIrl queues between two drains
+# measured steps per η block, per write to the pipe in _pipelined and per
+# oracle draw and gain-spectrum solve in _measure_run, and the most that
+# OnlineIrl queues between two drains
 _PIPE_BATCH = 32
 _PIPE_BYTES = 1 << 20  # the pipe's capacity in _pipelined, where the platform sets it
 _CALIBRATION_BLOCK = 1024  # steps per block of calibration_source
@@ -409,10 +408,12 @@ class ParamRecorder:
     def extend(self, t, p, u):
         """Append the rows of p and u, the samples of consecutive grid
         times from t on, and record each due step once the logs reach it;
-        raises, changing nothing, unless p and u are as long and finite."""
+        raises, changing nothing, unless p and u are finite blocks of as
+        many rows as wide as their logs."""
         p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
-        if len(p) != len(u):
-            raise ValueError("positions and inputs must have as many rows")
+        if p.shape != (len(p), self.p_log.dim) or u.shape != (len(p), self.u_log.dim):
+            raise ValueError(f"positions and inputs must be blocks of as many rows of "
+                             f"{self.p_log.dim} and {self.u_log.dim} columns")
         if not (np.isfinite(p).all() and np.isfinite(u).all()):
             raise NumericOverflowError(f"non-finite sample in the rows from t={t}")
         step, dt = self.p_log.first_step + len(self.p_log), self.p_log.dt
@@ -627,17 +628,18 @@ def _measure_run(cfg, demo, online, emit):
     """The measuring half of run_experiment: per grid step, advance the
     demonstrator, draw one oracle query in query mode and call
     online.measure; every _PIPE_BATCH steps, at the last step and before
-    an exception leaves, pass online.drain() to emit.  Returns one float64
-    array: the bounds of the observer gain's spectrum (nan for a run of
-    no steps), then the report rows (t, p - p_hat, q - q_hat, theta -
-    theta_hat) of step 0 and of every report_stride-th and the last step."""
+    an exception leaves, pass online.drain() to emit.  Returns the bounds
+    of the observer gain's spectrum (nan for a run of no steps) and the
+    report rows (t, p - p_hat, q - q_hat, theta - theta_hat) of step 0 and
+    of every report_stride-th and the last step."""
     n, dt, steps, stride = cfg.n, cfg.dt, cfg.steps, cfg.report_stride
     theta_true = cfg.plant().theta
     field_fn = closed_loop_field(demo)
     rng = np.random.default_rng(cfg.seed)
-    # the gain's spectrum is a report diagnostic: the gains of _GAMMA_BATCH
-    # steps are solved in one batch, per matrix bitwise the single solves
-    gammas = np.empty((_GAMMA_BATCH,) + online.observer.gamma.shape)
+    # per block of _PIPE_BATCH steps, one draw takes the oracle states of
+    # one draw per step, and the gain's spectrum, a report diagnostic, is
+    # solved in one batch, per matrix bitwise the single solves
+    gammas = np.empty((_PIPE_BATCH,) + online.observer.gamma.shape)
     gamma_lo, gamma_hi = np.inf, 0.0
 
     def truth_row(t, x):
@@ -647,32 +649,29 @@ def _measure_run(cfg, demo, online, emit):
     truth = [truth_row(0.0, x)] if steps > 0 else []
     try:
         for k in range(steps):
+            j = k % _PIPE_BATCH
             x = rk4_step(field_fn, k * dt, x, dt)
             t = (k + 1) * dt
             u = optimal_action(demo, x)
             queries = ()
             if cfg.mode == "query":
-                # one draw of a batch's states takes the values of one draw per step
-                if k % _GAMMA_BATCH == 0:
+                if j == 0:
                     draws = rng.uniform(cfg.query_low, cfg.query_high,
-                                        size=(min(_GAMMA_BATCH, steps - k), 2 * n))
-                x_star = draws[k % _GAMMA_BATCH]
-                queries = ((x_star, query(demo, x_star)),)
+                                        size=(min(_PIPE_BATCH, steps - k), 2 * n))
+                queries = ((draws[j], query(demo, draws[j])),)
             online.measure(t, x[:n], u, queries)
             if (k + 1) % stride == 0 or k + 1 == steps:
                 truth.append(truth_row(t, x))
-
-            gammas[k % _GAMMA_BATCH] = online.observer.gamma
-            if (k + 1) % _GAMMA_BATCH == 0 or k + 1 == steps:
-                lam = np.linalg.eigvalsh(gammas[: k % _GAMMA_BATCH + 1])
+            gammas[j] = online.observer.gamma
+            if j + 1 == _PIPE_BATCH or k + 1 == steps:
+                lam = np.linalg.eigvalsh(gammas[: j + 1])
                 gamma_lo = min(gamma_lo, float(lam[:, 0].min()))
                 gamma_hi = max(gamma_hi, float(lam[:, -1].max()))
-            if (k + 1) % _PIPE_BATCH == 0 or k + 1 == steps:
                 emit(online.drain())
     except BaseException:
         emit(online.drain())  # the steps measured before the error are offered first
         raise
-    return np.concatenate([(gamma_lo, gamma_hi) if steps > 0 else (np.nan, np.nan), *truth])
+    return (gamma_lo, gamma_hi, truth) if steps > 0 else (math.nan, math.nan, truth)
 
 
 def _pipelined(front, take):
@@ -769,9 +768,9 @@ def run_experiment(cfg):
                 w_rows.append(online.weights - w_true)
 
     front = functools.partial(_measure_run, cfg, demo, online)
-    measured = _pipelined(front, take) if hasattr(os, "fork") else front(take)
+    gamma_lo, gamma_hi, truth = _pipelined(front, take) if hasattr(os, "fork") else front(take)
     # a reshape fails loudly unless both processes logged the same report steps
-    truth = measured[2:].reshape(len(w_rows), 1 + 2 * n + theta_dim(n, m))
+    truth = np.reshape(truth, (len(w_rows), 1 + 2 * n + theta_dim(n, m)))
 
     irl_stack, w_final = online.irl_stack, online.weights
     residual = irl_stack.sigma_matrix @ w_final - irl_stack.rhs_vector
@@ -788,8 +787,8 @@ def run_experiment(cfg):
         final_kappa=irl_stack.kappa,
         final_gram_kappa=irl_stack.gram_kappa,
         final_residual=final_residual,
-        gamma_eig_min=float(measured[0]),
-        gamma_eig_max=float(measured[1]),
+        gamma_eig_min=gamma_lo,
+        gamma_eig_max=gamma_hi,
         w_true=w_true,
         w_final=w_final,
         wall_clock_seconds=time.perf_counter() - t_start,

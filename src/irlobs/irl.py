@@ -208,18 +208,9 @@ class Entry:
         return cls.block([t], [eta], rows[None, None], rhs[None, None])[0][0]
 
 
-def _gram_kappas(lam):
-    """Gram condition numbers from ascending spectra (one per row); +inf
-    where the Gram is numerically singular."""
-    lo, hi = lam[..., 0], lam[..., -1]
-    kappa = np.empty_like(hi)
-    kappa.fill(np.inf)
-    return np.divide(hi, lo, out=kappa, where=(hi > 0.0) & (lo > hi * lam.shape[-1] * _EPS))
-
-
 def _gram_kappa(lam):
-    """_gram_kappas of one ascending spectrum, in plain float arithmetic
-    (the same operations in the same order)."""
+    """IrlHistoryStack._score of one ascending spectrum, in plain float
+    arithmetic (the same operations in the same order)."""
     lo, hi = float(lam[0]), float(lam[-1])
     if hi > 0.0 and lo > hi * len(lam) * _EPS:
         return hi / lo
@@ -266,6 +257,8 @@ class IrlHistoryStack(GramStack):
     the stacked matrix and right-hand side are slices of it.  The Gram
     condition number, the squared norm of the known right-hand side and
     the smallest stored quality score are refreshed after every change.
+    data_select offers it candidates; its criterion (_score, _score_floor,
+    _commits) keeps swaps that lower the Gram condition number.
     """
 
     def __init__(self, capacity, basis, r1, m, xi2=1e-3):
@@ -303,6 +296,39 @@ class IrlHistoryStack(GramStack):
         self.gram_kappa = _gram_kappa(np.linalg.eigvalsh(self.gram))
         self.kappa = math.sqrt(self.gram_kappa)
 
+    @staticmethod
+    def _score(lam):
+        """Gram condition numbers from ascending spectra (one per row); +inf
+        where the Gram is numerically singular."""
+        lo, hi = lam[..., 0], lam[..., -1]
+        kappa = np.empty_like(hi)
+        kappa.fill(np.inf)
+        return np.divide(hi, lo, out=kappa, where=(hi > 0.0) & (lo > hi * lam.shape[-1] * _EPS))
+
+    @staticmethod
+    def _score_floor(lam_min_bound, lam_max_bound):
+        """Lower bounds on _score from bounds on each spectrum's ends: inf
+        where lam_min cannot be positive, lam_max / lam_min otherwise."""
+        floor = np.empty_like(lam_min_bound)
+        floor.fill(np.inf)
+        return np.divide(np.maximum(lam_max_bound, 0.0), lam_min_bound, out=floor,
+                         where=lam_min_bound > 0.0)
+
+    def _commits(self, entry, slot, lam, cut):
+        """Whether the swap of entry into slot, of spectrum lam, lowers the
+        Gram condition number below cut, xi1 times the stack's, by more
+        than the relative eigvalsh rounding width*eps*kappa of the swapped
+        condition number, while the known right-hand side keeps norm at
+        least the stack's floor xi2, which the weight solve checks too."""
+        gram_kappa = _gram_kappa(lam)
+        rhs_sq = self.rhs_sq - self._rhs_sq[slot] + entry.rhs_sq
+        # eigvalsh leaves an absolute error of about width*eps*lam_max on
+        # lam_min, so kappa is only known to a relative width*eps*kappa.  The
+        # margin rides on the candidate's kappa so a stack at kappa = inf can
+        # still take a swap that makes it finite.
+        rounding = 1.0 + self.dim * _EPS * gram_kappa
+        return gram_kappa * rounding < cut and math.sqrt(max(rhs_sq, 0.0)) >= self.xi2
+
     @property
     def sigma_matrix(self):
         """The stacked rows in slot order (a read-only view)."""
@@ -318,54 +344,21 @@ class IrlHistoryStack(GramStack):
         return view
 
 
-def _kappa_floor(lam_min_bound, lam_max_bound):
-    """Lower bounds on _gram_kappas from bounds on each spectrum's ends:
-    inf where lam_min cannot be positive, lam_max / lam_min otherwise."""
-    floor = np.empty_like(lam_min_bound)
-    floor.fill(np.inf)
-    return np.divide(np.maximum(lam_max_bound, 0.0), lam_min_bound, out=floor,
-                     where=lam_min_bound > 0.0)
-
-
 def data_select(stack, entry, xi1):
     """Offer a candidate Entry to the stack per the condition-number
-    selection rule.
+    selection rule (IrlHistoryStack._commits).
 
     Appends unconditionally while the stack is not full.  Once full, finds
     the swap that best conditions the stacked matrix and commits it only if
-    the Gram condition number improves by the factor xi1, by more than the
-    relative eigvalsh rounding width*eps*kappa of the swapped condition
-    number, while the known right-hand side keeps norm at least the stack's
-    floor stack.xi2, which the weight solve checks too.  Returns 1 if
+    the Gram condition number improves by the factor xi1.  Returns 1 if
     stored, else 0; raises NumericOverflowError, changing nothing, for an
     entry that is not finite or whose Gram block overflows the stack's.
     """
     if not entry.finite:
         raise NumericOverflowError(f"candidate produced non-finite regression rows at t={entry.t}")
-    stack.check_block(entry.gram)
-    if not stack.is_full:
-        stack.put(stack.size, entry.gram, entry)
-        return 1
     # a swap can pass the gate only with kappa below xi1*kappa_cur, since
     # the rounding factor is at least 1; a kappa_cur of inf scores every swap
-    found = stack.best_swap(entry.gram, _gram_kappas, _kappa_floor, xi1 * stack.gram_kappa)
-    if found is None:
-        return 0
-    best_i, lam = found
-    best_gram_kappa = _gram_kappa(lam)
-    rhs_sq_new = stack.rhs_sq - stack._rhs_sq[best_i] + entry.rhs_sq
-    # eigvalsh leaves an absolute error of about width*eps*lam_max on lam_min,
-    # so kappa is only known to a relative width*eps*kappa.  The margin rides
-    # on the candidate's kappa so a stack at kappa = inf can still take a
-    # swap that makes it finite.
-    rounding = 1.0 + stack.dim * _EPS * best_gram_kappa
-    if (
-        best_gram_kappa * rounding < xi1 * stack.gram_kappa
-        and math.sqrt(max(rhs_sq_new, 0.0)) >= stack.xi2
-    ):
-        stack.put(best_i, entry.gram, entry)
-        return 1
-    return 0
+    return int(stack.offer(entry.gram, entry, xi1 * stack.gram_kappa))
 
 
 def solve_weights(sigma_matrix, rhs_vector):

@@ -58,7 +58,7 @@ class SampledSignal:
     additivity holds to machine precision.
     """
 
-    def __init__(self, dim, dt, window, t0=0.0):
+    def __init__(self, dim, dt, window):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         if window <= 0.0:
@@ -74,7 +74,7 @@ class SampledSignal:
         self._head = 0            # storage row of the first retained sample
         self._count = 0           # number of retained samples
         self.first_step = 0       # step index of the first retained sample
-        self._t0 = float(t0)      # time of step 0
+        self._t0 = 0.0            # time of step 0, set by the first sample
 
     def __len__(self):
         return self._count
@@ -334,14 +334,15 @@ def least_squares(a, b):
 
 
 class GramStack:
-    """Fixed-capacity stack of entries, each carrying a symmetric Gram block.
+    """Fixed-capacity stack of slots, each holding a symmetric Gram block.
 
     ``gram`` is the sum of the stored blocks, re-summed in slot order after
-    every change.  ``swap_spectra`` scores every single-entry swap with one
-    batched ``eigvalsh``; ``best_swap`` finds the best swap with as few of
-    those eigen-solves as Ritz bounds allow.  Subclasses own the selection
-    criterion, the Ritz basis (``ritz_per_offer``), what they keep per slot
-    (``_store``) and what they derive from the stack (``_changed``).
+    every change.  Candidates enter by ``offer``, which weighs the best
+    single-slot swap that ``best_swap`` finds with as few batched
+    ``eigvalsh`` solves as Ritz bounds allow.  Subclasses own the criterion
+    (``_score``, ``_score_floor``, ``_commits``), the Ritz basis
+    (``ritz_per_offer``), what they keep per slot (``_store``) and what
+    they derive from the stack (``_changed``).
     """
 
     # best_swap's Ritz basis: the eigenvectors of gram, taken once per
@@ -355,8 +356,7 @@ class GramStack:
         self.dim = int(dim)
         self.blocks = np.zeros((self.capacity, self.dim, self.dim))
         self._traces = np.zeros(self.capacity)
-        self.entries = []
-        self.size = 0  # len(entries)
+        self.size = 0
         self.gram = np.zeros((self.dim, self.dim))
         self._gram_trace = 0.0
         self._ritz = None
@@ -365,15 +365,35 @@ class GramStack:
     def is_full(self):
         return self.size >= self.capacity
 
+    def offer(self, block, entry, cut):
+        """Store entry and its Gram block, appending while the stack is not
+        full, else in the slot of best_swap(block, cut) if _commits(entry,
+        slot, spectrum, cut); returns True when stored.  Raises, changing
+        nothing, for an entry that _store rejects, and NumericOverflowError
+        unless twice the trace of gram + block (block being the Gram of
+        finite rows) is finite: it bounds every entry of gram + block, which
+        the eigen-solves start from, and of the Gram that an append or a
+        swap gives, and the Ritz bounds sum two traces."""
+        if not math.isfinite(2.0 * (self._gram_trace + float(block.trace()))):
+            raise NumericOverflowError("a candidate's Gram block overflows the stack's Gram")
+        if not self.is_full:
+            self.put(self.size, block, entry)
+            return True
+        found = self.best_swap(block, cut)
+        if found is None or not self._commits(entry, *found, cut):
+            return False
+        self.put(found[0], block, entry)
+        return True
+
     def swap_spectra(self, block):
         """Ascending eigenvalues of gram + block - blocks[i], one row per stored slot i."""
         return np.linalg.eigvalsh((self.gram + block)[None, :, :] - self.blocks[: self.size])
 
-    def best_swap(self, block, score, score_floor, cut):
+    def best_swap(self, block, cut):
         """The swap of block into the stack with the lowest score.
 
-        score maps rows of ascending spectra to one score each;
-        score_floor maps the per-slot bounds (an upper bound on lam_min, a
+        _score maps rows of ascending spectra to one score each;
+        _score_floor maps the per-slot bounds (an upper bound on lam_min, a
         lower bound on lam_max) of ``swap_spectra`` to lower bounds on the
         score.  Returns (slot, spectrum), the spectrum bitwise the row of
         ``swap_spectra``.  If some slot scores below cut, slot is the lowest
@@ -387,9 +407,9 @@ class GramStack:
         """
         if self.dim < 2 or not math.isfinite(cut):
             lam = self.swap_spectra(block)
-            slot = int(np.argmin(score(lam)))
+            slot = int(np.argmin(self._score(lam)))
             return slot, lam[slot]
-        floor = score_floor(*self._ritz_bounds(block))
+        floor = self._score_floor(*self._ritz_bounds(block))
         order = floor.argsort(kind="stable")
         ranked = floor[order]
         live = int(ranked.searchsorted(cut))
@@ -399,14 +419,14 @@ class GramStack:
         slots = order[: min(_FIRST_BATCH, live)]
         # rows of grown - blocks[:size], bitwise, for the slots solved
         lam = np.linalg.eigvalsh(grown - self.blocks.take(slots, axis=0))
-        scores = score(lam)
+        scores = self._score(lam)
         j = scores.argmin()
         rest = order[slots.size : min(live, int(ranked.searchsorted(scores[j], side="right")))]
         if rest.size:
             more = np.linalg.eigvalsh(grown - self.blocks.take(rest, axis=0))
             slots = np.concatenate((slots, rest))
             lam = np.concatenate((lam, more))
-            scores = np.concatenate((scores, score(more)))
+            scores = np.concatenate((scores, self._score(more)))
             j = scores.argmin()
         ties = (scores == scores[j]).nonzero()[0]
         if ties.size != 1:  # the lowest of tied slots
@@ -479,16 +499,6 @@ class GramStack:
         lam_min += 0.5 * (p00 + p11) + tau
         return lam_min, high + (p22 - tau)
 
-    def check_block(self, block):
-        """Raise NumericOverflowError unless twice the trace of gram + block
-        is finite, block being the Gram block of finite rows.  That trace
-        bounds every entry of gram + block, which an append gives and
-        best_swap's eigen-solves start from (eigvalsh fails on an infinite
-        matrix), and of the Gram any swap gives; the Ritz bounds take sums
-        of two traces."""
-        if not math.isfinite(2.0 * (self._gram_trace + float(block.trace()))):
-            raise NumericOverflowError("a candidate's Gram block overflows the stack's Gram")
-
     def put(self, i, block, entry):
         """Store an entry and its Gram block in slot i; i == size appends.
         Raises, changing nothing, for a slot past the end, a block of
@@ -500,18 +510,13 @@ class GramStack:
         self._store(i, entry)
         self.blocks[i] = block
         self._traces[i] = block.trace()
-        if i == self.size:
-            self.entries.append(entry)
-            self.size += 1
-        else:
-            self.entries[i] = entry
+        self.size = max(self.size, i + 1)
         self.gram = self.blocks[: self.size].sum(axis=0)
         self._gram_trace = float(self.gram.trace())
         self._ritz = None
         self._changed()
 
     def clear(self):
-        self.entries = []
         self.size = 0
         self.gram = np.zeros((self.dim, self.dim))
         self._gram_trace = 0.0

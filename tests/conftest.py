@@ -130,6 +130,25 @@ def controller_rows(basis, x_hat, u, theta_hat, r1):
     return rows, rhs
 
 
+class SlotEntries:
+    """The entry that GramStack.put stored in each slot of a stack, in slot
+    order, noted by a wrapper of the stack's _store hook from this object's
+    construction on; calling it gives them as a list."""
+
+    def __init__(self, stack):
+        self._stack, self._slots, store = stack, [], stack._store
+
+        def noting(i, entry):
+            store(i, entry)  # first: an entry that _store rejects is not stored
+            del self._slots[stack.size :]  # the entries a clear dropped
+            self._slots[i : i + 1] = [entry]
+
+        stack._store = noting
+
+    def __call__(self):
+        return self._slots[: self._stack.size]
+
+
 def exhaustive_param_slot(stack, regressor):
     """Reference for ParamHistoryStack.record on a full stack: score every
     swap with one batched eigvalsh, take the first argmax of lambda_min and
@@ -165,7 +184,7 @@ def exhaustive_irl_slot(stack, entry, xi1):
     kappas = gram_kappas(lam)
     slot = int(np.argmin(kappas))
     rounding = 1.0 + stack.dim * np.finfo(float).eps * kappas[slot]
-    rhs_sq = stack.rhs_sq - stack.entries[slot].rhs_sq + entry.rhs_sq
+    rhs_sq = stack.rhs_sq - stack._rhs_sq[slot] + entry.rhs_sq
     if kappas[slot] * rounding < xi1 * stack.gram_kappa and np.sqrt(max(rhs_sq, 0.0)) >= stack.xi2:
         return slot
     return None

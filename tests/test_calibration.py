@@ -20,6 +20,8 @@ from irlobs.experiment import ExperimentConfig, default_config_dict, prerecord_p
 from irlobs.numerics import SampledSignal, linear_rk4_matrices, linear_rollout
 from irlobs.plant import make_demonstrator
 
+from conftest import SlotEntries
+
 PLANTS = {
     "default": {},
     # the 3-position plant of the benchmark's query_n3 workload
@@ -63,7 +65,10 @@ def calibration_config(plant, steps, stride=50, capacity=150):
 
 
 def empty_stack(cfg):
-    return ParamHistoryStack(cfg.param_capacity, theta_dim(cfg.n, cfg.m), cfg.min_eig_threshold)
+    """An empty stack for cfg, whose stored pairs stack.noted() lists."""
+    stack = ParamHistoryStack(cfg.param_capacity, theta_dim(cfg.n, cfg.m), cfg.min_eig_threshold)
+    stack.noted = SlotEntries(stack)
+    return stack
 
 
 def whole_array_maneuver(demo, cfg):
@@ -100,9 +105,10 @@ def whole_array_calibration(demo, cfg, stack):
 
 
 def stack_bytes(stack):
-    """Every array of the stack's state, as bytes."""
+    """Every array of the stack's state and every stored (residual,
+    regressor) pair, as bytes."""
     arrays = [stack.gram, stack.rhs_projection, stack.blocks[: stack.size]]
-    arrays += [array for entry in stack.entries for array in entry]
+    arrays += [array for entry in stack.noted() for array in entry]
     return [(a.shape, a.tobytes()) for a in arrays]
 
 
@@ -202,3 +208,26 @@ class TestParamRecorder:
             rec.extend(1.0, np.ones((10, 1)), np.ones((9, 1)))
         assert (rec.stack.size, len(rec.p_log) + rec.p_log.first_step) == (size, steps)
         assert len(rec.u_log) + rec.u_log.first_step == steps
+
+    @pytest.mark.parametrize("u_rows", [np.ones((10, 2)), np.ones(10)], ids=["wide", "flat"])
+    def test_a_misshapen_input_block_changes_neither_log(self, u_rows):
+        # the input block's shape is checked before the positions are
+        # appended, so the next good block is on the grid for both logs
+        rng = np.random.default_rng(6)
+        p, u = rng.normal(size=(20, 1)), rng.normal(size=(20, 1))
+        rec, whole = self.recorder(), self.recorder()
+        rec.extend(0.0, p[:10], u[:10])
+
+        def state():
+            return [(log.first_step, len(log), log.rows(log.first_step, len(log)).tobytes(),
+                     log.rows(log.first_step, len(log), cumulative=True).tobytes())
+                    for log in (rec.p_log, rec.u_log)] + stack_bytes(rec.stack)
+
+        before = state()
+        with pytest.raises(ValueError):
+            rec.extend(1.0, p[10:], u_rows)
+        assert state() == before
+        rec.extend(1.0, p[10:], u[10:])
+        whole.extend(0.0, p, u)
+        assert rec.stack.size == whole.stack.size > 0
+        assert stack_bytes(rec.stack) == stack_bytes(whole.stack)

@@ -200,10 +200,15 @@ class TestParamHistoryStack:
         assert prerecorded_stack.is_full_rank
 
     def test_prerecorded_pairs_satisfy_error_system(self, default_system, prerecorded_stack):
+        # each slot keeps reg' resid and reg' reg of a regressor reg of full
+        # row rank n, so ||resid - reg theta|| is at most ||reg' resid -
+        # reg' reg theta|| / sigma_n(reg), and sigma_n(reg)^2 is the n-th
+        # largest eigenvalue of reg' reg
         plant, _, _ = default_system
-        theta = plant.theta
-        for resid, reg in prerecorded_stack.entries:
-            assert np.linalg.norm(resid - reg @ theta) < 1e-6
+        theta, stack = plant.theta, prerecorded_stack
+        for projection, block in zip(stack._projections[: stack.size], stack.blocks):
+            sigma_n = np.sqrt(np.linalg.eigvalsh(block)[-plant.n])
+            assert np.linalg.norm(projection - block @ theta) < 1e-6 * sigma_n
 
     def test_pure_feedback_data_cannot_reach_full_rank(self, default_system):
         # u = -Kx makes the input window integrals a linear image of the

@@ -277,14 +277,14 @@ class TestDataSelect:
         good = ideal_entry(stack, demo, theta_true, np.array([1.0, -0.5, 0.5, 2.0]), t=9.0)
         bad = Entry.of(good.rows[:2], good.rhs[:2], 0.0, 9.0)
         before = (
-            stack.size, [id(e) for e in stack.entries], stack.gram.copy(), stack.blocks.copy(),
-            stack.sigma_matrix.copy(), stack.rhs_vector.copy(), stack.rhs_sq, stack.eta_min,
+            stack.size, list(stack._rhs_sq), list(stack._eta), stack.gram.copy(),
+            stack.blocks.copy(), stack.sigma_matrix.copy(), stack.rhs_vector.copy(), stack.rhs_sq, stack.eta_min,
             stack.gram_kappa,
         )
         with pytest.raises(ValueError, match="do not fit"):
             data_select(stack, bad, np.inf)
         after = (
-            stack.size, [id(e) for e in stack.entries], stack.gram, stack.blocks,
+            stack.size, stack._rhs_sq, stack._eta, stack.gram, stack.blocks,
             stack.sigma_matrix, stack.rhs_vector, stack.rhs_sq, stack.eta_min, stack.gram_kappa,
         )
         for was, now in zip(before, after):

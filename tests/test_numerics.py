@@ -17,7 +17,7 @@ from irlobs.errors import (
     SolverFailureError,
     WindowUnderflowError,
 )
-from irlobs.irl import _gram_kappa, _gram_kappas
+from irlobs.irl import IrlHistoryStack, _gram_kappa
 from irlobs.numerics import (
     GramStack,
     SampledSignal,
@@ -31,7 +31,7 @@ from irlobs.numerics import (
 )
 from irlobs.plant import CostFunction, LinearPlant
 
-from conftest import DEFAULT_A, DEFAULT_B, DEFAULT_RDIAG, DEFAULT_WQ, signal_of
+from conftest import DEFAULT_A, DEFAULT_B, DEFAULT_RDIAG, DEFAULT_WQ, SlotEntries, signal_of
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 # the 3-position plant of the benchmark's query_n3 workload
@@ -369,7 +369,7 @@ class TestConditionNumber:
 
     @staticmethod
     def condition_number(a):
-        return float(np.sqrt(_gram_kappas(np.linalg.eigvalsh(a.T @ a))))
+        return float(np.sqrt(IrlHistoryStack._score(np.linalg.eigvalsh(a.T @ a))))
 
     def test_identity(self):
         assert self.condition_number(np.eye(4)) == 1.0
@@ -395,7 +395,7 @@ class TestConditionNumber:
         spectra += [np.zeros(15), -np.ones(15), np.array([2 * eps, 1.0]),
                     np.array([3 * eps, 1.0]), np.array([np.nan, 1.0])]
         for lam in spectra:
-            assert _gram_kappa(lam) == float(_gram_kappas(lam))
+            assert _gram_kappa(lam) == float(IrlHistoryStack._score(lam))
 
 
 class TestLinearRk4Matrices:
@@ -463,16 +463,18 @@ class TestGramStack:
 
     def test_put_appends_then_replaces(self):
         stack = GramStack(capacity=3, dim=2)
+        entries = SlotEntries(stack)
         b = self.blocks(4, 2, 9)
         for i in range(3):
             stack.put(i, b[i], f"entry{i}")
-        assert stack.is_full and stack.entries == ["entry0", "entry1", "entry2"]
+        assert stack.is_full and entries() == ["entry0", "entry1", "entry2"]
         stack.put(1, b[3], "entry3")
-        assert stack.entries == ["entry0", "entry3", "entry2"]
+        assert entries() == ["entry0", "entry3", "entry2"]
         np.testing.assert_array_equal(stack.gram, b[0] + b[3] + b[2])
 
     def test_slots_past_the_end_rejected(self):
         stack = GramStack(capacity=2, dim=2)
+        entries = SlotEntries(stack)
         b = self.blocks(3, 2, 10)
         with pytest.raises(IndexError):
             stack.put(1, b[0], "gap")
@@ -480,7 +482,7 @@ class TestGramStack:
         stack.put(1, b[1], "b")
         with pytest.raises(IndexError):
             stack.put(2, b[2], "over capacity")
-        assert stack.entries == ["a", "b"]
+        assert entries() == ["a", "b"]
 
     def test_swap_spectra_match_explicit_swaps(self):
         stack = GramStack(capacity=5, dim=3)

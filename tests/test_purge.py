@@ -25,7 +25,7 @@ from irlobs.purge import (
     smooth_velocity,
 )
 
-from conftest import make_entry
+from conftest import SlotEntries, make_entry
 
 
 def make_log(fn, dim, dt, duration):
@@ -254,6 +254,7 @@ class TestPurgePolicy:
         plant = demo.plant
         theta = plant.theta
         stack = IrlHistoryStack(capacity=10, basis=basis, r1=demo.cost.r1, m=2)
+        entries = SlotEntries(stack)
         ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e-6, w_current=zero_weights(basis))
         rng = np.random.default_rng(51)
         etas = []
@@ -265,7 +266,7 @@ class TestPurgePolicy:
                 pass
             purge_policy(ps, stack, eta_now=eta)
             # oracle: exhaustive recomputation over the stored entries
-            stored = [e.eta for e in stack.entries]
+            stored = [e.eta for e in entries()]
             expected = min(stored) if stored else float("inf")
             assert stack.eta_min == expected
             etas.append(eta)

@@ -32,7 +32,7 @@ def logs(draw):
     window = dt * draw(st.integers(1, 250))
     t0 = draw(st.floats(-5.0, 5.0))
     values = draw(arrays(float, (count, dim), elements=st.floats(-100.0, 100.0)))
-    sig = SampledSignal(dim, dt, window, t0=t0)
+    sig = SampledSignal(dim, dt, window)
     for k, value in enumerate(values):
         sig.append(t0 + k * dt, value)
     return sig, values
@@ -134,7 +134,7 @@ def test_appending_blocks_equals_appending_samples(dim, dt, keep, t0, sizes, sca
     # blocks of random sizes, one row included, appended across pruning
     # and compaction, keep the samples and the running integral bit for bit
     values = np.random.default_rng(seed).normal(size=(sum(sizes), dim)) * 10.0**scale
-    one, blocks = (SampledSignal(dim, dt, dt * keep, t0=t0) for _ in range(2))
+    one, blocks = (SampledSignal(dim, dt, dt * keep) for _ in range(2))
     for k, value in enumerate(values):
         one.append(t0 + k * dt, value)
     done = 0

@@ -11,7 +11,11 @@ data are where a swap's predicted gain is pure rounding, and scaled copies
 make ties and near-ties.
 """
 
+import gc
+import weakref
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -22,6 +26,7 @@ from irlobs.irl import Entry, FeatureBasis, IrlHistoryStack, data_select
 from conftest import (
     DEFAULT_A,
     DEFAULT_B,
+    SlotEntries,
     exhaustive_irl_slot,
     exhaustive_param_slot,
     gram_kappas,
@@ -72,20 +77,21 @@ def assert_gram_is_block_sum(gram, blocks):
 )
 def test_param_stack_commits_only_strict_gains(capacity, pairs):
     stack = ParamHistoryStack(capacity=capacity, dim=4, min_eig_threshold=1e-6)
+    entries = SlotEntries(stack)
     for residual, regressor in pairs:
         was_full, before = stack.is_full, stack.min_eigenvalue
-        old_ids, old_gram = [id(e) for e in stack.entries], stack.gram.copy()
+        old_ids, old_gram = [id(e) for e in entries()], stack.gram.copy()
         committed = stack.record(residual, regressor)
-        assert_gram_is_block_sum(stack.gram, [reg.T @ reg for _, reg in stack.entries])
+        assert_gram_is_block_sum(stack.gram, [reg.T @ reg for _, reg in entries()])
         running = np.zeros(4)
-        for res, reg in stack.entries:
+        for res, reg in entries():
             running += reg.T @ res
         assert np.array_equal(stack.rhs_projection, running)
         if committed:
             if was_full:
                 assert np.linalg.eigvalsh(stack.gram)[0] > before
         else:
-            assert [id(e) for e in stack.entries] == old_ids
+            assert [id(e) for e in entries()] == old_ids
             assert np.array_equal(stack.gram, old_gram)
             assert stack.min_eigenvalue == before
 
@@ -99,17 +105,18 @@ def test_param_stack_commits_only_strict_gains(capacity, pairs):
 )
 def test_irl_stack_commits_only_strict_gains(capacity, points):
     stack = IrlHistoryStack(capacity=capacity, basis=BASIS, r1=20.0, m=2)
+    entries = SlotEntries(stack)
     for t, (x, u) in enumerate(points):
         was_full, before = stack.is_full, stack.gram_kappa
-        old_ids, old_gram = [id(e) for e in stack.entries], stack.gram.copy()
+        old_ids, old_gram = [id(e) for e in entries()], stack.gram.copy()
         cand = make_entry(stack, x, u, THETA, t=float(t))
         stored = data_select(stack, cand, 1.0)
-        assert_gram_is_block_sum(stack.gram, [e.gram for e in stack.entries])
+        assert_gram_is_block_sum(stack.gram, [e.gram for e in entries()])
         if stored:
             if was_full:
                 assert stack.gram_kappa < before
         else:
-            assert [id(e) for e in stack.entries] == old_ids
+            assert [id(e) for e in entries()] == old_ids
             assert np.array_equal(stack.gram, old_gram)
             assert stack.gram_kappa == before
 
@@ -136,17 +143,18 @@ def test_param_stack_bounded_search_matches_exhaustive(offered, deficient):
     capacity, regressors = offered
     dim = regressors[0].shape[1]
     stack = ParamHistoryStack(capacity=capacity, dim=dim, min_eig_threshold=1e-6)
+    entries = SlotEntries(stack)
     for regressor in regressors:
         if deficient:  # every Gram misses the last direction
             regressor[:, -1] = 0.0
-        expected = list(stack.entries)
+        expected = entries()
         slot = exhaustive_param_slot(stack, regressor) if stack.is_full else stack.size
         committed = stack.record(regressor[:, 0], regressor)
         assert committed == (slot is not None)
         if committed:
-            assert stack.entries[slot][1] is regressor
-            expected[slot:slot + 1] = [stack.entries[slot]]
-        assert [id(e) for e in stack.entries] == [id(e) for e in expected]
+            assert entries()[slot][1] is regressor
+            expected[slot:slot + 1] = [entries()[slot]]
+        assert [id(e) for e in entries()] == [id(e) for e in expected]
         gram = np.sum([reg.T @ reg for _, reg in expected], axis=0)
         assert np.array_equal(stack.gram, gram)
         assert stack.min_eigenvalue == float(np.linalg.eigvalsh(gram)[0])
@@ -165,9 +173,10 @@ def test_param_stack_bounded_search_matches_exhaustive(offered, deficient):
 def test_irl_stack_bounded_search_matches_exhaustive(capacity, xi1, picks):
     # a scaled copy adds no rank, so small pools leave the stack at kappa = inf
     stack = IrlHistoryStack(capacity=capacity, basis=BASIS, r1=20.0, m=2)
+    entries = SlotEntries(stack)
     for t, ((x, u), scale) in enumerate(picks):
         cand = make_entry(stack, scale * x, scale * u, THETA, t=float(t))
-        expected = list(stack.entries)
+        expected = entries()
         if stack.is_full:
             slot = exhaustive_irl_slot(stack, cand, xi1)
         else:
@@ -175,9 +184,9 @@ def test_irl_stack_bounded_search_matches_exhaustive(capacity, xi1, picks):
         stored = data_select(stack, cand, xi1)
         assert stored == (slot is not None)
         if stored:
-            assert stack.entries[slot].t == float(t)
-            expected[slot:slot + 1] = [stack.entries[slot]]
-        assert [id(e) for e in stack.entries] == [id(e) for e in expected]
+            assert entries()[slot].t == float(t)
+            expected[slot:slot + 1] = [entries()[slot]]
+        assert [id(e) for e in entries()] == [id(e) for e in expected]
         gram = np.sum([e.gram for e in expected], axis=0)
         assert np.array_equal(stack.gram, gram)
         assert stack.gram_kappa == float(gram_kappas(np.linalg.eigvalsh(gram)))
@@ -226,3 +235,30 @@ def test_ritz_bounds_hold_on_near_singular_and_rank_deficient_stacks(
         assert (lam_min_bound >= lam[:, 0]).all()
         assert (lam_max_bound <= lam[:, -1]).all()
         offer(scale)  # and the bounds of the changed stack next time
+
+
+@pytest.mark.parametrize("irl", [False, True])
+def test_a_stored_candidate_keeps_none_of_its_arrays_alive(irl):
+    # each stack copies what its decisions read into its slot arrays, so
+    # the arrays of a stored candidate, a drained block's rows and
+    # right-hand sides with the Gram blocks Entry.block stacks from them,
+    # or a recorded pair, are freed once the caller drops them
+    rng = np.random.default_rng(3)
+    if irl:
+        stack = IrlHistoryStack(capacity=4, basis=BASIS, r1=20.0, m=2)
+        rows, rhs = rng.normal(size=(2, 1, 3, stack.dim)), rng.normal(size=(2, 1, 3))
+        entries = [e for step in Entry.block([0.0, 1e-3], [1.0, 2.0], rows, rhs) for e in step]
+        assert [data_select(stack, e, 1.0) for e in entries] == [1, 1]
+        arrays = [rows, rhs, entries[0].gram.base]
+        del rows, rhs, entries
+    else:
+        stack = ParamHistoryStack(capacity=4, dim=4, min_eig_threshold=1e-6)
+        residual, regressor = rng.normal(size=2), rng.normal(size=(2, 4))
+        assert stack.record(residual, regressor)
+        arrays = [residual, regressor]
+        del residual, regressor
+    refs = [weakref.ref(array) for array in arrays]
+    del arrays
+    gc.collect()
+    assert stack.size == (2 if irl else 1)
+    assert [ref() is None for ref in refs] == [True] * len(refs)
