@@ -278,8 +278,8 @@ class TestDataSelect:
         bad = Entry.of(good.rows[:2], good.rhs[:2], 0.0, 9.0)
         before = (
             stack.size, list(stack._rhs_sq), list(stack._eta), stack.gram.copy(),
-            stack.blocks.copy(), stack.sigma_matrix.copy(), stack.rhs_vector.copy(), stack.rhs_sq, stack.eta_min,
-            stack.gram_kappa,
+            stack.blocks.copy(), stack.sigma_matrix.copy(), stack.rhs_vector.copy(),
+            stack.rhs_sq, stack.eta_min, stack.gram_kappa,
         )
         with pytest.raises(ValueError, match="do not fit"):
             data_select(stack, bad, np.inf)
