@@ -9,6 +9,7 @@ state through integral forms that never touch the unmeasured velocity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,12 +199,16 @@ class ParamHistoryStack(GramStack):
 class AdaptiveObserver:
     """Velocity-free adaptive observer with concurrent-learning adaptation.
 
-    The velocity estimate follows the integration-by-parts form of the
-    update law (boundary terms in the position replace the unmeasured
-    velocity) and the output filter follows its integral form; both are
-    advanced with implicit trapezoid increments on the measurement grid,
-    solving the small linear coupling between the new position error,
-    filter state, and velocity estimate exactly at each step.
+    The parameter estimate theta follows the concurrent-learning
+    least-squares law with forgetting, kept in information form: info is
+    P = Gamma^-1, starting at I / gamma_scale, and z = P theta
+    (update_parameters).  The velocity estimate follows the
+    integration-by-parts form of the update law (boundary terms in the
+    position replace the unmeasured velocity) and the output filter
+    follows its integral form; both are advanced with implicit trapezoid
+    increments on the measurement grid, solving the small linear coupling
+    between the new position error, filter state, and velocity estimate
+    exactly at each step.
     """
 
     def __init__(self, n, m, p0, u0, gains, theta0=None, gamma_scale=0.1, q_hat0=None):
@@ -219,18 +224,9 @@ class AdaptiveObserver:
         if theta.shape != (self.dim,):
             raise ValueError(f"theta0 must have length {self.dim}")
         self._set_theta(theta)
-        self.gamma = gamma_scale * np.eye(self.dim)
+        self.info = np.eye(self.dim) / gamma_scale
+        self.z = self.info @ theta
         self._set_rate(np.zeros(self.dim))
-        # update_parameters' work arrays, each gamma's rows with theta as a
-        # last row, so that one elementwise operation advances both: the RK4
-        # state, a stage's input and the four stages' rates, with their
-        # (whole, gamma, theta) views, built at the first update; and
-        # scratch for one product each
-        d = self.dim
-        self._rk4 = np.empty((6, d + 1, d))
-        self._rk4_views = None
-        self._product = np.empty((d, d))
-        self._residual = np.empty(d)
 
         self.p_hat = p0.copy()
         self.q_hat = np.zeros(n) if q_hat0 is None else np.asarray(q_hat0, dtype=float).copy()
@@ -253,11 +249,6 @@ class AdaptiveObserver:
         self._g_prev = self._b @ u0 + self._a1 @ p0
         self._eta_integrand_prev = np.zeros(n)
 
-    def __getstate__(self):
-        # a copy's views would not share memory with its work arrays, so a
-        # copy builds its own at its first update
-        return {**self.__dict__, "_rk4_views": None}
-
     def _set_theta(self, theta):
         # the parameter estimate [vec(A1); vec(A2); vec(B)] (read-only by
         # convention: update_parameters replaces it, and a queued step keeps
@@ -274,68 +265,35 @@ class AdaptiveObserver:
         return np.concatenate([self.p_hat, self.q_hat])
 
     def update_parameters(self, stack, dt):
-        """One RK4 step of the concurrent-learning update laws
-        theta' = k_theta gamma (proj - gram theta) and
-        gamma' = beta1 gamma - k_theta gamma gram gamma, with gram and proj
-        the stack's.
+        """One exact step of the concurrent-learning least-squares law with
+        forgetting, theta' = k_theta Gamma (proj - gram theta) and
+        Gamma' = beta1 Gamma - k_theta Gamma gram Gamma, with gram and proj
+        the stack's, held over the step.
 
-        Frozen (zero parameter rate) until the stack certifies full rank.
-        Raises NumericOverflowError if the gain matrix loses positive
-        definiteness, which indicates the step size is too large.
+        In information form, P = Gamma^-1 and z = P theta, the law is linear,
+        P' = -beta1 P + k_theta gram and z' = -beta1 z + k_theta proj, so the
+        step is P <- e P + c gram and z <- e z + c proj with
+        e = exp(-beta1 dt) and c = k_theta (1 - e) / beta1; P stays
+        positive definite.  Frozen (P and z kept, zero parameter rate) until
+        the stack certifies full rank.  Raises NumericOverflowError if the
+        adaptation state overflows.
         """
         if not stack.is_full_rank:
             self._set_rate(np.zeros(self.dim))
             return
         gram, proj = stack.gram, stack.rhs_projection
-        k_theta, beta1, d = self.gains.k_theta, self.gains.beta1, self.dim
-        if self._rk4_views is None:
-            self._rk4_views = [(w, w[:d], w[d]) for w in self._rk4]
-        (state, state_g, state_t), (stage, stage_g, stage_t), *rates = self._rk4_views
-        product, residual = self._product, self._residual
-        state_g[...] = self.gamma
-        state_t[...] = self.theta
-        # each stage does the products and sums of one evaluation of the
-        # rates at state + h * (the last stage's rates), in place and in
-        # their order
-        x_g, x_t = state_g, state_t
-        for k, h in enumerate((0.0, 0.5 * dt, 0.5 * dt, dt)):
-            if k:
-                np.multiply(rates[k - 1][0], h, stage)
-                stage += state
-                x_g, x_t = stage_g, stage_t
-            rate, rate_g, rate_t = rates[k]
-            np.matmul(gram, x_t, residual)
-            np.subtract(proj, residual, residual)
-            np.matmul(x_g, residual, rate_t)
-            np.matmul(x_g, gram, product)
-            np.matmul(product, x_g, rate_g)
-            rate *= k_theta
-            np.multiply(x_g, beta1, product)
-            np.subtract(product, rate_g, rate_g)
-        # state + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
-        k1, total, k3, k4 = (rate for rate, _, _ in rates)
-        total *= 2.0
-        total += k1
-        k3 *= 2.0
-        total += k3
-        total += k4
-        total *= dt / 6.0
-        total += state
-        gamma = total[:d] + total[:d].T
-        gamma *= 0.5
-        theta = total[d].copy()
-        if not (np.isfinite(gamma).all() and np.isfinite(theta).all()):
-            raise NumericOverflowError("adaptation state became non-finite (dt too large)")
-        try:
-            np.linalg.cholesky(gamma)
-        except np.linalg.LinAlgError:
-            raise NumericOverflowError(
-                "least-squares gain lost positive definiteness (dt too large)"
-            )
-        self.gamma = gamma
+        k_theta, beta1 = self.gains.k_theta, self.gains.beta1
+        e = math.exp(-beta1 * dt)
+        c = -k_theta * math.expm1(-beta1 * dt) / beta1
+        info = e * self.info + c * gram
+        z = e * self.z + c * proj
+        if not (np.isfinite(info).all() and np.isfinite(z).all()):
+            raise NumericOverflowError("adaptation state became non-finite")
+        gain = np.linalg.inv(info)
+        theta = gain @ z
+        self.info, self.z = info, z
         self._set_theta(theta)
-        # the rate alone: the gain's rate at the new state is not needed
-        rate = gamma @ (proj - gram @ theta)
+        rate = gain @ (proj - gram @ theta)
         rate *= k_theta
         self._set_rate(rate)
 

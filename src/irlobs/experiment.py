@@ -637,9 +637,9 @@ def _measure_run(cfg, demo, online, emit):
     field_fn = closed_loop_field(demo)
     rng = np.random.default_rng(cfg.seed)
     # per block of _PIPE_BATCH steps, one draw takes the oracle states of
-    # one draw per step, and the gain's spectrum, a report diagnostic, is
-    # solved in one batch, per matrix bitwise the single solves
-    gammas = np.empty((_PIPE_BATCH,) + online.observer.gamma.shape)
+    # one draw per step, and the spectrum of P, the inverse of the gain, a
+    # report diagnostic, is solved in one batch, bitwise the single solves
+    infos = np.empty((_PIPE_BATCH,) + online.observer.info.shape)
     gamma_lo, gamma_hi = np.inf, 0.0
 
     def truth_row(t, x):
@@ -662,11 +662,11 @@ def _measure_run(cfg, demo, online, emit):
             online.measure(t, x[:n], u, queries)
             if (k + 1) % stride == 0 or k + 1 == steps:
                 truth.append(truth_row(t, x))
-            gammas[j] = online.observer.gamma
+            infos[j] = online.observer.info
             if j + 1 == _PIPE_BATCH or k + 1 == steps:
-                lam = np.linalg.eigvalsh(gammas[: j + 1])
-                gamma_lo = min(gamma_lo, float(lam[:, 0].min()))
-                gamma_hi = max(gamma_hi, float(lam[:, -1].max()))
+                lam = np.linalg.eigvalsh(infos[: j + 1])
+                gamma_lo = min(gamma_lo, 1.0 / float(lam[:, -1].max()))
+                gamma_hi = max(gamma_hi, 1.0 / float(lam[:, 0].min()))
                 emit(online.drain())
     except BaseException:
         emit(online.drain())  # the steps measured before the error are offered first

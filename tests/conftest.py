@@ -303,7 +303,8 @@ def drive_estimator(
         "p_tilde": [obs.p_tilde.copy()], "theta": [obs.theta.copy()],
         "theta_rate": [obs.theta_rate.copy()],
     }
-    gamma_eigs = [np.linalg.eigvalsh(obs.gamma)[[0, -1]]]
+    # the gain is P^-1, so its extreme eigenvalues are 1/eig(P), reversed
+    gamma_eigs = [1.0 / np.linalg.eigvalsh(obs.info)[[-1, 0]]]
     for k in range(steps):
         x = rk4_step(field, k * dt, x, dt)
         t = (k + 1) * dt
@@ -324,7 +325,7 @@ def drive_estimator(
             ("theta", obs.theta), ("theta_rate", obs.theta_rate),
         ):
             logs[key].append(val.copy())
-        gamma_eigs.append(np.linalg.eigvalsh(obs.gamma)[[0, -1]])
+        gamma_eigs.append(1.0 / np.linalg.eigvalsh(obs.info)[[-1, 0]])
     return EstimatorRun(
         dt=dt,
         gains=gains,

@@ -2,10 +2,14 @@
 concurrent-learning update, and the velocity-free observer."""
 
 import copy
+import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irlobs.errors import NumericOverflowError
 from irlobs.estimator import (
@@ -23,6 +27,23 @@ from irlobs.numerics import SampledSignal
 from conftest import (
     X0, cumulative_trapezoid, default_gains, drive_estimator, signal_of, simulate_demonstrator,
 )
+
+
+EPS = np.finfo(float).eps
+
+
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda x: 10.0 ** x)
+
+
+def adaptation_property(test):
+    """Runs test over drawn adaptation gains, initial gain scale, step size
+    and synthetic-stack seed, and at the default gains with a 50 s step."""
+    test = given(k_theta=log_uniform(1e-3, 1e2), beta1=log_uniform(1e-2, 1e1),
+                 gamma0=log_uniform(1e-3, 1e3), dt=log_uniform(1e-4, 50.0),
+                 seed=st.integers(0, 2**16))(test)
+    test = example(k_theta=0.3 / 150, beta1=5.0, gamma0=0.1, dt=50.0, seed=24)(test)
+    return settings(derandomize=True, max_examples=60, deadline=None)(test)
 
 
 def ramp_log(dim, dt, duration, slope=1.0):
@@ -283,37 +304,32 @@ class TestUpdateParameters:
         assert np.linalg.norm(obs.theta - theta) < 1e-12
         assert np.linalg.norm(obs.theta_rate) < 1e-9
 
-    def test_update_does_the_operations_of_the_laws_bitwise(self, prerecorded_stack):
-        # update_parameters runs the RK4 in place on work arrays; it must
-        # give the bits of the laws' plain expressions evaluated in order
+    def test_the_step_is_the_information_form_law_bitwise(self, prerecorded_stack):
+        # P <- e P + c gram and z <- e z + c proj, then theta = P^-1 z and
+        # the rate k_theta P^-1 (proj - gram theta), in this order
         gains, stack, dt = default_gains(), prerecorded_stack, 1e-3
         gram, proj = stack.gram, stack.rhs_projection
-        obs = AdaptiveObserver(2, 2, p0=X0[:2], u0=np.zeros(2), gains=gains)
-        theta, gamma = obs.theta, obs.gamma
-
-        def rates(th, ga):
-            resid = proj - gram @ th
-            return (gains.k_theta * (ga @ resid),
-                    gains.beta1 * ga - gains.k_theta * (ga @ gram @ ga))
-
+        e = math.exp(-gains.beta1 * dt)
+        c = -gains.k_theta * math.expm1(-gains.beta1 * dt) / gains.beta1
+        assert c == pytest.approx(gains.k_theta * (1.0 - e) / gains.beta1, rel=1e-12)
+        obs = AdaptiveObserver(2, 2, p0=X0[:2], u0=np.zeros(2), gains=gains, gamma_scale=0.1)
+        info, z = obs.info, obs.z
+        assert info.tobytes() == (np.eye(12) / 0.1).tobytes()
         for _ in range(5):
-            k1t, k1g = rates(theta, gamma)
-            k2t, k2g = rates(theta + 0.5 * dt * k1t, gamma + 0.5 * dt * k1g)
-            k3t, k3g = rates(theta + 0.5 * dt * k2t, gamma + 0.5 * dt * k2g)
-            k4t, k4g = rates(theta + dt * k3t, gamma + dt * k3g)
-            theta = theta + (dt / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
-            gamma = gamma + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
-            gamma = 0.5 * (gamma + gamma.T)
+            info, z = e * info + c * gram, e * z + c * proj
             obs.update_parameters(stack, dt)
+            assert obs.info.tobytes() == info.tobytes()
+            assert obs.z.tobytes() == z.tobytes()
+            gain = np.linalg.inv(info)
+            theta = gain @ z
             assert obs.theta.tobytes() == theta.tobytes()
-            assert obs.gamma.tobytes() == gamma.tobytes()
-            rate = gains.k_theta * (gamma @ (proj - gram @ theta))
+            rate = gains.k_theta * (gain @ (proj - gram @ theta))
             assert obs.theta_rate.tobytes() == rate.tobytes()
             assert obs._a2_rate.tobytes() == theta_blocks(rate, 2, 2)[1].tobytes()
 
     def test_a_copied_observer_updates_as_the_original(self, prerecorded_stack):
-        # the work arrays of the in-place RK4 hold no state between calls,
-        # so a deep copy or a pickle round trip updates bit for bit alike
+        # the adaptation state is plain arrays, so a deep copy or a pickle
+        # round trip updates bit for bit alike
         obs = AdaptiveObserver(2, 2, p0=X0[:2], u0=np.zeros(2), gains=default_gains())
         obs.update_parameters(prerecorded_stack, 1e-3)
         copies = [copy.deepcopy(obs), pickle.loads(pickle.dumps(obs))]
@@ -321,26 +337,72 @@ class TestUpdateParameters:
             for o in [obs, *copies]:
                 o.update_parameters(prerecorded_stack, 1e-3)
         for o in copies:
-            assert o.theta.tobytes() == obs.theta.tobytes()
-            assert o.gamma.tobytes() == obs.gamma.tobytes()
+            for name in ("info", "z", "theta"):
+                assert getattr(o, name).tobytes() == getattr(obs, name).tobytes()
 
     def test_frozen_without_full_rank(self, default_system):
         stack = ParamHistoryStack(capacity=5, dim=theta_dim(2, 2), min_eig_threshold=1e-3)
         obs = AdaptiveObserver(2, 2, p0=X0[:2], u0=np.zeros(2), gains=default_gains())
-        gamma_before = obs.gamma.copy()
+        info_before, z_before = obs.info.copy(), obs.z.copy()
         obs.update_parameters(stack, 1e-3)
         np.testing.assert_array_equal(obs.theta, np.zeros(theta_dim(2, 2)))
-        np.testing.assert_array_equal(obs.gamma, gamma_before)
+        np.testing.assert_array_equal(obs.info, info_before)
+        np.testing.assert_array_equal(obs.z, z_before)
         np.testing.assert_array_equal(obs.theta_rate, np.zeros(theta_dim(2, 2)))
 
-    def test_gamma_pd_loss_raises(self, default_system):
-        plant, _, _ = default_system
-        rng = np.random.default_rng(24)
-        stack = self.make_synthetic_stack(plant.theta, rng)
+    def test_an_overflowing_adaptation_state_raises(self):
+        # finite pairs whose projection regressor' residual overflows: the
+        # step is refused with the state kept, and the message does not
+        # blame the step size, which no longer can cause it
+        rng = np.random.default_rng(25)
+        dim = theta_dim(2, 2)
+        stack = ParamHistoryStack(capacity=20, dim=dim, min_eig_threshold=1e-3)
+        for _ in range(19):
+            stack.record(rng.normal(size=2), rng.normal(size=(2, dim)))
+        with np.errstate(over="ignore"):
+            assert stack.record(np.full(2, 1e308), np.ones((2, dim)))
+        assert stack.is_full_rank and not np.isfinite(stack.rhs_projection).all()
         obs = AdaptiveObserver(2, 2, p0=X0[:2], u0=np.zeros(2), gains=default_gains())
-        with pytest.raises(NumericOverflowError), np.errstate(all="ignore"):
-            for _ in range(50):
-                obs.update_parameters(stack, 50.0)
+        before = obs.info.copy(), obs.z.copy(), obs.theta.copy()
+        with pytest.raises(NumericOverflowError, match="^adaptation state became non-finite$"):
+            obs.update_parameters(stack, 1e-3)
+        for was, now in zip(before, (obs.info, obs.z, obs.theta)):
+            assert np.array_equal(was, now)
+
+    @adaptation_property
+    def test_p_theta_error_shrinks_by_e_on_an_exact_stack(self, k_theta, beta1, gamma0, dt, seed):
+        # with proj = gram theta*, P' = -beta1 P + k_theta gram and
+        # z' = -beta1 z + k_theta proj give (P theta~)' = -beta1 P theta~,
+        # so the exact step scales P theta~ by e, to the rounding of the
+        # products and of the solve for theta
+        rng = np.random.default_rng(seed)
+        theta_star = rng.normal(size=theta_dim(2, 2))
+        stack = self.make_synthetic_stack(theta_star, rng)
+        assert stack.is_full_rank
+        gains = replace(default_gains(), k_theta=k_theta, beta1=beta1)
+        obs = AdaptiveObserver(2, 2, p0=X0[:2], u0=np.zeros(2), gains=gains, gamma_scale=gamma0)
+        e = math.exp(-beta1 * dt)
+        before = obs.info @ (theta_star - obs.theta)
+        for _ in range(5):
+            obs.update_parameters(stack, dt)
+            after = obs.info @ (theta_star - obs.theta)
+            scale = np.linalg.norm(obs.info, 2) * np.linalg.norm(theta_star) + np.linalg.norm(obs.z)
+            rounding = 64 * EPS * np.linalg.cond(obs.info) * scale
+            assert np.linalg.norm(after - e * before) <= rounding
+            before = after
+
+    @adaptation_property
+    def test_the_information_matrix_stays_positive_definite(self, k_theta, beta1, gamma0, dt, seed):
+        # e P is positive definite and c gram positive semidefinite, so no
+        # step size loses definiteness
+        rng = np.random.default_rng(seed)
+        stack = self.make_synthetic_stack(rng.normal(size=theta_dim(2, 2)), rng)
+        gains = replace(default_gains(), k_theta=k_theta, beta1=beta1)
+        obs = AdaptiveObserver(2, 2, p0=X0[:2], u0=np.zeros(2), gains=gains, gamma_scale=gamma0)
+        for _ in range(20):
+            obs.update_parameters(stack, dt)
+            np.linalg.cholesky(obs.info)
+            assert np.isfinite(obs.theta).all() and np.isfinite(obs.theta_rate).all()
 
     def test_convergence_with_prerecorded_stack(self, default_run):
         run = default_run
