@@ -44,33 +44,30 @@ from .irl import (
     ideal_weights,
     read_lazy,
 )
-from .numerics import SampledSignal, linear_rk4_matrices, linear_rollout, rk4_step
-from .plant import (
-    CostFunction,
-    LinearPlant,
-    closed_loop_field,
-    make_demonstrator,
-    optimal_action,
-    query,
-)
+from .numerics import SampledSignal, linear_rk4_matrices, linear_rollout
+from .plant import CostFunction, LinearPlant, make_demonstrator, optimal_action, query
 from .purge import (
     PurgeState,
     QualityConfig,
     eta2_inputs,
     purge_policy,
     quality_eta1,
-    quality_eta2,  # unused here, but bench/tracing.py wraps experiment.quality_eta2
     quality_eta2_block,
     smooth_velocity,
 )
 
+# not called here, but bench/tracing.py wraps experiment.rk4_step and
+# experiment.quality_eta2 by name
+from .numerics import rk4_step
+from .purge import quality_eta2
+
 MODES = ("observed", "query")
-# measured steps per η block, per write to the pipe in _pipelined and per
-# oracle draw and gain-spectrum solve in _measure_run, and the most that
-# OnlineIrl queues between two drains
+# steps per block of the run's closed_loop_source, so per η block, per
+# write to the pipe in _pipelined and per oracle draw and gain-spectrum
+# solve in _measure_run, and the most that OnlineIrl queues between two drains
 _PIPE_BATCH = 32
 _PIPE_BYTES = 1 << 20  # the pipe's capacity in _pipelined, where the platform sets it
-_CALIBRATION_BLOCK = 1024  # steps per block of calibration_source
+_CALIBRATION_BLOCK = 1024  # steps per block of the calibration's closed_loop_source
 DEFAULTS_PATH = Path(__file__).with_name("default_config.json")
 
 
@@ -353,31 +350,35 @@ def _excitation(times, m, amplitude):
     )
 
 
-def calibration_source(demo, cfg):
-    """The excited calibration maneuver as blocks (t, positions, inputs) of
-    the steps of excitation_dt from step 0 at t = 0 to excitation_steps,
-    _CALIBRATION_BLOCK steps at a time.  The dithered closed loop is linear
-    time-invariant, so one set of RK4 step matrices advances it, each block
-    from the last state of the one before.  No product has one row, which
-    takes another BLAS path, so every row is bitwise that of simulating the
-    whole maneuver at once."""
-    n, m = demo.plant.n, demo.plant.m
-    dt, steps = cfg.excitation_dt, cfg.excitation_steps
+def closed_loop_source(demo, x0, dt, steps, block, amplitude=0.0):
+    """The demonstrator's closed loop from x0 on the grid of dt, its input
+    the optimal policy plus the multisine dither of amplitude (_excitation;
+    none by default): blocks (t, states, inputs) of grid times and their
+    rows, step 0 alone and then the steps to steps, at most block at a time.
+    The closed loop is linear time-invariant, so one set of RK4 step
+    matrices, whose phi has the spectral radius that _check_rk4_step
+    bounds, advances it, each block from the last state of the one before.
+    No product has one row, which takes another BLAS path, so every row is
+    bitwise that of simulating all steps at once: a block's inputs are
+    those of its states and the one it starts from, and only a run of one
+    step has a block of one step."""
+    m = demo.plant.m
     phi, w0, wh, w1 = linear_rk4_matrices(demo.a_cl, demo.plant.b_prime, dt)
-    x, lo = cfg.x0, 0
-    # the last block, which also takes the last state, has at least two steps
-    for hi in [*range(_CALIBRATION_BLOCK, steps - 1, _CALIBRATION_BLOCK), steps]:
-        dither_half = _excitation(
-            (0.5 * dt) * np.arange(2 * lo, 2 * hi + 1), m, cfg.excitation_amplitude
-        )
+    x, lo = x0, 0
+    # the block that would leave a last block of one step ends a step early
+    for hi in [*(min(hi, steps - 2) for hi in range(block, steps, block)), steps]:
+        dither_half = _excitation((0.5 * dt) * np.arange(2 * lo, 2 * hi + 1), m, amplitude)
         drive = dither_half[0:-1:2] @ w0.T + dither_half[1::2] @ wh.T + dither_half[2::2] @ w1.T
         states = linear_rollout(phi, drive, x)
         if not np.isfinite(states).all():
-            raise NumericOverflowError("calibration run diverged")
-        x, rows = states[-1], hi - lo + (hi == steps)
-        inputs = states[:rows] @ (-demo.k_fb.T) + dither_half[0 : 2 * rows : 2]
-        yield lo * dt, states[:rows, :n], inputs
-        lo = hi
+            raise NumericOverflowError(f"the closed loop diverged by t={hi * dt}")
+        inputs = states @ (-demo.k_fb.T) + dither_half[0::2]
+        t = dt * np.arange(lo, hi + 1)
+        if lo == 0:
+            yield t[:1], states[:1], inputs[:1]
+        if hi > lo:
+            yield t[1:], states[1:], inputs[1:]
+        x, lo = states[-1], hi
 
 
 class ParamRecorder:
@@ -435,11 +436,12 @@ def prerecord_param_stack(demo, cfg, stack):
     in for rich data gathered before observation starts.  It streams
     through a ParamRecorder, so memory does not grow with its duration.
     """
-    dt, windows = cfg.excitation_dt, cfg.excitation_windows
-    recorder = ParamRecorder(stack, demo.plant.n, demo.plant.m, dt, windows,
-                             cfg.excitation_stride, (sum(windows) + _CALIBRATION_BLOCK) * dt)
-    for block in calibration_source(demo, cfg):
-        recorder.extend(*block)
+    n, dt, windows = demo.plant.n, cfg.excitation_dt, cfg.excitation_windows
+    recorder = ParamRecorder(stack, n, demo.plant.m, dt, windows, cfg.excitation_stride,
+                             (sum(windows) + _CALIBRATION_BLOCK) * dt)
+    for t, states, inputs in closed_loop_source(demo, cfg.x0, dt, cfg.excitation_steps,
+                                                _CALIBRATION_BLOCK, cfg.excitation_amplitude):
+        recorder.extend(t[0], states[:, :n], inputs)
     return stack
 
 
@@ -625,49 +627,43 @@ class OnlineIrl:
 
 
 def _measure_run(cfg, demo, online, emit):
-    """The measuring half of run_experiment: per grid step, advance the
-    demonstrator, draw one oracle query in query mode and call
-    online.measure; every _PIPE_BATCH steps, at the last step and before
-    an exception leaves, pass online.drain() to emit.  Returns the bounds
-    of the observer gain's spectrum (nan for a run of no steps) and the
-    report rows (t, p - p_hat, q - q_hat, theta - theta_hat) of step 0 and
-    of every report_stride-th and the last step."""
-    n, dt, steps, stride = cfg.n, cfg.dt, cfg.steps, cfg.report_stride
+    """The measuring half of run_experiment: per block of at most
+    _PIPE_BATCH steps of the demonstrator (closed_loop_source), draw one
+    oracle query per step in query mode, call online.measure at each step
+    and pass online.drain() to emit, also before an exception leaves.
+    Returns the bounds of the observer gain's spectrum (nan for a run of no
+    steps) and the report rows (t, p - p_hat, q - q_hat, theta - theta_hat)
+    of step 0 and of every report_stride-th and the last step."""
+    n, steps, stride = cfg.n, cfg.steps, cfg.report_stride
     theta_true = cfg.plant().theta
-    field_fn = closed_loop_field(demo)
     rng = np.random.default_rng(cfg.seed)
-    # per block of _PIPE_BATCH steps, one draw takes the oracle states of
-    # one draw per step, and the spectrum of P, the inverse of the gain, a
-    # report diagnostic, is solved in one batch, bitwise the single solves
+    # per block, one draw takes the oracle states of one draw per step, and
+    # the spectra of P, the inverse of the gain, a report diagnostic, are
+    # solved in one batch, bitwise the single solves
     infos = np.empty((_PIPE_BATCH,) + online.observer.info.shape)
     gamma_lo, gamma_hi = np.inf, 0.0
 
     def truth_row(t, x):
         return np.concatenate([(t,), x - online.x_hat, theta_true - online.theta])
 
-    x = cfg.x0
-    truth = [truth_row(0.0, x)] if steps > 0 else []
+    truth = [truth_row(0.0, cfg.x0)] if steps > 0 else []
+    source = closed_loop_source(demo, cfg.x0, cfg.dt, steps, _PIPE_BATCH)
     try:
-        for k in range(steps):
-            j = k % _PIPE_BATCH
-            x = rk4_step(field_fn, k * dt, x, dt)
-            t = (k + 1) * dt
-            u = optimal_action(demo, x)
-            queries = ()
+        # online starts from step 0, the source's first block
+        for times, states, inputs in itertools.islice(source, 1, None):
+            queries = [()] * len(states)
             if cfg.mode == "query":
-                if j == 0:
-                    draws = rng.uniform(cfg.query_low, cfg.query_high,
-                                        size=(min(_PIPE_BATCH, steps - k), 2 * n))
-                queries = ((draws[j], query(demo, draws[j])),)
-            online.measure(t, x[:n], u, queries)
-            if (k + 1) % stride == 0 or k + 1 == steps:
-                truth.append(truth_row(t, x))
-            infos[j] = online.observer.info
-            if j + 1 == _PIPE_BATCH or k + 1 == steps:
-                lam = np.linalg.eigvalsh(infos[: j + 1])
-                gamma_lo = min(gamma_lo, 1.0 / float(lam[:, -1].max()))
-                gamma_hi = max(gamma_hi, 1.0 / float(lam[:, 0].min()))
-                emit(online.drain())
+                draws = rng.uniform(cfg.query_low, cfg.query_high, size=states.shape)
+                queries = [((x_star, query(demo, x_star)),) for x_star in draws]
+            for j, (t, x, u, pairs) in enumerate(zip(times.tolist(), states, inputs, queries)):
+                online.measure(t, x[:n], u, pairs)
+                if online.steps % stride == 0 or online.steps == steps:
+                    truth.append(truth_row(t, x))
+                infos[j] = online.observer.info
+            lam = np.linalg.eigvalsh(infos[: len(states)])
+            gamma_lo = min(gamma_lo, 1.0 / float(lam[:, -1].max()))
+            gamma_hi = max(gamma_hi, 1.0 / float(lam[:, 0].min()))
+            emit(online.drain())
     except BaseException:
         emit(online.drain())  # the steps measured before the error are offered first
         raise

@@ -1,8 +1,9 @@
 """The demonstrator.
 
 True linear dynamics with double-integrator structure, the true quadratic
-cost, the LQR-optimal policy, its closed-loop field, and the query oracle
-answering "what would you do at state x*?".
+cost, the LQR-optimal policy and its closed-loop matrix a_cl (which
+experiment.closed_loop_source rolls out), and the query oracle answering
+"what would you do at state x*?".
 """
 
 from __future__ import annotations
@@ -149,13 +150,3 @@ def query(demo, x_star):
     point so experiment code can count and limit oracle queries.
     """
     return optimal_action(demo, x_star)
-
-
-def closed_loop_field(demo):
-    """Vector field of the plant under the optimal policy."""
-    a_cl = demo.a_cl
-
-    def field(_t, x):
-        return a_cl @ x
-
-    return field

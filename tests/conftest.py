@@ -16,16 +16,10 @@ from irlobs.estimator import (
     model_matrices,
     theta_dim,
 )
-from irlobs.experiment import default_config, prerecord_param_stack
+from irlobs.experiment import _excitation, default_config, prerecord_param_stack
 from irlobs.irl import Entry, entry_rows, eval_features, read_lazy, solve_weights
-from irlobs.numerics import SampledSignal, rk4_step
-from irlobs.plant import (
-    CostFunction,
-    LinearPlant,
-    closed_loop_field,
-    make_demonstrator,
-    optimal_action,
-)
+from irlobs.numerics import SampledSignal, linear_rk4_matrices, linear_rollout, rk4_step
+from irlobs.plant import CostFunction, LinearPlant, make_demonstrator, optimal_action
 
 DEFAULT_A = np.array([[1.0, 1.0, -1.0, 1.0], [5.0, 1.0, 1.0, 1.0]])
 DEFAULT_B = np.array([[1.0, 3.0], [0.0, 1.0]])
@@ -66,7 +60,7 @@ def simulate_demonstrator(demo, x0, duration, dt):
         raise ValueError("duration must be positive")
     n = demo.plant.n
     x = np.asarray(x0, dtype=float).copy()
-    field = closed_loop_field(demo)
+    field = lambda _t, x: demo.a_cl @ x
     steps = int(round(duration / dt))
     p_log = SampledSignal(n, dt, window=duration + dt)
     u_log = SampledSignal(demo.plant.m, dt, window=duration + dt)
@@ -78,6 +72,22 @@ def simulate_demonstrator(demo, x0, duration, dt):
         p_log.append(t, x[:n])
         u_log.append(t, optimal_action(demo, x))
     return p_log, u_log
+
+
+def whole_array_rows(demo, x0, dt, steps, amplitude=None):
+    """The states and inputs of the closed loop from x0, its input dithered
+    by amplitude (experiment._excitation) or not at all, simulated in one
+    piece: one linear_rollout of every step, the reference of
+    experiment.closed_loop_source's blocks."""
+    plant = demo.plant
+    phi, w0, wh, w1 = linear_rk4_matrices(demo.a_cl, plant.b_prime, dt)
+    if amplitude is None:
+        states = linear_rollout(phi, np.zeros((steps, 2 * plant.n)), x0)
+        return states, states @ (-demo.k_fb.T)
+    dither_half = _excitation((0.5 * dt) * np.arange(2 * steps + 1), plant.m, amplitude)
+    drive = dither_half[0:-1:2] @ w0.T + dither_half[1::2] @ wh.T + dither_half[2::2] @ w1.T
+    states = linear_rollout(phi, drive, x0)
+    return states, states @ (-demo.k_fb.T) + dither_half[0::2]
 
 
 def eval_features_loop(basis, x, u):
@@ -285,7 +295,7 @@ def drive_estimator(
     plant = demo.plant
     n, m = plant.n, plant.m
     gains = gains or default_gains()
-    field = closed_loop_field(demo)
+    field = lambda _t, x: demo.a_cl @ x
     steps = int(round(duration / dt))
     t1, t2 = round(gains.t1 / dt), round(gains.t2 / dt)
     x = np.asarray(x0, dtype=float).copy()

@@ -104,9 +104,7 @@ def test_criterion_2_hjb_residual_along_trajectory(default_system):
         plant, cost, demo = default_system
         dt = 1e-3
         x = X0.copy()
-        from irlobs.plant import closed_loop_field
-
-        field = closed_loop_field(demo)
+        field = lambda _t, x: demo.a_cl @ x
         for k in range(10000):
             u = optimal_action(demo, x)
             grad_v = 2.0 * demo.riccati_p @ x

@@ -1,9 +1,10 @@
 """The streamed calibration against the whole-array one it replaced.
 
 prerecord_param_stack simulates the dithered calibration maneuver a block
-of steps at a time (calibration_source) and records the parameter stack
-from logs of t1 + t2 steps (ParamRecorder).  Its stack must be bitwise the
-one recorded from the whole maneuver simulated at once, kept here as the
+of steps at a time (closed_loop_source, which also gives the run its
+undithered closed loop) and records the parameter stack from logs of
+t1 + t2 steps (ParamRecorder).  Its stack must be bitwise the one
+recorded from the whole maneuver simulated at once, kept here as the
 reference, also when the step count would leave a one-row block, and its
 memory must not grow with the maneuver's duration.
 """
@@ -17,10 +18,10 @@ from irlobs import experiment
 from irlobs.errors import NumericOverflowError
 from irlobs.estimator import ParamHistoryStack, integral_regressor, integral_residual, theta_dim
 from irlobs.experiment import ExperimentConfig, default_config_dict, prerecord_param_stack
-from irlobs.numerics import SampledSignal, linear_rk4_matrices, linear_rollout
+from irlobs.numerics import SampledSignal
 from irlobs.plant import make_demonstrator
 
-from conftest import SlotEntries
+from conftest import SlotEntries, whole_array_rows
 
 PLANTS = {
     "default": {},
@@ -71,29 +72,16 @@ def empty_stack(cfg):
     return stack
 
 
-def whole_array_maneuver(demo, cfg):
-    """The positions and inputs of the calibration simulated in one piece."""
-    plant = demo.plant
-    dt, steps = cfg.excitation_dt, cfg.excitation_steps
-    phi, w0, wh, w1 = linear_rk4_matrices(demo.a_cl, plant.b_prime, dt)
-    dither_half = experiment._excitation(
-        (0.5 * dt) * np.arange(2 * steps + 1), plant.m, cfg.excitation_amplitude
-    )
-    drive = dither_half[0:-1:2] @ w0.T + dither_half[1::2] @ wh.T + dither_half[2::2] @ w1.T
-    states = linear_rollout(phi, drive, cfg.x0)
-    return states[:, : plant.n], states @ (-demo.k_fb.T) + dither_half[0::2]
-
-
 def whole_array_calibration(demo, cfg, stack):
     """The calibration simulated in one piece into logs of the whole
     maneuver, each sample appended in turn."""
     dt, steps = cfg.excitation_dt, cfg.excitation_steps
     t1, t2 = cfg.excitation_windows
-    positions, inputs = whole_array_maneuver(demo, cfg)
+    states, inputs = whole_array_rows(demo, cfg.x0, dt, steps, cfg.excitation_amplitude)
     window = cfg.excitation_duration + dt
     p_log, u_log = SampledSignal(cfg.n, dt, window), SampledSignal(cfg.m, dt, window)
-    for k, (p, u) in enumerate(zip(positions, inputs)):
-        p_log.append(k * dt, p)
+    for k, (x, u) in enumerate(zip(states, inputs)):
+        p_log.append(k * dt, x[: cfg.n])
         u_log.append(k * dt, u)
     for k in range(t1 + t2, steps + 1):
         if k % cfg.excitation_stride == 0:
@@ -136,20 +124,40 @@ def test_any_stride_records_the_whole_array_stack(stride):
     assert stack_bytes(streamed) == stack_bytes(reference)
 
 
+def assert_blocks_join_up(blocks, sizes, dt, states, inputs):
+    """The source's blocks have sizes rows, and their times, states and
+    inputs joined up are bitwise the grid times k * dt and the whole-array
+    rows."""
+    assert [len(t) for t, _, _ in blocks] == sizes
+    assert all(len(x) == len(u) == len(t) for t, x, u in blocks)
+    times, rows, actions = (np.concatenate(part) for part in zip(*blocks))
+    assert times.tolist() == [k * dt for k in range(len(states))]
+    assert rows.tobytes() == states.tobytes()
+    assert actions.tobytes() == inputs.tobytes()
+
+
 @pytest.mark.parametrize("plant", sorted(PLANTS))
 def test_the_source_blocks_join_up_to_the_whole_array_rows(plant):
-    # the one-row tail that a block per BLOCK steps would leave here gives
-    # a drive row that differs in its last bit, which the next state's
-    # rounding happens to absorb on these plants: so the block sizes are
-    # asserted too
-    cfg = calibration_config(plant, 10 * BLOCK + 1)
+    # a block per BLOCK steps would leave a one-step tail here, whose drive
+    # row differs in its last bit, which the next state's rounding happens
+    # to absorb on these plants: so the block sizes are asserted too.  Step
+    # 0 comes alone, and the block before the tail ends a step early
+    steps = 10 * BLOCK + 1
+    cfg = calibration_config(plant, steps)
     demo = make_demonstrator(cfg.plant(), cfg.cost())
-    blocks = list(experiment.calibration_source(demo, cfg))
-    assert [len(p) for _, p, _ in blocks] == [BLOCK] * 9 + [BLOCK + 2]
-    assert [t for t, _, _ in blocks] == [k * BLOCK * DT for k in range(10)]
-    positions, inputs = whole_array_maneuver(demo, cfg)
-    assert np.concatenate([p for _, p, _ in blocks]).tobytes() == positions.tobytes()
-    assert np.concatenate([u for _, _, u in blocks]).tobytes() == inputs.tobytes()
+    blocks = list(experiment.closed_loop_source(demo, cfg.x0, DT, steps, BLOCK,
+                                                cfg.excitation_amplitude))
+    states, inputs = whole_array_rows(demo, cfg.x0, DT, steps, cfg.excitation_amplitude)
+    assert_blocks_join_up(blocks, [1] + [BLOCK] * 9 + [BLOCK - 1, 2], DT, states, inputs)
+    # the run's undithered closed loop, in blocks of at most a drained
+    # batch: at the fewest steps that t1 + t2 allows, 57 whole blocks, and
+    # one step past them
+    batch = experiment._PIPE_BATCH
+    for steps, sizes in [(1801, [batch] * 56 + [9]), (1824, [batch] * 57),
+                         (1825, [batch] * 56 + [batch - 1, 2])]:
+        blocks = list(experiment.closed_loop_source(demo, cfg.x0, cfg.dt, steps, batch))
+        states, inputs = whole_array_rows(demo, cfg.x0, cfg.dt, steps)
+        assert_blocks_join_up(blocks, [1] + sizes, cfg.dt, states, inputs)
 
 
 @pytest.mark.parametrize("duration", [6.0, 30.0])

@@ -24,10 +24,9 @@ from irlobs.experiment import (
     write_report,
 )
 from irlobs.irl import Entry
-from irlobs.numerics import rk4_step
-from irlobs.plant import closed_loop_field, make_demonstrator, optimal_action, query
+from irlobs.plant import make_demonstrator, optimal_action, query
 
-from conftest import eager_purge_policy
+from conftest import eager_purge_policy, whole_array_rows
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "irlobs"
 
@@ -70,22 +69,22 @@ def short_config(duration=4.0, mode="query", seed=0, **run_overrides):
 
 def measured_run(cfg):
     """A fresh OnlineIrl as run_experiment builds it, and the (t, p, u,
-    queries) of every step that run_experiment measures, made with the same
-    calls in the same order."""
+    queries) of every step that run_experiment measures: the closed loop
+    simulated in one piece (whole_array_rows), and one oracle draw per
+    step."""
     n, dt = cfg.n, cfg.dt
     demo = make_demonstrator(cfg.plant(), cfg.cost())
     stack = ParamHistoryStack(cfg.param_capacity, theta_dim(n, cfg.m), cfg.min_eig_threshold)
     experiment.prerecord_param_stack(demo, cfg, stack)
     online = experiment.OnlineIrl(cfg, stack, cfg.x0[:n], optimal_action(demo, cfg.x0), cfg.w0)
-    field_fn, rng = closed_loop_field(demo), np.random.default_rng(cfg.seed)
-    x, steps = cfg.x0, []
-    for k in range(cfg.steps):
-        x = rk4_step(field_fn, k * dt, x, dt)
-        u, queries = optimal_action(demo, x), ()
+    states, inputs = whole_array_rows(demo, cfg.x0, dt, cfg.steps)
+    rng, steps = np.random.default_rng(cfg.seed), []
+    for k in range(1, cfg.steps + 1):
+        queries = ()
         if cfg.mode == "query":
             x_star = rng.uniform(cfg.query_low, cfg.query_high)
             queries = ((x_star, query(demo, x_star)),)
-        steps.append(((k + 1) * dt, x[:n], u, queries))
+        steps.append((k * dt, states[k, :n], inputs[k], queries))
     return online, steps
 
 
@@ -347,10 +346,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize("mode", ["observed", "query"])
     def test_online_irl_replays_the_run_bit_for_bit(self, mode):
         # a fresh in-process OnlineIrl fed the measurements and queries that
-        # the pipelined run measures, made with the same calls, makes the
-        # same estimates and decisions, also after it rejected a non-finite
-        # input at t = 0.002, which leaves the logs and the step queue as
-        # they were
+        # the pipelined run measures, from the closed loop simulated in one
+        # piece, makes the same estimates and decisions, also after it
+        # rejected a non-finite input at t = 0.002, which leaves the logs and
+        # the step queue as they were
         cfg = short_config(duration=2.0, mode=mode)
         report = run_experiment(cfg)
         online, steps = measured_run(cfg)
@@ -399,6 +398,22 @@ class TestRunExperiment:
             for name in ("queries", "purge_count", "gamma_eig_min", "gamma_eig_max",
                          "final_kappa", "final_gram_kappa", "final_residual"):
                 assert getattr(serial, name) == getattr(pipelined, name), (mode, name)
+
+    @pytest.mark.parametrize("mode", ["observed", "query"])
+    def test_the_run_steps_its_closed_loop_without_rk4_step(self, tmp_path, monkeypatch, mode):
+        # closed_loop_source is the one integrator on the run path: with
+        # experiment.rk4_step refusing every call, the run writes the same
+        # summary.json
+        cfg = short_config(duration=2.0, mode=mode)
+        write_report(run_experiment(cfg), tmp_path / "plain")
+
+        def refused(*args):
+            raise AssertionError("the run called rk4_step")
+
+        monkeypatch.setattr(experiment, "rk4_step", refused)
+        write_report(run_experiment(cfg), tmp_path / "stubbed")
+        summaries = [(tmp_path / out / "summary.json").read_bytes() for out in ("plain", "stubbed")]
+        assert summaries[0] == summaries[1]
 
     def test_step_off_the_time_grid_is_an_irlobs_error(self, monkeypatch):
         # a measurement stream that restarts, repeats or skips a grid time

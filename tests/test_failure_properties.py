@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,40 +63,50 @@ def refusing(name):
     return called
 
 
-def corrupting(fn, call, index, value):
-    """fn with entry index of the return value of its call-th call set to value."""
-    calls = []
+def corrupting_source(part, step, index, value):
+    """experiment.closed_loop_source with entry index of the states (part
+    1) or inputs (part 2) row of step set to value on the run's grid of DT;
+    the calibration's source, on its finer grid, is left as it is."""
+    source = experiment.closed_loop_source
 
-    def wrapped(*args):
-        out = fn(*args)
-        calls.append(None)
-        if len(calls) == call:
-            out = np.array(out, dtype=float)
-            out[index] = value
-        return out
+    def wrapped(demo, x0, dt, steps, *args):
+        for block in source(demo, x0, dt, steps, *args):
+            times = block[0]
+            if dt == DT and times[0] <= step * DT <= times[-1]:
+                block = list(block)
+                block[part] = block[part].copy()
+                block[part][step - round(times[0] / DT), index] = value
+            yield tuple(block)
 
     return wrapped
 
 
 @st.composite
 def corruptions(draw):
-    """(runner name, call number, entry, value): the measured position comes
-    from the state rk4_step returns, the measured input from optimal_action
-    (whose first call is the initial input)."""
-    name = draw(st.sampled_from(["rk4_step", "optimal_action"]))
-    steps = int(round(DURATION / DT))
-    call = draw(st.integers(1, steps))
+    """(part, step, entry, value): a position coordinate of the measured
+    state, or an input channel, at a measured step."""
+    part = draw(st.sampled_from([1, 2]))  # states or inputs
+    step = draw(st.integers(1, int(round(DURATION / DT))))
     index = draw(st.integers(0, 1))  # a position coordinate or an input channel
-    return name, call, index, draw(BAD_VALUES)
+    return part, step, index, draw(BAD_VALUES)
 
 
 @PROPERTY
 @given(corruption=corruptions())
 def test_non_finite_measurement_raises_numeric_overflow(corruption):
-    name, call, index, value = corruption
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiment, name, corrupting(getattr(experiment, name), call, index, value))
+        mp.setattr(experiment, "closed_loop_source", corrupting_source(*corruption))
         with pytest.raises(NumericOverflowError):
+            run_experiment(ExperimentConfig(short_raw()))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_initial_input_raises_numeric_overflow(value):
+    # the run's one optimal_action call is the input at step 0, which
+    # OnlineIrl starts from
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "optimal_action", lambda demo, x: [value] * demo.plant.m)
+        with pytest.raises(NumericOverflowError, match=r"t=0\.0$"):
             run_experiment(ExperimentConfig(short_raw()))
 
 
@@ -108,7 +117,7 @@ def test_too_large_grid_step_raises_config_error(dt, mode, excitation_duration):
     raw = large_step_raw(dt, excitation_duration)
     raw["run"]["mode"] = mode
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("prerecord_param_stack", "rk4_step"):
+        for name in ("prerecord_param_stack", "closed_loop_source"):
             mp.setattr(experiment, name, refusing(name))
         with pytest.raises(ConfigError, match=r"'run\.dt': dt too large"):
             run_experiment(ExperimentConfig(raw))
@@ -135,9 +144,7 @@ def test_unstable_calibration_step_is_rejected():
 def test_cli_exits_1_on_a_non_finite_measurement(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(short_raw()))
-    monkeypatch.setattr(
-        experiment, "rk4_step", corrupting(experiment.rk4_step, 700, 0, math.nan)
-    )
+    monkeypatch.setattr(experiment, "closed_loop_source", corrupting_source(1, 700, 0, math.nan))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
