@@ -1,10 +1,23 @@
 #!/usr/bin/env bash
 # Packaging smoke: install the package from the checkout, then run the
 # console script from outside it.  The installed package must carry
-# default_config.json, and a run must write its five report files.
+# default_config.json and gramkernel.c, and a run must write its five
+# report files.  With --require-kernel, the installed package must also
+# compile and load its swap search (irlobs.gramkernel) rather than fall
+# back to numpy.
+#
+#     bash .github/packaging_smoke.sh [--require-kernel]
 set -euo pipefail
 python -m pip install --no-deps .
 cd "$RUNNER_TEMP"
+python - "${1:-}" <<'PY'
+import sys
+from irlobs import gramkernel
+assert gramkernel._SOURCE.is_file(), "the installed package lacks gramkernel.c"
+loaded = gramkernel.load() is not None
+print(f"compiled swap search loaded: {loaded}")
+sys.exit(sys.argv[1] == "--require-kernel" and not loaded)
+PY
 irlobs are
 # a 2 s run with all three run flags: one config validation in the
 # installed package, five report files

@@ -134,6 +134,7 @@ class ParamHistoryStack(GramStack):
     """
 
     ritz_per_offer = True
+    kernel_score = "lam_min"
 
     def __init__(self, capacity, dim, min_eig_threshold):
         super().__init__(capacity, dim)
@@ -151,9 +152,7 @@ class ParamHistoryStack(GramStack):
         # the slot-order sum adds the rows one after another from zero,
         # bitwise the running sum over the entries
         self.rhs_projection = self._projections[: self.size].sum(axis=0, initial=0.0)
-        self.min_eigenvalue = (
-            float(np.linalg.eigvalsh(self.gram)[0]) if self.size else 0.0
-        )
+        self.min_eigenvalue = float(self.spectrum[0]) if self.size else 0.0
 
     def record(self, residual, regressor):
         """Store the pair if it is admissible; returns True when committed."""

@@ -1,0 +1,195 @@
+/* The swap search of irlobs.numerics.GramStack.best_swap, compiled.
+ *
+ * irlobs.gramkernel compiles this file with the system C compiler, loads it
+ * with ctypes and hands it the dsyevd that numpy.linalg links to.  Every
+ * value a decision reads is bitwise numpy's: a swap's matrix is formed by
+ * the same elementwise operations, (gram + block) - blocks[i], and solved
+ * by dsyevd called as np.linalg.eigvalsh calls it (jobz 'N', uplo 'L', the
+ * matrix copied column-major, the workspace of its size query).  Only the
+ * Ritz bounds, which decide which slots are solved but not which one is
+ * chosen, are summed in another order; their tau budget covers any order.
+ * Compile without contraction or fast-math: -O2 -ffp-contract=off.
+ */
+#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+
+typedef int64_t lint; /* ILP64 LAPACK */
+typedef void dsyevd_fn(const char *jobz, const char *uplo, const lint *n, double *a,
+                       const lint *lda, double *w, double *work, const lint *lwork,
+                       lint *iwork, const lint *liwork, lint *info, size_t jobz_len,
+                       size_t uplo_len);
+
+#define EPS 2.220446049250313e-16 /* 2^-52, np.finfo(float).eps */
+
+/* One stack.  The pointers are arrays that irlobs.gramkernel allocates,
+ * blocks and traces the stack's own. */
+struct stack {
+    dsyevd_fn *dsyevd;
+    lint dim, capacity, size;
+    lint kappa;       /* score: 1 the Gram condition number, 0 minus lam_min */
+    lint per_offer;   /* Ritz basis: 1 of gram + block per search, 0 of gram per change */
+    lint fresh;       /* the per-change basis is that of gram */
+    lint lwork[2], liwork[2]; /* dsyevd's size queries, jobz 'N' and 'V' */
+    double *blocks;   /* (capacity, dim, dim) */
+    double *traces;   /* (capacity,) */
+    double *gram, *block, *grown; /* (dim, dim) each */
+    double *lam;      /* (capacity, dim): the spectrum of each slot solved */
+    double *a, *work; /* dsyevd's matrix (dim, dim), column-major, and work */
+    lint *iwork;
+    double *basis;    /* (3, dim): the eigenvectors of lam_0, lam_1 and lam_max */
+    double *ritz;     /* (5, capacity): per slot low, diff, b2, high, then the floor */
+    lint *solved;     /* (capacity,) */
+    double scale;     /* tau per unit of trace */
+};
+
+/* The size of struct stack, which irlobs.gramkernel checks its copy of. */
+lint gk_struct_size(void) { return sizeof(struct stack); }
+
+/* dsyevd's workspace query for order n: out[0] lwork, out[1] liwork, as
+ * numpy's wrapper converts them; returns info. */
+lint gk_workspace(dsyevd_fn *dsyevd, lint n, lint vectors, lint *out)
+{
+    double work;
+    lint iwork, info, lwork = -1, liwork = -1, lda = n > 1 ? n : 1;
+    dsyevd(vectors ? "V" : "N", "L", &n, &work, &lda, &work, &work, &lwork, &iwork, &liwork,
+           &info, 1, 1);
+    out[0] = (lint)(size_t)work;
+    out[1] = (lint)(size_t)iwork;
+    return info;
+}
+
+/* Eigenvalues (into w, ascending) and, with vectors, eigenvectors (into the
+ * columns of s->a) of m - sub, sub being NULL for m itself; returns info. */
+static lint solve(struct stack *s, const double *m, const double *sub, lint vectors, double *w)
+{
+    lint d = s->dim, info;
+    for (lint i = 0; i < d; i++)
+        for (lint j = 0; j < d; j++)
+            s->a[i + j * d] = sub ? m[i * d + j] - sub[i * d + j] : m[i * d + j];
+    s->dsyevd(vectors ? "V" : "N", "L", &d, s->a, &d, w, s->work, &s->lwork[vectors],
+              s->iwork, &s->liwork[vectors], &info, 1, 1);
+    return info;
+}
+
+/* The stack's score of an ascending spectrum, as its _score. */
+static double score(const struct stack *s, const double *lam)
+{
+    double lo = lam[0], hi = lam[s->dim - 1];
+    if (!s->kappa)
+        return -lo;
+    return hi > 0.0 && lo > hi * (double)s->dim * EPS ? hi / lo : INFINITY;
+}
+
+/* w_k' x w_l for the (k, l) pairs (0, 0), (0, 1), (1, 1), (2, 2). */
+static void project(const struct stack *s, const double *x, double *p)
+{
+    lint d = s->dim;
+    const double *w0 = s->basis, *w1 = w0 + d, *w2 = w1 + d;
+    p[0] = p[1] = p[2] = p[3] = 0.0;
+    for (lint i = 0; i < d; i++) {
+        double r0 = 0.0, r1 = 0.0, r2 = 0.0;
+        for (lint j = 0; j < d; j++) {
+            r0 += x[i * d + j] * w0[j];
+            r1 += x[i * d + j] * w1[j];
+            r2 += x[i * d + j] * w2[j];
+        }
+        p[0] += w0[i] * r0;
+        p[1] += w0[i] * r1;
+        p[2] += w1[i] * r1;
+        p[3] += w2[i] * r2;
+    }
+}
+
+/* GramStack._ritz_bounds' per-slot parts from the eigenvectors of x: the
+ * basis, tau's scale and, per slot, low, diff, b2 and high. */
+static lint take_basis(struct stack *s, const double *x, double gram_trace)
+{
+    lint d = s->dim, n = s->size, cap = s->capacity, info = solve(s, x, NULL, 1, s->lam);
+    if (info)
+        return info;
+    const double *cols[3] = {s->a, s->a + d, s->a + (d - 1) * d};
+    for (lint k = 0; k < 3; k++)
+        for (lint i = 0; i < d; i++)
+            s->basis[k * d + i] = cols[k][i];
+    /* delta: the magnitudes of W'W - I, which bound its Frobenius norm */
+    double delta = 4 * d * EPS;
+    for (lint k = 0; k < 3; k++)
+        for (lint l = 0; l < 3; l++) {
+            double dot = 0.0;
+            for (lint i = 0; i < d; i++)
+                dot += s->basis[k * d + i] * s->basis[l * d + i];
+            delta += fabs(dot - (k == l));
+        }
+    s->scale = 64 * d * d * EPS + 3 * delta;
+    double g[4], b[4];
+    double *low = s->ritz, *diff = low + cap, *b2 = diff + cap, *high = b2 + cap;
+    project(s, s->gram, g);
+    for (lint i = 0; i < n; i++) {
+        project(s, s->blocks + i * d * d, b);
+        double a = g[0] - b[0], c = g[2] - b[2];
+        double tau = s->scale * (gram_trace + s->traces[i]);
+        low[i] = 0.5 * (a + c) + tau;
+        diff[i] = a - c;
+        b2[i] = 2.0 * (g[1] - b[1]);
+        high[i] = (g[3] - b[3]) - tau;
+    }
+    return 0;
+}
+
+/* The swap of s->block into the stack with the lowest score, as
+ * GramStack.best_swap: its slot, its spectrum in s->lam's row of that
+ * slot, or -1 when no slot can score below cut, or -2 when dsyevd fails.
+ * Below a finite cut, slots are solved one at a time in ascending order
+ * of their Ritz floors and the search ends at the first floor above the
+ * best score, as no slot left can then score at or below it. */
+lint gk_search(struct stack *s, double cut, double trace, double gram_trace)
+{
+    lint d = s->dim, dd = d * d, n = s->size, cap = s->capacity, best = -1;
+    double best_score = INFINITY;
+    for (lint k = 0; k < dd; k++)
+        s->grown[k] = s->gram[k] + s->block[k];
+    if (d < 2 || !isfinite(cut)) { /* every slot, as the batched eigvalsh and argmin */
+        for (lint i = 0; i < n; i++) {
+            if (solve(s, s->grown, s->blocks + i * dd, 0, s->lam + i * d))
+                return -2;
+            double sc = score(s, s->lam + i * d);
+            if (best < 0 || sc < best_score)
+                best = i, best_score = sc;
+        }
+        return best;
+    }
+    if (s->per_offer || !s->fresh) {
+        if (take_basis(s, s->per_offer ? s->grown : s->gram, gram_trace))
+            return -2;
+        s->fresh = !s->per_offer;
+    }
+    double p[4];
+    project(s, s->block, p);
+    double tau = s->scale * trace, mid = 0.5 * (p[0] + p[2]) + tau;
+    double *low = s->ritz, *diff = low + cap, *b2 = diff + cap, *high = b2 + cap;
+    double *floor = high + cap;
+    for (lint i = 0; i < n; i++) {
+        double lam_min = low[i] + -0.5 * hypot(diff[i] + (p[0] - p[2]), b2[i] + 2.0 * p[1]) + mid;
+        double lam_max = high[i] + (p[3] - tau);
+        if (!s->kappa)
+            floor[i] = -lam_min;
+        else
+            floor[i] = lam_min > 0.0 ? (lam_max > 0.0 ? lam_max : 0.0) / lam_min : INFINITY;
+        s->solved[i] = 0;
+    }
+    for (;;) {
+        lint j = -1; /* the unsolved slot of the lowest floor below cut */
+        for (lint i = 0; i < n; i++)
+            if (!s->solved[i] && floor[i] < cut && (j < 0 || floor[i] < floor[j]))
+                j = i;
+        if (j < 0 || !(floor[j] <= best_score))
+            return best;
+        s->solved[j] = 1;
+        if (solve(s, s->grown, s->blocks + j * dd, 0, s->lam + j * d))
+            return -2;
+        double sc = score(s, s->lam + j * d);
+        if (best < 0 || sc < best_score || (sc == best_score && j < best))
+            best = j, best_score = sc;
+    }
+}

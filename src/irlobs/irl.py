@@ -261,6 +261,8 @@ class IrlHistoryStack(GramStack):
     _commits) keeps swaps that lower the Gram condition number.
     """
 
+    kernel_score = "kappa"
+
     def __init__(self, capacity, basis, r1, m, xi2=1e-3):
         super().__init__(capacity, basis.width(m))
         self.basis = basis
@@ -293,7 +295,7 @@ class IrlHistoryStack(GramStack):
         self.rhs_sq = float(sum(self._rhs_sq[: self.size]))
         self.sigma_u1_norm = math.sqrt(self.rhs_sq)  # norm of the stacked known right-hand side
         self.eta_min = min(self._eta[: self.size], default=float("inf"))
-        self.gram_kappa = _gram_kappa(np.linalg.eigvalsh(self.gram))
+        self.gram_kappa = _gram_kappa(self.spectrum)
         self.kappa = math.sqrt(self.gram_kappa)
 
     @staticmethod

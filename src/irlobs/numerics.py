@@ -4,7 +4,9 @@ Fixed-step integration, step-indexed logs of uniformly sampled signals, a
 continuous-time algebraic Riccati solver (a Hamiltonian start gain refined by
 Kleinman-Newton iteration), least squares and the Gram-block history stack.
 Nothing in this module knows about plants, observers or costs; everything
-operates on plain numpy arrays, and numpy is the only dependency.
+operates on plain numpy arrays, and numpy is the only dependency.  The
+stack's swap search also runs as compiled C (irlobs.gramkernel) where a C
+compiler is found, with the same bits; numpy's path is the fallback.
 """
 
 from __future__ import annotations
@@ -27,6 +29,19 @@ _NEWTON_TOL = 1e-13  # relative Newton step that ends the Riccati iteration
 _NEWTON_MAX_ITER = 60
 _FIRST_BATCH = 6  # slots GramStack.best_swap solves before it prunes by the best score
 _EYE3 = np.eye(3)
+# GramStack's compiled search (gramkernel.Kernel): None until a stack
+# first searches a full stack, then the kernel, or False where none loads
+_kernel = None
+
+
+def _swap_kernel():
+    """The compiled swap search, loaded at the first call, or False."""
+    global _kernel
+    if _kernel is None:
+        from . import gramkernel
+
+        _kernel = gramkernel.load() or False
+    return _kernel
 
 
 def rk4_step(f, t, x, dt):
@@ -337,17 +352,26 @@ class GramStack:
     """Fixed-capacity stack of slots, each holding a symmetric Gram block.
 
     ``gram`` is the sum of the stored blocks, re-summed in slot order after
-    every change.  Candidates enter by ``offer``, which weighs the best
-    single-slot swap that ``best_swap`` finds with as few batched
-    ``eigvalsh`` solves as Ritz bounds allow.  Subclasses own the criterion
-    (``_score``, ``_score_floor``, ``_commits``), the Ritz basis
-    (``ritz_per_offer``), what they keep per slot (``_store``) and what
-    they derive from the stack (``_changed``).
+    every change, and ``spectrum`` its ascending eigenvalues.  Candidates
+    enter by ``offer``, which weighs the best single-slot swap that
+    ``best_swap`` finds with as few eigen-solves as Ritz bounds allow.
+    Subclasses own the criterion (``_score``, ``_score_floor``,
+    ``_commits``, and ``kernel_score``, which of the compiled search's two
+    scores ``_score`` is), the Ritz basis (``ritz_per_offer``), what they
+    keep per slot (``_store``) and what they derive from the stack
+    (``_changed``).
+
+    From its first search of a full stack on, a stack with a kernel_score
+    searches in compiled code (irlobs.gramkernel) where that loads, else in
+    numpy; both find the same slots and spectra, bit for bit.
     """
 
     # best_swap's Ritz basis: the eigenvectors of gram, taken once per
     # change of the stack, or (True) those of gram + block, taken per offer
     ritz_per_offer = False
+    # _score as the compiled search has it: "kappa", the Gram condition
+    # number, "lam_min", minus the smallest eigenvalue, or None for numpy only
+    kernel_score = None
 
     def __init__(self, capacity, dim):
         if capacity < 1:
@@ -357,9 +381,12 @@ class GramStack:
         self.blocks = np.zeros((self.capacity, self.dim, self.dim))
         self._traces = np.zeros(self.capacity)
         self.size = 0
-        self.gram = np.zeros((self.dim, self.dim))
-        self._gram_trace = 0.0
-        self._ritz = None
+        self._search = None  # the compiled search, or False, from the first full-stack search
+        self._resum()
+
+    def __getstate__(self):
+        # a copy has arrays of its own, so it attaches its own search
+        return {**self.__dict__, "_search": None}
 
     @property
     def is_full(self):
@@ -367,30 +394,33 @@ class GramStack:
 
     def offer(self, block, entry, cut):
         """Store entry and its Gram block, appending while the stack is not
-        full, else in the slot of best_swap(block, cut) if _commits(entry,
-        slot, spectrum, cut); returns True when stored.  Raises, changing
+        full, else in the slot of best_swap(block, cut, trace) if
+        _commits(entry, slot, spectrum, cut); returns True when stored.
+        block's trace is taken once, here.  Raises, changing
         nothing, for an entry that _store rejects, and NumericOverflowError
         unless twice the trace of gram + block (block being the Gram of
         finite rows) is finite: it bounds every entry of gram + block, which
         the eigen-solves start from, and of the Gram that an append or a
         swap gives, and the Ritz bounds sum two traces."""
-        if not math.isfinite(2.0 * (self._gram_trace + float(block.trace()))):
+        trace = float(block.trace())
+        if not math.isfinite(2.0 * (self._gram_trace + trace)):
             raise NumericOverflowError("a candidate's Gram block overflows the stack's Gram")
         if not self.is_full:
-            self.put(self.size, block, entry)
+            self.put(self.size, block, entry, trace)
             return True
-        found = self.best_swap(block, cut)
+        found = self.best_swap(block, cut, trace)
         if found is None or not self._commits(entry, *found, cut):
             return False
-        self.put(found[0], block, entry)
+        self.put(found[0], block, entry, trace)
         return True
 
     def swap_spectra(self, block):
         """Ascending eigenvalues of gram + block - blocks[i], one row per stored slot i."""
         return np.linalg.eigvalsh((self.gram + block)[None, :, :] - self.blocks[: self.size])
 
-    def best_swap(self, block, cut):
-        """The swap of block into the stack with the lowest score.
+    def best_swap(self, block, cut, trace):
+        """The swap of block, of trace float(block.trace()), into the stack
+        with the lowest score.
 
         _score maps rows of ascending spectra to one score each;
         _score_floor maps the per-slot bounds (an upper bound on lam_min, a
@@ -400,16 +430,26 @@ class GramStack:
         scoring one, ties going to the lowest slot as with argmin;
         otherwise the result is None or a slot scoring at least cut.
 
-        Exact eigen-solves run on at most two batches: the _FIRST_BATCH
-        slots with the lowest floors, then every other slot whose floor is
-        below cut and at most the best score found.  A non-finite cut, or a
-        dim of 1, scores every slot in one batch.
+        In numpy, exact eigen-solves run on at most two batches: the
+        _FIRST_BATCH slots with the lowest floors, then every other slot
+        whose floor is below cut and at most the best score found.  The
+        compiled search solves one slot at a time in that order and stops
+        at the first floor above the best score.  A non-finite cut, or a
+        dim of 1, scores every slot.
         """
+        if self._search is None:
+            kernel = _swap_kernel() if self.kernel_score else False
+            self._search = kernel and kernel.search(
+                self.blocks, self._traces, self.kernel_score == "kappa", self.ritz_per_offer
+            )
+        if self._search:
+            return self._search.best_swap(block, cut, trace, self.gram, self.size,
+                                          self._gram_trace)
         if self.dim < 2 or not math.isfinite(cut):
             lam = self.swap_spectra(block)
             slot = int(np.argmin(self._score(lam)))
             return slot, lam[slot]
-        floor = self._score_floor(*self._ritz_bounds(block))
+        floor = self._score_floor(*self._ritz_bounds(block, trace))
         order = floor.argsort(kind="stable")
         ranked = floor[order]
         live = int(ranked.searchsorted(cut))
@@ -433,7 +473,7 @@ class GramStack:
             j = ties[slots[ties].argmin()]
         return int(slots[j]), lam[j]
 
-    def _ritz_bounds(self, block):
+    def _ritz_bounds(self, block, trace):
         """Per slot i, an upper bound on lam_min and a lower bound on lam_max
         of M_i = gram + block - blocks[i], from Rayleigh-Ritz on an
         eigenbasis: that of gram, taken once per change of the stack, or
@@ -492,36 +532,41 @@ class GramStack:
             self._ritz = (w, scale, low, a - c, 2.0 * b, high)
         w, scale, low, diffs, b2, high = self._ritz
         (p00, p01, _), (_, p11, _), (_, _, p22) = (w.T @ (block @ w)).tolist()
-        tau = scale * float(block.trace())
+        tau = scale * trace
         lam_min = np.hypot(diffs + (p00 - p11), b2 + 2.0 * p01)
         lam_min *= -0.5
         lam_min += low
         lam_min += 0.5 * (p00 + p11) + tau
         return lam_min, high + (p22 - tau)
 
-    def put(self, i, block, entry):
-        """Store an entry and its Gram block in slot i; i == size appends.
-        Raises, changing nothing, for a slot past the end, a block of
-        another shape, or an entry that _store rejects."""
+    def put(self, i, block, entry, trace=None):
+        """Store an entry and its Gram block, of trace float(block.trace()),
+        in slot i; i == size appends.  Raises, changing nothing, for a slot
+        past the end, a block of another shape, or an entry that _store
+        rejects."""
         if not 0 <= i <= self.size or i >= self.capacity:
             raise IndexError(f"slot {i} is outside the stack (size {self.size})")
         if block.shape != self.blocks.shape[1:]:
             raise ValueError(f"block of shape {block.shape} in a stack of dim {self.dim}")
         self._store(i, entry)
         self.blocks[i] = block
-        self._traces[i] = block.trace()
+        self._traces[i] = float(block.trace()) if trace is None else trace
         self.size = max(self.size, i + 1)
-        self.gram = self.blocks[: self.size].sum(axis=0)
-        self._gram_trace = float(self.gram.trace())
-        self._ritz = None
+        self._resum()
         self._changed()
 
     def clear(self):
         self.size = 0
-        self.gram = np.zeros((self.dim, self.dim))
-        self._gram_trace = 0.0
-        self._ritz = None
+        self._resum()
         self._changed()
+
+    def _resum(self):
+        """gram, the stored blocks summed in slot order (a new array), its
+        trace and its spectrum."""
+        self.gram = self.blocks[: self.size].sum(axis=0)
+        self.spectrum = np.linalg.eigvalsh(self.gram)
+        self._gram_trace = float(self.gram.trace())
+        self._ritz = None
 
     def _store(self, i, entry):
         """Hook run first in put, for a subclass to check entry and write

@@ -1,11 +1,15 @@
 """Shared fixtures: the default linear-quadratic system, a prerecorded
-parameter stack, and a fully logged estimator run used across test modules."""
+parameter stack, and a fully logged estimator run used across test modules.
+
+``--no-swap-kernel`` runs the session with GramStack's compiled search
+switched off, on numpy alone, as where it cannot load."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from irlobs import numerics
 from irlobs.errors import RankDeficiencyError
 from irlobs.estimator import (
     AdaptiveObserver,
@@ -20,6 +24,26 @@ from irlobs.experiment import _excitation, default_config, prerecord_param_stack
 from irlobs.irl import Entry, entry_rows, eval_features, read_lazy, solve_weights
 from irlobs.numerics import SampledSignal, linear_rk4_matrices, linear_rollout, rk4_step
 from irlobs.plant import CostFunction, LinearPlant, make_demonstrator, optimal_action
+
+
+def pytest_addoption(parser):
+    parser.addoption("--no-swap-kernel", action="store_true",
+                     help="search every GramStack in numpy, without irlobs.gramkernel")
+
+
+def pytest_configure(config):
+    if config.getoption("--no-swap-kernel"):
+        numerics._kernel = False
+
+
+def swap_kernel():
+    """GramStack's compiled search, loading it if no stack has yet; skips
+    the test where it is switched off or cannot load."""
+    kernel = numerics._swap_kernel()
+    if not kernel:
+        pytest.skip("the compiled swap search is switched off or did not load")
+    return kernel
+
 
 DEFAULT_A = np.array([[1.0, 1.0, -1.0, 1.0], [5.0, 1.0, 1.0, 1.0]])
 DEFAULT_B = np.array([[1.0, 3.0], [0.0, 1.0]])

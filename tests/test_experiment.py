@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irlobs import experiment, purge
+from irlobs import experiment, numerics, purge
 from irlobs.errors import ConfigError, IrlobsError, NumericOverflowError
 from irlobs.estimator import ParamHistoryStack, theta_dim
 from irlobs.experiment import (
@@ -26,7 +26,7 @@ from irlobs.experiment import (
 from irlobs.irl import Entry
 from irlobs.plant import make_demonstrator, optimal_action, query
 
-from conftest import eager_purge_policy, whole_array_rows
+from conftest import eager_purge_policy, swap_kernel, whole_array_rows
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "irlobs"
 
@@ -509,6 +509,51 @@ class TestRunExperiment:
         path.write_text(json.dumps({"gains": {"stack_source": "prerecorded"}}))
         with pytest.raises(ConfigError, match="gains.stack_source"):
             load_config(path)
+
+
+class TestCompiledSearch:
+    """Both history stacks search in compiled code (irlobs.gramkernel) where
+    it loads; numerics._kernel = False holds them to numpy."""
+
+    def test_the_calibrated_stack_is_byte_identical(self, monkeypatch):
+        swap_kernel()
+        cfg = short_config()
+        demo = make_demonstrator(cfg.plant(), cfg.cost())
+
+        def calibrated():
+            stack = ParamHistoryStack(cfg.param_capacity, theta_dim(cfg.n, cfg.m),
+                                      cfg.min_eig_threshold)
+            return experiment.prerecord_param_stack(demo, cfg, stack)
+
+        compiled = calibrated()
+        monkeypatch.setattr(numerics, "_kernel", False)
+        plain = calibrated()
+        assert compiled._search and plain._search is False
+        assert compiled.size == plain.size == cfg.param_capacity
+        for name in ("gram", "blocks", "_projections", "rhs_projection", "spectrum"):
+            assert getattr(compiled, name).tobytes() == getattr(plain, name).tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["observed", "query"])
+    def test_a_run_is_byte_identical(self, mode, tmp_path, monkeypatch):
+        # in one process and pipelined, the same RunTrace and summary.json
+        swap_kernel()
+        cfg = short_config(duration=2.0, mode=mode)
+
+        def runs():
+            pipelined = run_experiment(cfg)
+            with monkeypatch.context() as mp:
+                mp.delattr(os, "fork")
+                return pipelined, run_experiment(cfg)
+
+        reports = runs()
+        monkeypatch.setattr(numerics, "_kernel", False)
+        reports += runs()
+        assert len(reports[0].trace.stores) > 0
+        for i, report in enumerate(reports):
+            write_report(report, tmp_path / str(i))
+            assert report.trace == reports[0].trace
+            summary = (tmp_path / str(i) / "summary.json").read_bytes()
+            assert summary == (tmp_path / "0" / "summary.json").read_bytes()
 
 
 class TestWriteReport:

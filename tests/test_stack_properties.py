@@ -5,13 +5,15 @@ an offer to a full stack either commits a swap that strictly improves the
 recomputed criterion, or leaves the stack exactly as it was.  The bounded
 swap search makes every decision the exhaustive search does, and the
 Rayleigh-Ritz bounds it prunes with hold on near-singular and
-rank-deficient stacks.  Offers are
+rank-deficient stacks, and the compiled search (irlobs.gramkernel) makes
+every decision numpy's does, from the same bits.  Offers are
 drawn with repeats from a small pool, since re-offered and rank-deficient
 data are where a swap's predicted gain is pure rounding, and scaled copies
 make ties and near-ties.
 """
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -31,6 +33,7 @@ from conftest import (
     exhaustive_param_slot,
     gram_kappas,
     make_entry,
+    swap_kernel,
 )
 
 EPS = np.finfo(float).eps
@@ -231,7 +234,7 @@ def test_ritz_bounds_hold_on_near_singular_and_rank_deficient_stacks(
         rows = rng.normal(size=(3, dim)) * scales * scale
         block = rows.T @ rows
         lam = stack.swap_spectra(block)
-        lam_min_bound, lam_max_bound = stack._ritz_bounds(block)
+        lam_min_bound, lam_max_bound = stack._ritz_bounds(block, float(block.trace()))
         assert (lam_min_bound >= lam[:, 0]).all()
         assert (lam_max_bound <= lam[:, -1]).all()
         offer(scale)  # and the bounds of the changed stack next time
@@ -262,3 +265,116 @@ def test_a_stored_candidate_keeps_none_of_its_arrays_alive(irl):
     gc.collect()
     assert stack.size == (2 if irl else 1)
     assert [ref() is None for ref in refs] == [True] * len(refs)
+
+
+def compiled_and_numpy(make):
+    """Two empty stacks from make(): one that searches in compiled code and
+    one held to numpy (skips where none loads)."""
+    swap_kernel()
+    compiled, plain = make(), make()
+    plain._search = False
+    return compiled, plain
+
+
+def assert_same_search(compiled, plain, block, cut):
+    # the same slot and spectrum bits when some slot scores below cut, or
+    # when every slot is scored; otherwise None or a slot scoring at least
+    # cut from each, which no stack commits
+    trace = float(block.trace())
+    found = [stack.best_swap(block, cut, trace) for stack in (compiled, plain)]
+    below = [f is not None and plain._score(f[1][None])[0] < cut for f in found]
+    assert below[0] == below[1]
+    if below[0] or not math.isfinite(cut) or plain.dim < 2:
+        assert found[0][0] == found[1][0]
+        assert found[0][1].tobytes() == found[1][1].tobytes()
+    # the floors of the compiled search, each below its slot's computed score
+    if compiled._search and math.isfinite(cut) and plain.dim >= 2:
+        floors = compiled._search._arrays["ritz"][4, : plain.size]
+        assert (floors <= plain._score(plain.swap_spectra(block))).all()
+
+
+def assert_same_state(compiled, plain):
+    assert compiled.size == plain.size
+    for name in ("gram", "spectrum", "blocks"):
+        assert getattr(compiled, name).tobytes() == getattr(plain, name).tobytes(), name
+
+
+@PROPERTY
+@given(
+    dim=st.sampled_from([1, 2, 4]),
+    capacity=st.integers(2, 8),
+    deficient=st.booleans(),
+    picks=scaled_offers(arrays(float, (2, 4), elements=COORD), (1, 6), (4, 24)),
+)
+def test_param_stack_searches_alike_compiled_and_in_numpy(dim, capacity, deficient, picks):
+    # both paths find the same swaps and keep the same Gram, spectrum and
+    # lam_min bits, on partly full and full stacks, of dim 1 to 4, rank
+    # deficient or not, offered copies (ties) and scaled copies
+    compiled, plain = compiled_and_numpy(
+        lambda: ParamHistoryStack(capacity=capacity, dim=dim, min_eig_threshold=1e-6)
+    )
+    for base, scale in picks:
+        regressor = scale * base[:, :dim]
+        if deficient and dim > 1:
+            regressor[:, -1] = 0.0
+        block = regressor.T @ regressor
+        if plain.size:
+            for cut in (math.inf, plain.min_eigenvalue, -plain.min_eigenvalue):
+                assert_same_search(compiled, plain, block, cut)
+        records = [stack.record(regressor[:, 0], regressor) for stack in (compiled, plain)]
+        assert records[0] == records[1]
+        assert_same_state(compiled, plain)
+        assert compiled.min_eigenvalue == plain.min_eigenvalue
+
+
+@PROPERTY
+@given(
+    capacity=st.integers(2, 10),
+    xi1=st.sampled_from([1.0, 0.5, 3.0]),
+    picks=scaled_offers(
+        st.tuples(arrays(float, 4, elements=COORD), arrays(float, 2, elements=COORD)),
+        (1, 14),
+        (4, 30),
+    ),
+)
+def test_irl_stack_searches_alike_compiled_and_in_numpy(capacity, xi1, picks):
+    # as above for the IRL stack, whose small pools leave it at kappa = inf,
+    # so that its cut is not finite and every slot is scored
+    compiled, plain = compiled_and_numpy(
+        lambda: IrlHistoryStack(capacity=capacity, basis=BASIS, r1=20.0, m=2)
+    )
+    for t, ((x, u), scale) in enumerate(picks):
+        cand = make_entry(plain, scale * x, scale * u, THETA, t=float(t))
+        if plain.size:
+            for cut in (xi1 * plain.gram_kappa, math.inf):
+                assert_same_search(compiled, plain, cand.gram, cut)
+        stored = [data_select(stack, cand, xi1) for stack in (compiled, plain)]
+        assert stored[0] == stored[1]
+        assert_same_state(compiled, plain)
+        assert compiled.gram_kappa == plain.gram_kappa
+
+
+@PROPERTY
+@given(irl=st.booleans(), kappa_decades=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
+def test_full_stacks_search_alike_compiled_and_in_numpy(irl, kappa_decades, seed):
+    # the calibration's 150 slots at dim 12, and the run's IRL stack of 30
+    # slots, near-singular as the row scales span up to 7 decades
+    rng = np.random.default_rng(seed)
+    if irl:
+        make = lambda: IrlHistoryStack(capacity=30, basis=BASIS, r1=20.0, m=2)  # noqa: E731
+    else:
+        make = lambda: ParamHistoryStack(capacity=150, dim=12, min_eig_threshold=1e-6)  # noqa: E731
+    compiled, plain = compiled_and_numpy(make)
+    scales = np.logspace(0.0, -kappa_decades, plain.dim)
+    for k in range(plain.capacity + 20):
+        rows = rng.normal(size=(3, plain.dim)) * scales * rng.choice(SCALES)
+        if plain.is_full:
+            cut = plain.gram_kappa if irl else -plain.min_eigenvalue
+            assert_same_search(compiled, plain, rows.T @ rows, cut)
+        if irl:
+            entry = Entry.of(rows, np.ones(3), 0.0, float(k))
+            stored = [data_select(stack, entry, 1.0) for stack in (compiled, plain)]
+        else:
+            stored = [stack.record(rows[:, 0], rows) for stack in (compiled, plain)]
+        assert stored[0] == stored[1]
+        assert_same_state(compiled, plain)
