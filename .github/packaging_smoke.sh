@@ -4,19 +4,26 @@
 # default_config.json and gramkernel.c, and a run must write its five
 # report files.  With --require-kernel, the installed package must also
 # compile and load its swap search (irlobs.gramkernel) rather than fall
-# back to numpy.
+# back to numpy, into a fresh kernel cache holding a stale build, and
+# leave exactly one build there.
 #
 #     bash .github/packaging_smoke.sh [--require-kernel]
 set -euo pipefail
 python -m pip install --no-deps .
 cd "$RUNNER_TEMP"
-python - "${1:-}" <<'PY'
+XDG_CACHE_HOME="$RUNNER_TEMP/kernel-cache" python - "${1:-}" <<'PY'
 import sys
 from irlobs import gramkernel
 assert gramkernel._SOURCE.is_file(), "the installed package lacks gramkernel.c"
+require = sys.argv[1] == "--require-kernel"
+cache = gramkernel._cache_dir()
+if require:
+    cache.mkdir(parents=True, exist_ok=True)
+    (cache / "gramkernel-00000000.so").write_bytes(b"a stale build")
 loaded = gramkernel.load() is not None
-print(f"compiled swap search loaded: {loaded}")
-sys.exit(sys.argv[1] == "--require-kernel" and not loaded)
+builds = sorted(path.name for path in cache.glob("gramkernel-*.so"))
+print(f"compiled swap search loaded: {loaded}; builds in its cache: {builds}")
+sys.exit(require and not (loaded and len(builds) == 1))
 PY
 irlobs are
 # a 2 s run with all three run flags: one config validation in the

@@ -149,8 +149,9 @@ class ParamHistoryStack(GramStack):
         return self.min_eigenvalue > self.min_eig_threshold
 
     def _changed(self):
-        # the slot-order sum adds the rows one after another from zero,
-        # bitwise the running sum over the entries
+        # for 2 or more columns, as theta always has, the slot-order sum adds
+        # the rows one after another from zero, bitwise the running sum over
+        # the entries; numpy sums a single column pairwise
         self.rhs_projection = self._projections[: self.size].sum(axis=0, initial=0.0)
         self.min_eigenvalue = float(self.spectrum[0]) if self.size else 0.0
 
@@ -207,7 +208,11 @@ class AdaptiveObserver:
     follows its integral form; both are advanced with implicit trapezoid
     increments on the measurement grid, solving the small linear coupling
     between the new position error, filter state, and velocity estimate
-    exactly at each step.
+    exactly at each step (step).
+
+    update_block and step_block advance a block of consecutive steps with
+    stacked products, one product per step, bitwise as one call per step;
+    update_parameters and step are blocks of one.
     """
 
     def __init__(self, n, m, p0, u0, gains, theta0=None, gamma_scale=0.1, q_hat0=None):
@@ -219,13 +224,15 @@ class AdaptiveObserver:
         u0 = np.asarray(u0, dtype=float)
         if theta0 is None:
             theta0 = np.zeros(self.dim)
-        theta = np.asarray(theta0, dtype=float).copy()
-        if theta.shape != (self.dim,):
+        # the parameter estimate [vec(A1); vec(A2); vec(B)] and its rate,
+        # read-only by convention: a step replaces them, and a queued step
+        # keeps them
+        self.theta = np.asarray(theta0, dtype=float).copy()
+        if self.theta.shape != (self.dim,):
             raise ValueError(f"theta0 must have length {self.dim}")
-        self._set_theta(theta)
         self.info = np.eye(self.dim) / gamma_scale
-        self.z = self.info @ theta
-        self._set_rate(np.zeros(self.dim))
+        self.z = self.info @ self.theta
+        self.theta_rate = np.zeros(self.dim)
 
         self.p_hat = p0.copy()
         self.q_hat = np.zeros(n) if q_hat0 is None else np.asarray(q_hat0, dtype=float).copy()
@@ -239,25 +246,15 @@ class AdaptiveObserver:
         self._g3 = g.k + g.alpha
         self._g4 = g.k + g.alpha + g.beta
 
+        a1, a2, b = theta_blocks(self.theta, self.n, self.m)
         self._q0 = self.q_hat.copy()
-        self._boundary0 = self._a2 @ p0
+        self._boundary0 = a2 @ p0
         self._acc_q = np.zeros(n)
         self._acc_eta = np.zeros(n)
         # integrands at the current time, for trapezoid increments
         # (theta_rate and nu are zero at construction)
-        self._g_prev = self._b @ u0 + self._a1 @ p0
+        self._g_prev = b @ u0 + a1 @ p0
         self._eta_integrand_prev = np.zeros(n)
-
-    def _set_theta(self, theta):
-        # the parameter estimate [vec(A1); vec(A2); vec(B)] (read-only by
-        # convention: update_parameters replaces it, and a queued step keeps
-        # it), with the blocks each step multiplies by
-        self.theta = theta
-        self._a1, self._a2, self._b = theta_blocks(theta, self.n, self.m)
-
-    def _set_rate(self, theta_rate):
-        self.theta_rate = theta_rate
-        self._a2_rate = theta_blocks(theta_rate, self.n, self.m)[1]
 
     @property
     def x_hat(self):
@@ -274,27 +271,67 @@ class AdaptiveObserver:
         step is P <- e P + c gram and z <- e z + c proj with
         e = exp(-beta1 dt) and c = k_theta (1 - e) / beta1; P stays
         positive definite.  Frozen (P and z kept, zero parameter rate) until
-        the stack certifies full rank.  Raises NumericOverflowError if the
-        adaptation state overflows.
+        the stack certifies full rank.  Raises NumericOverflowError, changing
+        nothing, if the adaptation state overflows.
         """
-        if not stack.is_full_rank:
-            self._set_rate(np.zeros(self.dim))
-            return
-        gram, proj = stack.gram, stack.rhs_projection
+        state = (0, stack.gram, stack.rhs_projection, stack.is_full_rank)
+        error = self.update_block([state], 1, dt)[-1]
+        if error:
+            raise error
+
+    def update_block(self, stacks, count, dt):
+        """update_parameters for count consecutive steps, stacks giving the
+        stack in force from a step on as (step, gram, rhs_projection,
+        is_full_rank), in step order, the first from step 0; of two from the
+        same step, the later one is in force.
+
+        P and z are stepped one step at a time, with c gram and c proj formed
+        once per stack; P^-1, theta and the rate are stacked products.
+        Returns P, theta and the rate after each step, stacked over the
+        steps before the first whose adaptation state is not finite, and the
+        NumericOverflowError to raise at that step, or None; the state is
+        that after the last step returned.
+        """
         k_theta, beta1 = self.gains.k_theta, self.gains.beta1
         e = math.exp(-beta1 * dt)
         c = -k_theta * math.expm1(-beta1 * dt) / beta1
-        info = e * self.info + c * gram
-        z = e * self.z + c * proj
-        if not (np.isfinite(info).all() and np.isfinite(z).all()):
-            raise NumericOverflowError("adaptation state became non-finite")
-        gain = np.linalg.inv(info)
-        theta = gain @ z
-        self.info, self.z = info, z
-        self._set_theta(theta)
-        rate = gain @ (proj - gram @ theta)
-        rate *= k_theta
-        self._set_rate(rate)
+        d = self.dim
+        info, z = np.empty((count, d, d)), np.empty((count, d))
+        theta, rate = np.empty((count, d)), np.zeros((count, d))
+        last_info, last_z, last_theta = self.info, self.z, self.theta
+        error = None
+        ends = [first for first, *_ in stacks[1:]] + [count]
+        for (lo, gram, proj, full_rank), hi in zip(stacks, ends):
+            if lo == hi:
+                continue
+            if not full_rank:
+                info[lo:hi], z[lo:hi], theta[lo:hi] = last_info, last_z, last_theta
+                continue
+            c_gram, c_proj = c * gram, c * proj
+            for info_i, z_i in zip(info[lo:hi], z[lo:hi]):
+                np.multiply(last_info, e, out=info_i)
+                info_i += c_gram
+                np.multiply(last_z, e, out=z_i)
+                z_i += c_proj
+                last_info, last_z = info_i, z_i
+            finite = np.isfinite(info[lo:hi]).all(axis=(1, 2)) & np.isfinite(z[lo:hi]).all(axis=1)
+            if not finite.all():
+                hi = lo + int(finite.argmin())
+                error = NumericOverflowError("adaptation state became non-finite")
+            gain = np.linalg.inv(info[lo:hi])
+            # a trailing unit axis, so that each step's product is gain @ vector
+            theta[lo:hi] = np.matmul(gain, z[lo:hi, :, None])[..., 0]
+            residual = proj - np.matmul(gram, theta[lo:hi, :, None])[..., 0]
+            rate[lo:hi] = np.matmul(gain, residual[..., None])[..., 0]
+            rate[lo:hi] *= k_theta
+            if error:
+                count = hi
+                break
+            last_theta = theta[hi - 1]
+        if count:
+            self.info, self.z = info[count - 1], z[count - 1]
+            self.theta, self.theta_rate = theta[count - 1], rate[count - 1]
+        return info[:count], theta[:count], rate[:count], error
 
     def step(self, p_meas, u, dt):
         """Advance the observer one grid step given the new measurements.
@@ -302,46 +339,80 @@ class AdaptiveObserver:
         The parameter estimate in force (see update_parameters) enters the
         integrands at the new time; the linear implicit coupling between
         the new position error, filter state and velocity estimate is
-        solved in closed form.
+        solved in closed form.  Raises NumericOverflowError if the state
+        becomes non-finite.
         """
-        p_meas = np.asarray(p_meas, dtype=float)
-        u = np.asarray(u, dtype=float)
-        drive = self._b @ u + (self._a1 - self._a2_rate) @ p_meas
+        p = np.asarray(p_meas, dtype=float)[None]
+        u = np.asarray(u, dtype=float)[None]
+        error = self.step_block(p, u, self.theta[None], self.theta_rate[None], dt)[-1]
+        if error:
+            raise error
+
+    def step_block(self, p, u, theta, theta_rate, dt):
+        """step for each row of the positions p and inputs u, consecutive
+        measurements, with the rows of theta and theta_rate the parameter
+        estimate and its rate in force at each.
+
+        The drive terms B u, (A1 - A2') p and A2 p are stacked products of
+        theta's column-major blocks, one per step; the implicit recursion
+        runs per coordinate in float arithmetic, the operations of one
+        step's array arithmetic in the same order.  Returns p_hat, q_hat and
+        p_tilde after each step, stacked over the steps before the first
+        whose state is not finite, and the NumericOverflowError to raise at
+        that step, or None; the state is that after the last step computed.
+        """
+        n, m, count = self.n, self.m, len(p)
+        nn = n * n
+
+        def blocks(x, lo, rows, cols):  # theta_blocks' column-major views, per step
+            return x[:, lo : lo + rows * cols].reshape(count, cols, rows).swapaxes(1, 2)
+
+        a1, a2, b = blocks(theta, 0, n, n), blocks(theta, nn, n, n), blocks(theta, 2 * nn, n, m)
+        a2_rate = blocks(theta_rate, nn, n, n)
+        drive = (np.matmul(b, u[..., None]) + np.matmul(a1 - a2_rate, p[..., None]))[..., 0]
+        a2_p = np.matmul(a2, p[..., None])[..., 0]
 
         g1, g2, g3, g4 = self._g1, self._g2, self._g3, self._g4
         half = 0.5 * dt
         d1 = 1.0 + half * g1
         btil = g3 + half * g2
-        c3 = p_meas - self.p_hat - half * self.q_hat
-        c2 = self._acc_eta - half * self._eta_integrand_prev
-        c1 = (
-            self._acc_q
-            + half * self._g_prev
-            + half * drive
-            + self._q0
-            + self._a2 @ p_meas
-            - self._boundary0
-        )
         c = half * (1.0 + g4 * btil / d1)
-        c1p = c1 - half * (g4 / d1) * c2
-        q_hat = (c1p + c * c3) / (1.0 + c * half)
-        p_tilde = c3 - half * q_hat
-        eta = (c2 - btil * p_tilde) / d1
-        nu = p_tilde - g4 * eta
-        g_new = drive + nu
-        self._acc_q = self._acc_q + half * (self._g_prev + g_new)
-        eta_integrand = g1 * eta + g2 * p_tilde
-        self._acc_eta = self._acc_eta - half * (self._eta_integrand_prev + eta_integrand)
-        self._g_prev = g_new
-        self._eta_integrand_prev = eta_integrand
-        self.q_hat = q_hat
-        self.p_tilde = p_tilde
-        self.eta = eta
-        self.nu = nu
-        self.p_hat = p_meas - p_tilde
-        if not (
-            np.isfinite(self.p_hat).all()
-            and np.isfinite(self.q_hat).all()
-            and np.isfinite(self.eta).all()
-        ):
-            raise NumericOverflowError("observer state became non-finite")
+        c_eta = half * (g4 / d1)
+        q_den = 1.0 + c * half
+        starts = zip(self.p_hat.tolist(), self.q_hat.tolist(), self._acc_q.tolist(),
+                     self._g_prev.tolist(), self._acc_eta.tolist(),
+                     self._eta_integrand_prev.tolist(), self._q0.tolist(), self._boundary0.tolist())
+        columns = []
+        for i, (p_hat, q_hat, acc_q, g_prev, acc_eta, eta_prev, q0, boundary0) in enumerate(starts):
+            column = []
+            for p_i, drive_i, a2_p_i in zip(p[:, i].tolist(), drive[:, i].tolist(),
+                                            a2_p[:, i].tolist()):
+                c3 = p_i - p_hat - half * q_hat
+                c2 = acc_eta - half * eta_prev
+                c1 = acc_q + half * g_prev + half * drive_i + q0 + a2_p_i - boundary0
+                c1p = c1 - c_eta * c2
+                q_hat = (c1p + c * c3) / q_den
+                p_tilde = c3 - half * q_hat
+                eta = (c2 - btil * p_tilde) / d1
+                nu = p_tilde - g4 * eta
+                g_new = drive_i + nu
+                acc_q = acc_q + half * (g_prev + g_new)
+                eta_integrand = g1 * eta + g2 * p_tilde
+                acc_eta = acc_eta - half * (eta_prev + eta_integrand)
+                g_prev, eta_prev = g_new, eta_integrand
+                p_hat = p_i - p_tilde
+                column.append((p_hat, q_hat, p_tilde, eta, nu, acc_q, g_prev, acc_eta, eta_prev))
+            columns.append(column)
+        # (field, step, coordinate), each field's rows C-contiguous
+        fields = np.array(columns).reshape(n, count, 9).transpose(2, 1, 0).copy()
+        p_hat, q_hat, p_tilde, eta = fields[:4]
+        finite = np.isfinite(p_hat).all(axis=1) & np.isfinite(q_hat).all(axis=1)
+        finite &= np.isfinite(eta).all(axis=1)
+        error, last = None, count - 1
+        if not finite.all():
+            count = last = int(finite.argmin())
+            error = NumericOverflowError("observer state became non-finite")
+        if last >= 0:
+            (self.p_hat, self.q_hat, self.p_tilde, self.eta, self.nu, self._acc_q, self._g_prev,
+             self._acc_eta, self._eta_integrand_prev) = fields[:, last]
+        return p_hat[:count], q_hat[:count], p_tilde[:count], error

@@ -401,10 +401,11 @@ class ParamRecorder:
         return range(first + -first % self.stride, end, self.stride)
 
     def record(self, k):
-        """Offer the stack the integral error system's pair at step k."""
+        """Offer the stack the integral error system's pair at step k;
+        returns True when the stack commits it."""
         t1, t2 = self.windows
-        self.stack.record(integral_residual(self.p_log, k, t1, t2),
-                          integral_regressor(self.p_log, self.u_log, k, t1, t2))
+        return self.stack.record(integral_residual(self.p_log, k, t1, t2),
+                                 integral_regressor(self.p_log, self.u_log, k, t1, t2))
 
     def extend(self, t, p, u):
         """Append the rows of p and u, the samples of consecutive grid
@@ -457,7 +458,7 @@ def _check_rk4_step(a_cl, h, path):
 
 
 class OnlineIrl:
-    """The online estimator, stepped once per measurement.
+    """The online estimator, stepped per block of measurements.
 
     step(t, p, u, queries) takes the position and input measured one grid
     step after the last, plus any oracle pairs (x*, u*) to offer.  It
@@ -468,9 +469,10 @@ class OnlineIrl:
     prerecord_param_stack), and w0 is the stacked initial weight guess.
     step is measure, the estimator, then offer, the cost recovery, of each
     step's entries that irl.Entry.block builds from what drain returns;
-    measure queues each step's own values, drain builds the IRL rows and
-    scores the η of all steps queued since the last, at most _PIPE_BATCH,
-    in one block, and offer reads nothing that measure writes.
+    measure takes a block of consecutive measurements, a single one being
+    a block of one, and queues each step's own values, drain builds the
+    IRL rows and scores the η of all steps queued since the last, at most
+    _PIPE_BATCH, in one block, and offer reads nothing that measure writes.
     """
 
     def __init__(self, cfg, param_stack, p0, u0, w0):
@@ -480,20 +482,17 @@ class OnlineIrl:
         basis, r1 = cfg.basis(), cfg.cost().r1
         self.dt = dt = cfg.dt
         self.param_stack = param_stack
-        self.steps = 0
+        self.steps = 0  # the measurements logged after step 0
         # first step with both the full horizon and the smoothing window available
         self.eta_floor_step = quality.horizon + quality.half_width
 
-        # the records read t1 + t2 back from the newest step; drain reads
-        # the smoothing window and horizon back from the oldest queued one
-        window = max(
-            gains.t1 + gains.t2,
-            (quality.horizon + quality.half_width + 2 + _PIPE_BATCH) * dt,
-        )
+        # the records read t1 + t2 back from each step of a block, and drain
+        # reads the smoothing window and horizon back from each step queued
+        window = max(gains.t1 + gains.t2, (quality.horizon + quality.half_width + 2) * dt)
         self.recorder = ParamRecorder(param_stack, n, m, dt, cfg.windows, cfg.record_stride,
-                                      window + 4 * dt)
+                                      window + (_PIPE_BATCH + 4) * dt)
         self.p_log, self.u_log = self.recorder.p_log, self.recorder.u_log
-        self.qhat_log = SampledSignal(n, dt, (quality.horizon + 4) * dt)
+        self.qhat_log = SampledSignal(n, dt, (quality.horizon + _PIPE_BATCH + 4) * dt)
         self.p_log.append(0.0, p0)
         self.u_log.append(0.0, u0)
         self.observer = AdaptiveObserver(n, m, p0=p0, u0=u0, gains=gains,
@@ -506,8 +505,9 @@ class OnlineIrl:
         self.xi1 = cfg.xi1
         self.purge_state = PurgeState(cfg.kappa1_bar, cfg.kappa2_bar, w_current=w0)
         self.trace = RunTrace()
-        # (t, x_hat, theta, p_tilde, lagged q_hat or None, oracle pairs) of
-        # each step measured, not yet drained; drain reads u from u_log
+        # per block measured, not yet drained: (first step, times, x_hat,
+        # theta, p_tilde, oracle states, oracle inputs), stacked over its
+        # steps; drain reads u and the lagged q_hat from their logs
         self._queue = []
 
     @property
@@ -525,47 +525,102 @@ class OnlineIrl:
 
     def step(self, t, p, u, queries=()):
         """Take the measurement (p, u) at time t and offer the data."""
-        self.measure(t, p, u, queries)
+        self.measure([t], [p], [u], [queries])
         for entries in Entry.block(*self.drain()):
             self.offer(entries)
 
-    def measure(self, t, p, u, queries=()):
-        """The estimator half of step: log (p, u) at time t, record the
-        parameter stack, advance the adaptation law and the observer, and
-        queue the step's time, x_hat, parameter estimate, position error
-        and, from eta_floor_step on, velocity estimate of horizon steps
-        back, with copies of the oracle pairs (drain reads u from its log).
-        Raises ValueError if _PIPE_BATCH steps are queued already, if a
-        pair is not a (2n-vector, m-vector), or if the step has another
-        number of pairs than the steps queued, and NumericOverflowError if
-        p, u or a pair is not finite."""
-        observer = self.observer
+    def measure(self, times, p, u, queries=None):
+        """The estimator half of step, for a block of measurements: the
+        positions p and inputs u, rows measured at the consecutive grid
+        times `times`, and per row the oracle pairs (x*, u*) of queries
+        (none by default).  Logs the rows, records the parameter stack at
+        each due step, advances the adaptation law and the observer, and
+        queues each step's time, x_hat, parameter estimate, position error
+        and copies of its pairs, bitwise as one row at a time.  Returns
+        x_hat, theta and the adaptation matrix P after each step, stacked.
+
+        Raises ValueError, changing nothing, if more than _PIPE_BATCH steps
+        would be queued, if p, u and queries do not have a row for each
+        time, or if a pair is not a (2n-vector, m-vector) or a step has
+        another number of pairs than the steps queued.  A row that is not
+        finite or not at its grid time raises NumericOverflowError or
+        SampleTimeError at its own step, as does a record, the adaptation
+        law or the observer failing there: the rows before it are measured
+        and queued first."""
+        observer, count = self.observer, len(times)
         n, m = observer.n, observer.m
-        queue = self._queue
-        # a rejected measurement leaves every log, counter and the queue as it was
-        if len(queue) >= _PIPE_BATCH:
-            raise ValueError(f"{_PIPE_BATCH} steps are queued: drain them first")
-        pairs = tuple((np.array(x, dtype=float), np.array(v, dtype=float)) for x, v in queries)
-        if any(x.shape != (2 * n,) or v.shape != (m,) for x, v in pairs):
-            raise ValueError(f"oracle pairs must be ({2 * n}-vector, {m}-vector)")
-        if not all(np.isfinite(x).all() and np.isfinite(v).all() for x, v in pairs):
-            raise NumericOverflowError(f"non-finite oracle pair at t={t}")
-        if queue and len(pairs) != len(queue[0][-1]):
+        if sum(len(block[1]) for block in self._queue) + count > _PIPE_BATCH:
+            raise ValueError(f"{_PIPE_BATCH} steps would be queued: drain them first")
+        times = np.asarray(times, dtype=float).tolist()
+        p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
+        queries = [()] * count if queries is None else list(queries)
+        if p.shape != (count, n) or u.shape != (count, m) or len(queries) != count:
+            raise ValueError(f"positions, inputs and queries must have a row for each time, "
+                             f"of {n} and {m} columns")
+        if self._queue:  # as many pairs as the steps queued
+            pairs = self._queue[0][-1].shape[1]
+        else:
+            pairs = len(queries[0]) if count else 0
+        if any(len(step) != pairs for step in queries):
             raise ValueError("every step queued must have as many oracle pairs")
-        p = self.p_log.check(t, p)
-        u = self.u_log.check(t, u)
-        self.steps += 1
-        k = self.steps
-        self.p_log.push(t, p)
-        self.u_log.push(t, u)
-        if self.recorder.due(k, k + 1):
-            self.recorder.record(k)
-        observer.update_parameters(self.param_stack, self.dt)
-        observer.step(p, u, self.dt)
-        self.qhat_log.append(t, observer.q_hat)
-        lagged = (self.qhat_log.rows(k - self.quality.horizon)[0].copy()
-                  if k >= self.eta_floor_step else None)
-        queue.append((t, observer.x_hat, observer.theta, observer.p_tilde, lagged, pairs))
+        x_star, u_star = np.empty((count, pairs, 2 * n)), np.empty((count, pairs, m))
+        if count * pairs:
+            try:
+                x_star = np.array([[x for x, _ in step] for step in queries], dtype=float)
+                u_star = np.array([[v for _, v in step] for step in queries], dtype=float)
+            except ValueError:  # pairs of different shapes
+                x_star = u_star = np.empty(0)
+        if x_star.shape != (count, pairs, 2 * n) or u_star.shape != (count, pairs, m):
+            raise ValueError(f"oracle pairs must be ({2 * n}-vector, {m}-vector)")
+        refusals = [self.p_log.refused(times, p), self.u_log.refused(times, u)]
+        finite = np.isfinite(x_star).all(axis=(1, 2)) & np.isfinite(u_star).all(axis=(1, 2))
+        if not finite.all():
+            j = int(finite.argmin())
+            refusals.insert(0, (j, NumericOverflowError(f"non-finite oracle pair at t={times[j]}")))
+        # the first refused row; in it a pair's refusal goes first, then p's, then u's
+        good, error = min((r for r in refusals if r), key=lambda r: r[0], default=(count, None))
+        measured = self._measure_rows(times[:good], p[:good], u[:good], x_star[:good],
+                                      u_star[:good])
+        if error:
+            raise error
+        return measured
+
+    def _measure_rows(self, times, p, u, x_star, u_star):
+        """measure of rows refused by no check."""
+        count, k0, stack = len(times), self.steps + 1, self.param_stack
+        if not count:
+            d = stack.dim
+            return np.empty((0, 2 * self.observer.n)), np.empty((0, d)), np.empty((0, d, d))
+        self.p_log.extend(times[0], p)
+        self.u_log.extend(times[0], u)
+        self.steps += count
+        # the stack in force from each step on: the records read only the logs
+        stacks = [(0, stack.gram, stack.rhs_projection, stack.is_full_rank)]
+        limit, error = count, None
+        for k in self.recorder.due(k0, k0 + count):
+            try:
+                committed = self.recorder.record(k)
+            except Exception as exc:  # raised at its step, once the steps before it are queued
+                limit, error = k - k0, exc
+                break
+            if committed:
+                stacks.append((k - k0, stack.gram, stack.rhs_projection, stack.is_full_rank))
+        observer = self.observer
+        info, theta, rate, failed = observer.update_block(stacks, limit, self.dt)
+        if failed:
+            limit, error = len(theta), failed
+        p_hat, q_hat, p_tilde, failed = observer.step_block(
+            p[:limit], u[:limit], theta[:limit], rate[:limit], self.dt)
+        if failed:
+            limit, error = len(p_tilde), failed
+        x_hat = np.concatenate((p_hat, q_hat), axis=1)
+        if limit:
+            self.qhat_log.extend(times[0], q_hat)
+            self._queue.append((k0, times[:limit], x_hat, theta[:limit], p_tilde,
+                                x_star[:limit], u_star[:limit]))
+        if error:
+            raise error
+        return x_hat, theta, info
 
     def drain(self):
         """Empty the queue into the arguments of Entry.block, whose entries
@@ -580,26 +635,31 @@ class OnlineIrl:
         if not queue:
             return [], [], [], []
         quality, stack = self.quality, self.irl_stack
-        times, x_hat, thetas, p_tilde, lagged, pairs = zip(*queue)
-        a, b = model_matrices(np.stack(thetas), self.observer.n, self.observer.m)
-        u = self.u_log.rows(self.steps - len(queue) + 1, len(queue))
-        xs = np.array([(x, *(xp for xp, _ in step)) for x, step in zip(x_hat, pairs)])
-        us = np.array([(v, *(vp for _, vp in step)) for v, step in zip(u, pairs)])
+        first, times = queue[0][0], [t for block in queue for t in block[1]]
+        count = len(times)
+        last = first + count - 1
+        x_hat, thetas, p_tilde, x_star, u_star = (
+            np.concatenate(parts) for parts in list(zip(*queue))[2:]
+        )
+        a, b = model_matrices(thetas, self.observer.n, self.observer.m)
+        u = self.u_log.rows(first, count)
+        xs = np.concatenate((x_hat[:, None], x_star), axis=1)
+        us = np.concatenate((u[:, None], u_star), axis=1)
         rows, rhs = entry_rows(stack.basis, xs, us, a[:, None], b[:, None], stack.r1)
-        eta = np.full(len(queue), np.inf)
+        eta = np.full(count, np.inf)
         # the scored steps, those from eta_floor_step on, end the queue
-        scored = min(len(queue), self.steps - self.eta_floor_step + 1)
+        scored = min(count, last - self.eta_floor_step + 1)
         if scored > 0:
-            first = self.steps - scored + 1
+            first = last - scored + 1
             v = smooth_velocity(self.p_log, first - quality.horizon, quality.half_width, scored)
-            eta1 = quality_eta1(np.stack(p_tilde[-scored:]), np.stack(lagged[-scored:]), v,
-                                quality.s1)
+            lagged = self.qhat_log.rows(first - quality.horizon, scored)
+            eta1 = quality_eta1(p_tilde[-scored:], lagged, v, quality.s1)
             inputs = eta2_inputs(self.p_log, self.u_log, first, quality, v)
             eta[-scored:] = eta1 + quality_eta2_block(
                 a[-scored:], b[-scored:], inputs, quality, self.dt
             )
         self._queue = []
-        return list(times), eta.tolist(), rows, rhs
+        return times, eta.tolist(), rows, rhs
 
     def offer(self, entries):
         """The cost-recovery half of step: offer one step's candidates, the
@@ -629,7 +689,7 @@ class OnlineIrl:
 def _measure_run(cfg, demo, online, emit):
     """The measuring half of run_experiment: per block of at most
     _PIPE_BATCH steps of the demonstrator (closed_loop_source), draw one
-    oracle query per step in query mode, call online.measure at each step
+    oracle query per step in query mode, call online.measure on the block
     and pass online.drain() to emit, also before an exception leaves.
     Returns the bounds of the observer gain's spectrum (nan for a run of no
     steps) and the report rows (t, p - p_hat, q - q_hat, theta - theta_hat)
@@ -637,30 +697,29 @@ def _measure_run(cfg, demo, online, emit):
     n, steps, stride = cfg.n, cfg.steps, cfg.report_stride
     theta_true = cfg.plant().theta
     rng = np.random.default_rng(cfg.seed)
-    # per block, one draw takes the oracle states of one draw per step, and
-    # the spectra of P, the inverse of the gain, a report diagnostic, are
-    # solved in one batch, bitwise the single solves
-    infos = np.empty((_PIPE_BATCH,) + online.observer.info.shape)
     gamma_lo, gamma_hi = np.inf, 0.0
 
-    def truth_row(t, x):
-        return np.concatenate([(t,), x - online.x_hat, theta_true - online.theta])
+    def truth_row(t, x, x_hat, theta):
+        return np.concatenate([(t,), x - x_hat, theta_true - theta])
 
-    truth = [truth_row(0.0, cfg.x0)] if steps > 0 else []
+    truth = [truth_row(0.0, cfg.x0, online.x_hat, online.theta)] if steps > 0 else []
     source = closed_loop_source(demo, cfg.x0, cfg.dt, steps, _PIPE_BATCH)
     try:
-        # online starts from step 0, the source's first block
+        # online starts from step 0, the source's first block; per block,
+        # one draw takes the oracle states of one draw per step
         for times, states, inputs in itertools.islice(source, 1, None):
-            queries = [()] * len(states)
+            queries = None
             if cfg.mode == "query":
                 draws = rng.uniform(cfg.query_low, cfg.query_high, size=states.shape)
                 queries = [((x_star, query(demo, x_star)),) for x_star in draws]
-            for j, (t, x, u, pairs) in enumerate(zip(times.tolist(), states, inputs, queries)):
-                online.measure(t, x[:n], u, pairs)
-                if online.steps % stride == 0 or online.steps == steps:
-                    truth.append(truth_row(t, x))
-                infos[j] = online.observer.info
-            lam = np.linalg.eigvalsh(infos[: len(states)])
+            first = online.steps + 1
+            x_hat, theta, info = online.measure(times, states[:, :n], inputs, queries)
+            for j, k in enumerate(range(first, first + len(times))):
+                if k % stride == 0 or k == steps:
+                    truth.append(truth_row(times[j], states[j], x_hat[j], theta[j]))
+            # the spectra of P, the inverse of the gain, a report diagnostic,
+            # in one batch, bitwise the single solves
+            lam = np.linalg.eigvalsh(info)
             gamma_lo = min(gamma_lo, 1.0 / float(lam[:, -1].max()))
             gamma_hi = max(gamma_hi, 1.0 / float(lam[:, 0].min()))
             emit(online.drain())

@@ -7,8 +7,10 @@
  * by dsyevd called as np.linalg.eigvalsh calls it (jobz 'N', uplo 'L', the
  * matrix copied column-major, the workspace of its size query).  Only the
  * Ritz bounds, which decide which slots are solved but not which one is
- * chosen, are summed in another order; their tau budget covers any order.
- * Compile without contraction or fast-math: -O2 -ffp-contract=off.
+ * chosen, are summed in another order; their tau budget covers any order,
+ * and so are the Rayleigh quotients that tighten a slot's bounds before it
+ * is solved (power_bound, inverse_bound).  Compile without contraction or
+ * fast-math: -O2 -ffp-contract=off.
  */
 #include <math.h>
 #include <stddef.h>
@@ -40,6 +42,7 @@ struct stack {
     double *basis;    /* (3, dim): the eigenvectors of lam_0, lam_1 and lam_max */
     double *ritz;     /* (5, capacity): per slot low, diff, b2, high, then the floor */
     lint *solved;     /* (capacity,) */
+    double *rq;       /* (2 dim + 2, dim): a matrix, its Cholesky factor, two vectors */
     double scale;     /* tau per unit of trace */
 };
 
@@ -59,17 +62,29 @@ lint gk_workspace(dsyevd_fn *dsyevd, lint n, lint vectors, lint *out)
     return info;
 }
 
-/* Eigenvalues (into w, ascending) and, with vectors, eigenvectors (into the
- * columns of s->a) of m - sub, sub being NULL for m itself; returns info. */
-static lint solve(struct stack *s, const double *m, const double *sub, lint vectors, double *w)
+/* m - sub, sub being NULL for m itself, into s->a, column-major. */
+static void form(struct stack *s, const double *m, const double *sub)
 {
-    lint d = s->dim, info;
+    lint d = s->dim;
     for (lint i = 0; i < d; i++)
         for (lint j = 0; j < d; j++)
             s->a[i + j * d] = sub ? m[i * d + j] - sub[i * d + j] : m[i * d + j];
+}
+
+/* Eigenvalues (into w, ascending) and, with vectors, eigenvectors (into the
+ * columns of s->a) of the matrix in s->a; returns info. */
+static lint eigen(struct stack *s, lint vectors, double *w)
+{
+    lint d = s->dim, info;
     s->dsyevd(vectors ? "V" : "N", "L", &d, s->a, &d, w, s->work, &s->lwork[vectors],
               s->iwork, &s->liwork[vectors], &info, 1, 1);
     return info;
+}
+
+static lint solve(struct stack *s, const double *m, const double *sub, lint vectors, double *w)
+{
+    form(s, m, sub);
+    return eigen(s, vectors, w);
 }
 
 /* The stack's score of an ascending spectrum, as its _score. */
@@ -137,12 +152,126 @@ static lint take_basis(struct stack *s, const double *x, double gram_trace)
     return 0;
 }
 
+/* y = M x for a d x d row-major M. */
+static void multiply(lint d, const double *m, const double *x, double *y)
+{
+    for (lint i = 0; i < d; i++) {
+        double r = 0.0;
+        for (lint k = 0; k < d; k++)
+            r += m[i * d + k] * x[k];
+        y[i] = r;
+    }
+}
+
+/* y'My / y'y for y scaled to a largest magnitude of 1 first, my a vector
+ * of scratch; NAN when y is zero or not finite. */
+static double rayleigh(lint d, const double *m, double *y, double *my)
+{
+    double top = 0.0, num = 0.0, den = 0.0;
+    for (lint i = 0; i < d; i++)
+        if (!(fabs(y[i]) <= top))
+            top = fabs(y[i]);
+    if (!(top > 0.0 && isfinite(top)))
+        return NAN;
+    for (lint i = 0; i < d; i++)
+        y[i] /= top;
+    multiply(d, m, y, my);
+    for (lint i = 0; i < d; i++) {
+        num += y[i] * my[i];
+        den += y[i] * y[i];
+    }
+    return num / den;
+}
+
+/* The lower Cholesky factor of M + shift I into l, both d x d row-major,
+ * with the reciprocals of its pivots on the diagonal; returns 1 at a pivot
+ * that is not positive, else 0. */
+static int cholesky(lint d, const double *m, double shift, double *l)
+{
+    for (lint i = 0; i < d; i++)
+        for (lint k = 0; k <= i; k++) {
+            double v = m[i * d + k] + (i == k ? shift : 0.0);
+            for (lint t = 0; t < k; t++)
+                v -= l[i * d + t] * l[k * d + t];
+            if (i > k)
+                l[i * d + k] = v * l[k * d + k];
+            else if (v > 0.0)
+                l[i * d + i] = 1.0 / sqrt(v);
+            else
+                return 1;
+        }
+    return 0;
+}
+
+/* M, the matrix in s->a that dsyevd would solve, its lower triangle
+ * mirrored, into s->rq, row-major. */
+static const double *mirror(struct stack *s)
+{
+    lint d = s->dim;
+    double *m = s->rq;
+    for (lint i = 0; i < d; i++)
+        for (lint k = 0; k <= i; k++)
+            m[i * d + k] = m[k * d + i] = s->a[i + k * d];
+    return m;
+}
+
+/* The Rayleigh quotient of one power step from the basis's top vector
+ * with m, minus tau: a lower bound on lam_max of M (NAN if not finite).
+ * A Rayleigh quotient lies between the ends of M's spectrum for any
+ * vector, and its rounding, about gamma_(d+2) of tau's s_j, and dsyevd's
+ * error both fit in tau's budget. */
+static double power_bound(struct stack *s, const double *m, double tau)
+{
+    lint d = s->dim;
+    double *y = s->rq + 2 * d * d, *my = y + d;
+    multiply(d, m, s->basis + 2 * d, y);
+    return rayleigh(d, m, y, my) - tau;
+}
+
+/* The Rayleigh quotient of one inverse-iteration step from the basis's
+ * lowest vector with m, plus tau: an upper bound on lam_min of M, as for
+ * power_bound.  The step solves with a Cholesky factor of M, or of
+ * M + tau I where that fails; NAN where both fail. */
+static double inverse_bound(struct stack *s, const double *m, double tau)
+{
+    lint d = s->dim;
+    double *l = s->rq + d * d, *y = l + d * d, *my = y + d;
+    const double *w = s->basis;
+    if (cholesky(d, m, 0.0, l) && cholesky(d, m, tau, l))
+        return NAN;
+    for (lint i = 0; i < d; i++) { /* L x = w_0, then L'y = x */
+        double v = w[i];
+        for (lint t = 0; t < i; t++)
+            v -= l[i * d + t] * y[t];
+        y[i] = v * l[i * d + i];
+    }
+    for (lint i = d - 1; i >= 0; i--) {
+        double v = y[i];
+        for (lint t = i + 1; t < d; t++)
+            v -= l[t * d + i] * y[t];
+        y[i] = v * l[i * d + i];
+    }
+    return rayleigh(d, m, y, my) + tau;
+}
+
+/* The stack's lower bound on a slot's score from an upper bound on its
+ * lam_min and a lower bound on its lam_max, as its _score_floor. */
+static double floor_of(const struct stack *s, double lam_min, double lam_max)
+{
+    if (!s->kappa)
+        return -lam_min;
+    return lam_min > 0.0 ? (lam_max > 0.0 ? lam_max : 0.0) / lam_min : INFINITY;
+}
+
 /* The swap of s->block into the stack with the lowest score, as
  * GramStack.best_swap: its slot, its spectrum in s->lam's row of that
  * slot, or -1 when no slot can score below cut, or -2 when dsyevd fails.
- * Below a finite cut, slots are solved one at a time in ascending order
- * of their Ritz floors and the search ends at the first floor above the
- * best score, as no slot left can then score at or below it. */
+ * Below a finite cut, slots are taken one at a time in ascending order of
+ * their Ritz floors and the search ends at the first floor above the best
+ * score, as no slot left can then score at or below it.  A slot taken
+ * has its floor tightened, first for the kappa score by power_bound, then
+ * by inverse_bound, and is solved only if its floor is still below cut and
+ * at most the best score. */
 lint gk_search(struct stack *s, double cut, double trace, double gram_trace)
 {
     lint d = s->dim, dd = d * d, n = s->size, cap = s->capacity, best = -1;
@@ -171,11 +300,7 @@ lint gk_search(struct stack *s, double cut, double trace, double gram_trace)
     double *floor = high + cap;
     for (lint i = 0; i < n; i++) {
         double lam_min = low[i] + -0.5 * hypot(diff[i] + (p[0] - p[2]), b2[i] + 2.0 * p[1]) + mid;
-        double lam_max = high[i] + (p[3] - tau);
-        if (!s->kappa)
-            floor[i] = -lam_min;
-        else
-            floor[i] = lam_min > 0.0 ? (lam_max > 0.0 ? lam_max : 0.0) / lam_min : INFINITY;
+        floor[i] = floor_of(s, lam_min, high[i] + (p[3] - tau));
         s->solved[i] = 0;
     }
     for (;;) {
@@ -186,7 +311,24 @@ lint gk_search(struct stack *s, double cut, double trace, double gram_trace)
         if (j < 0 || !(floor[j] <= best_score))
             return best;
         s->solved[j] = 1;
-        if (solve(s, s->grown, s->blocks + j * dd, 0, s->lam + j * d))
+        form(s, s->grown, s->blocks + j * dd);
+        const double *m = mirror(s);
+        double tau_j = s->scale * (gram_trace + s->traces[j] + trace);
+        double lam_min = low[j] + -0.5 * hypot(diff[j] + (p[0] - p[2]), b2[j] + 2.0 * p[1]) + mid;
+        double lam_max = high[j] + (p[3] - tau), bound;
+        if (s->kappa) {
+            if ((bound = power_bound(s, m, tau_j)) > lam_max)
+                lam_max = bound;
+            floor[j] = floor_of(s, lam_min, lam_max);
+            if (!(floor[j] < cut && floor[j] <= best_score))
+                continue;
+        }
+        if ((bound = inverse_bound(s, m, tau_j)) < lam_min)
+            lam_min = bound;
+        floor[j] = floor_of(s, lam_min, lam_max);
+        if (!(floor[j] < cut && floor[j] <= best_score))
+            continue;
+        if (eigen(s, 0, s->lam + j * d))
             return -2;
         double sc = score(s, s->lam + j * d);
         if (best < 0 || sc < best_score || (sc == best_score && j < best))

@@ -2,7 +2,8 @@
 
 load() looks up the dsyevd that numpy.linalg links to, compiles
 gramkernel.c with the system C compiler into a per-user cache (once per
-source, written under a temporary name and renamed into place), loads it
+source, written under a temporary name and renamed into place, after which
+the cache's other builds are removed), loads it
 with ctypes and checks that it reproduces numpy bit for bit on a fixed set
 of swaps.  It returns None when any of that fails, and numerics.GramStack
 then keeps its numpy path, which makes the same decisions from the same
@@ -11,6 +12,7 @@ bits.  Nothing here runs before a stack first searches a full stack.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import platform
@@ -46,7 +48,7 @@ class _Stack(ctypes.Structure):
         ("liwork", ctypes.c_int64 * 2),
     ] + [(name, ctypes.c_void_p) for name in (
         "blocks", "traces", "gram", "block", "grown", "lam", "a", "work", "iwork",
-        "basis", "ritz", "solved",
+        "basis", "ritz", "solved", "rq",
     )] + [("scale", ctypes.c_double)]
 
 
@@ -56,8 +58,8 @@ def _cache_dir():
 
 def _compiled():
     """The path of the compiled source in the cache, compiled there first
-    if it is not; raises OSError or subprocess.SubprocessError on failure,
-    leaving no file behind."""
+    if it is not, which removes every other build there; raises OSError or
+    subprocess.SubprocessError on failure, leaving no file behind."""
     # zlib, not hashlib: OpenSSL would add about 3 MiB to the process
     key = zlib.crc32("\0".join([_SOURCE.read_text(), _CC, *_FLAGS, platform.machine()]).encode())
     cache = _cache_dir()
@@ -74,6 +76,11 @@ def _compiled():
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # builds of other sources or flags; a process that loaded one keeps its mapping
+    for stale in cache.glob("gramkernel-*.so"):
+        if stale != target:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return target
 
 
@@ -119,6 +126,7 @@ class Search:
             lam=self.lam, a=np.zeros((dim, dim)), work=np.zeros(max(lwork, lwork_v, 1)),
             iwork=np.zeros(max(liwork, liwork_v, 1), np.int64), basis=np.zeros((3, dim)),
             ritz=np.zeros((5, capacity)), solved=np.zeros(capacity, np.int64),
+            rq=np.zeros((2 * dim + 2, dim)),
         )
         self._stack = _Stack(
             dsyevd=kernel.dsyevd, dim=dim, capacity=capacity, kappa=int(kappa),

@@ -100,12 +100,32 @@ class SampledSignal:
         v = np.asarray(value, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"expected a {self.dim}-vector, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise NumericOverflowError(f"non-finite sample at t={t}")
-        expected = self._t0 + (self.first_step + self._count) * self.dt
-        if self._count > 0 and abs(t - expected) > _GRID_TOL * self.dt:
-            raise SampleTimeError(f"sample at t={t} is off-grid (expected {expected})")
+        refused = self.refused([t], v[None])
+        if refused:
+            raise refused[1]
         return v
+
+    def refused(self, times, values):
+        """The first of the rows of values, a (len(times), dim) float array
+        of samples at times, that check would refuse once the rows before it
+        were appended, as (its index, check's error), or None: the first row
+        that is not finite or not at its grid time."""
+        finite = np.isfinite(values).all(axis=1)
+        if self._count:
+            t0, first = self._t0, self.first_step + self._count
+        else:  # the first sample sets the grid
+            t0, first = float(times[0]), 0
+        expected = t0 + np.arange(first, first + len(values)) * self.dt
+        off = np.abs(np.asarray(times, dtype=float) - expected) > _GRID_TOL * self.dt
+        bad = ~finite | off
+        if not bad.any():
+            return None
+        j = int(bad.argmax())
+        if not finite[j]:
+            return j, NumericOverflowError(f"non-finite sample at t={times[j]}")
+        return j, SampleTimeError(
+            f"sample at t={times[j]} is off-grid (expected {float(expected[j])})"
+        )
 
     def append(self, t, value):
         """Append the sample for the next grid time (see check)."""

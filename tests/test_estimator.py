@@ -325,7 +325,6 @@ class TestUpdateParameters:
             assert obs.theta.tobytes() == theta.tobytes()
             rate = gains.k_theta * (gain @ (proj - gram @ theta))
             assert obs.theta_rate.tobytes() == rate.tobytes()
-            assert obs._a2_rate.tobytes() == theta_blocks(rate, 2, 2)[1].tobytes()
 
     def test_a_copied_observer_updates_as_the_original(self, prerecorded_stack):
         # the adaptation state is plain arrays, so a deep copy or a pickle

@@ -459,24 +459,24 @@ class TestRunExperiment:
             return pickle.dumps((online.steps, online.p_log, online.u_log, online._queue))
 
         for t, p, u, queries in steps[:batch]:
-            online.measure(t, p, u, queries)
+            online.measure([t], [p], [u], [queries])
         t, p, u, queries = steps[batch]
         before = measured_state()
         with pytest.raises(ValueError, match="drain"):
-            online.measure(t, p, u, queries)
+            online.measure([t], [p], [u], [queries])
         assert measured_state() == before
         times, etas, rows, rhs = online.drain()
         assert times == [step[0] for step in steps[:batch]] and rows.shape[:2] == (batch, 2)
         assert online.drain() == ([], [], [], [])
-        online.measure(t, p, u, queries)
+        online.measure([t], [p], [u], [queries])
         t, p, u, queries = steps[batch + 1]
         (x_star, u_star), = queries
         before = measured_state()
         for bad in ((), queries * 2, ((x_star[:2], u_star),)):
             with pytest.raises(ValueError, match="pair"):
-                online.measure(t, p, u, bad)
+                online.measure([t], [p], [u], [bad])
             assert measured_state() == before
-        online.measure(t, p, u, queries)
+        online.measure([t], [p], [u], [queries])
         assert len(online.drain()[0]) == 2
 
     def test_a_non_finite_oracle_pair_is_refused_at_measure(self):
@@ -490,16 +490,16 @@ class TestRunExperiment:
             return pickle.dumps((online.steps, online.p_log, online.u_log, online._queue))
 
         for t, p, u, queries in steps[:10]:
-            online.measure(t, p, u, queries)
+            online.measure([t], [p], [u], [queries])
         t, p, u, ((x_star, u_star),) = steps[10]
         before = state()
         for bad in (np.nan, np.inf, -np.inf):
             for pair in ((np.where(np.arange(4) == 2, bad, x_star), u_star),
                          (x_star, np.where(np.arange(2) == 1, bad, u_star))):
                 with pytest.raises(NumericOverflowError, match="oracle pair"):
-                    online.measure(t, p, u, (pair,))
+                    online.measure([t], [p], [u], [(pair,)])
                 assert state() == before
-        online.measure(t, p, u, ((x_star, u_star),))
+        online.measure([t], [p], [u], [((x_star, u_star),)])
         for entries in Entry.block(*online.drain()):
             online.offer(entries)
         assert online.steps == 11

@@ -198,17 +198,22 @@ def assert_no_child_left():
 
 
 def patch_step_half(mp, name, step=None, fail=None):
-    """Call fail(t) instead of OnlineIrl.<name> at its step-th call, in
-    whichever process runs it; returns the times of the calls made in this
-    process (measure takes the time, offer the step's entries)."""
+    """Call fail(t) instead of OnlineIrl.<name> at its step-th step, in
+    whichever process runs it; returns the times of the steps passed to it
+    in this process.  offer takes one step's entries; measure takes the
+    times of a block of steps, and the steps of the block before the
+    step-th are measured first, as measure does for a row it refuses."""
     original = getattr(experiment.OnlineIrl, name)
     calls = []
 
     def patched(self, first, *args):
-        t = first if name == "measure" else first[0].t
-        calls.append(t)
-        if len(calls) == step:
-            fail(t)
+        times = list(first) if name == "measure" else [first[0].t]
+        j = -1 if step is None else step - len(calls) - 1
+        calls.extend(times[: j + 1] if 0 <= j < len(times) else times)
+        if 0 <= j < len(times):
+            if j:
+                original(self, times[:j], *(None if a is None else a[:j] for a in args))
+            fail(times[j])
         return original(self, first, *args)
 
     mp.setattr(experiment.OnlineIrl, name, patched)

@@ -75,6 +75,22 @@ def test_the_kernel_compiles_once_into_its_cache(cache):
     assert list(cache.iterdir()) == [built] and built.stat().st_mtime_ns == stamp
 
 
+def test_a_new_build_removes_the_stale_ones(cache):
+    # builds of other sources are removed once this one is in place; the
+    # build in place is kept
+    swap_kernel()
+    cache.mkdir()
+    for key in ("00000000", "ffffffff"):
+        (cache / f"gramkernel-{key}.so").write_bytes(b"stale")
+    (cache / "other.so").write_bytes(b"kept")
+    assert gramkernel.load() is not None
+    built = gramkernel._compiled()
+    assert sorted(path.name for path in cache.iterdir()) == sorted([built.name, "other.so"])
+    (cache / "gramkernel-00000000.so").write_bytes(b"stale")
+    assert gramkernel.load() is not None  # no compile, so nothing removed
+    assert len(list(cache.glob("gramkernel-*.so"))) == 2
+
+
 @pytest.mark.parametrize("failure", FAILURES, ids=lambda f: f.__name__)
 def test_a_kernel_that_cannot_load_leaves_numpy_in_force(
     failure, cache, monkeypatch, capfd, tmp_path, numpy_run

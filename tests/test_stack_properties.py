@@ -355,6 +355,53 @@ def test_irl_stack_searches_alike_compiled_and_in_numpy(capacity, xi1, picks):
 
 
 @PROPERTY
+@given(
+    irl=st.booleans(),
+    dim=st.sampled_from([2, 3, 12]),
+    capacity=st.integers(3, 40),
+    kind=st.sampled_from(["deficient", "near-singular", "tied", "scaled"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tightened_floors_hold_and_search_alike(irl, dim, capacity, kind, seed):
+    # the compiled search tightens a slot's floor with two Rayleigh
+    # quotients before it solves it: on rank-deficient stacks, where the
+    # Cholesky factor of the swapped Gram fails unshifted, near-singular
+    # ones, tied copies and scaled copies, at cuts at, next to and between
+    # the computed scores, every floor stays at most its slot's computed
+    # score, and the search finds numpy's slot and spectrum bits
+    rng = np.random.default_rng(seed)
+    if irl:
+        make = lambda: IrlHistoryStack(capacity=capacity, basis=BASIS, r1=20.0, m=2)  # noqa: E731
+        dim = BASIS.width(2)
+    else:
+        make = lambda: ParamHistoryStack(capacity=capacity, dim=dim, min_eig_threshold=1e-6)  # noqa: E731
+    compiled, plain = compiled_and_numpy(make)
+    scales = np.ones(dim)
+    if kind == "deficient":
+        scales[-1 - (dim > 2) :] = 0.0
+    elif kind == "near-singular":
+        scales = np.logspace(0.0, -7.5, dim)
+    pool = rng.normal(size=(3 if kind == "tied" else 60, 3, dim)) * scales
+    for k in range(capacity + 12):
+        rows = pool[rng.integers(len(pool))] * (rng.choice(SCALES) if kind == "scaled" else 1.0)
+        block = rows.T @ rows
+        if plain.is_full:
+            scores = np.sort(plain._score(plain.swap_spectra(block)))
+            finite = scores[np.isfinite(scores)]
+            cuts = [np.nextafter(s, side) for s in finite[[0, len(finite) // 2, -1]]
+                    for side in (-np.inf, np.inf)] if finite.size else []
+            for cut in [*cuts, *finite[[0, -1]]] if finite.size else []:
+                assert_same_search(compiled, plain, block, float(cut))
+        if irl:
+            entry = Entry.of(rows, np.ones(3), 0.0, float(k))
+            stored = [data_select(stack, entry, 1.0) for stack in (compiled, plain)]
+        else:
+            stored = [stack.record(rows[:, 0], rows) for stack in (compiled, plain)]
+        assert stored[0] == stored[1]
+        assert_same_state(compiled, plain)
+
+
+@PROPERTY
 @given(irl=st.booleans(), kappa_decades=st.integers(0, 7), seed=st.integers(0, 2**32 - 1))
 def test_full_stacks_search_alike_compiled_and_in_numpy(irl, kappa_decades, seed):
     # the calibration's 150 slots at dim 12, and the run's IRL stack of 30
