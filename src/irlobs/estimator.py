@@ -126,11 +126,10 @@ class ParamHistoryStack(GramStack):
     smallest Gram eigenvalue are kept current; once the stack is full, a
     new pair is only committed if swapping it for an existing entry raises
     that eigenvalue by more than its eigvalsh rounding, dim*eps times the
-    largest eigenvalue (the criterion: _score, _score_floor, _commits).
-    Its searches take their Ritz basis per offer
-    (GramStack.ritz_per_offer): with 150 slots of rank-2 blocks, bounds
-    from gram alone leave about 50 slots to solve per search, and bounds
-    from gram + block under 6.
+    largest eigenvalue (the criterion: _score, _commits).  Its compiled
+    searches take their Ritz basis per offer (GramStack.ritz_per_offer):
+    with 150 slots of rank-2 blocks, bounds from gram alone leave about 50
+    slots to solve per search, and bounds from gram + block under 6.
     """
 
     ritz_per_offer = True
@@ -170,8 +169,7 @@ class ParamHistoryStack(GramStack):
         # a commit needs lam_min > lam_cur + dim*eps*lam_max, and lam_max >=
         # lam_min, so even a swap with lam_max < 0 needs lam_min above about
         # lam_cur - dim*eps*|lam_cur|; the factor 4 covers the rounding of
-        # that sum, and a slot whose lam_min bound is at most this floor
-        # cannot commit
+        # that sum, and a slot scoring at least -floor cannot commit
         lam_cur = self.min_eigenvalue
         floor = lam_cur - 4 * self.dim * _EPS * abs(lam_cur)
         return self.offer(regressor.T @ regressor, (residual, regressor), -floor)
@@ -179,10 +177,6 @@ class ParamHistoryStack(GramStack):
     @staticmethod
     def _score(lam):
         return -lam[:, 0]
-
-    @staticmethod
-    def _score_floor(lam_min_bound, lam_max_bound):
-        return -lam_min_bound
 
     def _commits(self, entry, slot, lam, cut):
         # eigvalsh leaves an absolute error of about dim*eps*lam_max on

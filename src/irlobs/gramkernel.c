@@ -1,16 +1,17 @@
-/* The swap search of irlobs.numerics.GramStack.best_swap, compiled.
+/* The bounded swap search of irlobs.numerics.GramStack.best_swap, compiled.
  *
  * irlobs.gramkernel compiles this file with the system C compiler, loads it
  * with ctypes and hands it the dsyevd that numpy.linalg links to.  Every
- * value a decision reads is bitwise numpy's: a swap's matrix is formed by
- * the same elementwise operations, (gram + block) - blocks[i], and solved
- * by dsyevd called as np.linalg.eigvalsh calls it (jobz 'N', uplo 'L', the
- * matrix copied column-major, the workspace of its size query).  Only the
- * Ritz bounds, which decide which slots are solved but not which one is
- * chosen, are summed in another order; their tau budget covers any order,
- * and so are the Rayleigh quotients that tighten a slot's bounds before it
- * is solved (power_bound, inverse_bound).  Compile without contraction or
- * fast-math: -O2 -ffp-contract=off.
+ * value a decision reads is bitwise numpy's exhaustive search: a swap's
+ * matrix is formed by the same elementwise operations, (gram + block) -
+ * blocks[i], and solved by dsyevd called as np.linalg.eigvalsh calls it
+ * (jobz 'N', uplo 'L', the matrix copied column-major, the workspace of its
+ * size query).  Only the Ritz bounds (take_basis), which decide which slots
+ * are solved but not which one is chosen, are summed in an order of their
+ * own; their tau budget covers any order, and so are the Rayleigh quotients
+ * that tighten a slot's bounds before it is solved (power_bound,
+ * inverse_bound).  Compile without contraction or fast-math: -O2
+ * -ffp-contract=off.
  */
 #include <math.h>
 #include <stddef.h>
@@ -116,8 +117,40 @@ static void project(const struct stack *s, const double *x, double *p)
     }
 }
 
-/* GramStack._ritz_bounds' per-slot parts from the eigenvectors of x: the
- * basis, tau's scale and, per slot, low, diff, b2 and high. */
+/* The Ritz bounds' per-slot parts from the eigenvectors of x: the basis,
+ * tau's scale and, per slot, low, diff, b2 and high.
+ *
+ * Per slot i, gk_search takes an upper bound on lam_min and a lower bound
+ * on lam_max of M_i = gram + block - blocks[i] from Rayleigh-Ritz on an
+ * eigenbasis: that of gram, taken once per change of the stack, or with
+ * per_offer that of gram + block, taken per search.  With U the basis
+ * eigenvectors of the 2 smallest eigenvalues and v that of the largest,
+ * Rayleigh-Ritz (Cauchy interlacing) gives lam_min(M) <= lam_min(U'MU) and
+ * lam_max(M) >= v'Mv for any orthonormal U, v; the basis only decides how
+ * tight the bounds are.  The projections W'XW of gram and of each
+ * blocks[i] on W = [U, v] are summed here, and each search adds that of
+ * block; lam_min of the 2x2 U'MU [[a, b], [b, c]] is the closed form
+ * ((a + c) - hypot(a - c, 2b)) / 2.  The computed values differ from these
+ * by at most tau_i = (64 d^2 eps + 3 delta) s_i, which moves each bound
+ * outwards, where s_i = trace(gram) + trace(block) + trace(blocks[i])
+ * bounds ||M_i||_2 and the norms of the three PSD terms together, also
+ * when swapping out a dominant entry cancels most of the trace, and
+ * delta = sum |W'W - I| + 4d eps, at least ||W'W - I||_F + 4d eps, bounds
+ * W's loss of orthonormality.  Budget, in units of eps s_i:
+ *   - dsyevd's backward error on the exact solve of M_i, and the rounding
+ *     of M_i: at most d^2 + 2d (LAPACK's modest p(d), and sqrt(d) eps per
+ *     sum of PSD terms);
+ *   - rounding of the three projections: at most 2 * 2d * sqrt(d) <= 4 d^2
+ *     (elementwise gamma_2d times || |w| ||^2 || |X| ||, doubled from an
+ *     entry to the 2x2 matrix);
+ *   - the sums of the projections, each entry's sum and difference, the
+ *     closed form and the adding of tau's two parts: at most 18 (eps ||M||
+ *     for each of the 16 roundings, 2 eps ||M|| for hypot, which also
+ *     carries its arguments' errors; halving is exact);
+ *   - the Rayleigh quotient's norm ||Wy||^2 in [1 - delta, 1 + delta]
+ *     moves it by at most 2 delta (1 + delta) ||M|| <= 3 delta ||M||.
+ * The first three sum to 5 d^2 + 2d + 18 <= 8 d^2 for d >= 3 (11 d^2 at
+ * d = 2), a factor 5.8 or more below the 64 d^2 used. */
 static lint take_basis(struct stack *s, const double *x, double gram_trace)
 {
     lint d = s->dim, n = s->size, cap = s->capacity, info = solve(s, x, NULL, 1, s->lam);
@@ -255,7 +288,8 @@ static double inverse_bound(struct stack *s, const double *m, double tau)
 }
 
 /* The stack's lower bound on a slot's score from an upper bound on its
- * lam_min and a lower bound on its lam_max, as its _score_floor. */
+ * lam_min and a lower bound on its lam_max: minus lam_min, or for the kappa
+ * score lam_max / lam_min, inf where lam_min cannot be positive. */
 static double floor_of(const struct stack *s, double lam_min, double lam_max)
 {
     if (!s->kappa)

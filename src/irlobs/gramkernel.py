@@ -6,8 +6,9 @@ source, written under a temporary name and renamed into place, after which
 the cache's other builds are removed), loads it
 with ctypes and checks that it reproduces numpy bit for bit on a fixed set
 of swaps.  It returns None when any of that fails, and numerics.GramStack
-then keeps its numpy path, which makes the same decisions from the same
-bits.  Nothing here runs before a stack first searches a full stack.
+then scores every slot in numpy, the exhaustive search, which makes the
+same decisions from the same bits.  Nothing here runs before a stack first
+searches a full stack.
 """
 
 from __future__ import annotations

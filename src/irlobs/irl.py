@@ -230,8 +230,8 @@ def full_rank_kappa(rows, width, depth):
       - Gram rounding: |G^ - G| <= gamma_depth |A|'|A| entrywise, and
         || |A|'|A| ||_2 <= ||A||_F^2 <= N s, so ||G^ - G||_2 <= 1.01 depth N u s.
       - eigvalsh is backward stable: lam^ are exact eigenvalues of G^ + F
-        with ||F||_2 <= N^2 u ||G^||_2 (LAPACK's modest p(N), as in
-        GramStack._ritz_bounds).
+        with ||F||_2 <= N^2 u ||G^||_2 (LAPACK's modest p(N), as in the
+        Ritz bounds' budget of gramkernel.c's take_basis).
       - Weyl: |lam^_j - lam_j(G)| <= delta s with delta = 8 (depth N + N^2) u,
         a factor 8 above the 1.01 (depth N + N^2) u the two terms need.
     Then s <= lam^max / (1 - delta) and lam_min(G) >= lam^min - delta s, so
@@ -257,8 +257,8 @@ class IrlHistoryStack(GramStack):
     the stacked matrix and right-hand side are slices of it.  The Gram
     condition number, the squared norm of the known right-hand side and
     the smallest stored quality score are refreshed after every change.
-    data_select offers it candidates; its criterion (_score, _score_floor,
-    _commits) keeps swaps that lower the Gram condition number.
+    data_select offers it candidates; its criterion (_score, _commits)
+    keeps swaps that lower the Gram condition number.
     """
 
     kernel_score = "kappa"
@@ -306,15 +306,6 @@ class IrlHistoryStack(GramStack):
         kappa = np.empty_like(hi)
         kappa.fill(np.inf)
         return np.divide(hi, lo, out=kappa, where=(hi > 0.0) & (lo > hi * lam.shape[-1] * _EPS))
-
-    @staticmethod
-    def _score_floor(lam_min_bound, lam_max_bound):
-        """Lower bounds on _score from bounds on each spectrum's ends: inf
-        where lam_min cannot be positive, lam_max / lam_min otherwise."""
-        floor = np.empty_like(lam_min_bound)
-        floor.fill(np.inf)
-        return np.divide(np.maximum(lam_max_bound, 0.0), lam_min_bound, out=floor,
-                         where=lam_min_bound > 0.0)
 
     def _commits(self, entry, slot, lam, cut):
         """Whether the swap of entry into slot, of spectrum lam, lowers the

@@ -5,8 +5,9 @@ continuous-time algebraic Riccati solver (a Hamiltonian start gain refined by
 Kleinman-Newton iteration), least squares and the Gram-block history stack.
 Nothing in this module knows about plants, observers or costs; everything
 operates on plain numpy arrays, and numpy is the only dependency.  The
-stack's swap search also runs as compiled C (irlobs.gramkernel) where a C
-compiler is found, with the same bits; numpy's path is the fallback.
+stack's swap search is bounded in compiled C (irlobs.gramkernel) where a C
+compiler is found; numpy, where none loads, scores every slot, the
+exhaustive search that the compiled one matches bit for bit.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ from .errors import (
 )
 
 _GRID_TOL = 1e-6  # fraction of dt tolerated when checking a sample's time
-_EPS = np.finfo(float).eps
 _NEWTON_TOL = 1e-13  # relative Newton step that ends the Riccati iteration
 _NEWTON_MAX_ITER = 60
-_FIRST_BATCH = 6  # slots GramStack.best_swap solves before it prunes by the best score
-_EYE3 = np.eye(3)
 # GramStack's compiled search (gramkernel.Kernel): None until a stack
 # first searches a full stack, then the kernel, or False where none loads
 _kernel = None
@@ -374,20 +372,20 @@ class GramStack:
     ``gram`` is the sum of the stored blocks, re-summed in slot order after
     every change, and ``spectrum`` its ascending eigenvalues.  Candidates
     enter by ``offer``, which weighs the best single-slot swap that
-    ``best_swap`` finds with as few eigen-solves as Ritz bounds allow.
-    Subclasses own the criterion (``_score``, ``_score_floor``,
+    ``best_swap`` finds.  Subclasses own the criterion (``_score``,
     ``_commits``, and ``kernel_score``, which of the compiled search's two
-    scores ``_score`` is), the Ritz basis (``ritz_per_offer``), what they
-    keep per slot (``_store``) and what they derive from the stack
-    (``_changed``).
+    scores ``_score`` is), the compiled search's Ritz basis
+    (``ritz_per_offer``), what they keep per slot (``_store``) and what
+    they derive from the stack (``_changed``).
 
     From its first search of a full stack on, a stack with a kernel_score
-    searches in compiled code (irlobs.gramkernel) where that loads, else in
-    numpy; both find the same slots and spectra, bit for bit.
+    searches in compiled code (irlobs.gramkernel) where that loads, solving
+    as few swaps as Ritz bounds allow; else numpy solves every swap.  Both
+    make the same decisions from the same spectra, bit for bit.
     """
 
-    # best_swap's Ritz basis: the eigenvectors of gram, taken once per
-    # change of the stack, or (True) those of gram + block, taken per offer
+    # the compiled search's Ritz basis: the eigenvectors of gram, taken once
+    # per change of the stack, or (True) those of gram + block, per offer
     ritz_per_offer = False
     # _score as the compiled search has it: "kappa", the Gram condition
     # number, "lam_min", minus the smallest eigenvalue, or None for numpy only
@@ -442,20 +440,15 @@ class GramStack:
         """The swap of block, of trace float(block.trace()), into the stack
         with the lowest score.
 
-        _score maps rows of ascending spectra to one score each;
-        _score_floor maps the per-slot bounds (an upper bound on lam_min, a
-        lower bound on lam_max) of ``swap_spectra`` to lower bounds on the
-        score.  Returns (slot, spectrum), the spectrum bitwise the row of
-        ``swap_spectra``.  If some slot scores below cut, slot is the lowest
-        scoring one, ties going to the lowest slot as with argmin;
-        otherwise the result is None or a slot scoring at least cut.
+        _score maps rows of ascending spectra to one score each.  Returns
+        (slot, spectrum), the spectrum bitwise the row of ``swap_spectra``.
+        If some slot scores below cut, slot is the lowest scoring one, ties
+        going to the lowest slot as with argmin; otherwise the result is
+        None or a slot scoring at least cut.
 
-        In numpy, exact eigen-solves run on at most two batches: the
-        _FIRST_BATCH slots with the lowest floors, then every other slot
-        whose floor is below cut and at most the best score found.  The
-        compiled search solves one slot at a time in that order and stops
-        at the first floor above the best score.  A non-finite cut, or a
-        dim of 1, scores every slot.
+        The compiled search solves only the slots that its bounds leave
+        (gramkernel.c).  Without it, every slot is scored from one batched
+        eigvalsh, the exhaustive reference.
         """
         if self._search is None:
             kernel = _swap_kernel() if self.kernel_score else False
@@ -465,99 +458,12 @@ class GramStack:
         if self._search:
             return self._search.best_swap(block, cut, trace, self.gram, self.size,
                                           self._gram_trace)
-        if self.dim < 2 or not math.isfinite(cut):
-            lam = self.swap_spectra(block)
-            slot = int(np.argmin(self._score(lam)))
-            return slot, lam[slot]
-        floor = self._score_floor(*self._ritz_bounds(block, trace))
-        order = floor.argsort(kind="stable")
-        ranked = floor[order]
-        live = int(ranked.searchsorted(cut))
-        if live == 0:
-            return None
-        grown = self.gram + block
-        slots = order[: min(_FIRST_BATCH, live)]
-        # rows of grown - blocks[:size], bitwise, for the slots solved
-        lam = np.linalg.eigvalsh(grown - self.blocks.take(slots, axis=0))
-        scores = self._score(lam)
-        j = scores.argmin()
-        rest = order[slots.size : min(live, int(ranked.searchsorted(scores[j], side="right")))]
-        if rest.size:
-            more = np.linalg.eigvalsh(grown - self.blocks.take(rest, axis=0))
-            slots = np.concatenate((slots, rest))
-            lam = np.concatenate((lam, more))
-            scores = np.concatenate((scores, self._score(more)))
-            j = scores.argmin()
-        ties = (scores == scores[j]).nonzero()[0]
-        if ties.size != 1:  # the lowest of tied slots
-            j = ties[slots[ties].argmin()]
-        return int(slots[j]), lam[j]
-
-    def _ritz_bounds(self, block, trace):
-        """Per slot i, an upper bound on lam_min and a lower bound on lam_max
-        of M_i = gram + block - blocks[i], from Rayleigh-Ritz on an
-        eigenbasis: that of gram, taken once per change of the stack, or
-        with ritz_per_offer that of gram + block, taken per offer.
-
-        With U the basis eigenvectors of the 2 smallest eigenvalues and v
-        that of the largest, Rayleigh-Ritz (Cauchy interlacing) gives
-        lam_min(M) <= lam_min(U'MU) and lam_max(M) >= v'Mv for any
-        orthonormal U, v; the basis only decides how tight the bounds are.
-        The projections W'(X W) of gram and of each blocks[i] on W = [U, v]
-        are summed when the basis is taken, and each offer adds that of
-        block; lam_min of the 2x2 U'MU [[a, b], [b, c]] is the closed form
-        ((a + c) - hypot(a - c, 2b)) / 2.  The computed values differ from
-        these by at most tau_i = (64 d^2 eps + 3 delta) s_i, which moves
-        each bound outwards, where s_i = trace(gram) + trace(block) +
-        trace(blocks[i]) bounds ||M_i||_2 and the norms of the three PSD
-        terms together, also when swapping out a dominant entry cancels
-        most of the trace, and delta = sum |W'W - I| + 4d eps, at least
-        ||W'W - I||_F + 4d eps, bounds W's loss of orthonormality.
-        Budget, in units of eps s_i:
-          - eigvalsh backward error on the exact solve of M_i, and the
-            rounding of M_i: at most d^2 + 2d (LAPACK's modest p(d), and
-            sqrt(d) eps per sum of PSD terms);
-          - rounding of the three projections: at most 2 * 2d * sqrt(d)
-            <= 4 d^2 (elementwise gamma_2d times || |w| ||^2 || |X| ||,
-            doubled from an entry to the 2x2 matrix);
-          - the sums of the projections, each entry's sum and difference,
-            the closed form and the adding of tau's two parts: at most 18
-            (eps ||M|| for each of the 16 roundings, 2 eps ||M|| for hypot,
-            which also carries its arguments' errors; halving is exact);
-          - the Rayleigh quotient's norm ||Wy||^2 in [1 - delta, 1 + delta]
-            moves it by at most 2 delta (1 + delta) ||M|| <= 3 delta ||M||.
-        The first three sum to 5 d^2 + 2d + 18 <= 8 d^2 for d >= 3 (11 d^2
-        at d = 2), a factor 5.8 or more below the 64 d^2 used.
-        """
-        if self._ritz is None or self.ritz_per_offer:
-            d, size = self.dim, self.size
-            _, q = np.linalg.eigh(self.gram + block if self.ritz_per_offer else self.gram)
-            w = q[:, [0, 1, -1]]
-            loss = w.T @ w
-            loss -= _EYE3
-            # the sum of the magnitudes bounds the Frobenius norm
-            delta = float(np.abs(loss).sum()) + 4 * d * _EPS
-            scale = 64 * d * d * _EPS + 3 * delta
-            # W'(gram - blocks[i])W for every slot, from one product each
-            rest = (w.T @ (self.gram @ w))[None] - w.T @ (
-                self.blocks[:size].reshape(-1, d) @ w
-            ).reshape(size, d, 3)
-            a, b, c = rest[:, 0, 0], rest[:, 0, 1], rest[:, 1, 1]
-            tau = scale * (self.gram.trace() + self._traces[:size])
-            # each bound's part from the stack: half of a + c and the top
-            # Rayleigh quotient, each moved by tau
-            low = 0.5 * (a + c)
-            low += tau
-            high = rest[:, 2, 2] - tau
-            self._ritz = (w, scale, low, a - c, 2.0 * b, high)
-        w, scale, low, diffs, b2, high = self._ritz
-        (p00, p01, _), (_, p11, _), (_, _, p22) = (w.T @ (block @ w)).tolist()
-        tau = scale * trace
-        lam_min = np.hypot(diffs + (p00 - p11), b2 + 2.0 * p01)
-        lam_min *= -0.5
-        lam_min += low
-        lam_min += 0.5 * (p00 + p11) + tau
-        return lam_min, high + (p22 - tau)
+        # the argmin slot always: where no slot scores below cut, the compiled
+        # search may return None or another slot scoring at least cut, and
+        # each stack's _commits refuses every such slot, so both commit alike
+        lam = self.swap_spectra(block)
+        slot = int(np.argmin(self._score(lam)))
+        return slot, lam[slot]
 
     def put(self, i, block, entry, trace=None):
         """Store an entry and its Gram block, of trace float(block.trace()),
@@ -586,7 +492,6 @@ class GramStack:
         self.gram = self.blocks[: self.size].sum(axis=0)
         self.spectrum = np.linalg.eigvalsh(self.gram)
         self._gram_trace = float(self.gram.trace())
-        self._ritz = None
 
     def _store(self, i, entry):
         """Hook run first in put, for a subclass to check entry and write

@@ -2,7 +2,8 @@
 parameter stack, and a fully logged estimator run used across test modules.
 
 ``--no-swap-kernel`` runs the session with GramStack's compiled search
-switched off, on numpy alone, as where it cannot load."""
+switched off, on numpy's exhaustive reference alone, as where it cannot
+load."""
 
 from dataclasses import dataclass
 

@@ -513,7 +513,8 @@ class TestRunExperiment:
 
 class TestCompiledSearch:
     """Both history stacks search in compiled code (irlobs.gramkernel) where
-    it loads; numerics._kernel = False holds them to numpy."""
+    it loads; numerics._kernel = False holds them to numpy's exhaustive
+    reference."""
 
     def test_the_calibrated_stack_is_byte_identical(self, monkeypatch):
         swap_kernel()

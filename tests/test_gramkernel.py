@@ -2,8 +2,9 @@
 
 The kernel compiles once into its cache and is reused from there.  Each way
 it can fail to load, no compiler, an unwritable cache, no LAPACK symbol or
-a self-check that numpy does not confirm, leaves the numpy path in force,
-silently, with no file or child process left behind and the same outputs.
+a self-check that numpy does not confirm, leaves numpy's exhaustive search
+in force, silently, with no file or child process left behind and the same
+outputs.
 """
 
 import os

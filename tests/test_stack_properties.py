@@ -3,13 +3,12 @@
 After every offer the stored Gram equals the sum of its blocks to rounding;
 an offer to a full stack either commits a swap that strictly improves the
 recomputed criterion, or leaves the stack exactly as it was.  The bounded
-swap search makes every decision the exhaustive search does, and the
-Rayleigh-Ritz bounds it prunes with hold on near-singular and
-rank-deficient stacks, and the compiled search (irlobs.gramkernel) makes
-every decision numpy's does, from the same bits.  Offers are
-drawn with repeats from a small pool, since re-offered and rank-deficient
-data are where a swap's predicted gain is pure rounding, and scaled copies
-make ties and near-ties.
+swap search, compiled (irlobs.gramkernel), makes every decision the
+exhaustive reference does, numpy's search of every slot, from the same
+bits, and the floors it prunes with hold on near-singular and
+rank-deficient stacks.  Offers are drawn with repeats from a small pool,
+since re-offered and rank-deficient data are where a swap's predicted gain
+is pure rounding, and scaled copies make ties and near-ties.
 """
 
 import gc
@@ -207,12 +206,15 @@ def test_irl_stack_bounded_search_matches_exhaustive(capacity, xi1, picks):
 def test_ritz_bounds_hold_on_near_singular_and_rank_deficient_stacks(
     capacity, irl, dim, kappa_decades, deficient, seed
 ):
-    # the bounds best_swap rules slots out with must hold for the computed
-    # spectra of every swap: on IRL stacks (3-row entries, 15 wide) whose
-    # Gram kappa reaches about 1e14, as the row scales span up to 7 decades
-    # of singular value, and on parameter stacks that are also rank
-    # deficient, with up to 2 zero regressor columns; up to the
-    # calibration's 150 slots, and with each stack's own Ritz basis
+    # the floors the compiled search rules slots out with must stay at most
+    # the computed score of every swap: on IRL stacks (3-row entries, 15
+    # wide) whose Gram kappa reaches about 1e14, as the row scales span up
+    # to 7 decades of singular value, and on parameter stacks that are also
+    # rank deficient, with up to 2 zero regressor columns; up to the
+    # calibration's 150 slots, and with each stack's own Ritz basis.  At
+    # the largest finite cut the search is bounded and keeps every slot's
+    # floor
+    swap_kernel()
     rng = np.random.default_rng(seed)
     if irl:
         stack = IrlHistoryStack(capacity=capacity, basis=BASIS, r1=20.0, m=2)
@@ -233,11 +235,10 @@ def test_ritz_bounds_hold_on_near_singular_and_rank_deficient_stacks(
     for scale in (1e-3, 1.0, 1e3):
         rows = rng.normal(size=(3, dim)) * scales * scale
         block = rows.T @ rows
-        lam = stack.swap_spectra(block)
-        lam_min_bound, lam_max_bound = stack._ritz_bounds(block, float(block.trace()))
-        assert (lam_min_bound >= lam[:, 0]).all()
-        assert (lam_max_bound <= lam[:, -1]).all()
-        offer(scale)  # and the bounds of the changed stack next time
+        stack.best_swap(block, np.finfo(float).max, float(block.trace()))
+        floors = stack._search._arrays["ritz"][4, : stack.size]
+        assert (floors <= stack._score(stack.swap_spectra(block))).all()
+        offer(scale)  # and the floors of the changed stack next time
 
 
 @pytest.mark.parametrize("irl", [False, True])
@@ -269,7 +270,7 @@ def test_a_stored_candidate_keeps_none_of_its_arrays_alive(irl):
 
 def compiled_and_numpy(make):
     """Two empty stacks from make(): one that searches in compiled code and
-    one held to numpy (skips where none loads)."""
+    one held to numpy's exhaustive reference (skips where none loads)."""
     swap_kernel()
     compiled, plain = make(), make()
     plain._search = False
@@ -279,7 +280,8 @@ def compiled_and_numpy(make):
 def assert_same_search(compiled, plain, block, cut):
     # the same slot and spectrum bits when some slot scores below cut, or
     # when every slot is scored; otherwise None or a slot scoring at least
-    # cut from each, which no stack commits
+    # cut from the compiled search, and the reference's lowest scoring
+    # slot, which no stack commits
     trace = float(block.trace())
     found = [stack.best_swap(block, cut, trace) for stack in (compiled, plain)]
     below = [f is not None and plain._score(f[1][None])[0] < cut for f in found]
