@@ -29,22 +29,24 @@ def model_matrices(theta, n, m):
     lead = theta.shape[:-1]
     a_prime = np.zeros(lead + (2 * n, 2 * n))
     a_prime[..., :n, n:] = np.eye(n)
-    # [A1, A2] column-major is vec(A1) followed by vec(A2)
-    a_prime[..., n:, :] = theta[..., : 2 * n * n].reshape(lead + (2 * n, n)).swapaxes(-1, -2)
     b_prime = np.zeros(lead + (2 * n, m))
-    b_prime[..., n:, :] = theta[..., 2 * n * n :].reshape(lead + (m, n)).swapaxes(-1, -2)
+    a_prime[..., n:, :n], a_prime[..., n:, n:], b_prime[..., n:, :] = theta_blocks(theta, n, m)
     return a_prime, b_prime
 
 
 def theta_blocks(theta, n, m):
     """The blocks A1, A2 and B of the parameters theta = [vec(A1); vec(A2);
     vec(B)] of an n-position, m-input plant, as column-major views sharing
-    theta's memory; raises ValueError unless theta is a theta_dim(n, m)-vector."""
-    if theta.shape != (theta_dim(n, m),):
+    theta's memory.  theta may carry leading axes, which the blocks then
+    carry; raises ValueError unless its last axis has theta_dim(n, m) entries."""
+    if theta.shape[-1:] != (theta_dim(n, m),):
         raise ValueError(f"theta must have length {theta_dim(n, m)}, got {theta.shape}")
-    nn = n * n
-    return (theta[:nn].reshape((n, n), order="F"), theta[nn : 2 * nn].reshape((n, n), order="F"),
-            theta[2 * nn :].reshape((n, m), order="F"))
+    lead, nn = theta.shape[:-1], n * n
+
+    def block(lo, hi, cols):
+        return theta[..., lo:hi].reshape(lead + (cols, n)).swapaxes(-1, -2)
+
+    return block(0, nn, n), block(nn, 2 * nn, n), block(2 * nn, theta.shape[-1], m)
 
 
 def theta_dim(n, m):
@@ -356,13 +358,8 @@ class AdaptiveObserver:
         that step, or None; the state is that after the last step computed.
         """
         n, m, count = self.n, self.m, len(p)
-        nn = n * n
-
-        def blocks(x, lo, rows, cols):  # theta_blocks' column-major views, per step
-            return x[:, lo : lo + rows * cols].reshape(count, cols, rows).swapaxes(1, 2)
-
-        a1, a2, b = blocks(theta, 0, n, n), blocks(theta, nn, n, n), blocks(theta, 2 * nn, n, m)
-        a2_rate = blocks(theta_rate, nn, n, n)
+        a1, a2, b = theta_blocks(theta, n, m)
+        a2_rate = theta_blocks(theta_rate, n, m)[1]
         drive = (np.matmul(b, u[..., None]) + np.matmul(a1 - a2_rate, p[..., None]))[..., 0]
         a2_p = np.matmul(a2, p[..., None])[..., 0]
 

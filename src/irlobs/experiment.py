@@ -586,7 +586,7 @@ class OnlineIrl:
         return measured
 
     def _measure_rows(self, times, p, u, x_star, u_star):
-        """measure of rows refused by no check."""
+        """measure of rows that no log refuses and whose oracle pairs are finite."""
         count, k0, stack = len(times), self.steps + 1, self.param_stack
         if not count:
             d = stack.dim

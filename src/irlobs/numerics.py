@@ -63,12 +63,12 @@ def rk4_step(f, t, x, dt):
 class SampledSignal:
     """Uniformly sampled vector signal with a bounded retention window.
 
-    Samples are appended one grid step at a time (single writer) and
-    addressed by step index: the first sample appended is step 0.  The
-    signal retains at least ``window`` seconds of history.  A running
-    trapezoid integral is kept alongside the samples, so the integral
-    between two steps is the difference of two of its rows and integral
-    additivity holds to machine precision.
+    Samples are written by one method, extend, in blocks of consecutive
+    grid steps, and addressed by step index: the first sample appended is
+    step 0.  The signal retains at least ``window`` seconds of history.
+    A running trapezoid integral is kept alongside the samples, so the
+    integral between two steps is the difference of two of its rows and
+    integral additivity holds to machine precision.
     """
 
     def __init__(self, dim, dt, window):
@@ -92,22 +92,11 @@ class SampledSignal:
     def __len__(self):
         return self._count
 
-    def check(self, t, value):
-        """value as a float vector if it may be appended at time t; raises,
-        changing nothing, unless it is a finite dim-vector at the next grid time."""
-        v = np.asarray(value, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected a {self.dim}-vector, got shape {v.shape}")
-        refused = self.refused([t], v[None])
-        if refused:
-            raise refused[1]
-        return v
-
     def refused(self, times, values):
         """The first of the rows of values, a (len(times), dim) float array
-        of samples at times, that check would refuse once the rows before it
-        were appended, as (its index, check's error), or None: the first row
-        that is not finite or not at its grid time."""
+        of samples at times, that extend would refuse once the rows before
+        it were appended, as (its index, extend's error), or None: the first
+        row that is not finite or not at its grid time."""
         finite = np.isfinite(values).all(axis=1)
         if self._count:
             t0, first = self._t0, self.first_step + self._count
@@ -126,67 +115,49 @@ class SampledSignal:
         )
 
     def append(self, t, value):
-        """Append the sample for the next grid time (see check)."""
-        self.push(t, self.check(t, value))
-
-    def push(self, t, v):
-        """Append v, a float vector that check(t, v) returned, unchecked."""
-        if self._count == 0:
-            self._t0 = float(t)
-        if self._head + self._count >= self._values.shape[0]:
-            # retention (_keep) is below the capacity, so a full buffer has
-            # pruned rows at its head: move the retained rows to the front
-            lo, hi = self._head, self._head + self._count
-            self._values[: self._count] = self._values[lo:hi]
-            self._cum[: self._count] = self._cum[lo:hi]
-            self._head = 0
-        i = self._head + self._count
-        self._values[i] = v
-        if self._count == 0:
-            self._cum[i] = 0.0
-        else:
-            self._cum[i] = self._cum[i - 1] + (0.5 * self.dt) * (self._values[i - 1] + v)
-        self._count += 1
-        self._prune()
+        """Append value, the sample of the next grid time t: extend by one row."""
+        self.extend(t, np.asarray(value, dtype=float)[None])
 
     def extend(self, t, values):
         """Append the rows of values, the samples of consecutive grid times
-        from t on, bitwise as one append each; raises, changing nothing,
-        unless they are finite dim-vectors and t the next grid time."""
+        from t on; the first sample appended sets the grid.  Raises,
+        changing nothing, unless they are finite dim-vectors and t the next
+        grid time."""
         values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[1] != self.dim:
+            raise ValueError(f"expected rows of {self.dim} values, got shape {values.shape}")
         if not len(values):
             return
-        self.check(t, values[0])  # a row's shape and the grid time
+        if refused := self.refused([t], values[:1]):
+            raise refused[1]
         if not np.isfinite(values).all():
             raise NumericOverflowError(f"non-finite sample in the rows from t={t}")
-        if self._count == 0:  # the first sample starts the running integral
-            self.push(t, values[0])
-            values = values[1:]
-        # push's running integral, one row after another from the last row
-        last, count = self._head + self._count - 1, len(values)
-        terms = np.concatenate((self._values[last : last + 1], values))
+        # the running integral, one row after another from the last row, or
+        # from 0.0 at the first sample
+        end, count = self._head + self._count, len(values)
+        if self._count:
+            terms = np.concatenate((self._values[end - 1 : end], values))
+            start = self._cum[end - 1 : end]
+        else:
+            self._t0 = float(t)
+            terms, start = values, np.zeros((1, self.dim))
         terms = terms[:-1] + terms[1:]
         terms *= 0.5 * self.dt
-        cum = np.add.accumulate(np.concatenate((self._cum[last : last + 1], terms)))
-        # keep the last _keep rows of the old and the new ones
+        cum = np.add.accumulate(np.concatenate((start, terms)))[-count:]
+        # keep the last _keep rows of the old and the new ones; retention is
+        # below the capacity, so a full buffer has dropped rows at its head:
+        # then move the kept old rows to the front
         new = min(count, self._keep)
         old = min(self._count, self._keep - new)
-        lo = last + 1 - old
+        lo = end - old
         if lo + old + new > self._values.shape[0]:
-            self._values[:old] = self._values[lo : lo + old]
-            self._cum[:old] = self._cum[lo : lo + old]
+            self._values[:old] = self._values[lo:end]
+            self._cum[:old] = self._cum[lo:end]
             lo = 0
         self._values[lo + old : lo + old + new] = values[count - new :]
-        self._cum[lo + old : lo + old + new] = cum[1 + count - new :]
+        self._cum[lo + old : lo + old + new] = cum[count - new :]
         self.first_step += self._count - old + count - new
         self._head, self._count = lo, old + new
-
-    def _prune(self):
-        drop = self._count - self._keep
-        if drop > 0:
-            self._head += drop
-            self._count -= drop
-            self.first_step += drop
 
     def _local(self, first, count, stride):
         """The retained-row offset of step first; raises unless count >= 1
@@ -204,7 +175,7 @@ class SampledSignal:
     def rows(self, first, count=1, stride=1, cumulative=False):
         """The samples (running integrals when cumulative) of count steps
         from step first on, stride steps apart, as a (count, dim) read-only
-        view, valid until the next append."""
+        view, valid until the next extend."""
         lo = self._head + self._local(first, count, stride)
         data = self._cum if cumulative else self._values
         view = data[lo : lo + (count - 1) * stride + 1 : stride]

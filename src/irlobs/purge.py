@@ -9,6 +9,7 @@ data beats everything currently stored and purge the stack.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,20 +179,6 @@ class PurgeState:
     purge_count: int = 0
 
 
-def _deferred(solve, *args):
-    """A zero-argument callable that runs solve(*args) when first called
-    and returns that result from then on (a solve that raises is run
-    again at the next call)."""
-    result = []
-
-    def read():
-        if not result:
-            result.append(solve(*args))
-        return result[0]
-
-    return read
-
-
 def purge_policy(ps, stack, eta_now):
     """Apply the weight-update and purge gates; returns ps.w_current.
 
@@ -203,16 +190,17 @@ def purge_policy(ps, stack, eta_now):
     When the Gram condition number certifies full column rank
     (stack.full_rank_kappa), the solve cannot fail, so it is deferred:
     the new estimate is a cached solve_weights of copies of the stacked
-    rows and right-hand side, run when read_lazy first reads it.
+    rows and right-hand side, run when read_lazy first reads it (a solve
+    that raises is not cached: it runs again at the next read).
     Otherwise it is solved now, and a rank deficient system holds the
     previous estimate.
     """
     gram_kappa = stack.gram_kappa
     if gram_kappa < ps.kappa1_bar and ps.varpi == 1 and stack.sigma_u1_norm >= stack.xi2:
         if gram_kappa < stack.full_rank_kappa:
-            ps.w_current = _deferred(
+            ps.w_current = functools.cache(functools.partial(
                 solve_weights, stack.sigma_matrix.copy(), stack.rhs_vector.copy()
-            )
+            ))
         else:
             try:
                 ps.w_current = solve_weights(stack.sigma_matrix, stack.rhs_vector)

@@ -189,14 +189,14 @@ class TestParamRecorder:
         assert [k for k in range(20) if rec.due(k, k + 1)] == list(rec.due(0, 20))
 
     @pytest.mark.parametrize("window", [0.0, 0.8, 1.1, 6.0])
-    def test_pushes_and_blocks_of_any_size_record_the_same_stack(self, window):
+    def test_appends_and_blocks_of_any_size_record_the_same_stack(self, window):
         # logs that keep 1, 2, 5 and 54 steps beyond a record's window
         rng = np.random.default_rng(5)
         p, u = rng.normal(size=(80, 1)), rng.normal(size=(80, 1))
         one, blocks = self.recorder(), self.recorder(window=window)
         for k in range(80):
-            one.p_log.push(0.1 * k, p[k])
-            one.u_log.push(0.1 * k, u[k])
+            one.p_log.append(0.1 * k, p[k])
+            one.u_log.append(0.1 * k, u[k])
             if one.due(k, k + 1):
                 one.record(k)
         for lo, hi in [(0, 1), (1, 7), (7, 8), (8, 30), (30, 80)]:

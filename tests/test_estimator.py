@@ -92,7 +92,7 @@ class TestThetaBlocks:
         with pytest.raises(ValueError):
             theta_blocks(np.zeros(5), 2, 2)
         with pytest.raises(ValueError):
-            theta_blocks(np.zeros((1, 12)), 2, 2)
+            theta_blocks(np.zeros((1, 13)), 2, 2)
 
 
 class TestEstimatorGains:

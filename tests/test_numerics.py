@@ -177,6 +177,33 @@ class TestSampledSignalAndTrapezoid:
         sig.extend(0.03, np.ones((4, 2)))
         assert (sig.first_step, len(sig)) == (2, 5)
 
+    @pytest.mark.parametrize("rows, error", [
+        (np.ones((3, 3)), ValueError),
+        ([[1.0, 2.0], [1.0, 2.0], [np.nan, 2.0]], NumericOverflowError),
+    ])
+    def test_a_block_refused_on_an_empty_log_leaves_it_empty(self, rows, error):
+        sig = SampledSignal(2, 0.01, 1.0)
+        with pytest.raises(error):
+            sig.extend(0.5, rows)
+        assert (sig.first_step, len(sig)) == (0, 0)
+        # the next good block, at another start time, sets the grid
+        sig.extend(0.25, np.ones((2, 2)))
+        sig.append(0.27, [1.0, 1.0])
+        assert (sig.first_step, len(sig)) == (0, 3)
+        np.testing.assert_allclose(sig.rows(0, 3, cumulative=True)[:, 0], [0.0, 0.01, 0.02])
+        with pytest.raises(SampleTimeError):
+            sig.append(0.5, [1.0, 1.0])
+
+    @pytest.mark.parametrize("value", [[1.0, 2.0, 3.0], 1.0, [[1.0, 2.0]]])
+    def test_a_wrongly_shaped_append_changes_nothing(self, value):
+        sig = SampledSignal(2, 0.01, 1.0)
+        sig.append(0.0, [1.0, 2.0])
+        with pytest.raises(ValueError, match="rows of 2 values"):
+            sig.append(0.01, value)
+        assert (sig.first_step, len(sig)) == (0, 1)
+        sig.append(0.01, [3.0, 4.0])
+        assert np.array_equal(sig.rows(0, 2), [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestSolveAre:
     def test_double_integrator_analytic(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from irlobs import purge
-from irlobs.errors import WindowUnderflowError
+from irlobs.errors import RankDeficiencyError, WindowUnderflowError
 from irlobs.irl import (
     FeatureBasis,
     IrlHistoryStack,
@@ -339,6 +339,31 @@ class TestDeferredSolve:
         assert isinstance(first, np.ndarray) and read_lazy(w) is first
         assert len(solves) == 1
         assert_same_weights(first, solve_stack(stack))
+
+    def test_a_deferred_solve_that_raises_runs_again_at_the_next_read(
+        self, default_system, basis, monkeypatch
+    ):
+        # a solve that raises is not cached: the next read runs it again,
+        # and once one returns, later reads return its array unsolved
+        stack = filled_stack(default_system, basis)
+        calls = []
+
+        def fails_once(sigma_matrix, rhs_vector):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RankDeficiencyError("the first solve fails", rank=0)
+            return solve_weights(sigma_matrix, rhs_vector)
+
+        monkeypatch.setattr(purge, "solve_weights", fails_once)
+        ps = PurgeState(kappa1_bar=1e6, kappa2_bar=1e6, w_current=zero_weights(basis), varpi=1)
+        w = purge_policy(ps, stack, eta_now=10.0)
+        assert callable(w) and not calls
+        with pytest.raises(RankDeficiencyError):
+            read_lazy(w)
+        second = read_lazy(w)
+        assert len(calls) == 2
+        assert_same_weights(second, solve_stack(stack))
+        assert read_lazy(w) is second and len(calls) == 2
 
     def test_kappa_above_the_certificate_solves_at_once(self, default_system, basis, monkeypatch):
         stack = filled_stack(default_system, basis)
