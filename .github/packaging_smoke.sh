@@ -39,3 +39,20 @@ done
 # a report stride far above the step count needs no stride-sized buffer
 echo '{"run": {"duration": 2.0, "report_stride": 1000000000000}}' > stride.json
 irlobs run --config stride.json --out "$RUNNER_TEMP/stride"
+# a file that overrides one nested field per section takes the shipped
+# defaults for every other field
+echo '{"gains": {"k": 50.0}, "run": {"duration": 2.0}}' > nested.json
+irlobs run --config nested.json --out "$RUNNER_TEMP/nested"
+for f in ptilde.csv qtilde.csv thetatilde.csv wtilde.csv summary.json; do
+  test -s "$RUNNER_TEMP/nested/$f"
+done
+# an unknown nested field exits 1 with one error: line naming it, and
+# leaves no output directory
+echo '{"run": {"duraton": 2.0}}' > unknown.json
+status=0
+irlobs run --config unknown.json --out "$RUNNER_TEMP/unknown" 2> unknown.err || status=$?
+cat unknown.err
+test "$status" -eq 1
+test "$(wc -l < unknown.err)" -eq 1
+grep -q "^error: unknown config field 'run.duraton'" unknown.err
+test ! -e "$RUNNER_TEMP/unknown"

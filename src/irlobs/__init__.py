@@ -27,7 +27,6 @@ from .experiment import (
     ExperimentConfig,
     OnlineIrl,
     RunReport,
-    default_config,
     load_config,
     run_experiment,
     write_report,

@@ -9,12 +9,21 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IrlobsError
-from .experiment import ExperimentConfig, load_config, read_config, run_experiment, write_report
+from .experiment import (
+    ExperimentConfig,
+    _merge,
+    default_config_dict,
+    load_config,
+    read_config,
+    run_experiment,
+    write_report,
+)
 from .plant import make_demonstrator
 
 
 def _cmd_run(args):
-    merged = read_config(args.config)
+    # the defaults, then the file's fields, then the flags
+    merged = _merge(default_config_dict(), {} if args.config is None else read_config(args.config))
     flags = {"mode": args.mode, "seed": args.seed, "report_stride": 1 if args.full_rate else None}
     merged["run"].update((k, v) for k, v in flags.items() if v is not None)
     cfg = ExperimentConfig(merged)

@@ -79,32 +79,18 @@ def default_config_dict():
 
 def _merge(base, override, path=""):
     """base with override's fields merged over it, section by section;
-    ExperimentConfig checks the merged key tree."""
+    raises ConfigError naming a field that base lacks, or a section of base
+    (or the root) that override does not give as an object."""
+    if not isinstance(override, dict):
+        raise ConfigError(f"config section '{path[:-1] or 'root'}' must be an object")
     for key, val in override.items():
-        if isinstance(base.get(key), dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"config section '{path}{key}' must be an object")
-            _merge(base[key], val, path=f"{path}{key}.")
+        if key not in base:
+            raise ConfigError(f"unknown config field '{path}{key}'")
+        if isinstance(base[key], dict):
+            _merge(base[key], val, f"{path}{key}.")
         else:
             base[key] = val
     return base
-
-
-def _require(base, raw, path="root"):
-    """Raise ConfigError naming the first section of the key tree base (the
-    shipped defaults) that raw does not give as an object, the first field
-    that it lacks, or the first field that base does not have."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config section '{path}' must be an object")
-    prefix = "" if path == "root" else f"{path}."
-    for key in raw:
-        if key not in base:
-            raise ConfigError(f"unknown config field '{prefix}{key}'")
-    for key, val in base.items():
-        if key not in raw:
-            raise ConfigError(f"missing config field '{prefix}{key}'")
-        if isinstance(val, dict):
-            _require(val, raw[key], prefix + key)
 
 
 def _number(path, value, low=None, *, inclusive=False, integer=False):
@@ -166,8 +152,9 @@ def _build(section, make, fields=None):
 
 
 class ExperimentConfig:
-    """Validated experiment configuration; see default_config_dict for the
-    schema and the shipped defaults.
+    """Validated experiment configuration: the shipped defaults
+    (default_config_dict, also the schema) with a copy of overrides, any
+    subset of their fields, merged over them; raw is the merged dict.
 
     The plant, cost, gains, feature basis and quality sections are built
     once here and check their own entries; every other entry is kept as a
@@ -176,14 +163,14 @@ class ExperimentConfig:
     duration and window is a whole number of steps of the grid that reads
     it, kept as a step count: steps (run.duration) and windows (gains.t1,
     gains.t2) in run.dt, excitation_steps and excitation_windows in
-    gains.excitation_dt, and the quality horizon in run.dt.  Any missing,
-    unknown, invalid, non-finite or off-grid entry, and any section that is
-    not an object, raises ConfigError naming the field.
+    gains.excitation_dt, and the quality horizon in run.dt.  Any unknown,
+    invalid, non-finite or off-grid entry, and any section that is not an
+    object, raises ConfigError naming the field.
     """
 
-    def __init__(self, raw):
-        _require(default_config_dict(), raw)
-        self.raw = copy.deepcopy(raw)
+    def __init__(self, overrides=None):
+        overrides = {} if overrides is None else copy.deepcopy(overrides)
+        self.raw = _merge(default_config_dict(), overrides)
         pl, c, g, irl, p, r = (
             self.raw[k] for k in ("plant", "cost", "gains", "irl", "purge", "run")
         )
@@ -270,30 +257,20 @@ class ExperimentConfig:
         return self._quality
 
 
-def default_config():
-    return ExperimentConfig(default_config_dict())
-
-
-def read_config(path=None):
-    """The raw config of a JSON file: the shipped defaults with the file's
-    fields merged over them (just the defaults without a path)."""
-    if path is None:
-        return default_config_dict()
+def read_config(path):
+    """The object of a JSON config file, as ExperimentConfig takes it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config file is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    return _merge(default_config_dict(), data)
 
 
 def load_config(path=None):
-    """The validated config of read_config(path)."""
-    return ExperimentConfig(read_config(path))
+    """ExperimentConfig of the JSON file at path (the defaults without one)."""
+    return ExperimentConfig(None if path is None else read_config(path))
 
 
 @dataclass
@@ -460,13 +437,13 @@ def _check_rk4_step(a_cl, h, path):
 class OnlineIrl:
     """The online estimator, stepped per block of measurements.
 
-    step(t, p, u, queries) takes the position and input measured one grid
-    step after the last, plus any oracle pairs (x*, u*) to offer.  It
+    step(t, p, u, x_star, u_star) takes the position and input measured one
+    grid step after the last, plus any oracle pairs (x*, u*) to offer.  It
     records the parameter stack, advances the observer, and offers the
     estimated pair and each query, with the estimate-quality score, to the
     IRL stack under the weight-update/purge policy.  It sees nothing else:
     param_stack comes filled by a calibration maneuver (see
-    prerecord_param_stack), and w0 is the stacked initial weight guess.
+    prerecord_param_stack), and the weights start at a copy of cfg.w0.
     step is measure, the estimator, then offer, the cost recovery, of each
     step's entries that irl.Entry.block builds from what drain returns;
     measure takes a block of consecutive measurements, a single one being
@@ -475,11 +452,10 @@ class OnlineIrl:
     _PIPE_BATCH, in one block, and offer reads nothing that measure writes.
     """
 
-    def __init__(self, cfg, param_stack, p0, u0, w0):
+    def __init__(self, cfg, param_stack, p0, u0):
         n, m = cfg.n, cfg.m
         gains = cfg.gains()
         self.quality = quality = cfg.quality()
-        basis, r1 = cfg.basis(), cfg.cost().r1
         self.dt = dt = cfg.dt
         self.param_stack = param_stack
         self.steps = 0  # the measurements logged after step 0
@@ -498,12 +474,11 @@ class OnlineIrl:
         self.observer = AdaptiveObserver(n, m, p0=p0, u0=u0, gains=gains,
                                          gamma_scale=cfg.gamma0)
         self.qhat_log.append(0.0, self.observer.q_hat)
-        w0 = np.array(w0, dtype=float)  # a copy: the run never writes to cfg.w0
-        if w0.shape != (basis.width(m),) or not np.isfinite(w0).all():
-            raise ValueError(f"w0 must be a finite {basis.width(m)}-vector")
-        self.irl_stack = IrlHistoryStack(cfg.irl_capacity, basis, r1, m, xi2=cfg.xi2)
+        self.irl_stack = IrlHistoryStack(cfg.irl_capacity, cfg.basis(), cfg.cost().r1, m,
+                                         xi2=cfg.xi2)
         self.xi1 = cfg.xi1
-        self.purge_state = PurgeState(cfg.kappa1_bar, cfg.kappa2_bar, w_current=w0)
+        # a copy: the run never writes to cfg.w0
+        self.purge_state = PurgeState(cfg.kappa1_bar, cfg.kappa2_bar, w_current=cfg.w0.copy())
         self.trace = RunTrace()
         # per block measured, not yet drained: (first step, times, x_hat,
         # theta, p_tilde, oracle states, oracle inputs), stacked over its
@@ -523,25 +498,27 @@ class OnlineIrl:
         """The weight estimate in force; read_lazy runs its solve if that was deferred."""
         return read_lazy(self.purge_state.w_current)
 
-    def step(self, t, p, u, queries=()):
-        """Take the measurement (p, u) at time t and offer the data."""
-        self.measure([t], [p], [u], [queries])
+    def step(self, t, p, u, x_star=None, u_star=None):
+        """Take the measurement (p, u) at time t, and the oracle pairs of the
+        rows of x_star and u_star if given, and offer the data."""
+        self.measure([t], [p], [u], *(None if a is None else [a] for a in (x_star, u_star)))
         for entries in Entry.block(*self.drain()):
             self.offer(entries)
 
-    def measure(self, times, p, u, queries=None):
+    def measure(self, times, p, u, x_star=None, u_star=None):
         """The estimator half of step, for a block of measurements: the
         positions p and inputs u, rows measured at the consecutive grid
-        times `times`, and per row the oracle pairs (x*, u*) of queries
-        (none by default).  Logs the rows, records the parameter stack at
-        each due step, advances the adaptation law and the observer, and
-        queues each step's time, x_hat, parameter estimate, position error
-        and copies of its pairs, bitwise as one row at a time.  Returns
-        x_hat, theta and the adaptation matrix P after each step, stacked.
+        times `times`, and per row the oracle pairs of x_star, of shape
+        (count, pairs, 2n), and u_star, (count, pairs, m) (no pairs where
+        both are None).  Logs the rows, records the parameter stack at each
+        due step, advances the adaptation law and the observer, and queues
+        each step's time, x_hat, parameter estimate, position error and
+        copies of its pairs, bitwise as one row at a time.  Returns x_hat,
+        theta and the adaptation matrix P after each step, stacked.
 
         Raises ValueError, changing nothing, if more than _PIPE_BATCH steps
-        would be queued, if p, u and queries do not have a row for each
-        time, or if a pair is not a (2n-vector, m-vector) or a step has
+        would be queued, if p, u, x_star and u_star do not have a row for
+        each time, or if the pairs are not of those shapes or a step has
         another number of pairs than the steps queued.  A row that is not
         finite or not at its grid time raises NumericOverflowError or
         SampleTimeError at its own step, as does a record, the adaptation
@@ -553,25 +530,15 @@ class OnlineIrl:
             raise ValueError(f"{_PIPE_BATCH} steps would be queued: drain them first")
         times = np.asarray(times, dtype=float).tolist()
         p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
-        queries = [()] * count if queries is None else list(queries)
-        if p.shape != (count, n) or u.shape != (count, m) or len(queries) != count:
-            raise ValueError(f"positions, inputs and queries must have a row for each time, "
-                             f"of {n} and {m} columns")
-        if self._queue:  # as many pairs as the steps queued
-            pairs = self._queue[0][-1].shape[1]
-        else:
-            pairs = len(queries[0]) if count else 0
-        if any(len(step) != pairs for step in queries):
-            raise ValueError("every step queued must have as many oracle pairs")
-        x_star, u_star = np.empty((count, pairs, 2 * n)), np.empty((count, pairs, m))
-        if count * pairs:
-            try:
-                x_star = np.array([[x for x, _ in step] for step in queries], dtype=float)
-                u_star = np.array([[v for _, v in step] for step in queries], dtype=float)
-            except ValueError:  # pairs of different shapes
-                x_star = u_star = np.empty(0)
-        if x_star.shape != (count, pairs, 2 * n) or u_star.shape != (count, pairs, m):
-            raise ValueError(f"oracle pairs must be ({2 * n}-vector, {m}-vector)")
+        x_star = np.empty((count, 0, 2 * n)) if x_star is None else np.array(x_star, float)
+        u_star = np.empty((count, 0, m)) if u_star is None else np.array(u_star, float)
+        rows = (p.shape, u.shape, x_star.shape[:1], u_star.shape[:1])
+        if rows != ((count, n), (count, m), (count,), (count,)):
+            raise ValueError(f"positions, inputs and oracle pairs must have a row for each "
+                             f"time, of {n} and {m} columns")
+        pairs = (self._queue[0][-1] if self._queue else x_star).shape[1:2]  # as queued
+        if x_star.shape != (count, *pairs, 2 * n) or u_star.shape != (count, *pairs, m):
+            raise ValueError(f"oracle pairs must be ({2 * n}, {m})-vectors, as many as queued")
         refusals = [self.p_log.refused(times, p), self.u_log.refused(times, u)]
         finite = np.isfinite(x_star).all(axis=(1, 2)) & np.isfinite(u_star).all(axis=(1, 2))
         if not finite.all():
@@ -708,12 +675,12 @@ def _measure_run(cfg, demo, online, emit):
         # online starts from step 0, the source's first block; per block,
         # one draw takes the oracle states of one draw per step
         for times, states, inputs in itertools.islice(source, 1, None):
-            queries = None
+            x_star = u_star = None
             if cfg.mode == "query":
                 draws = rng.uniform(cfg.query_low, cfg.query_high, size=states.shape)
-                queries = [((x_star, query(demo, x_star)),) for x_star in draws]
+                x_star, u_star = draws[:, None], np.array([query(demo, x) for x in draws])[:, None]
             first = online.steps + 1
-            x_hat, theta, info = online.measure(times, states[:, :n], inputs, queries)
+            x_hat, theta, info = online.measure(times, states[:, :n], inputs, x_star, u_star)
             for j, k in enumerate(range(first, first + len(times))):
                 if k % stride == 0 or k == steps:
                     truth.append(truth_row(times[j], states[j], x_hat[j], theta[j]))
@@ -810,7 +777,7 @@ def run_experiment(cfg):
 
     param_stack = ParamHistoryStack(cfg.param_capacity, theta_dim(n, m), cfg.min_eig_threshold)
     prerecord_param_stack(demo, cfg, param_stack)
-    online = OnlineIrl(cfg, param_stack, cfg.x0[:n], optimal_action(demo, cfg.x0), cfg.w0)
+    online = OnlineIrl(cfg, param_stack, cfg.x0[:n], optimal_action(demo, cfg.x0))
 
     w_rows = [online.weights - w_true] if steps > 0 else []
     counter = itertools.count(1)

@@ -21,7 +21,7 @@ from irlobs.estimator import (
     model_matrices,
     theta_dim,
 )
-from irlobs.experiment import _excitation, default_config, prerecord_param_stack
+from irlobs.experiment import ExperimentConfig, _excitation, prerecord_param_stack
 from irlobs.irl import Entry, entry_rows, eval_features, read_lazy, solve_weights
 from irlobs.numerics import SampledSignal, linear_rk4_matrices, linear_rollout, rk4_step
 from irlobs.plant import CostFunction, LinearPlant, make_demonstrator, optimal_action
@@ -260,7 +260,7 @@ def double_integrator():
 def prerecorded_stack(default_system):
     _, _, demo = default_system
     stack = ParamHistoryStack(capacity=150, dim=theta_dim(2, 2), min_eig_threshold=1e-3)
-    prerecord_param_stack(demo, default_config(), stack)
+    prerecord_param_stack(demo, ExperimentConfig(), stack)
     return stack
 
 

@@ -13,7 +13,6 @@ import pytest
 from irlobs.estimator import integral_regressor, integral_residual
 from irlobs.experiment import (
     ExperimentConfig,
-    default_config,
     default_config_dict,
     run_experiment,
 )
@@ -55,7 +54,7 @@ def criterion(number, description):
 @pytest.fixture(scope="session")
 def c6_report():
     """The default 30 s query-mode run (criteria 6 and 8)."""
-    return run_experiment(default_config())
+    return run_experiment(ExperimentConfig())
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """Configuration, runner and reporting tests."""
 
-import functools
+import copy
 import json
 import os
 import pickle
@@ -17,7 +17,6 @@ from irlobs.errors import ConfigError, IrlobsError, NumericOverflowError
 from irlobs.estimator import ParamHistoryStack, theta_dim
 from irlobs.experiment import (
     ExperimentConfig,
-    default_config,
     default_config_dict,
     load_config,
     run_experiment,
@@ -69,22 +68,23 @@ def short_config(duration=4.0, mode="query", seed=0, **run_overrides):
 
 def measured_run(cfg):
     """A fresh OnlineIrl as run_experiment builds it, and the (t, p, u,
-    queries) of every step that run_experiment measures: the closed loop
-    simulated in one piece (whole_array_rows), and one oracle draw per
-    step."""
+    x_star, u_star) of every step that run_experiment measures: the closed
+    loop simulated in one piece (whole_array_rows), and the step's oracle
+    pairs as a (pairs, 2n) and a (pairs, m) array, one drawn pair per step
+    in query mode and none in observed mode."""
     n, dt = cfg.n, cfg.dt
     demo = make_demonstrator(cfg.plant(), cfg.cost())
     stack = ParamHistoryStack(cfg.param_capacity, theta_dim(n, cfg.m), cfg.min_eig_threshold)
     experiment.prerecord_param_stack(demo, cfg, stack)
-    online = experiment.OnlineIrl(cfg, stack, cfg.x0[:n], optimal_action(demo, cfg.x0), cfg.w0)
+    online = experiment.OnlineIrl(cfg, stack, cfg.x0[:n], optimal_action(demo, cfg.x0))
     states, inputs = whole_array_rows(demo, cfg.x0, dt, cfg.steps)
     rng, steps = np.random.default_rng(cfg.seed), []
     for k in range(1, cfg.steps + 1):
-        queries = ()
+        x_star, u_star = np.empty((0, 2 * n)), np.empty((0, cfg.m))
         if cfg.mode == "query":
-            x_star = rng.uniform(cfg.query_low, cfg.query_high)
-            queries = ((x_star, query(demo, x_star)),)
-        steps.append((k * dt, states[k, :n], inputs[k], queries))
+            x_star = rng.uniform(cfg.query_low, cfg.query_high)[None]
+            u_star = query(demo, x_star[0])[None]
+        steps.append((k * dt, states[k, :n], inputs[k], x_star, u_star))
     return online, steps
 
 
@@ -95,7 +95,7 @@ def short_report():
 
 class TestLoadConfig:
     def test_defaults_are_default_system(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         np.testing.assert_array_equal(
             np.asarray(cfg.raw["plant"]["a"]), [[1.0, 1, -1, 1], [5, 1, 1, 1]]
         )
@@ -132,17 +132,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="duraton"):
             load_config(path)
 
-    def test_hand_built_config_names_a_missing_field_or_section(self):
-        # ExperimentConfig takes a raw dict without read_config's merge over
-        # the defaults: each missing leaf, each extra leaf, each section
-        # given as a list and a root that is not an object are ConfigErrors
-        # naming them
-        for section, fields in default_config_dict().items():
-            for name in fields:
-                raw = default_config_dict()
-                del raw[section][name]
-                with pytest.raises(ConfigError, match=re.escape(f"'{section}.{name}'")):
-                    ExperimentConfig(raw)
+    def test_overrides_merge_over_the_defaults_like_a_config_file(self, tmp_path):
+        # ExperimentConfig merges a copy of its overrides over the shipped
+        # defaults, as load_config does with a file holding them
+        overrides = {"run": {"mode": "observed", "seed": 3}, "gains": {"k": 50.0}}
+        given = copy.deepcopy(overrides)
+        path = tmp_path / "overrides.json"
+        path.write_text(json.dumps(overrides))
+        built, loaded = ExperimentConfig(overrides), load_config(path)
+        assert overrides == given
+        expected = default_config_dict()
+        expected["run"].update(mode="observed", seed=3)
+        expected["gains"]["k"] = 50.0
+        assert built.raw == loaded.raw == expected
+        assert (built.steps, built.windows, built.mode, built.seed) == (
+            loaded.steps, loaded.windows, "observed", 3)
+        assert built.gains().k == loaded.gains().k == 50.0
+        np.testing.assert_array_equal(built.w0, loaded.w0, strict=True)
+        assert pickle.dumps(built) == pickle.dumps(loaded)
+
+    def test_hand_built_config_names_an_unknown_field_or_section(self):
+        # each extra leaf, each section given as a list and a root that is
+        # not an object are ConfigErrors naming them
+        for section in default_config_dict():
             raw = default_config_dict()
             raw[section]["extra"] = 3.0
             with pytest.raises(ConfigError, match=f"unknown config field '{section}.extra'"):
@@ -297,8 +309,8 @@ class TestRunExperiment:
         counting_smoothing(purge)
         cfg = short_config(duration=2.0, mode=mode)
         online, steps = measured_run(cfg)
-        for t, p, u, queries in steps:
-            online.step(t, p, u, queries)
+        for step in steps:
+            online.step(*step)
         floor = cfg.quality().horizon + cfg.quality().half_width
         assert online.eta_floor_step == floor
         scored = [k for k in range(1, len(steps) + 1) if k >= online.eta_floor_step]
@@ -361,17 +373,17 @@ class TestRunExperiment:
         def measured_state():
             return pickle.dumps((online.steps, online.p_log, online.u_log, online._queue))
 
-        for k, (t, p, u, queries) in enumerate(steps, 1):
+        for k, (t, p, u, x_star, u_star) in enumerate(steps, 1):
             if k == 2:
                 before = measured_state()
                 with pytest.raises(NumericOverflowError, match="non-finite"):
-                    online.step(t, p, np.full_like(u, np.nan), queries)
+                    online.step(t, p, np.full_like(u, np.nan), x_star, u_star)
                 assert measured_state() == before
-            online.step(t, p, u, queries)
+            online.step(t, p, u, x_star, u_star)
             if k % stride == 0:
                 rows_theta.append(theta_true - online.theta)
                 rows_w.append(online.weights - report.w_true)
-        assert len(steps) == 2000 and sum(len(q) for _, _, _, q in steps) == report.queries
+        assert len(steps) == 2000 and sum(len(x) for *_, x, _ in steps) == report.queries
         assert np.asarray(rows_theta).tobytes() == report.theta_tilde.tobytes()
         assert np.asarray(rows_w).tobytes() == report.w_tilde.tobytes()
         assert online.trace == report.trace
@@ -437,15 +449,12 @@ class TestRunExperiment:
         online.step(0.002, p, u)
 
     def test_online_irl_takes_a_copy_of_a_finite_w0_of_the_weight_width(self):
+        # the config checks run.w0 (test_wrong_w0_length_rejected and the
+        # config fuzz tests); the run starts from a copy of it
         cfg = short_config(duration=0.0)
         online, _ = measured_run(cfg)
         assert online.weights is not cfg.w0
         np.testing.assert_array_equal(online.weights, cfg.w0, strict=True)
-        make = functools.partial(experiment.OnlineIrl, cfg, online.param_stack,
-                                 cfg.x0[:cfg.n], np.zeros(cfg.m))
-        for w0 in (np.full(15, np.inf), np.zeros(14), np.zeros((15, 1))):
-            with pytest.raises(ValueError, match="w0"):
-                make(w0)
 
     def test_queue_holds_at_most_a_pipe_batch_of_like_steps(self):
         # measure queues at most _PIPE_BATCH steps, each with the same
@@ -458,25 +467,26 @@ class TestRunExperiment:
         def measured_state():
             return pickle.dumps((online.steps, online.p_log, online.u_log, online._queue))
 
-        for t, p, u, queries in steps[:batch]:
-            online.measure([t], [p], [u], [queries])
-        t, p, u, queries = steps[batch]
+        for t, p, u, x_star, u_star in steps[:batch]:
+            online.measure([t], [p], [u], [x_star], [u_star])
+        t, p, u, x_star, u_star = steps[batch]
         before = measured_state()
         with pytest.raises(ValueError, match="drain"):
-            online.measure([t], [p], [u], [queries])
+            online.measure([t], [p], [u], [x_star], [u_star])
         assert measured_state() == before
         times, etas, rows, rhs = online.drain()
         assert times == [step[0] for step in steps[:batch]] and rows.shape[:2] == (batch, 2)
         assert online.drain() == ([], [], [], [])
-        online.measure([t], [p], [u], [queries])
-        t, p, u, queries = steps[batch + 1]
-        (x_star, u_star), = queries
+        online.measure([t], [p], [u], [x_star], [u_star])
+        t, p, u, x_star, u_star = steps[batch + 1]
         before = measured_state()
-        for bad in ((), queries * 2, ((x_star[:2], u_star),)):
+        # no pairs, two pairs, an x* of width 2, and an x* without its u*
+        two = ([np.tile(x_star, (2, 1))], [np.tile(u_star, (2, 1))])
+        for bad in ((None, None), two, ([x_star[:, :2]], [u_star]), ([x_star], None)):
             with pytest.raises(ValueError, match="pair"):
-                online.measure([t], [p], [u], [bad])
+                online.measure([t], [p], [u], *bad)
             assert measured_state() == before
-        online.measure([t], [p], [u], [queries])
+        online.measure([t], [p], [u], [x_star], [u_star])
         assert len(online.drain()[0]) == 2
 
     def test_a_non_finite_oracle_pair_is_refused_at_measure(self):
@@ -489,17 +499,17 @@ class TestRunExperiment:
         def state():
             return pickle.dumps((online.steps, online.p_log, online.u_log, online._queue))
 
-        for t, p, u, queries in steps[:10]:
-            online.measure([t], [p], [u], [queries])
-        t, p, u, ((x_star, u_star),) = steps[10]
+        for t, p, u, x_star, u_star in steps[:10]:
+            online.measure([t], [p], [u], [x_star], [u_star])
+        t, p, u, x_star, u_star = steps[10]
         before = state()
         for bad in (np.nan, np.inf, -np.inf):
             for pair in ((np.where(np.arange(4) == 2, bad, x_star), u_star),
                          (x_star, np.where(np.arange(2) == 1, bad, u_star))):
                 with pytest.raises(NumericOverflowError, match="oracle pair"):
-                    online.measure([t], [p], [u], [(pair,)])
+                    online.measure([t], [p], [u], [pair[0]], [pair[1]])
                 assert state() == before
-        online.measure([t], [p], [u], [((x_star, u_star),)])
+        online.measure([t], [p], [u], [x_star], [u_star])
         for entries in Entry.block(*online.drain()):
             online.offer(entries)
         assert online.steps == 11

@@ -49,29 +49,31 @@ CONFIGS = {mode: config(mode) for mode in ("observed", "query")}
 
 
 def run_rows(mode, seed):
-    """(t, p, u, pairs) of steps 0 to STEPS: positions and inputs summing
-    three sines each, of random frequencies and phases, and in query mode
-    one random oracle pair per step."""
+    """(t, p, u, x_star, u_star) of steps 0 to STEPS: positions and inputs
+    summing three sines each, of random frequencies and phases, and the
+    step's oracle pairs as a (pairs, 4) and a (pairs, 2) array, one random
+    pair per step in query mode and none in observed mode."""
     rng = np.random.default_rng(seed)
     t = 1e-3 * np.arange(STEPS + 1)
     freq, phase = rng.uniform(5.0, 60.0, (4, 3)), rng.uniform(0.0, 2 * math.pi, (4, 3))
     signal = np.sin(freq * t[:, None, None] + phase).sum(axis=2)
-    pairs = [()] * (STEPS + 1)
+    x_star, u_star = np.empty((STEPS + 1, 0, 4)), np.empty((STEPS + 1, 0, 2))
     if mode == "query":
-        pairs = [((rng.uniform(-2, 2, 4), rng.uniform(-1, 1, 2)),) for _ in t]
-    return list(zip(t.tolist(), signal[:, :2], signal[:, 2:], pairs))
+        draws = [(rng.uniform(-2, 2, 4), rng.uniform(-1, 1, 2)) for _ in t]
+        x_star, u_star = (np.array(part)[:, None] for part in zip(*draws))
+    return list(zip(t.tolist(), signal[:, :2], signal[:, 2:], x_star, u_star))
 
 
 def fresh(mode, rows):
     cfg = CONFIGS[mode]
     stack = ParamHistoryStack(cfg.param_capacity, 12, cfg.min_eig_threshold)
-    _, p0, u0, _ = rows[0]
-    return OnlineIrl(cfg, stack, p0, u0, cfg.w0)
+    _, p0, u0, *_ = rows[0]
+    return OnlineIrl(cfg, stack, p0, u0)
 
 
 def measure(online, rows):
-    times, p, u, pairs = zip(*rows)
-    return online.measure(list(times), np.array(p), np.array(u), list(pairs))
+    times, *blocks = zip(*rows)
+    return online.measure(list(times), *map(np.array, blocks))
 
 
 def log_state(log):
@@ -106,7 +108,7 @@ def primitive_step(online, row):
     step before it took blocks (the queue left out): returns x_hat, theta
     and P after it, and the row's η scored on its own from the logs as
     they are then (inf before eta_floor_step)."""
-    t, p, u, _ = row
+    t, p, u, *_ = row
     online.p_log.append(t, p)
     online.u_log.append(t, u)
     online.steps += 1
@@ -193,19 +195,18 @@ def test_a_refused_row_raises_at_its_own_time_after_the_rows_before_it(
     kind = data.draw(st.sampled_from(
         ["p", "u", "off-grid"] + (["pair"] if mode == "query" else [])), label="kind")
     bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
-    t, p, u, pairs = rows[start + j]
+    t, p, u, x_star, u_star = rows[start + j]
     if kind == "off-grid":  # a time repeated, skipped or half a step off
         t += data.draw(st.sampled_from([-1e-3, 1e-3, 5e-4]), label="shift")
         error, message = SampleTimeError, "sample at t={} is off-grid"
     elif kind == "pair":
-        (x_star, u_star), = pairs
-        pairs = ((np.where(np.arange(4) == data.draw(st.integers(0, 3)), bad, x_star), u_star),)
+        x_star = np.where(np.arange(4) == data.draw(st.integers(0, 3)), bad, x_star)
         error, message = NumericOverflowError, "non-finite oracle pair at t={}$"
     else:
         p, u = (np.array([bad, 0.5]), u) if kind == "p" else (p, np.array([0.5, bad]))
         error, message = NumericOverflowError, "non-finite sample at t={}$"
     block = rows[start : start + size]
-    block[j] = (t, p, u, pairs)
+    block[j] = (t, p, u, x_star, u_star)
 
     single, blocked = fresh(mode, rows), fresh(mode, rows)
     for online in (single, blocked):

@@ -132,14 +132,18 @@ class TestSampledSignalAndTrapezoid:
         assert len(sig) == 1
 
     def test_a_long_log_keeps_its_grid(self):
-        # appends stay due at k * dt, no matter how many steps were pruned,
-        # and a time half a step off is still rejected
-        sig, zero = SampledSignal(1, 1e-3, 1.804), np.zeros(1)
-        for k in range(350_000):
-            sig.append(k * 1e-3, zero)
+        # blocks and then single appends stay due at k * dt, no matter how
+        # many steps were pruned, and a time half a step off is still rejected
+        sig, zeros = SampledSignal(1, 1e-3, 1.804), np.zeros((1000, 1))
+        for first in range(0, 349_000, 1000):
+            times = (first + np.arange(1000)) * 1e-3
+            assert sig.refused(times, zeros) is None
+            sig.extend(times[0], zeros)
+        for k in range(349_000, 350_000):
+            sig.append(k * 1e-3, zeros[0])
         assert sig.first_step + len(sig) == 350_000
         with pytest.raises(SampleTimeError):
-            sig.append(350_000.5 * 1e-3, zero)
+            sig.append(350_000.5 * 1e-3, zeros[0])
 
     def test_non_finite_append_rejected(self):
         sig = SampledSignal(1, 0.01, 1.0)
